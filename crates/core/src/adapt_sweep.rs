@@ -41,6 +41,7 @@ use ricsa_netsim::node::NodeId;
 use ricsa_netsim::rng::SimRng;
 use ricsa_netsim::time::SimTime;
 use ricsa_pipemap::dp::optimize_with;
+use ricsa_pipemap::fnv1a_hex;
 use ricsa_pipemap::network::NetGraph;
 use ricsa_pipemap::sweep::{AdaptSweepRecord, AdaptSweepSummary};
 use serde::{Deserialize, Serialize};
@@ -319,7 +320,7 @@ fn empty_record(
 /// path and [`AdaptSweepConfig::route_bias`] of the schedule's event
 /// links retargeted onto that path.  `None` when the WAN admits no
 /// feasible mapping or every node lies on it.
-fn loop_spec(
+pub fn loop_spec(
     config: &AdaptSweepConfig,
     wan: &GeneratedWan,
     schedule: &DynamicScenario,
@@ -448,13 +449,7 @@ fn mean_solve_us(run: &AdaptiveRun) -> f64 {
 /// FNV-1a digest of the run's serialized decision trace — a compact,
 /// wall-clock-free determinism witness.
 fn decision_digest(run: &AdaptiveRun) -> String {
-    let json = serde_json::to_string(&run.decisions).unwrap_or_default();
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in json.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100_0000_01B3);
-    }
-    format!("{hash:016x}")
+    fnv1a_hex(&serde_json::to_string(&run.decisions).unwrap_or_default())
 }
 
 /// Render a sweep report as an aligned text table plus summary lines.

@@ -227,13 +227,7 @@ pub fn solve_joint(
 /// FNV-1a digest of a solution's serialized form — the byte-determinism
 /// witness the property tests (and the `session_sweep` records) pin.
 pub fn solution_digest(solution: &JointSolution) -> String {
-    let serialized = serde_json::to_string(solution).unwrap_or_default();
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in serialized.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100_0000_01B3);
-    }
-    format!("{hash:016x}")
+    crate::fnv1a_hex(&serde_json::to_string(solution).unwrap_or_default())
 }
 
 #[cfg(test)]

@@ -46,3 +46,12 @@ pub use sweep::{
     SweepRecord, SweepSummary,
 };
 pub use vrt::{RoutingEntry, VisualizationRoutingTable};
+
+/// 64-bit FNV-1a of `text` as 16 lowercase hex digits — the one digest
+/// every determinism witness in the workspace is printed with.
+pub fn fnv1a_hex(text: &str) -> String {
+    let hash = text.bytes().fold(0xCBF2_9CE4_8422_2325u64, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01B3)
+    });
+    format!("{hash:016x}")
+}
