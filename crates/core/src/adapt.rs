@@ -1,4 +1,4 @@
-//! The adaptive re-mapping driver: monitor → decide → migrate, live.
+//! The adaptive re-mapping loop: monitor → decide → migrate, live.
 //!
 //! [`run_adaptive_loop`] executes a steering loop on a time-varying WAN
 //! ([`ricsa_netsim::dynamics`]) under one of three control policies:
@@ -7,58 +7,40 @@
 //!   once, never look again;
 //! * [`AdaptPolicy::Adaptive`] — the `ricsa-adapt` monitor ingests the
 //!   passive per-link telemetry each frame produces, and when a confirmed
-//!   change clears the re-map margin the driver migrates the pipeline at
-//!   the next frame boundary;
+//!   change clears the re-map margin the loop migrates at the next frame
+//!   boundary;
 //! * [`AdaptPolicy::Oracle`] — re-solves from scratch before every frame
 //!   with the *true* current link parameters (maintained by replaying the
 //!   event schedule onto a topology copy).  This is the unachievable
 //!   upper bound the adaptive controller is measured against.
 //!
-//! # Migration protocol (and its no-loss / no-duplication invariant)
+//! This module holds the spec, the run record and the demo WAN.  The loop
+//! itself is the one-session case of the frame-paced driver that also runs
+//! [`crate::sessions`] (the crate-private `driver` module): a policy picks
+//! that driver's per-loop controller, the schedule is applied to the
+//! simulator, and the run record is assembled from the driver's frame
+//! audit.  The loop is frame-paced — frame `k` is requested only after
+//! frame `k-1` reached the client — so a frame boundary is a quiescent
+//! point, and a migration there delivers every frame index **exactly
+//! once**: the audit counts `IterationCompleted` trace records per index
+//! and reports any loss or duplication (the `adapt_live` bench asserts
+//! both are zero).
 //!
-//! The loop is frame-paced: the driver requests frame `k` only after frame
-//! `k-1` reached the client, so a *frame boundary* is a natural quiescent
-//! point — no application payload is in flight except stale
-//! final-ACK handshakes.  A migration then performs, in order:
-//!
-//! 1. **Quiesce**: run the simulator a short drain window so outstanding
-//!    final-ACK exchanges of the completed frame settle.
-//! 2. **Teardown**: remove the old stage applications.  Anything still
-//!    addressed to them is, by construction, a retransmission of data the
-//!    loop already consumed.
-//! 3. **Handoff over the control channel**: the CM redistributes the new
-//!    visualization routing table to every node of the new mapping
-//!    (redundant control datagrams over the simulated WAN — the handoff
-//!    is paid for, not teleported).
-//! 4. **Resume**: install the new stages with `first_iteration = k`, so a
-//!    straggler datagram from a pre-migration flow (iteration `< k`) is
-//!    re-acknowledged and *never* opens a receiver — the hazard that
-//!    would otherwise wedge the new loop.
-//!
-//! Because frames are only requested after their predecessor completed,
-//! and replacement stages refuse pre-migration iterations, every frame
-//! index is delivered **exactly once**: the run audit counts
-//! `IterationCompleted` trace records per index and reports any loss or
-//! duplication (the `adapt_live` bench asserts both are zero).
-//!
-//! DESIGN.md §8 documents the full control plane.
+//! DESIGN.md §8 documents the control plane; §8.5 the migration protocol
+//! (quiesce → teardown → VRT handoff → resume) and its invariant.
 
-use crate::message::{ControlMessage, CONTROL_REDUNDANCY};
-use crate::stage::{LinkTelemetrySink, StageApp, StageConfig};
-use ricsa_adapt::monitor::{AdaptConfig, AdaptMonitor, Decision, DecisionRecord};
-use ricsa_netsim::dynamics::{apply_event_to_topology, DynamicScenario, LinkChange, LinkEvent};
+use crate::driver::{drive, Controller, DriveSpec, LoopState};
+use crate::sessions::SessionLoopSpec;
+use ricsa_adapt::monitor::{AdaptConfig, AdaptMonitor, DecisionRecord};
+use ricsa_netsim::dynamics::{DynamicScenario, LinkChange, LinkEvent};
 use ricsa_netsim::link::{LinkId, LinkSpec};
 use ricsa_netsim::node::{NodeId, NodeSpec};
-use ricsa_netsim::sim::Simulator;
 use ricsa_netsim::time::SimTime;
 use ricsa_netsim::topology::Topology;
-use ricsa_netsim::trace::TraceKind;
-use ricsa_pipemap::dp::{optimize_with, OptimizedMapping};
+use ricsa_pipemap::dp::optimize_with;
 use ricsa_pipemap::network::NetGraph;
 use ricsa_pipemap::pipeline::Pipeline;
-use ricsa_pipemap::vrt::VisualizationRoutingTable;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// How the loop reacts to network change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -195,20 +177,6 @@ impl AdaptiveRun {
     }
 }
 
-/// Drain window run before tearing the old stages down, seconds of
-/// virtual time: long enough for the completed frame's final-ACK
-/// handshakes to settle, short against any frame time.
-const QUIESCE_S: f64 = 0.25;
-
-/// Virtual time the migration waits after injecting the VRT handoff so
-/// the control datagrams actually cross the WAN before the new loop is
-/// declared live — the handoff is paid for, not teleported.  Must exceed
-/// the one-way control latency of any supported topology.
-const HANDOFF_SETTLE_S: f64 = 0.05;
-
-/// Polling granularity of the frame-completion wait, virtual seconds.
-const STEP_S: f64 = 0.25;
-
 /// Run one policy over the spec.  Errors only on structurally impossible
 /// inputs (no feasible initial mapping, a self-revisiting data path, or
 /// the CM placed on the data source).
@@ -228,346 +196,66 @@ pub fn run_adaptive_loop(
         &spec.adapt.options,
     );
     let initial = initial.ok_or_else(|| "no feasible initial mapping".to_string())?;
+    let controller = match policy {
+        AdaptPolicy::Static => Controller::Static,
+        AdaptPolicy::Adaptive => Controller::monitored(
+            AdaptMonitor::with_initial(
+                spec.pipeline.clone(),
+                base_graph,
+                spec.source.0,
+                spec.client.0,
+                spec.adapt.clone(),
+                initial.clone(),
+            ),
+            true,
+        ),
+        AdaptPolicy::Oracle => Controller::oracle(&spec.topology, spec.adapt.options),
+    };
+    let session = SessionLoopSpec {
+        id: spec.session,
+        pipeline: spec.pipeline.clone(),
+        source: spec.source,
+        client: spec.client,
+        frames: spec.iterations,
+        start_at: 0.0,
+    };
+    let mut loops = [LoopState::new(session, initial, controller)];
+    let (audit, _) = drive(
+        &DriveSpec {
+            topology: &spec.topology,
+            schedule: &spec.schedule.events,
+            cm: spec.cm,
+            seed: spec.seed,
+            target_goodput: spec.target_goodput,
+            max_virtual_time: spec.max_virtual_time,
+        },
+        &mut loops,
+    )?;
+    let [lp] = loops;
 
-    let mut sim = Simulator::new(spec.topology.clone(), spec.seed);
-    sim.apply_scenario(&spec.schedule);
-
-    let telemetry: LinkTelemetrySink = LinkTelemetrySink::default();
-    let mut monitor = (policy == AdaptPolicy::Adaptive).then(|| {
-        AdaptMonitor::with_initial(
-            spec.pipeline.clone(),
-            base_graph.clone(),
-            spec.source.0,
-            spec.client.0,
-            spec.adapt.clone(),
-            initial.clone(),
-        )
-    });
-
-    // Oracle ground truth: the schedule replayed onto a topology copy.
-    let mut oracle_live = spec.topology.clone();
-    let mut oracle_cursor = 0usize;
-
-    let mut current = initial;
-    let mut installed =
-        install_stages(&mut sim, spec, &current, 0, &telemetry).map_err(|e| e.to_string())?;
-    let mut migrations: Vec<MigrationRecord> = Vec::new();
-    let mut paths: Vec<Vec<usize>> = Vec::new();
-    let mut pending_remap: Option<Box<OptimizedMapping>> = None;
-    let mut solve_us_total = 0.0;
-    let mut solves = 0u64;
-    let mut frames_requested = 0u64;
-    let mut audit = TraceAudit::default();
-
-    'frames: for k in 0..spec.iterations {
-        // Policy hook: decide the mapping frame k runs on.
-        let switch_to: Option<OptimizedMapping> = match policy {
-            AdaptPolicy::Static => None,
-            AdaptPolicy::Adaptive => pending_remap.take().map(|b| *b),
-            AdaptPolicy::Oracle => {
-                let now = sim.now();
-                while oracle_cursor < spec.schedule.events.len()
-                    && spec.schedule.events[oracle_cursor].at.as_secs() <= now.as_secs()
-                {
-                    apply_event_to_topology(
-                        &mut oracle_live,
-                        &spec.topology,
-                        &spec.schedule.events[oracle_cursor],
-                    );
-                    oracle_cursor += 1;
-                }
-                let g = NetGraph::from_topology(&oracle_live);
-                let started = std::time::Instant::now();
-                let (opt, _) = optimize_with(
-                    &spec.pipeline,
-                    &g,
-                    spec.source.0,
-                    spec.client.0,
-                    &spec.adapt.options,
-                );
-                solve_us_total += started.elapsed().as_secs_f64() * 1e6;
-                solves += 1;
-                // Any mapping change counts — a shifted module grouping on
-                // the same path is still a different (better) deployment,
-                // and the oracle exists to be the true re-solved optimum.
-                opt.filter(|o| o.mapping != current.mapping)
-            }
-        };
-        if let Some(next) = switch_to {
-            let record = migrate(
-                &mut sim,
-                spec,
-                &mut installed,
-                &current,
-                &next,
-                k,
-                &telemetry,
-            )
-            .map_err(|e| e.to_string())?;
-            migrations.push(record);
-            current = next;
-        }
-
-        // Request frame k from the data source, CM-relayed semantics:
-        // the Begin crosses the WAN from the CM node.
-        let begin = ControlMessage::BeginIteration {
-            session: spec.session,
-            iteration: k,
-        };
-        let source_node = NodeId(current.mapping.path[0]);
-        for _ in 0..CONTROL_REDUNDANCY {
-            sim.inject(spec.cm, source_node, begin.to_payload());
-        }
-        frames_requested += 1;
-
-        // Drive the simulator until the client reports frame k.
-        let mut retries = 0u32;
-        loop {
-            if sim.now() >= spec.max_virtual_time {
-                break 'frames;
-            }
-            let target = SimTime::from_secs(sim.now().as_secs() + STEP_S);
-            let reached = sim.run_until(target.min(spec.max_virtual_time));
-            audit.update(&sim);
-            if audit.completions.contains_key(&k) {
-                break;
-            }
-            // Event queue drained without the frame completing: every
-            // redundant Begin copy was lost before reaching the source
-            // (nothing else leaves the loop idle).  Re-inject a fresh
-            // request a bounded number of times.
-            if reached.as_secs() + 1e-9 < target.as_secs() {
-                retries += 1;
-                if retries > 16 {
-                    break 'frames;
-                }
-                for _ in 0..CONTROL_REDUNDANCY {
-                    sim.inject(spec.cm, source_node, begin.to_payload());
-                }
-            }
-        }
-        paths.push(current.mapping.path.clone());
-
-        // Feed the monitor the telemetry this frame produced, in
-        // deterministic (sorted) link order, and collect its decision.
-        if let Some(monitor) = monitor.as_mut() {
-            let snapshot: BTreeMap<(usize, usize), _> = telemetry
-                .borrow()
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect();
-            for ((from, to), t) in snapshot {
-                monitor.ingest(from, to, &t);
-            }
-            if let Decision::Remap(opt) = monitor.evaluate(sim.now().as_secs()) {
-                pending_remap = Some(opt);
-            }
-        }
-    }
-
-    // Audit the trace: every requested frame delivered exactly once?
-    audit.update(&sim);
-    let per_frame = &audit.completions;
-    let starts_by_frame = &audit.starts;
-    let frames_completed = per_frame.len() as u64;
-    let frames_duplicated: u64 = per_frame
-        .values()
-        .map(|(count, _)| (count - 1) as u64)
-        .sum();
-    let frames_lost = (0..frames_requested)
-        .filter(|k| !per_frame.contains_key(k))
-        .count() as u64;
-    let mut delays = Vec::new();
-    let mut starts = Vec::new();
-    for k in 0..frames_requested {
-        if let (Some((_, finished_at)), Some(start)) = (per_frame.get(&k), starts_by_frame.get(&k))
-        {
-            // Loop delay = image at client minus dataset served at source
-            // (the paper's Fig. 9 quantity), not the client-local duration
-            // the trace record carries.
-            delays.push(*finished_at - *start);
-            starts.push(*start);
-        }
-    }
-    let (monitor_us, monitor_solves) = monitor
-        .as_ref()
-        .map(|m| m.solve_timing())
-        .unwrap_or((0.0, 0));
-    let remap_latency_s = match (spec.schedule.first_event_at(), migrations.first()) {
+    // Every requested frame delivered exactly once?
+    let frames_requested = lp.requested;
+    let tally = audit.tally(spec.source.0, spec.client.0, frames_requested);
+    let remap_latency_s = match (spec.schedule.first_event_at(), lp.migrations.first()) {
         (Some(event), Some(mig)) => Some(mig.at - event.as_secs()),
         _ => None,
     };
+    let (solve_us_total, solves) = lp.controller.solve_timing();
+    let decisions = lp.controller.monitor().map(|m| m.decisions().to_vec());
     Ok(AdaptiveRun {
         policy: policy.name().to_string(),
-        delays,
-        starts,
-        paths,
-        decisions: monitor.map(|m| m.decisions().to_vec()).unwrap_or_default(),
-        migrations,
+        delays: tally.delays,
+        starts: tally.starts,
+        paths: lp.frame_paths,
+        decisions: decisions.unwrap_or_default(),
+        migrations: lp.migrations,
         frames_requested,
-        frames_completed,
-        frames_lost,
-        frames_duplicated,
+        frames_completed: tally.completed,
+        frames_lost: frames_requested - tally.completed,
+        frames_duplicated: tally.duplicated,
         remap_latency_s,
-        solve_us_total: solve_us_total + monitor_us,
-        solves: solves + monitor_solves,
-    })
-}
-
-/// Incremental trace audit: the frame-wait loop polls the trace every
-/// [`STEP_S`], so scanning from the start each time would be quadratic in
-/// trace length — this cursor only ever reads events once.
-#[derive(Default)]
-struct TraceAudit {
-    /// Trace events consumed so far.
-    pos: usize,
-    /// `IterationCompleted` per frame: `(count, first completion time)`.
-    completions: BTreeMap<u64, (u32, f64)>,
-    /// First `iteration-start:<k>` note per frame.
-    starts: BTreeMap<u64, f64>,
-}
-
-impl TraceAudit {
-    fn update(&mut self, sim: &Simulator) {
-        let events = &sim.trace().events;
-        for event in &events[self.pos..] {
-            match &event.kind {
-                TraceKind::IterationCompleted { iteration, .. } => {
-                    let entry = self
-                        .completions
-                        .entry(*iteration)
-                        .or_insert((0, event.at.as_secs()));
-                    entry.0 += 1;
-                }
-                TraceKind::Note { label, .. } => {
-                    if let Some(k) = label.strip_prefix("iteration-start:") {
-                        if let Ok(k) = k.parse::<u64>() {
-                            self.starts.entry(k).or_insert(event.at.as_secs());
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.pos = events.len();
-    }
-}
-
-/// Install one [`StageApp`] per node of `mapping`, paced externally (no
-/// client drive), starting at `first_iteration`.
-fn install_stages(
-    sim: &mut Simulator,
-    spec: &AdaptiveLoopSpec,
-    mapping: &OptimizedMapping,
-    first_iteration: u64,
-    telemetry: &LinkTelemetrySink,
-) -> Result<Vec<NodeId>, String> {
-    let path = &mapping.mapping.path;
-    for (i, node) in path.iter().enumerate() {
-        if path[i + 1..].contains(node) {
-            return Err(format!("data path revisits node {node}: {path:?}"));
-        }
-    }
-    let graph = NetGraph::from_topology(sim.topology());
-    let vrt = VisualizationRoutingTable::from_mapping(
-        &spec.pipeline,
-        &graph,
-        &mapping.mapping,
-        mapping.delay.total,
-    );
-    let hop_count = path.len();
-    let mut installed = Vec::with_capacity(hop_count);
-    for (i, &node_idx) in path.iter().enumerate() {
-        let node = NodeId(node_idx);
-        let entry = &vrt.entries[i];
-        let power = graph.node(node_idx).power;
-        let processing: f64 = mapping.mapping.groups[i]
-            .iter()
-            .map(|&m| spec.pipeline.processing_time(m, power))
-            .sum();
-        let incoming_bytes = if i == 0 {
-            0
-        } else {
-            vrt.entries[i - 1].forward_bytes as usize
-        };
-        let config = StageConfig {
-            session: spec.session,
-            hop_index: i,
-            hop_count,
-            previous: (i > 0).then(|| NodeId(path[i - 1])),
-            next: (i + 1 < hop_count).then(|| NodeId(path[i + 1])),
-            incoming_bytes,
-            outgoing_bytes: entry.forward_bytes as usize,
-            processing_seconds: processing,
-            target_goodput: spec.target_goodput,
-            stage_label: format!("{}[{}]", entry.node_name, entry.modules.join(",")),
-            drive: None,
-            first_iteration,
-            telemetry: Some(telemetry.clone()),
-        };
-        sim.install(node, Box::new(StageApp::new(config)));
-        installed.push(node);
-    }
-    Ok(installed)
-}
-
-/// Execute one migration at the current frame boundary; see the module
-/// docs for the protocol and its invariant.
-fn migrate(
-    sim: &mut Simulator,
-    spec: &AdaptiveLoopSpec,
-    installed: &mut Vec<NodeId>,
-    old: &OptimizedMapping,
-    new: &OptimizedMapping,
-    first_iteration: u64,
-    telemetry: &LinkTelemetrySink,
-) -> Result<MigrationRecord, String> {
-    // 1. Quiesce: let the completed frame's final-ACK handshakes settle.
-    let drain_until = SimTime::from_secs(sim.now().as_secs() + QUIESCE_S);
-    sim.run_until(drain_until);
-    // 2. Teardown.
-    for node in installed.drain(..) {
-        sim.take_app(node);
-    }
-    // 3. Handoff: the CM redistributes the routing table over the control
-    //    channel (paid for on the simulated WAN like any control message).
-    let graph = NetGraph::from_topology(sim.topology());
-    let vrt = VisualizationRoutingTable::from_mapping(
-        &spec.pipeline,
-        &graph,
-        &new.mapping,
-        new.delay.total,
-    );
-    let delivery = ControlMessage::VrtDelivery {
-        session: spec.session,
-        table: vrt,
-    };
-    let mut handoff_messages = 0u64;
-    for &node_idx in &new.mapping.path {
-        let node = NodeId(node_idx);
-        if node == spec.cm {
-            continue; // the CM already holds the table
-        }
-        for _ in 0..CONTROL_REDUNDANCY {
-            sim.inject(spec.cm, node, delivery.to_payload());
-            handoff_messages += 1;
-        }
-    }
-    // 4. Resume: fresh stages that refuse pre-migration iterations,
-    //    installed before the handoff datagrams land, then a settle window
-    //    so the migration commits only after the control channel actually
-    //    delivered the table — its latency is part of the adaptation cost.
-    *installed = install_stages(sim, spec, new, first_iteration, telemetry)?;
-    let settle_until = SimTime::from_secs(sim.now().as_secs() + HANDOFF_SETTLE_S);
-    sim.run_until(settle_until);
-    Ok(MigrationRecord {
-        at: sim.now().as_secs(),
-        first_iteration,
-        old_path: old.mapping.path.clone(),
-        new_path: new.mapping.path.clone(),
-        predicted_old: old.delay.total,
-        predicted_new: new.delay.total,
-        handoff_messages,
+        solve_us_total,
+        solves,
     })
 }
 

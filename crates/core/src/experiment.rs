@@ -13,8 +13,8 @@
 //! reported delay is the measured time from the data source starting to
 //! serve the dataset until the finished image arrives at the client.
 
-use crate::catalog::SimulationCatalog;
-use crate::session::{PathChoice, SessionPlan, SteeringSession};
+use crate::catalog::{standard_pipeline, SessionSpec, SimulationCatalog};
+use crate::session::{PathChoice, SteeringSession};
 use ricsa_netsim::presets::{fig8_topology_with, Fig8Params, Fig8Site, Fig8Topology};
 use ricsa_netsim::sim::Simulator;
 use ricsa_netsim::time::SimTime;
@@ -205,8 +205,21 @@ pub fn run_loop_experiment(
     options: &ExperimentOptions,
 ) -> LoopResult {
     let fig8 = fig8_topology_with(options.fig8.clone());
-    let mut catalog = SimulationCatalog::default();
-    let plan = plan_for(spec, dataset, &fig8, &mut catalog, options);
+    let catalog = SimulationCatalog::default();
+    // The size scale applies to the dataset's nominal size; the pipeline is
+    // built from the scaled byte count.
+    let nominal = catalog.datasets.get(dataset).nominal_bytes() as f64;
+    let scaled_bytes = (nominal * options.size_scale).max(64.0 * 1024.0) as usize;
+    let plan = SteeringSession::plan_pipeline(
+        1,
+        &fig8.topology,
+        SessionSpec::Archival { dataset },
+        standard_pipeline(scaled_bytes, &catalog.costs),
+        fig8.node(spec.data_source),
+        fig8.node(Fig8Site::Ornl),
+        &spec.path_choice(&fig8),
+    )
+    .expect("every Fig. 9/10 loop admits a mapping on the Fig. 8 deployment");
     let mut sim = Simulator::new(fig8.topology.clone(), options.seed);
     SteeringSession::install(
         &plan,
@@ -229,74 +242,6 @@ pub fn run_loop_experiment(
         measured_delay: measured,
         predicted_delay: plan.predicted.total,
         mapping: plan.vrt.describe(),
-    }
-}
-
-fn plan_for(
-    spec: &LoopSpec,
-    dataset: DatasetKind,
-    fig8: &Fig8Topology,
-    catalog: &mut SimulationCatalog,
-    options: &ExperimentOptions,
-) -> SessionPlan {
-    // Apply the size scale by shrinking the catalog's nominal dataset (the
-    // pipeline is rebuilt from the scaled byte count).
-    let nominal = catalog.datasets.get(dataset).nominal_bytes() as f64;
-    let scaled_bytes = (nominal * options.size_scale).max(64.0 * 1024.0) as usize;
-    let mut pipeline = crate::catalog::standard_pipeline(scaled_bytes, &catalog.costs);
-    let choice = spec.path_choice(fig8);
-    let data_source = fig8.node(spec.data_source);
-    let client = fig8.node(Fig8Site::Ornl);
-    let graph = ricsa_pipemap::network::NetGraph::from_topology(&fig8.topology);
-    let src = graph.index_of(data_source);
-    let dst = graph.index_of(client);
-    let (mapping, predicted, overhead) = match &choice {
-        PathChoice::Optimal => {
-            let opt = ricsa_pipemap::dp::optimize(&pipeline, &graph, src, dst)
-                .expect("the Fig. 8 deployment always admits a feasible mapping");
-            (opt.mapping, opt.delay, 1.0)
-        }
-        PathChoice::ForcedPath(path) => {
-            let indices: Vec<usize> = path.iter().map(|n| graph.index_of(*n)).collect();
-            let (m, d) = ricsa_pipemap::baselines::best_split_on_path(&pipeline, &graph, &indices)
-                .expect("forced Fig. 9 loops are connected paths");
-            (m, d, 1.0)
-        }
-        PathChoice::ParaViewCrs {
-            render_server,
-            overhead,
-        } => {
-            let rs = graph.index_of(*render_server);
-            // ParaView's heavier general-purpose stack costs both extra
-            // processing and extra bytes on the wire (serialization,
-            // protocol framing); inflate the pipeline accordingly.
-            let mut heavy = pipeline.clone();
-            heavy.source_bytes *= overhead.max(1.0);
-            for module in &mut heavy.modules {
-                module.output_bytes *= overhead.max(1.0);
-            }
-            let (m, d) = ricsa_pipemap::baselines::paraview_crs_mapping(
-                &heavy, &graph, src, rs, dst, *overhead,
-            )
-            .expect("the ParaView crs deployment is feasible on Fig. 8");
-            pipeline = heavy;
-            (m, d, overhead.max(1.0))
-        }
-    };
-    let vrt = ricsa_pipemap::vrt::VisualizationRoutingTable::from_mapping(
-        &pipeline,
-        &graph,
-        &mapping,
-        predicted.total,
-    );
-    SessionPlan {
-        session: 1,
-        spec: crate::catalog::SessionSpec::Archival { dataset },
-        pipeline,
-        mapping,
-        vrt,
-        predicted,
-        processing_overhead: overhead,
     }
 }
 

@@ -18,16 +18,21 @@
 //! * [`experiment`] — the Fig. 9 / Fig. 10 experiment drivers,
 //! * [`sweep`] — the scenario-sweep driver evaluating the optimizer across
 //!   generated WAN families (see DESIGN.md §6),
-//! * [`adapt`] — the adaptive re-mapping driver: frame-paced loops on
-//!   time-varying WANs with monitor-decided, frame-boundary migrations
-//!   (see DESIGN.md §8),
+//! * `driver` (crate-private) — the one frame-paced loop driver: per-hop
+//!   stage hosting in per-node session muxes, the incremental frame
+//!   audit, the per-loop controller (static / monitored / oracle) and the
+//!   frame-boundary migration protocol (see DESIGN.md §8.5 and §11.2),
+//! * [`adapt`] — adaptive re-mapping: the spec, policies and run record
+//!   of one frame-paced loop on a time-varying WAN, run as the
+//!   one-session case of the driver (see DESIGN.md §8),
 //! * [`adapt_sweep`] — the dynamic-scenario sweep quantifying
 //!   static-vs-adaptive-vs-oracle win rates across hundreds of seeded
 //!   schedules (see DESIGN.md §9),
 //! * [`sessions`] — multi-session serving: many frame-paced user loops
 //!   contending on one WAN, mapped independently or by the
-//!   contention-aware joint solve, with live spawn/retire/migrate through
-//!   per-node session muxes (see DESIGN.md §11),
+//!   contention-aware joint solve and run by the driver, with live
+//!   spawn/retire/migrate through per-node session muxes (see DESIGN.md
+//!   §11),
 //! * [`session_sweep`] — the multi-session sweep quantifying
 //!   joint-vs-independent-vs-client/server throughput, tail latency and
 //!   Jain fairness across session counts and contention families,
@@ -41,6 +46,7 @@ pub mod adapt;
 pub mod adapt_sweep;
 pub mod api;
 pub mod catalog;
+mod driver;
 pub mod experiment;
 pub mod message;
 pub mod roles;

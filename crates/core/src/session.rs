@@ -9,8 +9,9 @@
 //! the measured per-iteration delays afterwards.
 
 use crate::catalog::{standard_pipeline, SessionSpec, SimulationCatalog};
+use crate::driver::FrameAudit;
 use crate::roles::CentralManagerApp;
-use crate::stage::{ClientDrive, StageApp, StageConfig};
+use crate::stage::{stage_configs, ClientDrive, StageApp};
 use ricsa_netsim::node::NodeId;
 use ricsa_netsim::sim::Simulator;
 use ricsa_netsim::time::SimTime;
@@ -103,7 +104,30 @@ impl SteeringSession {
             .resolve(source_name)
             .ok_or_else(|| PlanError::UnknownSource(source_name.to_string()))?;
         let dataset_bytes = spec.dataset_bytes(catalog);
-        let mut pipeline = standard_pipeline(dataset_bytes, &catalog.costs);
+        let pipeline = standard_pipeline(dataset_bytes, &catalog.costs);
+        Self::plan_pipeline(
+            session,
+            topology,
+            spec,
+            pipeline,
+            data_source,
+            client,
+            choice,
+        )
+    }
+
+    /// Choose the mapping of an already-built `pipeline` — the part of
+    /// [`SteeringSession::plan`] that does not depend on the catalog (the
+    /// Fig. 9/10 drivers scale the dataset before planning).
+    pub(crate) fn plan_pipeline(
+        session: u64,
+        topology: &Topology,
+        spec: SessionSpec,
+        mut pipeline: Pipeline,
+        data_source: NodeId,
+        client: NodeId,
+        choice: &PathChoice,
+    ) -> Result<SessionPlan, PlanError> {
         let graph = NetGraph::from_topology(topology);
         let src = graph.index_of(data_source);
         let dst = graph.index_of(client);
@@ -125,18 +149,17 @@ impl SteeringSession {
                 overhead,
             } => {
                 let rs = graph.index_of(*render_server);
-                // ParaView's heavier stack costs both extra processing and
-                // extra bytes on the wire; inflate the pipeline accordingly.
-                let mut heavy = pipeline.clone();
-                heavy.source_bytes *= overhead.max(1.0);
-                for module in &mut heavy.modules {
+                // ParaView's heavier general-purpose stack costs both extra
+                // processing and extra bytes on the wire (serialization,
+                // protocol framing); inflate the pipeline accordingly.
+                pipeline.source_bytes *= overhead.max(1.0);
+                for module in &mut pipeline.modules {
                     module.output_bytes *= overhead.max(1.0);
                 }
                 let (mapping, delay) =
-                    paraview_crs_mapping(&heavy, &graph, src, rs, dst, *overhead).ok_or_else(
+                    paraview_crs_mapping(&pipeline, &graph, src, rs, dst, *overhead).ok_or_else(
                         || PlanError::Infeasible("ParaView crs deployment infeasible".into()),
                     )?;
-                pipeline = heavy;
                 (mapping, delay, overhead.max(1.0))
             }
         };
@@ -159,7 +182,8 @@ impl SteeringSession {
     ///
     /// # Panics
     /// Panics if the CM node coincides with a data-path node (the Fig. 8
-    /// deployment always keeps the CM at LSU, off the data path).
+    /// deployment always keeps the CM at LSU, off the data path), or if the
+    /// data path visits a node twice (a node hosts one stage).
     pub fn install(
         plan: &SessionPlan,
         sim: &mut Simulator,
@@ -173,60 +197,34 @@ impl SteeringSession {
             !path.contains(&cm_node.0),
             "the CM node must not lie on the data path"
         );
-        let hop_count = path.len();
-        for (i, &node_idx) in path.iter().enumerate() {
-            let node = NodeId(node_idx);
-            let entry = &plan.vrt.entries[i];
-            let power = graph.node(node_idx).power;
-            let processing: f64 = plan.mapping.groups[i]
-                .iter()
-                .map(|&m| plan.pipeline.processing_time(m, power))
-                .sum::<f64>()
-                * plan.processing_overhead;
-            let incoming_bytes = if i == 0 {
-                0
-            } else {
-                plan.vrt.entries[i - 1].forward_bytes as usize
-            };
-            let config = StageConfig {
-                session: plan.session,
-                hop_index: i,
-                hop_count,
-                previous: if i > 0 {
-                    Some(NodeId(path[i - 1]))
-                } else {
-                    None
-                },
-                next: if i + 1 < hop_count {
-                    Some(NodeId(path[i + 1]))
-                } else {
-                    None
-                },
-                incoming_bytes,
-                outgoing_bytes: entry.forward_bytes as usize,
-                processing_seconds: processing,
-                target_goodput,
-                stage_label: format!("{}[{}]", entry.node_name, entry.modules.join(",")),
-                drive: if i + 1 == hop_count {
-                    Some(ClientDrive {
-                        cm: cm_node,
-                        iterations,
-                        source: plan.spec.source_name(),
-                        variable: "pressure".to_string(),
-                        isovalue: 0.5,
-                    })
-                } else {
-                    None
-                },
-                first_iteration: 0,
-                telemetry: None,
-            };
-            sim.install(node, Box::new(StageApp::new(config)));
+        let mut configs = stage_configs(
+            &plan.pipeline,
+            &graph,
+            &plan.mapping,
+            &plan.vrt,
+            plan.session,
+            target_goodput,
+        )
+        .expect("a planned data path visits no node twice");
+        for config in &mut configs {
+            config.processing_seconds *= plan.processing_overhead;
+        }
+        if let Some(client) = configs.last_mut() {
+            client.drive = Some(ClientDrive {
+                cm: cm_node,
+                iterations,
+                source: plan.spec.source_name(),
+                variable: "pressure".to_string(),
+                isovalue: 0.5,
+            });
         }
         let participants: Vec<NodeId> = path.iter().map(|&i| NodeId(i)).collect();
+        for (node, config) in participants.iter().zip(configs) {
+            sim.install(*node, Box::new(StageApp::new(config)));
+        }
         let cm = CentralManagerApp::new(
             plan.session,
-            NodeId(path[0]),
+            participants[0],
             participants,
             plan.vrt.clone(),
         );
@@ -242,47 +240,27 @@ impl SteeringSession {
     pub fn run(sim: &mut Simulator, iterations: u64, max_virtual_time: SimTime) -> Vec<f64> {
         let step = SimTime::from_secs(1.0);
         let mut now = SimTime::ZERO;
+        let mut audit = FrameAudit::default();
         while now < max_virtual_time {
             now = sim.run_until(now + step);
-            if Self::measured_delays(sim).len() as u64 >= iterations {
+            audit.update(sim);
+            if audit.sole_loop().completed >= iterations {
                 break;
             }
             if sim.stats().events_processed > 0 && now == max_virtual_time {
                 break;
             }
         }
-        Self::measured_delays(sim)
+        audit.sole_loop().delays
     }
 
     /// Pair each iteration's start note (emitted by the data source) with the
     /// client's completion record and return the loop delays in iteration
-    /// order.
+    /// order.  The simulator must carry a single session.
     pub fn measured_delays(sim: &Simulator) -> Vec<f64> {
-        use ricsa_netsim::trace::TraceKind;
-        let mut starts: Vec<(u64, f64)> = Vec::new();
-        let mut completions: Vec<(u64, f64)> = Vec::new();
-        for event in &sim.trace().events {
-            match &event.kind {
-                TraceKind::Note { label, .. } => {
-                    if let Some(iter) = label.strip_prefix("iteration-start:") {
-                        if let Ok(iter) = iter.parse::<u64>() {
-                            starts.push((iter, event.at.as_secs()));
-                        }
-                    }
-                }
-                TraceKind::IterationCompleted { iteration, .. } => {
-                    completions.push((*iteration, event.at.as_secs()));
-                }
-                _ => {}
-            }
-        }
-        let mut delays = Vec::new();
-        for (iteration, finished_at) in completions {
-            if let Some((_, started_at)) = starts.iter().find(|(i, _)| *i == iteration) {
-                delays.push(finished_at - started_at);
-            }
-        }
-        delays
+        let mut audit = FrameAudit::default();
+        audit.update(sim);
+        audit.sole_loop().delays
     }
 }
 

@@ -10,21 +10,21 @@
 //!   encoded in their flow id (or control-message session field), and
 //!   timers are routed to the stage that armed them.  Sessions can be
 //!   inserted and removed while the simulation runs, which is how loops
-//!   spawn and retire live.
-//! * [`run_multi_session`] — spawns N frame-paced loops on one
-//!   [`Simulator`], maps them under a [`MappingPolicy`] (independent
-//!   per-session solves, the contention-aware joint solve of
-//!   [`ricsa_pipemap::joint`], or the client/server baseline), drives
-//!   every loop concurrently, and audits per session that every requested
-//!   frame is delivered exactly once.
-//! * Per-session adaptive monitors ([`ricsa_adapt`]) ingest each loop's
-//!   own passive telemetry.  Because links are shared, a monitor's
+//!   spawn, retire and migrate live.
+//! * [`run_multi_session`] — validates the spec, maps the N loops under a
+//!   [`MappingPolicy`] (independent per-session solves, the
+//!   contention-aware joint solve of [`ricsa_pipemap::joint`], or the
+//!   client/server baseline), hands them to the frame-paced driver (the
+//!   crate-private `driver` module, which also runs the single loop of
+//!   [`crate::adapt`]) and assembles the per-session record from the
+//!   driver's frame audit: every requested frame delivered exactly once.
+//! * Every session gets an adaptive monitor ([`ricsa_adapt`]) fed its own
+//!   loop's passive telemetry.  Because links are shared, a monitor's
 //!   estimates move when *other* sessions load or free a link: a retiring
 //!   (or migrating) session frees bandwidth and the survivors' detectors
 //!   see the recovery.  With `adaptive` enabled, a confirmed improvement
-//!   migrates the session at its next frame boundary using the same
-//!   quiesce → teardown → VRT-handoff → resume protocol as
-//!   [`crate::adapt`].
+//!   migrates the session at its next frame boundary (DESIGN.md §8.5);
+//!   without, the monitors only keep their estimates.
 //! * [`contention_wan`] — the N-session benchmark WAN: every session has a
 //!   fast route over a shared two-hub trunk and a private (slightly
 //!   slower) relay route.  Independent solves all pile onto the trunk;
@@ -33,25 +33,22 @@
 //! DESIGN.md §11 documents the layer; the `session_sweep` bench bin
 //! quantifies joint-vs-independent-vs-client/server across session counts.
 
-use crate::message::{ControlMessage, CONTROL_REDUNDANCY, KIND_CONTROL};
-use crate::stage::{LinkTelemetrySink, StageApp, StageConfig};
-use ricsa_adapt::monitor::{AdaptConfig, AdaptMonitor, Decision};
+use crate::driver::{drive, Controller, DriveSpec, LoopState};
+use crate::message::{ControlMessage, KIND_CONTROL};
+use crate::stage::{armed_since, StageApp};
+use ricsa_adapt::monitor::{AdaptConfig, AdaptMonitor};
 use ricsa_netsim::app::{Application, Context};
-use ricsa_netsim::dynamics::{DynamicScenario, LinkChange, LinkEvent};
 use ricsa_netsim::link::{LinkId, LinkSpec};
 use ricsa_netsim::node::{NodeId, NodeSpec};
 use ricsa_netsim::packet::{Datagram, Payload};
-use ricsa_netsim::sim::Simulator;
 use ricsa_netsim::time::SimTime;
 use ricsa_netsim::topology::Topology;
-use ricsa_netsim::trace::TraceKind;
 use ricsa_pipemap::delay::{evaluate_mapping, Mapping};
 use ricsa_pipemap::dp::{optimize_with, OptimizedMapping};
 use ricsa_pipemap::joint::{contended_delays, solve_joint, JointOptions, JointSession};
 use ricsa_pipemap::network::NetGraph;
 use ricsa_pipemap::pipeline::Pipeline;
 use ricsa_pipemap::sweep::client_server_on_route;
-use ricsa_pipemap::vrt::VisualizationRoutingTable;
 use ricsa_transport::flow::{KIND_ACK, KIND_DATA};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -62,6 +59,7 @@ use std::rc::Rc;
 
 /// Mutable state shared between a node's installed mux shell and the
 /// session manager's handle to it.
+#[derive(Default)]
 struct MuxState {
     /// Session id → that session's stage on this node.
     inners: BTreeMap<u64, StageApp>,
@@ -86,13 +84,9 @@ fn deliver(
     let Some(app) = inners.get_mut(&session) else {
         return;
     };
-    let before: HashSet<u64> = ctx.scheduled_timers().iter().map(|t| t.timer_id).collect();
+    let before = ctx.scheduled_timers().len();
     f(app, ctx);
-    for t in ctx.scheduled_timers() {
-        if !before.contains(&t.timer_id) {
-            timer_owner.insert(t.timer_id, session);
-        }
-    }
+    timer_owner.extend(armed_since(ctx, before).map(|timer| (timer, session)));
 }
 
 /// The session a datagram belongs to: the session field of a control
@@ -123,33 +117,15 @@ fn datagram_session(payload: &Payload) -> Option<u64> {
 /// and migrate live.  Late-inserted stages do not receive `on_start`
 /// (this manager never configures a client drive, whose initial request
 /// is the only thing `StageApp::on_start` does).
+#[derive(Clone, Default)]
 pub struct SessionMux {
     state: Rc<RefCell<MuxState>>,
-}
-
-impl Clone for SessionMux {
-    fn clone(&self) -> Self {
-        SessionMux {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-impl Default for SessionMux {
-    fn default() -> Self {
-        SessionMux::new()
-    }
 }
 
 impl SessionMux {
     /// An empty mux.
     pub fn new() -> Self {
-        SessionMux {
-            state: Rc::new(RefCell::new(MuxState {
-                inners: BTreeMap::new(),
-                timer_owner: HashMap::new(),
-            })),
-        }
+        SessionMux::default()
     }
 
     /// Insert (or replace) `session`'s stage on this node.
@@ -168,7 +144,8 @@ impl SessionMux {
         self.state.borrow().inners.keys().copied().collect()
     }
 
-    /// A shell sharing this mux's state, boxed for [`Simulator::install`].
+    /// A shell sharing this mux's state, boxed for
+    /// [`ricsa_netsim::sim::Simulator::install`].
     pub fn shell(&self) -> Box<dyn Application> {
         Box::new(self.clone())
     }
@@ -447,83 +424,13 @@ pub fn demo_session_pipeline(scale: f64) -> Pipeline {
 
 // ------------------------------------------------------------ the driver
 
-/// Drain window before a migration's teardown, virtual seconds.
-const QUIESCE_S: f64 = 0.25;
-/// Settle window after a migration's VRT handoff, virtual seconds.
-const HANDOFF_SETTLE_S: f64 = 0.05;
-/// Polling granularity of the driving loop, virtual seconds.
-const STEP_S: f64 = 0.25;
-/// Begin re-injections tolerated per frame before a session is declared
-/// stalled.
-const MAX_RETRIES: u32 = 16;
-
-/// Multi-session trace audit: completions are attributed to sessions by
-/// client node, frame starts by source node (which is why those must be
-/// unique per session).  A cursor keeps each trace event read once.
-#[derive(Default)]
-struct MultiAudit {
-    pos: usize,
-    /// `(client node, iteration)` → (completions, first completion time).
-    completions: BTreeMap<(usize, u64), (u32, f64)>,
-    /// `(source node, iteration)` → first start time.
-    starts: BTreeMap<(usize, u64), f64>,
-}
-
-impl MultiAudit {
-    fn update(&mut self, sim: &Simulator) {
-        let events = &sim.trace().events;
-        for event in &events[self.pos..] {
-            match &event.kind {
-                TraceKind::IterationCompleted { iteration, .. } => {
-                    let entry = self
-                        .completions
-                        .entry((event.node.0, *iteration))
-                        .or_insert((0, event.at.as_secs()));
-                    entry.0 += 1;
-                }
-                TraceKind::Note { label, .. } => {
-                    if let Some(k) = label.strip_prefix("iteration-start:") {
-                        if let Ok(k) = k.parse::<u64>() {
-                            self.starts
-                                .entry((event.node.0, k))
-                                .or_insert(event.at.as_secs());
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.pos = events.len();
-    }
-}
-
-/// Live state of one session inside the driving loop.
-struct LiveSession {
-    spec: SessionLoopSpec,
-    mapping: Mapping,
-    predicted: f64,
-    /// The frame currently being pulled through the loop.
-    frame: u64,
-    retries: u32,
-    spawned: bool,
-    spawned_at: f64,
-    done: bool,
-    retired_at: Option<f64>,
-    stalled: bool,
-    telemetry: LinkTelemetrySink,
-    monitor: Option<AdaptMonitor>,
-    pending_remap: Option<Box<OptimizedMapping>>,
-    paths: Vec<Vec<usize>>,
-    migrations: u64,
-}
-
 /// Solve the initial mappings under the spec's policy.  Returns one
-/// `(mapping, predicted total delay)` per session; the second element of
-/// the tuple is the solver's predicted aggregate.
+/// mapping per session, its `objective` the delay predicted under
+/// contention, and the solver's predicted aggregate.
 fn solve_mappings(
     spec: &MultiSessionSpec,
     graph: &NetGraph,
-) -> Result<(Vec<(Mapping, f64)>, f64), String> {
+) -> Result<(Vec<OptimizedMapping>, f64), String> {
     let joint_sessions: Vec<JointSession> = spec
         .sessions
         .iter()
@@ -576,97 +483,13 @@ fn solve_mappings(
     // the run records.
     let contended = contended_delays(&joint_sessions, graph, &mappings);
     let aggregate = contended.iter().map(|d| d.total).sum();
-    Ok((
-        mappings
-            .into_iter()
-            .zip(contended)
-            .map(|(m, d)| (m, d.total))
-            .collect(),
-        aggregate,
-    ))
-}
-
-/// Install one session's stages (its current mapping) into the per-node
-/// muxes, creating and installing a mux shell on nodes that have none yet.
-fn install_session(
-    sim: &mut Simulator,
-    muxes: &mut BTreeMap<usize, SessionMux>,
-    session: &LiveSession,
-    first_iteration: u64,
-    target_goodput: f64,
-) -> Result<(), String> {
-    let LiveSession {
-        spec: session,
+    let solved = spec.sessions.iter().zip(mappings).zip(contended);
+    let solved = solved.map(|((s, mapping), contended)| OptimizedMapping {
+        delay: evaluate_mapping(&s.pipeline, graph, &mapping),
         mapping,
-        predicted,
-        telemetry,
-        ..
-    } = session;
-    let path = &mapping.path;
-    for (i, node) in path.iter().enumerate() {
-        if path[i + 1..].contains(node) {
-            return Err(format!(
-                "session {}: data path revisits node {node}: {path:?}",
-                session.id
-            ));
-        }
-    }
-    let graph = NetGraph::from_topology(sim.topology());
-    let vrt =
-        VisualizationRoutingTable::from_mapping(&session.pipeline, &graph, mapping, *predicted);
-    let hop_count = path.len();
-    for (i, &node_idx) in path.iter().enumerate() {
-        let entry = &vrt.entries[i];
-        let power = graph.node(node_idx).power;
-        let processing: f64 = mapping.groups[i]
-            .iter()
-            .map(|&m| session.pipeline.processing_time(m, power))
-            .sum();
-        let incoming_bytes = if i == 0 {
-            0
-        } else {
-            vrt.entries[i - 1].forward_bytes as usize
-        };
-        let config = StageConfig {
-            session: session.id,
-            hop_index: i,
-            hop_count,
-            previous: (i > 0).then(|| NodeId(path[i - 1])),
-            next: (i + 1 < hop_count).then(|| NodeId(path[i + 1])),
-            incoming_bytes,
-            outgoing_bytes: entry.forward_bytes as usize,
-            processing_seconds: processing,
-            target_goodput,
-            stage_label: format!("{}[{}]", entry.node_name, entry.modules.join(",")),
-            drive: None,
-            first_iteration,
-            telemetry: Some(telemetry.clone()),
-        };
-        let mux = muxes.entry(node_idx).or_default();
-        let fresh = mux.sessions().is_empty();
-        mux.insert(session.id, StageApp::new(config));
-        if fresh {
-            sim.install(NodeId(node_idx), mux.shell());
-        }
-    }
-    Ok(())
-}
-
-/// Remove one session's stages from its current path's muxes.
-fn remove_session(muxes: &mut BTreeMap<usize, SessionMux>, session_id: u64, path: &[usize]) {
-    for node in path {
-        if let Some(mux) = muxes.get_mut(node) {
-            mux.remove(session_id);
-        }
-    }
-}
-
-/// Inject a redundant `BeginIteration` from the CM to a session's source.
-fn inject_begin(sim: &mut Simulator, cm: NodeId, source: NodeId, session: u64, iteration: u64) {
-    let begin = ControlMessage::BeginIteration { session, iteration };
-    for _ in 0..CONTROL_REDUNDANCY {
-        sim.inject(cm, source, begin.to_payload());
-    }
+        objective: contended.total,
+    });
+    Ok((solved.collect(), aggregate))
 }
 
 /// Run N frame-paced user loops concurrently on one simulated WAN.
@@ -705,291 +528,85 @@ pub fn run_multi_session(spec: &MultiSessionSpec) -> Result<MultiSessionRun, Str
     let base_graph = NetGraph::from_topology(&spec.topology);
     let (solved, predicted_aggregate) = solve_mappings(spec, &base_graph)?;
 
-    let mut sim = Simulator::new(spec.topology.clone(), spec.seed);
-    let mut muxes: BTreeMap<usize, SessionMux> = BTreeMap::new();
-    let mut audit = MultiAudit::default();
-
-    // The simulator clock only advances while events are queued; if every
-    // live loop retires while a later `start_at` is still pending, the WAN
-    // goes idle and time would stand still.  A no-op link event
-    // (bandwidth × 1.0) at each future spawn keeps the queue alive up to
-    // that moment.
-    let wakeups: Vec<LinkEvent> = spec
-        .sessions
-        .iter()
-        .filter(|s| s.start_at > 0.0)
-        .map(|s| LinkEvent {
-            at: SimTime::from_secs(s.start_at),
-            link: LinkId(0),
-            change: LinkChange::ScaleBandwidth { factor: 1.0 },
-        })
-        .collect();
-    if !wakeups.is_empty() {
-        sim.apply_scenario(&DynamicScenario {
-            label: "spawn-wakeups".to_string(),
-            seed: spec.seed,
-            events: wakeups,
-        });
-    }
-
-    let mut live: Vec<LiveSession> = spec
+    // Every session watches its own loop; `adaptive` decides whether what
+    // its monitor concludes moves the session.
+    let mut loops: Vec<LoopState> = spec
         .sessions
         .iter()
         .zip(solved)
-        .map(|(s, (mapping, predicted))| {
-            let telemetry = LinkTelemetrySink::default();
-            let initial = OptimizedMapping {
-                mapping: mapping.clone(),
-                delay: evaluate_mapping(&s.pipeline, &base_graph, &mapping),
-                objective: predicted,
-            };
+        .map(|(s, initial)| {
             let monitor = AdaptMonitor::with_initial(
                 s.pipeline.clone(),
                 base_graph.clone(),
                 s.source.0,
                 s.client.0,
                 spec.adapt.clone(),
-                initial,
+                initial.clone(),
             );
-            LiveSession {
-                spec: s.clone(),
-                paths: vec![mapping.path.clone()],
-                mapping,
-                predicted,
-                frame: 0,
-                retries: 0,
-                spawned: false,
-                spawned_at: 0.0,
-                done: false,
-                retired_at: None,
-                stalled: false,
-                telemetry,
-                monitor: Some(monitor),
-                pending_remap: None,
-                migrations: 0,
-            }
+            let controller = Controller::monitored(monitor, spec.adaptive);
+            LoopState::new(s.clone(), initial, controller)
         })
         .collect();
+    let (audit, duration) = drive(
+        &DriveSpec {
+            topology: &spec.topology,
+            schedule: &[],
+            cm: spec.cm,
+            seed: spec.seed,
+            target_goodput: spec.target_goodput,
+            max_virtual_time: spec.max_virtual_time,
+        },
+        &mut loops,
+    )?;
 
-    // Spawn the loops due at t = 0 before the first step.
-    for session in live.iter_mut() {
-        if session.spec.start_at <= 0.0 {
-            install_session(&mut sim, &mut muxes, session, 0, spec.target_goodput)?;
-            inject_begin(&mut sim, spec.cm, session.spec.source, session.spec.id, 0);
-            session.spawned = true;
-        }
-    }
-
-    while live.iter().any(|s| !s.done) {
-        if sim.now() >= spec.max_virtual_time {
-            break;
-        }
-        let target = SimTime::from_secs(sim.now().as_secs() + STEP_S).min(spec.max_virtual_time);
-        let reached = sim.run_until(target);
-        audit.update(&sim);
-        let drained = reached.as_secs() + 1e-9 < target.as_secs();
-        let now = sim.now().as_secs();
-
-        for session in live.iter_mut() {
-            // Late spawns join the contention when their time comes.
-            if !session.spawned && now >= session.spec.start_at {
-                session.spawned = true;
-                session.spawned_at = now;
-                session.frame = 0;
-                install_session(&mut sim, &mut muxes, session, 0, spec.target_goodput)?;
-                inject_begin(&mut sim, spec.cm, session.spec.source, session.spec.id, 0);
-                continue;
-            }
-            if session.done || !session.spawned {
-                continue;
-            }
-            let client_node = session.spec.client.0;
-            let frame = session.frame;
-            if audit.completions.contains_key(&(client_node, frame)) {
-                // Frame boundary: feed the monitor this frame's telemetry
-                // (sorted link order keeps the decision trace
-                // deterministic) and collect any migration decision.
-                session.retries = 0;
-                if let Some(monitor) = session.monitor.as_mut() {
-                    let snapshot: BTreeMap<(usize, usize), _> = session
-                        .telemetry
-                        .borrow()
-                        .iter()
-                        .map(|(k, v)| (*k, v.clone()))
-                        .collect();
-                    for ((from, to), t) in snapshot {
-                        monitor.ingest(from, to, &t);
-                    }
-                    if let Decision::Remap(opt) = monitor.evaluate(now) {
-                        if spec.adaptive {
-                            session.pending_remap = Some(opt);
-                        }
-                    }
-                }
-                if frame + 1 >= session.spec.frames {
-                    // Retire: the loop is complete; free its links.
-                    let id = session.spec.id;
-                    let path = session.mapping.path.clone();
-                    session.done = true;
-                    session.retired_at = Some(now);
-                    remove_session(&mut muxes, id, &path);
-                    continue;
-                }
-                if let Some(next) = session.pending_remap.take() {
-                    migrate_session(&mut sim, &mut muxes, spec, session, *next, frame + 1)?;
-                }
-                session.frame += 1;
-                inject_begin(
-                    &mut sim,
-                    spec.cm,
-                    session.spec.source,
-                    session.spec.id,
-                    session.frame,
-                );
-            } else if drained {
-                // The whole event queue drained with this frame missing:
-                // every redundant Begin copy was lost.  Re-inject, bounded.
-                session.retries += 1;
-                if session.retries > MAX_RETRIES {
-                    session.done = true;
-                    session.stalled = true;
-                } else {
-                    inject_begin(
-                        &mut sim,
-                        spec.cm,
-                        session.spec.source,
-                        session.spec.id,
-                        session.frame,
-                    );
-                }
-            }
-        }
-    }
-
-    // Final audit pass, then per-session accounting.
-    audit.update(&sim);
-    let end = sim.now().as_secs();
-    let mut runs = Vec::with_capacity(live.len());
+    // Per-session accounting.
+    let mut runs = Vec::with_capacity(loops.len());
     let mut total_completed = 0u64;
     let mut last_completion: f64 = 0.0;
-    let mut rates = Vec::with_capacity(live.len());
-    for session in live {
-        let requested = if session.spawned {
-            (session.frame + 1).min(session.spec.frames)
-        } else {
-            0
-        };
-        let client = session.spec.client.0;
-        let source = session.spec.source.0;
-        let mut delays = Vec::new();
-        let mut starts = Vec::new();
-        let mut completed = 0u64;
-        let mut duplicated = 0u64;
-        let mut session_last = session.spawned_at;
-        for k in 0..requested {
-            if let Some((count, finished)) = audit.completions.get(&(client, k)) {
-                completed += 1;
-                duplicated += (*count as u64).saturating_sub(1);
-                session_last = session_last.max(*finished);
-                if let Some(start) = audit.starts.get(&(source, k)) {
-                    delays.push(*finished - *start);
-                    starts.push(*start);
-                }
-            }
-        }
-        let lost = requested - completed;
-        let window = (session_last - session.spawned_at).max(f64::EPSILON);
-        let fps = completed as f64 / window;
-        total_completed += completed;
+    for lp in loops {
+        let requested = lp.requested;
+        let tally = audit.tally(lp.spec.source.0, lp.spec.client.0, requested);
+        let session_last = tally.last_completion.unwrap_or(lp.spawned_at);
+        let window = (session_last - lp.spawned_at).max(f64::EPSILON);
+        total_completed += tally.completed;
         last_completion = last_completion.max(session_last);
-        rates.push(fps);
-        let link_scales = session
-            .monitor
-            .as_ref()
-            .map(|m| {
-                m.estimates()
-                    .iter()
-                    .map(|(&(from, to), e)| (from, to, e.scale))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let link_scales = lp.controller.monitor().map(|m| {
+            m.estimates()
+                .iter()
+                .map(|(&(from, to), e)| (from, to, e.scale))
+                .collect()
+        });
         runs.push(SessionRun {
-            id: session.spec.id,
-            paths: session.paths,
+            id: lp.spec.id,
+            paths: lp.paths,
             requested,
-            completed,
-            lost,
-            duplicated,
-            delays,
-            starts,
-            migrations: session.migrations,
-            spawned_at: session.spawned_at,
-            retired_at: session.retired_at,
-            fps,
-            link_scales,
+            completed: tally.completed,
+            lost: requested - tally.completed,
+            duplicated: tally.duplicated,
+            delays: tally.delays,
+            starts: tally.starts,
+            migrations: lp.migrations.len() as u64,
+            spawned_at: lp.spawned_at,
+            retired_at: lp.retired_at,
+            fps: tally.completed as f64 / window,
+            link_scales: link_scales.unwrap_or_default(),
         });
     }
-    let aggregate_fps = total_completed as f64 / last_completion.max(f64::EPSILON);
+    let rates: Vec<f64> = runs.iter().map(|run| run.fps).collect();
     Ok(MultiSessionRun {
         policy: spec.policy.name().to_string(),
         sessions: runs,
-        duration: end,
-        aggregate_fps,
+        duration,
+        aggregate_fps: total_completed as f64 / last_completion.max(f64::EPSILON),
         fairness: jain_fairness(&rates),
         predicted_aggregate,
     })
 }
 
-/// Migrate one session at its frame boundary: quiesce, tear its stages
-/// out of the muxes, pay for the VRT handoff on the control channel, and
-/// resume on the new path with `first_iteration` so stale datagrams from
-/// the pre-migration flows can never open a receiver.  Other sessions
-/// keep running throughout — the quiesce/settle windows advance the whole
-/// simulation.
-fn migrate_session(
-    sim: &mut Simulator,
-    muxes: &mut BTreeMap<usize, SessionMux>,
-    spec: &MultiSessionSpec,
-    session: &mut LiveSession,
-    next: OptimizedMapping,
-    first_iteration: u64,
-) -> Result<(), String> {
-    let drain_until = SimTime::from_secs(sim.now().as_secs() + QUIESCE_S);
-    sim.run_until(drain_until);
-    remove_session(muxes, session.spec.id, &session.mapping.path);
-    let graph = NetGraph::from_topology(sim.topology());
-    let vrt = VisualizationRoutingTable::from_mapping(
-        &session.spec.pipeline,
-        &graph,
-        &next.mapping,
-        next.delay.total,
-    );
-    let delivery = ControlMessage::VrtDelivery {
-        session: session.spec.id,
-        table: vrt,
-    };
-    for &node_idx in &next.mapping.path {
-        let node = NodeId(node_idx);
-        if node == spec.cm {
-            continue;
-        }
-        for _ in 0..CONTROL_REDUNDANCY {
-            sim.inject(spec.cm, node, delivery.to_payload());
-        }
-    }
-    session.mapping = next.mapping.clone();
-    session.predicted = next.delay.total;
-    session.paths.push(next.mapping.path.clone());
-    session.migrations += 1;
-    install_session(sim, muxes, session, first_iteration, spec.target_goodput)?;
-    let settle_until = SimTime::from_secs(sim.now().as_secs() + HANDOFF_SETTLE_S);
-    sim.run_until(settle_until);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::StageConfig;
 
     fn spec_scaled(
         wan: &ContentionWan,
@@ -1163,32 +780,61 @@ mod tests {
         assert_eq!(run.sessions[1].completed, 4);
     }
 
+    /// The data-source stage of a two-hop loop of `session`.
+    fn source_stage(session: u64) -> StageApp {
+        StageApp::new(StageConfig {
+            session,
+            hop_index: 0,
+            hop_count: 2,
+            previous: None,
+            next: Some(NodeId(1)),
+            incoming_bytes: 0,
+            outgoing_bytes: 10_000,
+            processing_seconds: 0.5,
+            target_goodput: 1e6,
+            stage_label: format!("src-{session}"),
+            drive: None,
+            first_iteration: 0,
+            telemetry: None,
+        })
+    }
+
+    #[test]
+    fn deliver_credits_each_stage_with_exactly_the_timers_it_armed() {
+        // What a broadcast dispatch does: one context, one `deliver` per
+        // resident stage.  The context already holds a timer nobody in the
+        // mux armed; session 7 arms two in its callback, session 9 one.
+        let mux = SessionMux::new();
+        mux.insert(7, source_stage(7));
+        mux.insert(9, source_stage(9));
+        let state = &mut *mux.state.borrow_mut();
+        let mut ctx = Context::new(NodeId(0), SimTime::from_secs(1.0), 40, vec![0.5; 4]);
+        let foreign = ctx.set_timer(SimTime::from_secs(0.1));
+        let mut armed = Vec::new();
+        deliver(state, 7, &mut ctx, |_, ctx| {
+            armed.push((ctx.set_timer(SimTime::from_secs(0.2)), 7));
+            armed.push((ctx.set_timer(SimTime::from_secs(0.3)), 7));
+        });
+        deliver(state, 9, &mut ctx, |_, ctx| {
+            armed.push((ctx.set_timer(SimTime::from_secs(0.4)), 9));
+        });
+        // A session without a resident stage gets no callback at all.
+        deliver(state, 8, &mut ctx, |_, _| panic!("no stage for session 8"));
+        assert_eq!(ctx.scheduled_timers().len(), 4);
+        assert!(!state.timer_owner.contains_key(&foreign));
+        let owners: BTreeMap<u64, u64> = state.timer_owner.iter().map(|(t, s)| (*t, *s)).collect();
+        assert_eq!(owners, armed.into_iter().collect());
+    }
+
     #[test]
     fn session_mux_routes_datagrams_and_timers_by_session() {
         // Two source stages (sessions 7 and 9) on one node, exercised
         // through a raw Context: a BeginIteration for session 9 must only
         // start session 9's processing, and the processing timer must be
         // routed back to the stage that armed it.
-        let mk_source = |session: u64| {
-            StageApp::new(StageConfig {
-                session,
-                hop_index: 0,
-                hop_count: 2,
-                previous: None,
-                next: Some(NodeId(1)),
-                incoming_bytes: 0,
-                outgoing_bytes: 10_000,
-                processing_seconds: 0.5,
-                target_goodput: 1e6,
-                stage_label: format!("src-{session}"),
-                drive: None,
-                first_iteration: 0,
-                telemetry: None,
-            })
-        };
         let mut mux = SessionMux::new();
-        mux.insert(7, mk_source(7));
-        mux.insert(9, mk_source(9));
+        mux.insert(7, source_stage(7));
+        mux.insert(9, source_stage(9));
         assert_eq!(mux.sessions(), vec![7, 9]);
         let begin = ControlMessage::BeginIteration {
             session: 9,

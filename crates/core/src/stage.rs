@@ -21,6 +21,10 @@ use ricsa_netsim::node::NodeId;
 use ricsa_netsim::packet::{Datagram, Payload};
 use ricsa_netsim::time::SimTime;
 use ricsa_netsim::trace::{TraceEvent, TraceKind};
+use ricsa_pipemap::delay::Mapping;
+use ricsa_pipemap::network::NetGraph;
+use ricsa_pipemap::pipeline::Pipeline;
+use ricsa_pipemap::vrt::VisualizationRoutingTable;
 use ricsa_transport::flow::{shared_stats, AckInfo, FlowConfig, KIND_ACK, KIND_DATA};
 use ricsa_transport::receiver::FlowReceiver;
 use ricsa_transport::rm::{RmController, RmParams};
@@ -115,6 +119,68 @@ impl StageConfig {
     pub fn outgoing_flow(&self, iteration: u64) -> u64 {
         flow_id(self.session, iteration, self.hop_index + 1)
     }
+}
+
+/// The first node a data path visits twice, if any.  A node hosts one
+/// stage per session, so such a path cannot be installed.
+pub(crate) fn revisited_node(path: &[usize]) -> Option<usize> {
+    path.iter()
+        .enumerate()
+        .find(|(i, node)| path[i + 1..].contains(node))
+        .map(|(_, node)| *node)
+}
+
+/// Turn a mapping into one [`StageConfig`] per hop of its data path: bytes
+/// in and out, neighbours and the stage label from the routing table `vrt`,
+/// processing seconds from the modules grouped on the hop and its node's
+/// power.  Every stage starts at iteration 0 with no client drive and no
+/// telemetry sink; callers that want those set them on the returned
+/// configs.  Errors when the path revisits a node.
+pub(crate) fn stage_configs(
+    pipeline: &Pipeline,
+    graph: &NetGraph,
+    mapping: &Mapping,
+    vrt: &VisualizationRoutingTable,
+    session: u64,
+    target_goodput: f64,
+) -> Result<Vec<StageConfig>, String> {
+    let path = &mapping.path;
+    if let Some(node) = revisited_node(path) {
+        return Err(format!(
+            "session {session}: data path revisits node {node}: {path:?}"
+        ));
+    }
+    let hop_count = path.len();
+    let configs = path
+        .iter()
+        .enumerate()
+        .map(|(i, &node)| {
+            let entry = &vrt.entries[i];
+            let power = graph.node(node).power;
+            StageConfig {
+                session,
+                hop_index: i,
+                hop_count,
+                previous: entry.previous_hop.map(NodeId),
+                next: entry.next_hop.map(NodeId),
+                incoming_bytes: match i {
+                    0 => 0,
+                    _ => vrt.entries[i - 1].forward_bytes as usize,
+                },
+                outgoing_bytes: entry.forward_bytes as usize,
+                processing_seconds: mapping.groups[i]
+                    .iter()
+                    .map(|&m| pipeline.processing_time(m, power))
+                    .sum(),
+                target_goodput,
+                stage_label: format!("{}[{}]", entry.node_name, entry.modules.join(",")),
+                drive: None,
+                first_iteration: 0,
+                telemetry: None,
+            }
+        })
+        .collect();
+    Ok(configs)
 }
 
 /// Deterministic flow identifier for hop `hop` of `iteration` in `session`.
@@ -222,15 +288,9 @@ impl StageApp {
         // stale timers from a previous phase are not misrouted into it
         // (each forwarded firing would re-arm and spawn an extra periodic
         // chain, distorting the receiver's quiet detection).
-        let timers_before: HashSet<u64> =
-            ctx.scheduled_timers().iter().map(|t| t.timer_id).collect();
+        let before = ctx.scheduled_timers().len();
         receiver.on_start(ctx);
-        let receiver_timers: HashSet<u64> = ctx
-            .scheduled_timers()
-            .iter()
-            .map(|t| t.timer_id)
-            .filter(|id| !timers_before.contains(id))
-            .collect();
+        let receiver_timers = armed_since(ctx, before).collect();
         self.phase = Phase::Receiving {
             iteration,
             receiver: Box::new(receiver),
@@ -305,15 +365,9 @@ impl StageApp {
         let mut sender = WindowSender::new(flow_config, next, controller, shared_stats());
         // Kick off the first burst immediately, tracking the timers the
         // sender registers so later firings can be routed back to it.
-        let timers_before: HashSet<u64> =
-            ctx.scheduled_timers().iter().map(|t| t.timer_id).collect();
+        let before = ctx.scheduled_timers().len();
         sender.on_start(ctx);
-        let sender_timers: HashSet<u64> = ctx
-            .scheduled_timers()
-            .iter()
-            .map(|t| t.timer_id)
-            .filter(|id| !timers_before.contains(id))
-            .collect();
+        let sender_timers = armed_since(ctx, before).collect();
         self.phase = Phase::Sending {
             sender: Box::new(sender),
             sender_timers,
@@ -473,14 +527,9 @@ impl Application for StageApp {
                 sender_timers,
                 ..
             } if sender_timers.contains(&timer_id) => {
-                let timers_before: HashSet<u64> =
-                    ctx.scheduled_timers().iter().map(|t| t.timer_id).collect();
+                let before = ctx.scheduled_timers().len();
                 sender.on_timer(ctx, timer_id);
-                for t in ctx.scheduled_timers() {
-                    if !timers_before.contains(&t.timer_id) {
-                        sender_timers.insert(t.timer_id);
-                    }
-                }
+                sender_timers.extend(armed_since(ctx, before));
                 if sender.is_finished() {
                     self.completed_iterations += 1;
                     self.phase = Phase::Idle;
@@ -494,18 +543,20 @@ impl Application for StageApp {
                 receiver_timers,
                 ..
             } if receiver_timers.contains(&timer_id) => {
-                let timers_before: HashSet<u64> =
-                    ctx.scheduled_timers().iter().map(|t| t.timer_id).collect();
+                let before = ctx.scheduled_timers().len();
                 receiver.on_timer(ctx, timer_id);
-                for t in ctx.scheduled_timers() {
-                    if !timers_before.contains(&t.timer_id) {
-                        receiver_timers.insert(t.timer_id);
-                    }
-                }
+                receiver_timers.extend(armed_since(ctx, before));
             }
             _ => {}
         }
     }
+}
+
+/// The timers armed since `ctx` listed `before` of them.  A context lists
+/// only the timers armed during its own dispatch, in arming order, so
+/// whatever a callback armed is the tail of the list.
+pub(crate) fn armed_since(ctx: &Context, before: usize) -> impl Iterator<Item = u64> + '_ {
+    ctx.scheduled_timers()[before..].iter().map(|t| t.timer_id)
 }
 
 /// Send a control message with redundancy to a destination node.

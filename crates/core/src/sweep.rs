@@ -15,6 +15,7 @@
 
 use crate::catalog::{standard_pipeline, SessionSpec, SimulationCatalog};
 use crate::session::{SessionPlan, SteeringSession};
+use crate::stage::revisited_node;
 use rayon::prelude::*;
 use ricsa_netsim::generators::{generate, GeneratedWan, WanKind};
 use ricsa_netsim::node::NodeId;
@@ -207,10 +208,8 @@ fn simulate_mapping(
     config: &SweepConfig,
 ) -> Option<f64> {
     let path = &mapping.path;
-    for (i, a) in path.iter().enumerate() {
-        if path[i + 1..].contains(a) {
-            return None;
-        }
+    if revisited_node(path).is_some() {
+        return None;
     }
     // The central manager must sit off the data path.
     let cm = (0..wan.topology.node_count())

@@ -50,6 +50,7 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T> {
 /// Parse a complete JSON document (trailing garbage is an error).
 pub fn parse(input: &str) -> Result<Value> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -63,6 +64,9 @@ pub fn parse(input: &str) -> Result<Value> {
 }
 
 struct Parser<'a> {
+    /// The input, and the same input as bytes: being a `&str`, it is valid
+    /// UTF-8 before the parser reads its first byte.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -220,16 +224,15 @@ impl<'a> Parser<'a> {
                     return Err(Error("unescaped control character in string".to_string()))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char.
+                    // Copy the run of ordinary characters up to the next
+                    // quote, backslash, control character or end of input.
+                    // Those are ASCII, and an ASCII byte never lies inside
+                    // a multi-byte sequence, so the run is whole scalars.
                     let start = self.pos;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|e| Error(format!("invalid UTF-8: {e}")))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| Error("unterminated string".to_string()))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -342,6 +345,41 @@ mod tests {
         assert!(parse("[1,2,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        // Linear in the input: the parser used to re-validate the rest of
+        // the document at every character, seconds for a payload this size.
+        let unit = "pixels/ünï©ode/\u{1F600} ";
+        let body = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(body.len() >= 1 << 20);
+        let text = to_string(&body).unwrap();
+        assert_eq!(parse(&text).unwrap(), Value::String(body));
+    }
+
+    #[test]
+    fn strings_mix_raw_scalars_and_escapes() {
+        let parsed = parse(r#""aé€😀\u00e9\ud83d\ude00\n\"z""#).unwrap();
+        assert_eq!(parsed, Value::String("aé€😀é😀\n\"z".to_string()));
+        assert!(parse("\"a\u{1}b\"").is_err(), "unescaped control character");
+        assert!(parse(r#""\q""#).is_err(), "unknown escape");
+        assert!(parse(r#""\ud83d""#).is_err(), "lone high surrogate");
+        assert!(parse(r#""\ud83d\u0041""#).is_err(), "bad low surrogate");
+        assert!(parse("\"open").is_err(), "unterminated");
+        assert!(parse("\"open é").is_err(), "unterminated after a scalar");
+    }
+
+    #[test]
+    fn invalid_utf8_is_rejected() {
+        // "€" cut short, inside a string and at the end of the input.
+        assert!(from_slice::<String>(b"\"\xE2\x82\"").is_err());
+        assert!(from_slice::<String>(b"\"\xE2\x82").is_err());
+        assert!(from_slice::<String>(b"\"\xFF\"").is_err());
+        assert_eq!(
+            from_slice::<String>("\"€\"".as_bytes()).unwrap(),
+            "€".to_string()
+        );
     }
 
     #[test]
