@@ -21,6 +21,7 @@
 //! explains how to read the output.
 
 use ricsa_adapt::monitor::AdaptConfig;
+use ricsa_bench::{flag_value, write_bench_json};
 use ricsa_core::adapt::{demo_wan, run_adaptive_loop, AdaptPolicy, AdaptiveLoopSpec, AdaptiveRun};
 use ricsa_netsim::time::SimTime;
 use ricsa_pipemap::pipeline::{ModuleSpec, Pipeline};
@@ -92,18 +93,13 @@ fn fmt_opt(v: Option<f64>) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let frames: u64 = flag_value("--frames")
+    let frames: u64 = flag_value(&args, "--frames")
         .and_then(|s| s.parse().ok())
         .unwrap_or(if quick { 16 } else { 24 });
-    let seed: u64 = flag_value("--seed")
+    let seed: u64 = flag_value(&args, "--seed")
         .and_then(|s| s.parse().ok())
         .unwrap_or(11);
-    let json_path = flag_value("--json").unwrap_or_else(|| "target/adapt_live.json".into());
+    let json_path = flag_value(&args, "--json").unwrap_or_else(|| "target/adapt_live.json".into());
 
     // Quick: a 2 MB dataset keeps the three runs inside a few seconds of
     // wall clock.  Full: the paper's Jet dataset (16 MB).
@@ -258,16 +254,5 @@ fn main() {
         cold_solve_us_mean,
         decisions: adaptive.decisions.clone(),
     };
-    match serde_json::to_string(&bench) {
-        Ok(json) => {
-            if let Some(parent) = std::path::Path::new(&json_path).parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match std::fs::write(&json_path, json) {
-                Ok(()) => eprintln!("BENCH json written to {json_path}"),
-                Err(e) => eprintln!("could not write {json_path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("could not serialize BENCH json: {e}"),
-    }
+    write_bench_json(&json_path, &bench);
 }

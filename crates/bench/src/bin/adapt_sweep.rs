@@ -21,6 +21,7 @@
 //! few seconds; the default full sweep evaluates 240 (40 × 6) on larger
 //! WANs.  DESIGN.md §9 explains how to read the output.
 
+use ricsa_bench::{flag_value, write_bench_json};
 use ricsa_core::adapt_sweep::{
     format_adapt_sweep_report, run_adapt_sweep, AdaptSweepConfig, AdaptSweepReport,
 };
@@ -49,32 +50,27 @@ struct BenchJson {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     let mut config = if quick {
         AdaptSweepConfig::quick()
     } else {
         AdaptSweepConfig::full()
     };
-    if let Some(n) = flag_value("--wans").and_then(|s| s.parse().ok()) {
+    if let Some(n) = flag_value(&args, "--wans").and_then(|s| s.parse().ok()) {
         config.wans = n;
     }
-    if let Some(k) = flag_value("--schedules").and_then(|s| s.parse().ok()) {
+    if let Some(k) = flag_value(&args, "--schedules").and_then(|s| s.parse().ok()) {
         config.schedules_per_wan = k;
     }
-    if let Some(f) = flag_value("--frames").and_then(|s| s.parse().ok()) {
+    if let Some(f) = flag_value(&args, "--frames").and_then(|s| s.parse().ok()) {
         config.frames = f;
     }
-    if let Some(s) = flag_value("--seed").and_then(|s| s.parse().ok()) {
+    if let Some(s) = flag_value(&args, "--seed").and_then(|s| s.parse().ok()) {
         config.seed = s;
     }
-    if let Some(b) = flag_value("--route-bias").and_then(|s| s.parse().ok()) {
+    if let Some(b) = flag_value(&args, "--route-bias").and_then(|s| s.parse().ok()) {
         config.route_bias = b;
     }
-    let json_path = flag_value("--json").unwrap_or_else(|| "target/adapt_sweep.json".into());
+    let json_path = flag_value(&args, "--json").unwrap_or_else(|| "target/adapt_sweep.json".into());
 
     eprintln!(
         "running adaptation sweep: {} dynamic scenarios ({} WANs × {} schedules), \
@@ -148,16 +144,5 @@ fn main() {
         summary: report.summary.clone(),
         records: report.records,
     };
-    match serde_json::to_string(&bench) {
-        Ok(json) => {
-            if let Some(parent) = std::path::Path::new(&json_path).parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match std::fs::write(&json_path, json) {
-                Ok(()) => eprintln!("BENCH json written to {json_path}"),
-                Err(e) => eprintln!("could not write {json_path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("could not serialize BENCH json: {e}"),
-    }
+    write_bench_json(&json_path, &bench);
 }

@@ -5,11 +5,11 @@
 //!
 //! Usage: `cargo run --release -p ricsa-bench --bin dp_scaling`
 //!
-//! Timing goes through the bench-harness timer (`criterion::time_per_call`,
-//! warm-up + calibrated sampling, median-of-samples) so the numbers printed
-//! here are comparable with `cargo bench` output across runs.
+//! Timing goes through `ricsa_bench::time_per_call` (warm-up + calibrated
+//! sampling, median-of-samples), the same timer `scenario_sweep` and
+//! `webfront_load` print with.
 
-use criterion::time_per_call;
+use ricsa_bench::time_per_call;
 use ricsa_pipemap::dp::{optimize, optimize_with, DpOptions};
 use ricsa_pipemap::exhaustive::exhaustive_optimal;
 use ricsa_pipemap::network::NetGraph;

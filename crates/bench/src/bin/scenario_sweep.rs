@@ -17,7 +17,7 @@
 //! Jet-sized dataset).  `--json PATH` overrides where the BENCH json goes
 //! (default `target/scenario_sweep.json`).
 
-use criterion::time_per_call;
+use ricsa_bench::{flag_value, time_per_call, write_bench_json};
 use ricsa_core::sweep::{format_sweep_report, run_sweep, SweepConfig, SweepReport};
 use ricsa_netsim::generators::{waxman, WaxmanParams};
 use ricsa_pipemap::dp::{optimize_with, DpOptions};
@@ -96,23 +96,19 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let no_sim = args.iter().any(|a| a == "--no-sim");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     let mut config = if quick {
         SweepConfig::quick()
     } else {
         SweepConfig::full()
     };
-    if let Some(n) = flag_value("--scenarios").and_then(|s| s.parse().ok()) {
+    if let Some(n) = flag_value(&args, "--scenarios").and_then(|s| s.parse().ok()) {
         config.scenarios = n;
     }
     if no_sim {
         config.simulate = false;
     }
-    let json_path = flag_value("--json").unwrap_or_else(|| "target/scenario_sweep.json".into());
+    let json_path =
+        flag_value(&args, "--json").unwrap_or_else(|| "target/scenario_sweep.json".into());
 
     eprintln!(
         "running scenario sweep: {} scenarios, {}-{} nodes, {} KiB dataset, simulation {}...",
@@ -171,16 +167,5 @@ fn main() {
         dp_cold_us_mean,
         dp_warm_us_mean,
     };
-    match serde_json::to_string(&bench) {
-        Ok(json) => {
-            if let Some(parent) = std::path::Path::new(&json_path).parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match std::fs::write(&json_path, json) {
-                Ok(()) => eprintln!("BENCH json written to {json_path}"),
-                Err(e) => eprintln!("could not write {json_path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("could not serialize BENCH json: {e}"),
-    }
+    write_bench_json(&json_path, &bench);
 }

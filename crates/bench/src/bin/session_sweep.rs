@@ -19,6 +19,7 @@
 //! default full sweep adds N = 32 and a heavy uniform family.
 //! DESIGN.md §11 explains the WAN and how to read the output.
 
+use ricsa_bench::{flag_value, write_bench_json};
 use ricsa_core::session_sweep::{
     format_session_sweep_report, run_session_sweep, SessionSweepConfig, SessionSweepRecord,
     SessionSweepReport,
@@ -42,23 +43,19 @@ struct BenchJson {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     let mut config = if quick {
         SessionSweepConfig::quick()
     } else {
         SessionSweepConfig::full()
     };
-    if let Some(f) = flag_value("--frames").and_then(|s| s.parse().ok()) {
+    if let Some(f) = flag_value(&args, "--frames").and_then(|s| s.parse().ok()) {
         config.frames = f;
     }
-    if let Some(s) = flag_value("--seed").and_then(|s| s.parse().ok()) {
+    if let Some(s) = flag_value(&args, "--seed").and_then(|s| s.parse().ok()) {
         config.seed = s;
     }
-    let json_path = flag_value("--json").unwrap_or_else(|| "target/session_sweep.json".into());
+    let json_path =
+        flag_value(&args, "--json").unwrap_or_else(|| "target/session_sweep.json".into());
 
     eprintln!(
         "running multi-session sweep: {} cells ({} families × N ∈ {:?}), \
@@ -144,16 +141,5 @@ fn main() {
         cells: config.cells(),
         report,
     };
-    match serde_json::to_string(&bench) {
-        Ok(json) => {
-            if let Some(parent) = std::path::Path::new(&json_path).parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match std::fs::write(&json_path, json) {
-                Ok(()) => eprintln!("BENCH json written to {json_path}"),
-                Err(e) => eprintln!("could not write {json_path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("could not serialize BENCH json: {e}"),
-    }
+    write_bench_json(&json_path, &bench);
 }

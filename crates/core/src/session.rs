@@ -253,15 +253,6 @@ impl SteeringSession {
         }
         audit.sole_loop().delays
     }
-
-    /// Pair each iteration's start note (emitted by the data source) with the
-    /// client's completion record and return the loop delays in iteration
-    /// order.  The simulator must carry a single session.
-    pub fn measured_delays(sim: &Simulator) -> Vec<f64> {
-        let mut audit = FrameAudit::default();
-        audit.update(sim);
-        audit.sole_loop().delays
-    }
 }
 
 #[cfg(test)]

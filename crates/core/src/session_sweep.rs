@@ -32,6 +32,7 @@ use crate::sweep::scenario_seed;
 use rayon::prelude::*;
 use ricsa_adapt::monitor::AdaptConfig;
 use ricsa_netsim::time::SimTime;
+use ricsa_pipemap::sweep::percentile;
 use serde::{Deserialize, Serialize};
 
 /// One seeded contention-scenario family: how the N co-scheduled
@@ -339,15 +340,6 @@ fn to_record(
         trunk_users,
         duration_s: run.duration,
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample (0 when empty).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Render a sweep report as an aligned text table plus comparison lines.

@@ -220,8 +220,6 @@ pub struct StageApp {
     config: StageConfig,
     phase: Phase,
     dedup: DedupFilter,
-    /// Iterations fully handled by this stage.
-    completed_iterations: u64,
     /// The next upstream iteration this stage expects to receive; data for
     /// earlier iterations is a stale retransmission (the upstream sender
     /// missed our final ACK) and is re-acknowledged, never re-received.
@@ -238,7 +236,6 @@ impl StageApp {
             config,
             phase: Phase::Idle,
             dedup: DedupFilter::new(),
-            completed_iterations: 0,
             next_incoming_iteration: first,
             iteration_started: SimTime::ZERO,
         }
@@ -251,11 +248,6 @@ impl StageApp {
         if let (Some(sink), Some(next)) = (&self.config.telemetry, self.config.next) {
             sink.borrow_mut().insert((node.0, next.0), telemetry);
         }
-    }
-
-    /// Number of iterations this stage has fully completed.
-    pub fn completed_iterations(&self) -> u64 {
-        self.completed_iterations
     }
 
     fn flow_config(&self, bytes: usize) -> FlowConfig {
@@ -320,7 +312,6 @@ impl StageApp {
         }));
         if self.config.is_client() {
             // End of the loop: report the finished image.
-            self.completed_iterations += 1;
             ctx.trace(TraceEvent::new(TraceKind::IterationCompleted {
                 iteration,
                 end_to_end_delay: (ctx.now() - self.iteration_started).as_secs(),
@@ -470,7 +461,6 @@ impl Application for StageApp {
                 // the previous image, so the old flow is implicitly complete
                 // and can be retired.
                 if matches!(self.phase, Phase::Sending { .. }) {
-                    self.completed_iterations += 1;
                     self.phase = Phase::Idle;
                 }
                 // Lazily open the receiver for a new iteration.
@@ -508,7 +498,6 @@ impl Application for StageApp {
                     self.record_sender_telemetry(ctx.node_id(), t);
                 }
                 if finished {
-                    self.completed_iterations += 1;
                     self.phase = Phase::Idle;
                 }
             }
@@ -531,7 +520,6 @@ impl Application for StageApp {
                 sender.on_timer(ctx, timer_id);
                 sender_timers.extend(armed_since(ctx, before));
                 if sender.is_finished() {
-                    self.completed_iterations += 1;
                     self.phase = Phase::Idle;
                 }
             }

@@ -44,15 +44,6 @@ impl SolverConfig {
             params: SteerableParams::default(),
         }
     }
-
-    /// A 2D bow-shock configuration suitable for examples.
-    pub fn bow_shock_small() -> Self {
-        SolverConfig {
-            problem: Problem::BowShock,
-            dims: Dims::new(96, 64, 1),
-            params: SteerableParams::default(),
-        }
-    }
 }
 
 /// The cycle-based hydrodynamics solver.

@@ -91,12 +91,6 @@ impl NodeSpec {
         }
     }
 
-    /// Builder-style override of the graphics capability.
-    pub fn with_graphics(mut self, has_graphics: bool) -> Self {
-        self.capabilities.has_graphics = has_graphics;
-        self
-    }
-
     /// Validate the specification, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {

@@ -124,11 +124,6 @@ impl Simulator {
         &self.stats
     }
 
-    /// Per-link statistics, keyed by link id.
-    pub fn link_stats(&self, id: LinkId) -> Option<&crate::link::LinkStats> {
-        self.links.get(id.0).map(|l| l.stats())
-    }
-
     /// The *current* specification of a link (reflecting any applied
     /// runtime changes), unlike `topology()` which keeps the original.
     pub fn link_spec(&self, id: LinkId) -> Option<&crate::link::LinkSpec> {
@@ -167,13 +162,6 @@ impl Simulator {
                 value: bandwidth,
             },
         });
-    }
-
-    /// Take a mutable reference to an installed application, downcast by the
-    /// caller.  Primarily used by experiment drivers to extract results after
-    /// the run; returns `None` if no application is installed on the node.
-    pub fn app_mut(&mut self, node: NodeId) -> Option<&mut Box<dyn Application>> {
-        self.apps.get_mut(&node)
     }
 
     /// Remove and return the application installed on a node.
@@ -221,11 +209,6 @@ impl Simulator {
             self.now = deadline;
         }
         self.now
-    }
-
-    /// Run until the event queue is completely empty (no deadline).
-    pub fn run_to_completion(&mut self) -> SimTime {
-        self.run_until(SimTime::from_secs(f64::MAX / 4.0))
     }
 
     fn handle_arrival(&mut self, node: NodeId, datagram: Datagram) {

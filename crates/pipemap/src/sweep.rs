@@ -559,7 +559,7 @@ impl AdaptSweepSummary {
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice (0 when empty).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

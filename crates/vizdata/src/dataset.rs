@@ -72,11 +72,6 @@ impl Dataset {
         self.nominal_bytes() as f64 / 1.0e6
     }
 
-    /// Generate the field at full resolution.
-    pub fn generate_full(&self) -> crate::field::ScalarField {
-        SyntheticVolume::new(self.generator, self.full_dims, self.seed).generate()
-    }
-
     /// Generate the field at a reduced resolution with roughly `max_voxels`
     /// samples — used by tests and cost-model calibration where the full
     /// 10⁷-voxel volumes would be wastefully slow.

@@ -467,9 +467,6 @@ pub struct HttpServerConfig {
     /// Keep-alive idle timeout: a connection with no request in flight and
     /// no bytes arriving for this long is closed.
     pub keep_alive: Duration,
-    /// Requests served on one connection before the server closes it
-    /// (`0` = unlimited).  A rotation guard against resource pinning.
-    pub max_requests_per_connection: u64,
     /// How unproductive connections wait: rotated through the pool
     /// ([`Backend::Pool`], the portable default) or parked in the kernel
     /// until ready ([`Backend::Readiness`]; falls back to the pool at
@@ -483,7 +480,6 @@ impl Default for HttpServerConfig {
             workers: 8,
             max_connections: 1024,
             keep_alive: Duration::from_secs(30),
-            max_requests_per_connection: 0,
             backend: Backend::Pool,
         }
     }
@@ -532,8 +528,6 @@ pub(crate) struct Conn {
     /// The peer has closed its write half (no more requests will arrive;
     /// responses may still be deliverable — HTTP half-close is legal).
     pub(crate) saw_eof: bool,
-    /// Requests served on this connection.
-    served: u64,
     /// Last time bytes arrived or response bytes were flushed.
     pub(crate) last_activity: Instant,
     /// Earliest next visit worth making (idle connections rotate at
@@ -952,7 +946,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_connections: usiz
                     pending: None,
                     pending_keep_alive: true,
                     saw_eof: false,
-                    served: 0,
                     last_activity: now,
                     next_check: now,
                 });
@@ -1173,12 +1166,9 @@ fn service(
         match HttpRequest::parse_buf(&conn.buf) {
             Parse::Complete(mut request, consumed) => {
                 conn.buf.drain(..consumed);
-                conn.served += 1;
                 shared.metrics.served_total.fetch_add(1, Ordering::Relaxed);
                 progressed = true;
-                let rotate = config.max_requests_per_connection > 0
-                    && conn.served >= config.max_requests_per_connection;
-                let keep = request.wants_keep_alive() && !rotate;
+                let keep = request.wants_keep_alive();
                 request.connection = conn.id;
                 match handler(*request) {
                     Outcome::Ready(resp) => conn.queue_response(&resp, keep && !conn.saw_eof),

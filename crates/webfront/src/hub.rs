@@ -25,12 +25,13 @@
 //!   exactly equivalent to applying the steps one by one.  Compositions are
 //!   encoded once per `(since, head)` pair and shared, so encode work stays
 //!   bounded by the chain length, never by the poller count.
-//! * **Lock-free reads.**  The published frame ring lives behind an
-//!   atomic-pointer snapshot (the `arc_swap` shim): pollers read payloads
-//!   with zero locks while publishers swap in a new ring.  Per-client
-//!   cursors are sharded across [`CURSOR_SHARDS`] small maps so cursor
-//!   traffic from thousands of clients does not serialize on one mutex
-//!   (eviction still finds the *globally* stalest client).
+//! * **Lock-free reads, one publish critical section.**  The published
+//!   frame ring lives behind an atomic-pointer snapshot (the `arc_swap`
+//!   shim): pollers read payloads with zero locks.  A publish holds the
+//!   publisher lock from sequence assignment through encode to the ring
+//!   swap — each hub has one publisher (one pipeline per session), so
+//!   nothing waits on it, and publishers that do race simply serialise:
+//!   every frame lands whole, in order, with its delta.
 //! * **Wire compression.**  Full frames and delta tiles are run-length
 //!   coded (the `rle` shim, pixel-granular PackBits) before base64 whenever
 //!   that shrinks them; the `codec`/`rle` JSON fields tell the client to
@@ -38,23 +39,24 @@
 //!   stacks multiplicatively with the delta saving.
 //! * **Per-client cursors.**  Clients may register ([`SessionHub::register_client`])
 //!   and let the hub remember their last-delivered sequence, instead of
-//!   carrying `since` themselves.  The registry is bounded: at capacity the
-//!   stalest client (oldest activity) is evicted and simply re-registers on
-//!   its next poll — slow pollers cannot pin hub memory.
+//!   carrying `since` themselves.  The registry is one map under one lock
+//!   (only the embedded browser page sends `client=`) and is bounded: at
+//!   capacity the stalest client (oldest activity) is evicted and simply
+//!   re-registers on its next poll — slow pollers cannot pin hub memory.
 //!
 //! Steering commands posted by clients are queued in a [`SteeringInbox`]
 //! for the simulation side to drain between cycles.
 //!
 //! See DESIGN.md §7 for the state machine and the delta exactness argument,
-//! and §10 for the snapshot/shard invariants.
+//! and §10 for the snapshot invariants and the traffic assumption.
 
 use arc_swap::ArcSwap;
 use parking_lot::{Condvar, Mutex};
 use ricsa_hydro::steering::SteerableParams;
 use ricsa_viz::image::Image;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -66,9 +68,6 @@ pub const DELTA_TILE: usize = 32;
 /// tile-merge work per composition and the number of distinct
 /// `(since, head)` compositions the hub can be asked to encode per publish.
 pub const MAX_DELTA_CHAIN: u64 = 8;
-
-/// Number of cursor shards; client ids map to shards by `id %` this.
-pub const CURSOR_SHARDS: usize = 16;
 
 /// One published frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -317,7 +316,7 @@ fn frame_header_json(frame: &Frame, epoch: u64) -> serde_json::Value {
 
 /// JSON-encode a complete frame (mode `full`) stamped with the hub's
 /// `epoch`.  This is the work the encode cache performs exactly once per
-/// publish; the `webfront_bench` criterion bench calls it directly to
+/// publish; the benchmark's `hub.encode_full_ms` calls it directly to
 /// price the per-client-encode alternative.
 ///
 /// The image bytes are run-length compressed before base64 whenever that
@@ -430,34 +429,9 @@ struct CachedFrame {
 /// every publish.  Pollers read it via [`ArcSwap::load_full`] — no lock —
 /// so payload lookups never contend with publishers or each other.
 struct FrameRing {
-    /// Retained frames in ascending sequence order (shared with the
-    /// publisher's working copy; cloning the ring clones `Arc`s, not
-    /// payloads).
+    /// Retained frames in ascending, gap-free sequence order (cloning the
+    /// ring clones `Arc`s, not payloads).  The last one is the head.
     frames: Vec<Arc<CachedFrame>>,
-    /// The newest sequence number pollers may see: everything at or below
-    /// it is fully inserted.  Frames above it belong to publishers still
-    /// encoding — handing them out early would let a poller advance its
-    /// cursor past a frame that has not landed yet and lose it forever.
-    visible: u64,
-}
-
-/// Publisher-side mutable state, touched only on publish (never by
-/// pollers): sequence assignment, the in-flight claim set, the diff base,
-/// and the working copy of the frame list from which ring snapshots are
-/// cut.
-struct PubState {
-    latest_sequence: u64,
-    /// Sequence numbers claimed by publishers still encoding outside the
-    /// lock; the ring's `visible` stops just below the smallest claim.
-    in_flight: BTreeSet<u64>,
-    /// Decoded image of the most recently published frame, kept so the
-    /// next publish can diff against it without re-decoding (and without
-    /// holding any lock while it does).
-    last_image: Option<(u64, Image)>,
-    /// Working frame list, ascending by sequence; cloned (shallowly) into
-    /// each [`FrameRing`] snapshot.
-    frames: Vec<Arc<CachedFrame>>,
-    capacity: usize,
 }
 
 struct ClientState {
@@ -474,12 +448,29 @@ struct ClientState {
     staged: Option<(u64, u64)>,
 }
 
-/// One shard of the client-cursor registry.  Ids map to shards by
-/// `id % CURSOR_SHARDS`, so cursor reads/updates from different clients
-/// almost never share a mutex.
-#[derive(Default)]
-struct CursorShard {
+/// The client-cursor registry: one map, its id source and its activity
+/// clock, all under one lock.
+struct Cursors {
     clients: HashMap<u64, ClientState>,
+    next_client: u64,
+    /// Logical clock for activity stamps.
+    clock: u64,
+}
+
+impl Cursors {
+    /// The next activity stamp.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Look `client` up and refresh its activity stamp.
+    fn touch(&mut self, client: u64) -> Option<&mut ClientState> {
+        let stamp = self.tick();
+        let entry = self.clients.get_mut(&client)?;
+        entry.last_touch = stamp;
+        Some(entry)
+    }
 }
 
 /// Composed-delta memo: `(since, head)` → encoded payload, or `None` for
@@ -490,17 +481,16 @@ type ComposeCache = HashMap<(u64, u64), Option<Arc<str>>>;
 struct HubInner {
     /// The lock-free read path: the current frame snapshot.
     ring: ArcSwap<FrameRing>,
-    /// The publish path (see [`PubState`]); pollers never take this.
-    publisher: Mutex<PubState>,
-    /// Sharded client cursors, [`CURSOR_SHARDS`] of them.
-    cursors: Vec<Mutex<CursorShard>>,
-    next_client: AtomicU64,
-    /// Registered-client count across all shards (kept by the mutators so
-    /// eviction and `client_count` need not sum shard sizes under locks).
-    client_total: AtomicUsize,
-    /// Global logical clock for activity stamps; comparable across shards
-    /// so eviction can find the *globally* stalest client.
-    clock: AtomicU64,
+    /// The publish path; pollers never take this.  Held for a whole
+    /// publish, it makes "next sequence number, diff against the head,
+    /// append to the ring" one step.  The value is the head frame's
+    /// decoded image, kept so the next publish can diff against it
+    /// without re-decoding (`None` before the first frame and after one
+    /// whose image did not decode).
+    publisher: Mutex<Option<Image>>,
+    /// Frames retained in the ring.
+    capacity: usize,
+    cursors: Mutex<Cursors>,
     max_clients: usize,
     /// Total encode passes (full + single-step delta + composed delta).
     encodes: AtomicU64,
@@ -528,19 +518,19 @@ struct HubInner {
 }
 
 impl FrameRing {
-    /// The oldest retained frame newer than `since` that is visible.
+    /// The oldest retained frame newer than `since`.
     fn first_after(&self, since: u64) -> Option<&Arc<CachedFrame>> {
-        self.frames
-            .iter()
-            .find(|c| c.frame.sequence > since && c.frame.sequence <= self.visible)
+        self.frames.iter().find(|c| c.frame.sequence > since)
     }
 
-    /// The newest visible frame.
+    /// The newest frame.
     fn newest(&self) -> Option<&Arc<CachedFrame>> {
-        self.frames
-            .iter()
-            .rev()
-            .find(|c| c.frame.sequence <= self.visible)
+        self.frames.last()
+    }
+
+    /// The newest frame's sequence number (0 before the first publish).
+    fn head(&self) -> u64 {
+        self.newest().map_or(0, |c| c.frame.sequence)
     }
 }
 
@@ -568,21 +558,14 @@ impl SessionHub {
     pub fn with_limits(capacity: usize, max_clients: usize) -> Self {
         SessionHub {
             inner: Arc::new(HubInner {
-                ring: ArcSwap::from_pointee(FrameRing {
-                    frames: Vec::new(),
-                    visible: 0,
+                ring: ArcSwap::from_pointee(FrameRing { frames: Vec::new() }),
+                publisher: Mutex::new(None),
+                capacity: capacity.max(1),
+                cursors: Mutex::new(Cursors {
+                    clients: HashMap::new(),
+                    next_client: 1,
+                    clock: 0,
                 }),
-                publisher: Mutex::new(PubState {
-                    latest_sequence: 0,
-                    in_flight: BTreeSet::new(),
-                    last_image: None,
-                    frames: Vec::new(),
-                    capacity: capacity.max(1),
-                }),
-                cursors: (0..CURSOR_SHARDS).map(|_| Mutex::default()).collect(),
-                next_client: AtomicU64::new(1),
-                client_total: AtomicUsize::new(0),
-                clock: AtomicU64::new(0),
                 max_clients: max_clients.max(1),
                 encodes: AtomicU64::new(0),
                 // Keep the epoch within f64's exact-integer range (2^53):
@@ -617,85 +600,59 @@ impl SessionHub {
     /// against the previous frame — is encoded here, exactly once, no
     /// matter how many clients will poll it.  Waiting pollers are woken.
     ///
-    /// The encode/diff work happens *outside* the publisher lock (pollers
-    /// read the previous ring snapshot, lock-free, while a frame is
-    /// encoded); only sequence assignment and the snapshot swap hold it.
+    /// The whole publish is one critical section on the publisher lock.
+    /// Pollers never take that lock (they read the previous ring snapshot,
+    /// lock-free, while a frame is encoded), and concurrent publishers
+    /// serialise, so every frame diffs against its true predecessor.
     pub fn publish(&self, mut frame: Frame) -> u64 {
         let inner = &*self.inner;
+        let seq = {
+            let mut last_image = inner.publisher.lock();
+            let ring = inner.ring.load_full();
+            let seq = ring.head() + 1;
+            frame.sequence = seq;
 
-        // Lock 1: claim a sequence number (marked in-flight so pollers are
-        // not handed a later frame first) and take the predecessor's
-        // decoded image for the diff.
-        let (seq, prev_image) = {
-            let mut publisher = inner.publisher.lock();
-            publisher.latest_sequence += 1;
-            let seq = publisher.latest_sequence;
-            publisher.in_flight.insert(seq);
-            (seq, publisher.last_image.take())
-        };
-        frame.sequence = seq;
+            let full: Arc<str> = Arc::from(encode_frame_full(&frame, inner.epoch).as_str());
+            let cur_image = Image::decode_raw(&frame.image);
+            let mut delta_encodes = 0u64;
+            let delta_raw = last_image
+                .as_ref()
+                .zip(cur_image.as_ref())
+                .and_then(|(prev_img, cur_img)| diff_images(prev_img, cur_img, DELTA_TILE));
+            let delta = delta_raw
+                .as_ref()
+                .map(|delta| {
+                    delta_encodes = 1; // real work even if discarded below
+                    encode_frame_delta(&frame, inner.epoch, seq - 1, delta)
+                })
+                // A delta that is not meaningfully smaller than the full
+                // frame (most of the screen changed) is not worth caching
+                // or shipping: require at least a 10% saving.
+                .filter(|json| json.len() * 10 <= full.len() * 9)
+                .map(|json| Arc::from(json.as_str()));
+            inner
+                .encodes
+                .fetch_add(1 + delta_encodes, Ordering::Relaxed);
+            *last_image = cur_image;
 
-        // Encode without any lock held.
-        let full: Arc<str> = Arc::from(encode_frame_full(&frame, inner.epoch).as_str());
-        let cur_image = Image::decode_raw(&frame.image);
-        let mut delta_encodes = 0u64;
-        let delta_raw = prev_image
-            .filter(|(prev_seq, _)| *prev_seq == seq - 1)
-            .zip(cur_image.as_ref())
-            .and_then(|((_, prev_img), cur_img)| diff_images(&prev_img, cur_img, DELTA_TILE));
-        let delta = delta_raw
-            .as_ref()
-            .map(|delta| {
-                delta_encodes = 1; // real work even if discarded below
-                encode_frame_delta(&frame, inner.epoch, seq - 1, delta)
-            })
-            // A delta that is not meaningfully smaller than the full frame
-            // (most of the screen changed) is not worth caching or
-            // shipping: require at least a 10% saving.
-            .filter(|json| json.len() * 10 <= full.len() * 9)
-            .map(|json| Arc::from(json.as_str()));
-        inner
-            .encodes
-            .fetch_add(1 + delta_encodes, Ordering::Relaxed);
-        let cached = Arc::new(CachedFrame {
-            frame,
-            full,
-            delta,
-            delta_raw,
-        });
-
-        // Lock 2: insert in sequence order (a racing publisher may have
-        // inserted a later frame while we encoded) and swap in the new
-        // ring snapshot.
-        {
-            let mut publisher = inner.publisher.lock();
-            publisher.in_flight.remove(&seq);
-            let at = publisher.frames.partition_point(|c| c.frame.sequence < seq);
-            publisher.frames.insert(at, cached);
-            if publisher.frames.len() > publisher.capacity {
-                let excess = publisher.frames.len() - publisher.capacity;
-                publisher.frames.drain(..excess);
-            }
-            if let Some(cur) = cur_image {
-                // Keep the newest decoded image as the next diff base
-                // (racing publishers: only the latest sequence wins).
-                if publisher.last_image.as_ref().is_none_or(|(s, _)| *s < seq) {
-                    publisher.last_image = Some((seq, cur));
-                }
-            }
-            let visible = match publisher.in_flight.iter().next() {
-                Some(&oldest_claim) => oldest_claim - 1,
-                None => publisher.latest_sequence,
-            };
-            inner.ring.store(Arc::new(FrameRing {
-                frames: publisher.frames.clone(),
-                visible,
+            let mut frames = ring.frames.clone();
+            frames.push(Arc::new(CachedFrame {
+                frame,
+                full,
+                delta,
+                delta_raw,
             }));
+            if frames.len() > inner.capacity {
+                let excess = frames.len() - inner.capacity;
+                frames.drain(..excess);
+            }
+            inner.ring.store(Arc::new(FrameRing { frames }));
             // Compositions target the previous head; drop them (bounded
             // memory, and stale entries would only be asked for once more
             // anyway).
             inner.compose.lock().clear();
-        }
+            seq
+        };
 
         // Wake waiting pollers.  Taking wait_lock (and releasing it empty)
         // orders the ring store above before any waiter's re-check: a
@@ -709,14 +666,13 @@ impl SessionHub {
         seq
     }
 
-    /// The sequence number of the most recent fully published frame
-    /// (0 if none yet).  Sequence numbers claimed by publishers still
-    /// encoding are not reported — they are not yet observable.
+    /// The sequence number of the most recent published frame (0 if none
+    /// yet).
     pub fn latest_sequence(&self) -> u64 {
-        self.inner.ring.load_full().visible
+        self.inner.ring.load_full().head()
     }
 
-    /// The most recent (fully published) frame, if any.
+    /// The most recent frame, if any.
     pub fn latest_frame(&self) -> Option<Frame> {
         self.inner
             .ring
@@ -740,7 +696,7 @@ impl SessionHub {
         self.inner.encodes.load(Ordering::Relaxed)
     }
 
-    /// The full payload of the newest visible frame, if any.
+    /// The full payload of the newest frame, if any.
     pub fn latest_payload(&self) -> Option<FramePayload> {
         self.inner
             .ring
@@ -757,7 +713,7 @@ impl SessionHub {
     /// Reads the current ring snapshot lock-free.
     ///
     /// [`PollMode::Full`] (and a client exactly at the head) always gets
-    /// the oldest visible frame newer than `since`, as a full payload.
+    /// the oldest retained frame newer than `since`, as a full payload.
     /// [`PollMode::Delta`] serves, in order of preference: the cached
     /// single-step delta when the client is exactly one frame behind; the
     /// *composed* delta chain carrying it straight to the newest frame
@@ -769,8 +725,8 @@ impl SessionHub {
         let cached = ring.first_after(since)?;
         let sequence = cached.frame.sequence;
         if mode == PollMode::Delta {
-            // first_after succeeded, so visible > since and lag >= 1.
-            let lag = ring.visible - since;
+            // first_after succeeded, so head > since and lag >= 1.
+            let lag = ring.head() - since;
             if (2..=MAX_DELTA_CHAIN).contains(&lag) {
                 if let Some(payload) = self.composed_delta(&ring, since) {
                     return Some(payload);
@@ -812,7 +768,7 @@ impl SessionHub {
     /// smaller than the head's full payload.
     fn composed_delta(&self, ring: &FrameRing, since: u64) -> Option<FramePayload> {
         let inner = &*self.inner;
-        let head = ring.visible;
+        let head = ring.head();
         let lag = head.checked_sub(since)?;
         if !(2..=MAX_DELTA_CHAIN).contains(&lag) {
             return None;
@@ -904,19 +860,15 @@ impl SessionHub {
 
     // ------------------------------------------------------ client cursors
 
-    /// The cursor shard a client id lives in.
-    fn shard(&self, client: u64) -> &Mutex<CursorShard> {
-        &self.inner.cursors[(client % CURSOR_SHARDS as u64) as usize]
-    }
-
     /// Register a polling client; returns its id.  The cursor starts at 0
     /// (the next poll delivers the oldest retained frame).  At
     /// `max_clients` the stalest registered client is evicted to make room.
     pub fn register_client(&self) -> u64 {
-        let inner = &*self.inner;
-        let id = inner.next_client.fetch_add(1, Ordering::Relaxed);
-        let stamp = inner.clock.fetch_add(1, Ordering::Relaxed);
-        self.shard(id).lock().clients.insert(
+        let mut cursors = self.inner.cursors.lock();
+        let id = cursors.next_client;
+        cursors.next_client += 1;
+        let stamp = cursors.tick();
+        cursors.clients.insert(
             id,
             ClientState {
                 cursor: 0,
@@ -924,53 +876,25 @@ impl SessionHub {
                 staged: None,
             },
         );
-        inner.client_total.fetch_add(1, Ordering::Relaxed);
-        self.evict_to_capacity();
-        id
-    }
-
-    /// Evict globally-stalest clients until the registry fits.  Scans all
-    /// shards for the minimum activity stamp without holding more than one
-    /// shard lock at a time; a client touched between the scan and the
-    /// removal is spared and the scan repeats.
-    fn evict_to_capacity(&self) {
-        let inner = &*self.inner;
-        while inner.client_total.load(Ordering::Relaxed) > inner.max_clients {
-            let mut stalest: Option<(u64, u64, usize)> = None; // (stamp, id, shard)
-            for (index, shard) in inner.cursors.iter().enumerate() {
-                let shard = shard.lock();
-                for (&id, client) in shard.clients.iter() {
-                    if stalest.is_none_or(|(stamp, _, _)| client.last_touch < stamp) {
-                        stalest = Some((client.last_touch, id, index));
-                    }
-                }
-            }
-            let Some((stamp, id, index)) = stalest else {
-                return; // registry empty; nothing to evict
-            };
-            let mut shard = inner.cursors[index].lock();
-            if shard
+        if cursors.clients.len() > self.inner.max_clients {
+            let stalest = cursors
                 .clients
-                .get(&id)
-                .is_some_and(|c| c.last_touch == stamp)
-            {
-                shard.clients.remove(&id);
-                drop(shard);
-                inner.client_total.fetch_sub(1, Ordering::Relaxed);
+                .iter()
+                .min_by_key(|(_, client)| client.last_touch)
+                .map(|(&id, _)| id);
+            if let Some(stalest) = stalest {
+                cursors.clients.remove(&stalest);
             }
-            // else: raced with a touch or another evictor — rescan.
         }
+        id
     }
 
     /// The stored cursor for `client`, refreshing its activity stamp.
     /// `None` when the client is unknown (never registered, or evicted as
     /// stale — it should re-register).
     pub fn client_cursor(&self, client: u64) -> Option<u64> {
-        let stamp = self.inner.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(client).lock();
-        let entry = shard.clients.get_mut(&client)?;
-        entry.last_touch = stamp;
-        Some(entry.cursor)
+        let mut cursors = self.inner.cursors.lock();
+        Some(cursors.touch(client)?.cursor)
     }
 
     /// Record that `client` provably holds frame `sequence` (cursors only
@@ -984,11 +908,8 @@ impl SessionHub {
     /// ([`SessionHub::ack_poll`]).  A frame whose response dies with the
     /// connection is therefore re-delivered, never silently skipped.
     pub fn update_cursor(&self, client: u64, sequence: u64) {
-        let stamp = self.inner.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(client).lock();
-        if let Some(entry) = shard.clients.get_mut(&client) {
+        if let Some(entry) = self.inner.cursors.lock().touch(client) {
             entry.cursor = entry.cursor.max(sequence);
-            entry.last_touch = stamp;
         }
     }
 
@@ -999,9 +920,7 @@ impl SessionHub {
     /// the next poll arrives on a different connection, which is exactly
     /// what happens when a response dies with its socket.
     pub fn stage_cursor(&self, client: u64, connection: u64, sequence: u64) {
-        let stamp = self.inner.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(client).lock();
-        if let Some(entry) = shard.clients.get_mut(&client) {
+        if let Some(entry) = self.inner.cursors.lock().touch(client) {
             entry.staged = match entry.staged {
                 // Same connection: responses are serialized on it, so a
                 // later stage supersedes (and implies receipt of) an
@@ -1009,7 +928,6 @@ impl SessionHub {
                 Some((conn, seq)) if conn == connection => Some((connection, seq.max(sequence))),
                 _ => Some((connection, sequence)),
             };
-            entry.last_touch = stamp;
         }
     }
 
@@ -1021,21 +939,19 @@ impl SessionHub {
     /// be re-delivered.  Returns the committed cursor, `None` for
     /// unknown/evicted clients.
     pub fn ack_poll(&self, client: u64, connection: u64) -> Option<u64> {
-        let stamp = self.inner.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(client).lock();
-        let entry = shard.clients.get_mut(&client)?;
+        let mut cursors = self.inner.cursors.lock();
+        let entry = cursors.touch(client)?;
         if let Some((conn, sequence)) = entry.staged.take() {
             if conn == connection {
                 entry.cursor = entry.cursor.max(sequence);
             }
         }
-        entry.last_touch = stamp;
         Some(entry.cursor)
     }
 
     /// Number of registered clients.
     pub fn client_count(&self) -> usize {
-        self.inner.client_total.load(Ordering::Relaxed)
+        self.inner.cursors.lock().clients.len()
     }
 }
 
@@ -1432,12 +1348,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cursors_stay_exact_under_racing_clients_and_publishers() {
-        // Clients spread across every shard race cursor reads/updates
-        // against two concurrent publishers: every cursor must advance
-        // monotonically to the final sequence and the registry count must
-        // stay exact (nothing lost or double-evicted).
-        const CLIENTS: usize = 2 * CURSOR_SHARDS;
+    fn cursors_stay_exact_under_racing_clients_and_publishers() {
+        // Many clients race cursor reads/updates against two concurrent
+        // publishers: every cursor must advance monotonically to the final
+        // sequence and the registry count must stay exact (nothing lost or
+        // double-evicted).
+        const CLIENTS: usize = 32;
         const FRAMES: u64 = 60;
         let hub = SessionHub::with_limits(256, 1024);
         let ids: Vec<u64> = (0..CLIENTS).map(|_| hub.register_client()).collect();
@@ -1586,9 +1502,9 @@ mod tests {
 
     #[test]
     fn racing_publishers_keep_the_frame_cache_ordered() {
-        // publish() drops the hub lock while encoding, so two publishers
-        // can interleave; insertion must still keep the cache in sequence
-        // order so pollers walk it monotonically.
+        // Two publishers into one hub serialise on the publisher lock; the
+        // cache must come out in sequence order so pollers walk it
+        // monotonically.
         const PER_PUBLISHER: u64 = 100;
         let hub = SessionHub::new(2 * PER_PUBLISHER as usize + 1);
         let publishers: Vec<_> = (0..2)
@@ -1615,11 +1531,10 @@ mod tests {
 
     #[test]
     fn pollers_never_skip_frames_while_publishers_race() {
-        // Two publishers encode outside the hub lock, so frame N+1 can be
-        // inserted while N is still encoding; the in-flight visibility
-        // gate must withhold N+1 until N lands, or a live poller would
-        // advance past N and lose it.  Pollers run *during* the race and
-        // assert strict gap-free delivery.
+        // With two publishers racing, frame N+1 must never become readable
+        // before N, or a live poller would advance past N and lose it.
+        // Pollers run *during* the race and assert strict gap-free
+        // delivery.
         const PER_PUBLISHER: u64 = 150;
         let hub = SessionHub::new(2 * PER_PUBLISHER as usize + 1);
         let pollers: Vec<_> = (0..4)
@@ -1656,6 +1571,78 @@ mod tests {
         for p in pollers {
             p.join().unwrap();
         }
+    }
+
+    #[test]
+    fn racing_publishers_keep_their_deltas() {
+        // Two threads publish same-size frames with a small moving change
+        // into one hub, released together by a barrier each round.  Every
+        // frame must diff against its true predecessor, whichever thread
+        // published that: after each round the head is served as a
+        // single-step delta and the frame before it as part of a 2-step
+        // chain, and at the end a 4-step chain through frames of both
+        // publishers reconstructs the head exactly.
+        const ROUNDS: u64 = 20;
+        let mut rng = StdRng::seed_from_u64(0x2ACE);
+        let base = noisy_image(&mut rng, 96, 64);
+        let hub = SessionHub::new(2 * ROUNDS as usize);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let publishers: Vec<_> = (0..2u64)
+            .map(|who| {
+                let (hub, base, barrier) = (hub.clone(), base.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    for round in 1..=ROUNDS {
+                        let mut img = base.clone();
+                        img.set(
+                            (2 * round + who) as usize,
+                            3,
+                            [round as u8, who as u8, 7, 255],
+                        );
+                        let next = Frame {
+                            image: img.encode_raw(),
+                            ..frame(round)
+                        };
+                        barrier.wait();
+                        hub.publish(next);
+                        barrier.wait();
+                        if who == 0 {
+                            // The other thread is held at the next round's
+                            // barrier until these checks are done.
+                            let head = hub.latest_sequence();
+                            assert_eq!(head, 2 * round);
+                            // Frame 1 has no predecessor, so no chain
+                            // starts before it.
+                            for since in (head - 2).max(1)..head {
+                                let p = hub.try_payload(since, PollMode::Delta).unwrap();
+                                assert_eq!(p.sequence, head);
+                                assert!(
+                                    p.is_delta,
+                                    "a frame in {}..={head} lost its delta to the race",
+                                    since + 1
+                                );
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for p in publishers {
+            p.join().unwrap();
+        }
+        let head = 2 * ROUNDS;
+        let image_at = |seq: u64| {
+            let full = hub.try_payload(seq - 1, PollMode::Full).unwrap();
+            assert_eq!(full.sequence, seq);
+            let value: serde_json::Value = serde_json::from_str(&full.json).unwrap();
+            Image::decode_raw(&image_from_json(&value).unwrap()).unwrap()
+        };
+        let chain = hub.try_payload(head - 4, PollMode::Delta).unwrap();
+        assert!(chain.is_delta, "a 4-step chain must compose");
+        assert_eq!(chain.sequence, head);
+        let value: serde_json::Value = serde_json::from_str(&chain.json).unwrap();
+        let (since, delta) = delta_from_json(&value).unwrap();
+        assert_eq!(since, head - 4);
+        assert_eq!(apply_delta(&image_at(since), &delta), image_at(head));
     }
 
     #[test]

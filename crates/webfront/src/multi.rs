@@ -31,7 +31,7 @@ use crate::readiness::Waker;
 use crate::server::{route, FrontEndConfig};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One session's serving endpoints: the hub frames are published into and
 /// the steering inbox the simulation side drains.
@@ -43,9 +43,24 @@ pub struct SessionEndpoints {
     pub inbox: SteeringInbox,
 }
 
+type Sessions = BTreeMap<u64, SessionEndpoints>;
+
 /// The live session registry, shared between the route handler and the
 /// session manager.
-type Registry = Arc<RwLock<BTreeMap<u64, SessionEndpoints>>>;
+type Registry = Arc<RwLock<Sessions>>;
+
+/// Read access to the registry.  A poisoned lock is recovered, not
+/// propagated: every write is a single `insert` or `remove`, so the map is
+/// valid at every step and one panicking thread must not take every
+/// session's routes down.
+fn read(registry: &RwLock<Sessions>) -> RwLockReadGuard<'_, Sessions> {
+    registry.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write access to the registry; recovers a poisoned lock like [`read`].
+fn write(registry: &RwLock<Sessions>) -> RwLockWriteGuard<'_, Sessions> {
+    registry.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A running multi-session front end.
 pub struct MultiFrontEnd {
@@ -86,7 +101,7 @@ impl MultiFrontEnd {
     /// publish).  Idempotent: an already-registered id returns its
     /// existing endpoints.
     pub fn add_session(&self, id: u64) -> SessionEndpoints {
-        let mut registry = self.registry.write().expect("registry poisoned");
+        let mut registry = write(&self.registry);
         if let Some(existing) = registry.get(&id) {
             return existing.clone();
         }
@@ -108,30 +123,17 @@ impl MultiFrontEnd {
     /// hub resolve on their own deadlines; the hub's memory is freed when
     /// the last handle drops.
     pub fn retire_session(&self, id: u64) -> bool {
-        self.registry
-            .write()
-            .expect("registry poisoned")
-            .remove(&id)
-            .is_some()
+        write(&self.registry).remove(&id).is_some()
     }
 
     /// The endpoints of a registered session.
     pub fn session(&self, id: u64) -> Option<SessionEndpoints> {
-        self.registry
-            .read()
-            .expect("registry poisoned")
-            .get(&id)
-            .cloned()
+        read(&self.registry).get(&id).cloned()
     }
 
     /// Currently registered session ids, ascending.
     pub fn session_ids(&self) -> Vec<u64> {
-        self.registry
-            .read()
-            .expect("registry poisoned")
-            .keys()
-            .copied()
-            .collect()
+        read(&self.registry).keys().copied().collect()
     }
 
     /// The bound address.
@@ -159,12 +161,7 @@ pub fn route_session(
     mut req: HttpRequest,
 ) -> Outcome {
     if req.method == "GET" && req.path == "/api/sessions" {
-        let ids: Vec<u64> = registry
-            .read()
-            .expect("registry poisoned")
-            .keys()
-            .copied()
-            .collect();
+        let ids: Vec<u64> = read(registry).keys().copied().collect();
         return HttpResponse::json(&serde_json::json!({ "sessions": ids })).into();
     }
     let Some(rest) = req.path.strip_prefix("/s/") else {
@@ -177,11 +174,7 @@ pub fn route_session(
     let Ok(id) = id_str.parse::<u64>() else {
         return HttpResponse::bad_request("session id must be an integer").into();
     };
-    let endpoints = registry
-        .read()
-        .expect("registry poisoned")
-        .get(&id)
-        .cloned();
+    let endpoints = read(registry).get(&id).cloned();
     match endpoints {
         Some(endpoints) => {
             req.path = sub_path;
@@ -299,6 +292,33 @@ mod tests {
             resolve(route_session(&registry, &metrics, get("/api/state", &[]))).status,
             404
         );
+        front.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_routes() {
+        let front = MultiFrontEnd::start("127.0.0.1:0").unwrap();
+        front.add_session(1).hub.publish(frame(1.0));
+        let registry = front.registry.clone();
+        let poisoner = {
+            let registry = registry.clone();
+            std::thread::spawn(move || {
+                let _guard = registry.write().unwrap();
+                panic!("poison the registry");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(registry.is_poisoned());
+        let metrics = PoolMetrics::default();
+        let status =
+            |path: &str| resolve(route_session(&registry, &metrics, get(path, &[]))).status;
+        assert_eq!(status("/s/1/api/state"), 200);
+        assert_eq!(status("/s/9/api/state"), 404);
+        assert_eq!(status("/api/sessions"), 200);
+        // The manager side keeps working too.
+        assert_eq!(front.session_ids(), vec![1]);
+        front.add_session(2);
+        assert!(front.retire_session(1));
         front.shutdown();
     }
 
