@@ -581,7 +581,6 @@ fn run_phase(config: &PhaseConfig) -> PhaseStats {
                 ..HttpServerConfig::default()
             },
             hub_capacity: 64,
-            max_clients: config.pollers + 16,
         },
     )
     .expect("bind the front end");

@@ -63,14 +63,6 @@ pub struct HttpRequest {
     pub headers: HashMap<String, String>,
     /// Request body.
     pub body: Vec<u8>,
-    /// Server-assigned identifier of the connection the request arrived
-    /// on (`0` for requests not dispatched from a live connection, e.g.
-    /// in unit tests).  Ids are unique for the life of the process, never
-    /// reused across accepted connections.  Routes use this to tie
-    /// delivery acknowledgements to connection identity: a long-poll
-    /// response is only *known* delivered when the client's next request
-    /// arrives on the same connection (see the hub's staged cursors).
-    pub connection: u64,
 }
 
 /// Result of attempting to parse a request from buffered bytes.
@@ -184,7 +176,6 @@ impl HttpRequest {
                 query,
                 headers,
                 body,
-                connection: 0,
             }),
             body_start + content_length,
         )
@@ -506,9 +497,6 @@ const OUT_COMPACT_THRESHOLD: usize = 64 << 10;
 /// One live connection owned by the run queue (or, transiently, by the
 /// worker visiting it, or parked in the readiness reactor).
 pub(crate) struct Conn {
-    /// Process-unique connection id, stamped into every request dispatched
-    /// from this connection ([`HttpRequest::connection`]).
-    pub(crate) id: u64,
     pub(crate) stream: TcpStream,
     /// Bytes read but not yet consumed by a complete request.
     buf: Vec<u8>,
@@ -898,12 +886,6 @@ impl Drop for HttpServer {
     }
 }
 
-/// Source of process-unique connection ids (`0` is reserved for "no
-/// connection", so the counter starts at 1).  Process-wide rather than
-/// per-server: a request's connection id then never collides even across
-/// servers sharing a hub in tests.
-static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
-
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_connections: usize) {
     while !shared.stop.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -937,7 +919,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_connections: usiz
                 shared.metrics.active.fetch_add(1, Ordering::Relaxed);
                 let now = Instant::now();
                 shared.push(Conn {
-                    id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
                     stream,
                     buf: Vec::new(),
                     out: Vec::new(),
@@ -1164,12 +1145,11 @@ fn service(
         && conn.out.len() - conn.out_pos <= MAX_OUT_BUFFERED
     {
         match HttpRequest::parse_buf(&conn.buf) {
-            Parse::Complete(mut request, consumed) => {
+            Parse::Complete(request, consumed) => {
                 conn.buf.drain(..consumed);
                 shared.metrics.served_total.fetch_add(1, Ordering::Relaxed);
                 progressed = true;
                 let keep = request.wants_keep_alive();
-                request.connection = conn.id;
                 match handler(*request) {
                     Outcome::Ready(resp) => conn.queue_response(&resp, keep && !conn.saw_eof),
                     Outcome::Pending(mut pending) => {

@@ -37,12 +37,9 @@
 //!   that shrinks them; the `codec`/`rle` JSON fields tell the client to
 //!   decompress.  Rendered frames are dominated by flat background, so this
 //!   stacks multiplicatively with the delta saving.
-//! * **Per-client cursors.**  Clients may register ([`SessionHub::register_client`])
-//!   and let the hub remember their last-delivered sequence, instead of
-//!   carrying `since` themselves.  The registry is one map under one lock
-//!   (only the embedded browser page sends `client=`) and is bounded: at
-//!   capacity the stalest client (oldest activity) is evicted and simply
-//!   re-registers on its next poll — slow pollers cannot pin hub memory.
+//! * **No per-client state.**  The `since` a poller passes is the only
+//!   cursor — the client holds the pixels, so it knows which frame they
+//!   are (DESIGN.md §7.1).
 //!
 //! Steering commands posted by clients are queued in a [`SteeringInbox`]
 //! for the simulation side to drain between cycles.
@@ -434,45 +431,6 @@ struct FrameRing {
     frames: Vec<Arc<CachedFrame>>,
 }
 
-struct ClientState {
-    cursor: u64,
-    /// Logical activity stamp (monotone counter, not wall-clock) — the
-    /// smallest stamp is the stalest client, evicted first.
-    last_touch: u64,
-    /// A computed-but-unconfirmed delivery: `(connection, sequence)` of
-    /// the latest poll response handed to the HTTP layer.  It commits
-    /// into `cursor` only when the client's *next* poll arrives on the
-    /// same connection (proof the response was read); a next poll from a
-    /// different connection drops it, so a response that died with its
-    /// connection is re-delivered instead of silently skipped.
-    staged: Option<(u64, u64)>,
-}
-
-/// The client-cursor registry: one map, its id source and its activity
-/// clock, all under one lock.
-struct Cursors {
-    clients: HashMap<u64, ClientState>,
-    next_client: u64,
-    /// Logical clock for activity stamps.
-    clock: u64,
-}
-
-impl Cursors {
-    /// The next activity stamp.
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Look `client` up and refresh its activity stamp.
-    fn touch(&mut self, client: u64) -> Option<&mut ClientState> {
-        let stamp = self.tick();
-        let entry = self.clients.get_mut(&client)?;
-        entry.last_touch = stamp;
-        Some(entry)
-    }
-}
-
 /// Composed-delta memo: `(since, head)` → encoded payload, or `None` for
 /// a composition tried and found unprofitable.
 type ComposeCache = HashMap<(u64, u64), Option<Arc<str>>>;
@@ -490,8 +448,6 @@ struct HubInner {
     publisher: Mutex<Option<Image>>,
     /// Frames retained in the ring.
     capacity: usize,
-    cursors: Mutex<Cursors>,
-    max_clients: usize,
     /// Total encode passes (full + single-step delta + composed delta).
     encodes: AtomicU64,
     /// Instance marker stamped into every payload: a client holding state
@@ -547,26 +503,13 @@ impl Default for SessionHub {
 }
 
 impl SessionHub {
-    /// A hub retaining up to `capacity` recent frames (client registry
-    /// bounded at 1024).
+    /// A hub retaining up to `capacity` recent frames.
     pub fn new(capacity: usize) -> Self {
-        SessionHub::with_limits(capacity, 1024)
-    }
-
-    /// A hub retaining up to `capacity` frames and at most `max_clients`
-    /// registered client cursors (the stalest is evicted beyond that).
-    pub fn with_limits(capacity: usize, max_clients: usize) -> Self {
         SessionHub {
             inner: Arc::new(HubInner {
                 ring: ArcSwap::from_pointee(FrameRing { frames: Vec::new() }),
                 publisher: Mutex::new(None),
                 capacity: capacity.max(1),
-                cursors: Mutex::new(Cursors {
-                    clients: HashMap::new(),
-                    next_client: 1,
-                    clock: 0,
-                }),
-                max_clients: max_clients.max(1),
                 encodes: AtomicU64::new(0),
                 // Keep the epoch within f64's exact-integer range (2^53):
                 // JSON numbers — and the serde shim's Value — are doubles,
@@ -856,102 +799,6 @@ impl SessionHub {
             }
             inner.wait_cvar.wait_for(&mut guard, deadline - now);
         }
-    }
-
-    // ------------------------------------------------------ client cursors
-
-    /// Register a polling client; returns its id.  The cursor starts at 0
-    /// (the next poll delivers the oldest retained frame).  At
-    /// `max_clients` the stalest registered client is evicted to make room.
-    pub fn register_client(&self) -> u64 {
-        let mut cursors = self.inner.cursors.lock();
-        let id = cursors.next_client;
-        cursors.next_client += 1;
-        let stamp = cursors.tick();
-        cursors.clients.insert(
-            id,
-            ClientState {
-                cursor: 0,
-                last_touch: stamp,
-                staged: None,
-            },
-        );
-        if cursors.clients.len() > self.inner.max_clients {
-            let stalest = cursors
-                .clients
-                .iter()
-                .min_by_key(|(_, client)| client.last_touch)
-                .map(|(&id, _)| id);
-            if let Some(stalest) = stalest {
-                cursors.clients.remove(&stalest);
-            }
-        }
-        id
-    }
-
-    /// The stored cursor for `client`, refreshing its activity stamp.
-    /// `None` when the client is unknown (never registered, or evicted as
-    /// stale — it should re-register).
-    pub fn client_cursor(&self, client: u64) -> Option<u64> {
-        let mut cursors = self.inner.cursors.lock();
-        Some(cursors.touch(client)?.cursor)
-    }
-
-    /// Record that `client` provably holds frame `sequence` (cursors only
-    /// move forward).  Unknown ids are ignored — an evicted client keeps
-    /// polling statelessly until it re-registers.
-    ///
-    /// Cursors are *delivery-acknowledged*: this is called when the
-    /// client presents evidence of possession (an explicit `since` on a
-    /// later poll), while a freshly computed response is only *staged*
-    /// ([`SessionHub::stage_cursor`]) until the next poll confirms it
-    /// ([`SessionHub::ack_poll`]).  A frame whose response dies with the
-    /// connection is therefore re-delivered, never silently skipped.
-    pub fn update_cursor(&self, client: u64, sequence: u64) {
-        if let Some(entry) = self.inner.cursors.lock().touch(client) {
-            entry.cursor = entry.cursor.max(sequence);
-        }
-    }
-
-    /// Stage a computed-but-unconfirmed delivery of frame `sequence` to
-    /// `client` over `connection`.  The cursor itself does not move; the
-    /// stage commits on the client's next poll from the same connection
-    /// (advance-on-next-poll) and is dropped — forcing re-delivery — if
-    /// the next poll arrives on a different connection, which is exactly
-    /// what happens when a response dies with its socket.
-    pub fn stage_cursor(&self, client: u64, connection: u64, sequence: u64) {
-        if let Some(entry) = self.inner.cursors.lock().touch(client) {
-            entry.staged = match entry.staged {
-                // Same connection: responses are serialized on it, so a
-                // later stage supersedes (and implies receipt of) an
-                // earlier one — keep the maximum to stay monotone.
-                Some((conn, seq)) if conn == connection => Some((connection, seq.max(sequence))),
-                _ => Some((connection, sequence)),
-            };
-        }
-    }
-
-    /// A poll from `client` arrived on `connection`: resolve any staged
-    /// delivery.  Same connection → the previous response was read before
-    /// this request was sent, so the stage commits into the cursor.
-    /// Different connection → the previous response's fate is unknown
-    /// (its socket is gone), so the stage is dropped and the frame will
-    /// be re-delivered.  Returns the committed cursor, `None` for
-    /// unknown/evicted clients.
-    pub fn ack_poll(&self, client: u64, connection: u64) -> Option<u64> {
-        let mut cursors = self.inner.cursors.lock();
-        let entry = cursors.touch(client)?;
-        if let Some((conn, sequence)) = entry.staged.take() {
-            if conn == connection {
-                entry.cursor = entry.cursor.max(sequence);
-            }
-        }
-        Some(entry.cursor)
-    }
-
-    /// Number of registered clients.
-    pub fn client_count(&self) -> usize {
-        self.inner.cursors.lock().clients.len()
     }
 }
 
@@ -1348,59 +1195,6 @@ mod tests {
     }
 
     #[test]
-    fn cursors_stay_exact_under_racing_clients_and_publishers() {
-        // Many clients race cursor reads/updates against two concurrent
-        // publishers: every cursor must advance monotonically to the final
-        // sequence and the registry count must stay exact (nothing lost or
-        // double-evicted).
-        const CLIENTS: usize = 32;
-        const FRAMES: u64 = 60;
-        let hub = SessionHub::with_limits(256, 1024);
-        let ids: Vec<u64> = (0..CLIENTS).map(|_| hub.register_client()).collect();
-        assert_eq!(hub.client_count(), CLIENTS);
-        let workers: Vec<_> = ids
-            .iter()
-            .map(|&id| {
-                let hub = hub.clone();
-                std::thread::spawn(move || {
-                    let mut last = hub.client_cursor(id).unwrap();
-                    while last < FRAMES {
-                        if let Some(p) = hub.try_payload(last, PollMode::Full) {
-                            assert!(p.sequence > last, "payload must move the cursor");
-                            hub.update_cursor(id, p.sequence);
-                            let cur = hub.client_cursor(id).unwrap();
-                            assert!(cur >= p.sequence, "cursor went backwards");
-                            last = cur;
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                })
-            })
-            .collect();
-        let publishers: Vec<_> = (0..2)
-            .map(|_| {
-                let hub = hub.clone();
-                std::thread::spawn(move || {
-                    for c in 0..FRAMES / 2 {
-                        hub.publish(frame(c));
-                    }
-                })
-            })
-            .collect();
-        for p in publishers {
-            p.join().unwrap();
-        }
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(hub.client_count(), CLIENTS, "no client lost to races");
-        for id in ids {
-            assert_eq!(hub.client_cursor(id), Some(FRAMES));
-        }
-    }
-
-    #[test]
     fn diff_rejects_resizes_and_identical_frames_have_empty_deltas() {
         let a = Image::filled(8, 8, [1, 1, 1, 1]);
         let b = Image::filled(16, 8, [1, 1, 1, 1]);
@@ -1643,54 +1437,6 @@ mod tests {
         let (since, delta) = delta_from_json(&value).unwrap();
         assert_eq!(since, head - 4);
         assert_eq!(apply_delta(&image_at(since), &delta), image_at(head));
-    }
-
-    #[test]
-    fn client_cursors_advance_and_stalest_client_is_evicted_at_capacity() {
-        let hub = SessionHub::with_limits(8, 2);
-        let a = hub.register_client();
-        let b = hub.register_client();
-        assert_eq!(hub.client_cursor(a), Some(0));
-        hub.publish(frame(1));
-        hub.update_cursor(a, 1);
-        assert_eq!(hub.client_cursor(a), Some(1));
-        // Cursors never move backwards.
-        hub.update_cursor(a, 0);
-        assert_eq!(hub.client_cursor(a), Some(1));
-        // `b` is now the stalest (a was touched since); registering a third
-        // client evicts b.
-        let c = hub.register_client();
-        assert_eq!(hub.client_count(), 2);
-        assert_eq!(hub.client_cursor(b), None, "stalest client evicted");
-        assert_eq!(hub.client_cursor(a), Some(1), "active client survives");
-        assert_eq!(hub.client_cursor(c), Some(0));
-        // Updates for evicted ids are ignored, not resurrected.
-        hub.update_cursor(b, 5);
-        assert_eq!(hub.client_cursor(b), None);
-    }
-
-    #[test]
-    fn staged_cursors_commit_on_same_connection_only() {
-        let hub = SessionHub::with_limits(8, 4);
-        let c = hub.register_client();
-        hub.stage_cursor(c, 7, 3);
-        assert_eq!(
-            hub.client_cursor(c),
-            Some(0),
-            "a staged delivery must not move the committed cursor"
-        );
-        // The next poll arrives on a *different* connection: the staged
-        // response died with its socket, so it is dropped, not committed.
-        assert_eq!(hub.ack_poll(c, 9), Some(0));
-        // Same connection: a later stage supersedes monotonically and the
-        // next poll commits it.
-        hub.stage_cursor(c, 9, 3);
-        hub.stage_cursor(c, 9, 4);
-        assert_eq!(hub.ack_poll(c, 9), Some(4));
-        assert_eq!(hub.client_cursor(c), Some(4));
-        // Unknown clients: staging is ignored, acking reports None.
-        hub.stage_cursor(999, 1, 1);
-        assert_eq!(hub.ack_poll(999, 1), None);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! * [`hub`] — the session hub: frames published by the visualization side
 //!   are base64/JSON-encoded exactly once into shared `Arc<str>` payloads
 //!   (plus a changed-tile *delta* payload), long-polled by any number of
-//!   browser clients with per-client cursors, plus a steering inbox,
+//!   browser clients that each carry their own `since` cursor, plus a
+//!   steering inbox,
 //! * [`server`] — wiring the hub to HTTP routes (`/api/state`,
-//!   `/api/client`, `/api/frame`, `/api/poll`, `/api/steer`) and serving
+//!   `/api/frame`, `/api/poll`, `/api/steer`) and serving
 //!   the embedded single-page client,
 //! * [`page`] — the embedded HTML/JavaScript page (plain `XMLHttpRequest`
 //!   long polling in delta mode, no external assets),

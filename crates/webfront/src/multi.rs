@@ -8,8 +8,8 @@
 //! is available under a `/s/<id>/` prefix:
 //!
 //! * `GET /s/7/api/poll?...` — long-poll session 7's hub,
-//! * `GET /s/7/api/client`, `/s/7/api/state`, `/s/7/api/frame`,
-//!   `/s/7/api/stats`, `POST /s/7/api/steer` — exactly the routes of
+//! * `GET /s/7/api/state`, `/s/7/api/frame`, `/s/7/api/stats`,
+//!   `POST /s/7/api/steer` — exactly the routes of
 //!   [`crate::server::route`], dispatched to session 7's hub and inbox,
 //! * `GET /api/sessions` — the ids currently registered.
 //!
@@ -22,7 +22,7 @@
 //! Isolation invariant: a client polling `/s/<id>/...` can only ever
 //! receive frames published into session `<id>`'s hub — the registry
 //! lookup happens before the hub is touched, and hubs share nothing (each
-//! has its own ring, cursors, and epoch).  The `multi_session` end-to-end
+//! has its own ring and epoch).  The `multi_session` end-to-end
 //! test audits this at the wire level with racing pollers.
 
 use crate::http::{HttpRequest, HttpResponse, HttpServer, Outcome, PoolMetrics};
@@ -67,7 +67,8 @@ pub struct MultiFrontEnd {
     http: HttpServer,
     registry: Registry,
     waker: Option<Waker>,
-    config: FrontEndConfig,
+    /// Frames retained by every session hub subsequently added.
+    hub_capacity: usize,
 }
 
 impl MultiFrontEnd {
@@ -83,16 +84,15 @@ impl MultiFrontEnd {
         let metrics = Arc::new(PoolMetrics::default());
         let route_registry = registry.clone();
         let route_metrics = metrics.clone();
-        let http =
-            HttpServer::start_with_metrics(addr, config.http.clone(), metrics, move |req| {
-                route_session(&route_registry, &route_metrics, req)
-            })?;
+        let http = HttpServer::start_with_metrics(addr, config.http, metrics, move |req| {
+            route_session(&route_registry, &route_metrics, req)
+        })?;
         let waker = http.waker();
         Ok(MultiFrontEnd {
             http,
             registry,
             waker,
-            config,
+            hub_capacity: config.hub_capacity,
         })
     }
 
@@ -105,7 +105,7 @@ impl MultiFrontEnd {
         if let Some(existing) = registry.get(&id) {
             return existing.clone();
         }
-        let hub = SessionHub::with_limits(self.config.hub_capacity, self.config.max_clients);
+        let hub = SessionHub::new(self.hub_capacity);
         if let Some(waker) = &self.waker {
             let waker = waker.clone();
             hub.add_wake_hook(move || waker.ring());
@@ -202,7 +202,6 @@ mod tests {
                 .collect(),
             headers: HashMap::new(),
             body: vec![],
-            connection: 0,
         }
     }
 

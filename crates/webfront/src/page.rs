@@ -1,11 +1,12 @@
 //! The embedded single-page Ajax client.
 //!
-//! A plain-JavaScript stand-in for the paper's GWT page: it registers a
-//! client id, long-polls `/api/poll` with `XMLHttpRequest` in **delta
-//! mode**, and when a new frame arrives redraws only the image canvas and
-//! the monitored values (partial screen update) — a delta response patches
-//! only the changed tiles into the retained pixel buffer.  Steering
-//! parameters are posted to `/api/steer` without reloading the page.
+//! A plain-JavaScript stand-in for the paper's GWT page: it reads the live
+//! head from `/api/state`, long-polls `/api/poll` with `XMLHttpRequest` in
+//! **delta mode** carrying its own `since`, and when a new frame arrives
+//! redraws only the image canvas and the monitored values (partial screen
+//! update) — a delta response patches only the changed tiles into the
+//! retained pixel buffer.  Steering parameters are posted to `/api/steer`
+//! without reloading the page.
 
 /// The HTML/JavaScript page served at `/`.
 pub const INDEX_HTML: &str = r#"<!DOCTYPE html>
@@ -46,7 +47,6 @@ pub const INDEX_HTML: &str = r#"<!DOCTYPE html>
 </div>
 <script>
 var lastSeq = 0;
-var clientId = null;
 // Retained frame state: delta responses patch `pix` in place, so only the
 // changed tiles are decoded and redrawn (the paper's partial screen update
 // carried through to the wire).  `hubEpoch` marks which server incarnation
@@ -145,8 +145,7 @@ function noteEpoch(resp) {
 function poll() {
   var xhr = new XMLHttpRequest();
   xhr.open('GET', '/api/poll?since=' + lastSeq + '&timeout_ms=15000' +
-    '&mode=' + (forceFull ? 'full' : 'delta') +
-    (clientId !== null ? '&client=' + clientId : ''));
+    '&mode=' + (forceFull ? 'full' : 'delta'));
   xhr.onload = function() {
     if (xhr.status === 200 && xhr.responseText) {
       var frame = JSON.parse(xhr.responseText);
@@ -176,19 +175,17 @@ document.getElementById('steer').onclick = function() {
   xhr.send(body);
 };
 
-// Register a client id so the hub tracks this browser's cursor, start the
-// cursor at the live head (no replay of the retained backlog), then start
-// the long-poll loop (polling works without the id too).
+// Start the cursor at the live head (no replay of the retained backlog),
+// then start the long-poll loop.
 (function() {
   var xhr = new XMLHttpRequest();
-  xhr.open('GET', '/api/client');
+  xhr.open('GET', '/api/state');
   xhr.onload = function() {
     if (xhr.status === 200) {
       try {
-        var reg = JSON.parse(xhr.responseText);
-        clientId = reg.client;
-        lastSeq = reg.latest_sequence || 0;
-        noteEpoch(reg);
+        var state = JSON.parse(xhr.responseText);
+        lastSeq = state.latest_sequence || 0;
+        noteEpoch(state);
       } catch (e) {}
     }
     poll();
@@ -210,8 +207,13 @@ mod tests {
         assert!(INDEX_HTML.contains("XMLHttpRequest"));
         assert!(INDEX_HTML.contains("/api/poll"));
         assert!(INDEX_HTML.contains("/api/steer"));
-        assert!(INDEX_HTML.contains("/api/client"));
+        // Stateless polling: the page carries its own cursor, learns the
+        // live head from `/api/state` and registers nowhere.
+        assert!(INDEX_HTML.contains("since="));
         assert!(INDEX_HTML.contains("&mode="));
+        assert!(INDEX_HTML.contains("xhr.open('GET', '/api/state')"));
+        assert!(!INDEX_HTML.contains("/api/client"));
+        assert!(!INDEX_HTML.contains("client="));
         assert!(INDEX_HTML.contains("'delta'"));
         assert!(INDEX_HTML.contains("base_sequence"));
         assert!(INDEX_HTML.contains("hubEpoch"));

@@ -4,18 +4,16 @@
 //!
 //! * `GET /` — the Ajax page,
 //! * `GET /api/state` — current frame sequence, cycle and monitors as JSON,
-//! * `GET /api/client` — register a polling client, returning its id (the
-//!   hub then tracks the client's cursor server-side),
-//! * `GET /api/poll?since=N&timeout_ms=T&mode=full|delta&client=ID` —
-//!   long-poll for the next frame newer than `N` (the `XMLHttpRequest`
-//!   object-exchange of the paper).  `mode=delta` ships only the changed
-//!   image tiles when the client is exactly one frame behind; `client=ID`
-//!   lets the hub supply `since` from the stored cursor.  Cursors are
-//!   delivery-acknowledged: a computed response is only *staged*, and
-//!   commits when the client's next poll arrives on the same connection
-//!   (or carries an explicit `since`), so a response that dies with its
-//!   socket is re-delivered rather than skipped.  The long poll never
-//!   blocks a server worker: the route returns a deferred
+//! * `GET /api/poll?since=N&timeout_ms=T&mode=full|delta` — long-poll for
+//!   the next frame newer than `N` (the `XMLHttpRequest` object-exchange
+//!   of the paper).  `mode=delta` ships only the changed image tiles when
+//!   the client is within the delta chain of the head.  The poll is
+//!   stateless: `since` is the only cursor, the server remembers nothing
+//!   about a client between polls, and a client that advances `since`
+//!   only after decoding a response re-requests a lost one by
+//!   construction.  `since` and `timeout_ms` default to `0` / `15000`
+//!   when absent and answer `400` when present but not a `u64`.  The long
+//!   poll never blocks a server worker: the route returns a deferred
 //!   [`Outcome::Pending`] the pool re-polls,
 //! * `GET /api/frame` — the latest frame immediately (or 404),
 //! * `GET /api/stats` — server-side backpressure metrics (run-queue depth,
@@ -42,8 +40,6 @@ pub struct FrontEndConfig {
     pub http: HttpServerConfig,
     /// Frames retained by the hub for laggard pollers.
     pub hub_capacity: usize,
-    /// Registered client-cursor ceiling (stalest evicted beyond it).
-    pub max_clients: usize,
 }
 
 impl Default for FrontEndConfig {
@@ -57,7 +53,6 @@ impl Default for FrontEndConfig {
                 ..HttpServerConfig::default()
             },
             hub_capacity: 32,
-            max_clients: 1024,
         }
     }
 }
@@ -79,7 +74,7 @@ impl FrontEndServer {
 
     /// Start the front end with explicit pool/hub sizing.
     pub fn start_with(addr: &str, config: FrontEndConfig) -> std::io::Result<FrontEndServer> {
-        let hub = SessionHub::with_limits(config.hub_capacity, config.max_clients);
+        let hub = SessionHub::new(config.hub_capacity);
         let inbox = SteeringInbox::new();
         // The metrics object outlives the closure/server split: the route
         // handler reads from it, the pool writes into it.
@@ -136,6 +131,17 @@ impl FrontEndServer {
     }
 }
 
+/// A query parameter that must be a `u64` when present (`default` when
+/// absent); `Err` carries the `400` to answer with.
+fn u64_param(req: &HttpRequest, name: &str, default: u64) -> Result<u64, HttpResponse> {
+    match req.query_param(name) {
+        None => Ok(default),
+        Some(raw) => raw.parse().map_err(|_| {
+            HttpResponse::bad_request(&format!("{name} must be an unsigned integer, got {raw:?}"))
+        }),
+    }
+}
+
 /// Route a request (exposed for tests).
 pub fn route(
     hub: &SessionHub,
@@ -153,16 +159,6 @@ pub fn route(
                 "time": latest.as_ref().map(|f| f.time),
                 "monitors": latest.as_ref().map(|f| f.monitors.clone()).unwrap_or_default(),
                 "pending_steering": inbox.len(),
-                "clients": hub.client_count(),
-                "epoch": hub.epoch(),
-            }))
-            .into()
-        }
-        ("GET", "/api/client") => {
-            let client = hub.register_client();
-            HttpResponse::json(&serde_json::json!({
-                "client": client,
-                "latest_sequence": hub.latest_sequence(),
                 "epoch": hub.epoch(),
             }))
             .into()
@@ -177,7 +173,6 @@ pub fn route(
             if let serde_json::Value::Object(map) = &mut value {
                 // Hub-side load next to the pool-side backpressure, so one
                 // request paints the whole serving picture.
-                map.insert("clients".into(), serde_json::json!(hub.client_count()));
                 map.insert(
                     "latest_sequence".into(),
                     serde_json::json!(hub.latest_sequence()),
@@ -192,45 +187,19 @@ pub fn route(
                 Some("delta") => PollMode::Delta,
                 _ => PollMode::Full,
             };
-            let client: Option<u64> = req.query_param("client").and_then(|s| s.parse().ok());
-            let explicit_since: Option<u64> = req.query_param("since").and_then(|s| s.parse().ok());
-            // Delivery acknowledgement happens here, on poll *arrival*:
-            // an explicit `since` is direct evidence the client holds
-            // that frame, and any staged delivery from this client's
-            // previous poll commits only if this request arrived on the
-            // same connection (otherwise the response died with its
-            // socket and the frame must be re-delivered).
-            let acked_cursor = client.and_then(|c| {
-                if let Some(n) = explicit_since {
-                    hub.update_cursor(c, n);
-                }
-                hub.ack_poll(c, req.connection)
-            });
-            let since: u64 = match explicit_since {
-                Some(n) => n,
-                // No explicit `since`: fall back to the acknowledged
-                // cursor (0 for unknown/evicted clients, delivering the
-                // oldest retained frame).
-                None => acked_cursor.unwrap_or(0),
+            let (since, timeout_ms) = match (
+                u64_param(&req, "since", 0),
+                u64_param(&req, "timeout_ms", 15_000),
+            ) {
+                (Ok(since), Ok(timeout_ms)) => (since, timeout_ms.min(60_000)),
+                (Err(bad), _) | (_, Err(bad)) => return bad.into(),
             };
-            let timeout_ms: u64 = req
-                .query_param("timeout_ms")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(15_000)
-                .min(60_000);
             let deadline = Instant::now() + Duration::from_millis(timeout_ms);
             let hub = hub.clone();
-            let connection = req.connection;
             // Deferred response: the HTTP pool re-polls this closure until
             // a frame arrives or the deadline passes.  No worker blocks.
             Outcome::Pending(Box::new(move || {
                 if let Some(payload) = hub.try_payload(since, mode) {
-                    if let Some(client) = client {
-                        // Stage, don't commit: the cursor advances only
-                        // when the client's next poll on this connection
-                        // proves the response was actually read.
-                        hub.stage_cursor(client, connection, payload.sequence);
-                    }
                     return Some(HttpResponse::json_shared(payload.json));
                 }
                 if Instant::now() >= deadline {
@@ -266,10 +235,6 @@ mod tests {
     use std::collections::HashMap;
 
     fn get(path: &str, query: &[(&str, &str)]) -> HttpRequest {
-        get_on(path, query, 0)
-    }
-
-    fn get_on(path: &str, query: &[(&str, &str)], connection: u64) -> HttpRequest {
         HttpRequest {
             method: "GET".into(),
             path: path.into(),
@@ -280,7 +245,6 @@ mod tests {
                 .collect(),
             headers: HashMap::new(),
             body: vec![],
-            connection,
         }
     }
 
@@ -401,140 +365,121 @@ mod tests {
     }
 
     #[test]
-    fn client_registration_and_cursor_driven_polls() {
+    fn poll_route_rejects_unparsable_since_and_timeout() {
         let hub = SessionHub::default();
         let inbox = SteeringInbox::new();
         let metrics = PoolMetrics::default();
-        let reg = resolve(route(&hub, &inbox, &metrics, get("/api/client", &[])));
-        let value: serde_json::Value = serde_json::from_slice(reg.body.as_bytes()).unwrap();
-        let client = value["client"].as_u64().unwrap().to_string();
         hub.publish(sample_frame());
-        // No `since`: the stored cursor (0) supplies it, and delivery
-        // advances it.
-        let poll = resolve(route(
+        // Present but not a u64: an error, never a silent 0 / default that
+        // would replay the retained backlog.
+        for query in [
+            [("since", "abc"), ("timeout_ms", "10")],
+            [("since", "-1"), ("timeout_ms", "10")],
+            [("since", ""), ("timeout_ms", "10")],
+            [("since", "0"), ("timeout_ms", "soon")],
+        ] {
+            let resp = resolve(route(&hub, &inbox, &metrics, get("/api/poll", &query)));
+            assert_eq!(resp.status, 400, "{query:?}");
+        }
+        // A timeout above the cap is clamped, not rejected.
+        let capped = resolve(route(
             &hub,
             &inbox,
             &metrics,
-            get(
-                "/api/poll",
-                &[("client", client.as_str()), ("timeout_ms", "10")],
-            ),
+            get("/api/poll", &[("since", "0"), ("timeout_ms", "999999999")]),
         ));
-        let value: serde_json::Value = serde_json::from_slice(poll.body.as_bytes()).unwrap();
-        assert_eq!(value["sequence"], 1);
-        // The cursor advanced: the same cursor-driven poll now times out.
-        let empty = resolve(route(
-            &hub,
-            &inbox,
-            &metrics,
-            get(
-                "/api/poll",
-                &[("client", client.as_str()), ("timeout_ms", "10")],
-            ),
-        ));
-        let value: serde_json::Value = serde_json::from_slice(empty.body.as_bytes()).unwrap();
-        assert!(value["sequence"].is_null());
+        assert_eq!(capped.status, 200);
     }
 
-    /// The delivery-acknowledged-cursor regression (ROADMAP follow-up): a
-    /// poll response computed for a connection that dies undelivered must
-    /// be re-delivered on the client's next poll, not silently skipped.
+    /// What the stateless protocol means for a client that omits `since`:
+    /// it is served from 0 on every poll — nothing is remembered for it,
+    /// whatever other parameters it sends.
     #[test]
-    fn cursor_driven_poll_redelivers_after_a_connection_change() {
+    fn poll_without_since_is_served_from_zero_every_time() {
         let hub = SessionHub::default();
         let inbox = SteeringInbox::new();
         let metrics = PoolMetrics::default();
-        let reg = resolve(route(&hub, &inbox, &metrics, get("/api/client", &[])));
-        let value: serde_json::Value = serde_json::from_slice(reg.body.as_bytes()).unwrap();
-        let client = value["client"].as_u64().unwrap().to_string();
         hub.publish(sample_frame());
-        let poll = |conn: u64| {
-            let resp = resolve(route(
-                &hub,
-                &inbox,
-                &metrics,
-                get_on(
-                    "/api/poll",
-                    &[("client", client.as_str()), ("timeout_ms", "10")],
-                    conn,
-                ),
-            ));
-            let value: serde_json::Value = serde_json::from_slice(resp.body.as_bytes()).unwrap();
-            value["sequence"].clone()
-        };
-        // Frame 1 is computed for connection 7 — but the next poll comes
-        // from connection 9: the response evidently died with socket 7,
-        // so the same frame is served again.
-        assert_eq!(poll(7), serde_json::json!(1));
-        assert_eq!(poll(9), serde_json::json!(1), "must re-deliver");
-        // Polling again on connection 9 acknowledges it; now it times out.
-        assert!(poll(9).is_null());
+        hub.publish(sample_frame());
+        for query in [[("timeout_ms", "10")], [("client", "1")], [("client", "1")]] {
+            let poll = resolve(route(&hub, &inbox, &metrics, get("/api/poll", &query)));
+            let value: serde_json::Value = serde_json::from_slice(poll.body.as_bytes()).unwrap();
+            assert_eq!(value["sequence"], 1, "{query:?}");
+        }
     }
 
-    /// Wire-level version of the same regression: the socket carrying the
-    /// poll response is killed before reading; a fresh connection's
-    /// cursor-driven poll must receive the frame again.
+    /// The page's start-up call: `/api/state` carries the live head and the
+    /// epoch, and there is no client registry to report.
+    #[test]
+    fn state_route_carries_head_and_epoch_and_no_client_registry() {
+        let hub = SessionHub::default();
+        let inbox = SteeringInbox::new();
+        let metrics = PoolMetrics::default();
+        hub.publish(sample_frame());
+        let state = resolve(route(&hub, &inbox, &metrics, get("/api/state", &[])));
+        let value: serde_json::Value = serde_json::from_slice(state.body.as_bytes()).unwrap();
+        assert_eq!(value["latest_sequence"], 1);
+        assert_eq!(value["epoch"].as_u64(), Some(hub.epoch()));
+        assert!(value.get("clients").is_none());
+        let stats = resolve(route(&hub, &inbox, &metrics, get("/api/stats", &[])));
+        let value: serde_json::Value = serde_json::from_slice(stats.body.as_bytes()).unwrap();
+        assert!(value.get("clients").is_none());
+    }
+
+    /// Re-delivery needs no server state: a poll response that dies with
+    /// its socket is simply requested again, because the client's `since`
+    /// only advances once a frame has been decoded.
     #[test]
     fn killed_socket_mid_response_forces_redelivery() {
         use crate::http::read_blocking_response;
         use std::io::{BufReader, Write};
         let server = FrontEndServer::start("127.0.0.1:0").unwrap();
         let hub = server.hub();
-        // Register a client over a throwaway connection.
-        let stream = std::net::TcpStream::connect(server.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        writer
-            .write_all(b"GET /api/client HTTP/1.1\r\nHost: l\r\n\r\n")
-            .unwrap();
-        let (_, _, body) = read_blocking_response(&mut reader).unwrap();
-        let value: serde_json::Value = serde_json::from_slice(&body).unwrap();
-        let client = value["client"].as_u64().unwrap();
-        drop(reader);
-        drop(writer);
         hub.publish(sample_frame());
         // The doomed connection: send the poll, kill the socket without
         // ever reading the response.
-        let doomed = std::net::TcpStream::connect(server.addr()).unwrap();
-        let mut w = doomed.try_clone().unwrap();
-        w.write_all(
-            format!("GET /api/poll?client={client}&timeout_ms=2000 HTTP/1.1\r\nHost: l\r\n\r\n")
-                .as_bytes(),
-        )
-        .unwrap();
-        // Give the server time to compute (and stage) the response, then
-        // kill the socket with the response unread.
-        std::thread::sleep(Duration::from_millis(150));
-        drop(w);
+        let mut doomed = std::net::TcpStream::connect(server.addr()).unwrap();
+        doomed
+            .write_all(b"GET /api/poll?since=0&timeout_ms=2000 HTTP/1.1\r\nHost: l\r\n\r\n")
+            .unwrap();
+        // The request is counted when it is dispatched, and frame 1 already
+        // exists, so the response is computed in that same visit.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.requests_served() < 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(server.requests_served(), 1);
         drop(doomed);
-        // A fresh connection polls with the stored cursor: the staged
-        // delivery belonged to the dead connection, so frame 1 comes
-        // again instead of being skipped.
+        // A fresh connection repeats the poll from the same `since`.
         let stream = std::net::TcpStream::connect(server.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
-        writer
-            .write_all(
-                format!(
-                    "GET /api/poll?client={client}&timeout_ms=2000 HTTP/1.1\r\nHost: l\r\n\r\n"
+        let mut poll = |since: u64| {
+            writer
+                .write_all(
+                    format!(
+                        "GET /api/poll?since={since}&timeout_ms=50 HTTP/1.1\r\nHost: l\r\n\r\n"
+                    )
+                    .as_bytes(),
                 )
-                .as_bytes(),
-            )
-            .unwrap();
-        let (status, _, body) = read_blocking_response(&mut reader).unwrap();
-        assert_eq!(status, 200);
-        let value: serde_json::Value = serde_json::from_slice(&body).unwrap();
+                .unwrap();
+            let (status, _, body) = read_blocking_response(&mut reader).unwrap();
+            assert_eq!(status, 200);
+            serde_json::from_slice::<serde_json::Value>(&body).unwrap()
+        };
+        let again = poll(0);
         assert_eq!(
-            value["sequence"],
+            again["sequence"],
             serde_json::json!(1),
-            "frame whose response died with the socket must be re-delivered, got {value:?}"
+            "frame whose response died with the socket must be re-delivered, got {again:?}"
         );
+        // Having decoded frame 1 the client moves on; nothing newer exists.
+        let empty = poll(1);
+        assert!(empty["sequence"].is_null(), "got {empty:?}");
+        assert_eq!(empty["epoch"].as_u64(), Some(hub.epoch()));
         server.shutdown();
     }
 
@@ -554,7 +499,6 @@ mod tests {
             query: HashMap::new(),
             headers: HashMap::new(),
             body: body.to_string().into_bytes(),
-            connection: 0,
         };
         let resp = resolve(route(&hub, &inbox, &metrics, req));
         assert_eq!(resp.status, 200);
@@ -572,7 +516,6 @@ mod tests {
             query: HashMap::new(),
             headers: HashMap::new(),
             body: b"not json".to_vec(),
-            connection: 0,
         };
         assert_eq!(resolve(route(&hub, &inbox, &metrics, bad)).status, 400);
     }

@@ -37,8 +37,7 @@ fn main() {
         front_end.addr()
     );
     println!("  GET  /api/state   — monitored state as JSON");
-    println!("  GET  /api/client  — register a polling client id");
-    println!("  GET  /api/poll    — long-poll for the next frame (mode=delta for tiles)");
+    println!("  GET  /api/poll    — long-poll for the frame after since=N (mode=delta for tiles)");
     println!("  POST /api/steer   — submit steering parameters");
     let hub = front_end.hub();
     let inbox = front_end.inbox();

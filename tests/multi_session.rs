@@ -8,7 +8,7 @@
 //! * no frame (or delta base) from another session ever leaks in — the
 //!   `session` monitor tag, the session colour pixel and the hub epoch
 //!   must all match the polled session,
-//! * no sequence is lost and none is duplicated — cursor-driven pollers
+//! * no sequence is lost and none is duplicated — full-mode pollers
 //!   must see exactly `1..=FRAMES`, delta pollers a strictly increasing
 //!   subsequence whose reconstruction lands on the final image,
 //! * deltas apply only against the exact frame the client holds
@@ -105,19 +105,19 @@ fn audit_identity(session: u64, epoch: u64, value: &serde_json::Value, image: Op
     }
 }
 
-/// Cursor-driven full-mode poller: never sends `since`, relying entirely
-/// on the server-side delivery-acknowledged cursor.  Must receive exactly
-/// `1..=FRAMES`, in order, with no gap and no duplicate.
+/// Explicit-`since` full-mode poller: carries `since = last received`.
+/// Must receive exactly `1..=FRAMES`, in order, with no gap and no
+/// duplicate.
 fn run_full_poller(addr: SocketAddr, session: u64, done: Arc<AtomicBool>) {
     let mut wire = Wire::connect(addr);
-    let reg = wire.get(&format!("/s/{session}/api/client"));
-    let client = reg["client"].as_u64().expect("client id");
-    let epoch = reg["epoch"].as_u64().expect("epoch");
+    let state = wire.get(&format!("/s/{session}/api/state"));
+    let epoch = state["epoch"].as_u64().expect("epoch");
     let mut received: Vec<u64> = Vec::new();
     let mut idle_after_done = 0;
     while received.last() != Some(&FRAMES) {
+        let since = received.last().copied().unwrap_or(0);
         let value = wire.get(&format!(
-            "/s/{session}/api/poll?client={client}&timeout_ms=400"
+            "/s/{session}/api/poll?since={since}&timeout_ms=400"
         ));
         match value["sequence"].as_u64() {
             Some(seq) => {
@@ -142,7 +142,7 @@ fn run_full_poller(addr: SocketAddr, session: u64, done: Arc<AtomicBool>) {
     let expect: Vec<u64> = (1..=FRAMES).collect();
     assert_eq!(
         received, expect,
-        "session {session}: cursor-driven poller must see every sequence exactly once"
+        "session {session}: full-mode poller must see every sequence exactly once"
     );
 }
 
@@ -150,15 +150,14 @@ fn run_full_poller(addr: SocketAddr, session: u64, done: Arc<AtomicBool>) {
 /// deltas, asserting every delta's base is exactly the frame it holds.
 fn run_delta_poller(addr: SocketAddr, session: u64, done: Arc<AtomicBool>) {
     let mut wire = Wire::connect(addr);
-    let reg = wire.get(&format!("/s/{session}/api/client"));
-    let client = reg["client"].as_u64().expect("client id");
-    let epoch = reg["epoch"].as_u64().expect("epoch");
+    let state = wire.get(&format!("/s/{session}/api/state"));
+    let epoch = state["epoch"].as_u64().expect("epoch");
     let mut held: Option<(u64, Image)> = None;
     let mut idle_after_done = 0;
     while held.as_ref().map(|(seq, _)| *seq) != Some(FRAMES) {
         let since = held.as_ref().map(|(seq, _)| *seq).unwrap_or(0);
         let value = wire.get(&format!(
-            "/s/{session}/api/poll?client={client}&mode=delta&since={since}&timeout_ms=400"
+            "/s/{session}/api/poll?mode=delta&since={since}&timeout_ms=400"
         ));
         let Some(seq) = value["sequence"].as_u64() else {
             audit_identity(session, epoch, &value, None);
@@ -207,7 +206,6 @@ fn racing_sessions_never_leak_frames_or_drop_sequences() {
             ..HttpServerConfig::default()
         },
         hub_capacity: 64,
-        ..FrontEndConfig::default()
     };
     let front = MultiFrontEnd::start_with("127.0.0.1:0", config).expect("start server");
     let addr = front.addr();
