@@ -1,48 +1,41 @@
-//! Load-test the Ajax serving layer across its two scheduling backends:
-//! the portable rotation pool and the epoll readiness reactor.
+//! Load-test the Ajax serving layer over real keep-alive sockets.
 //!
-//! Each phase starts a [`FrontEndServer`] on one backend, a publisher
-//! thread pushing synthetic frames (a small blob moving across a static
+//! Each phase starts a [`FrontEndServer`], a publisher thread pushing
+//! synthetic frames (a small blob moving across a static
 //! background, so delta frames are genuinely sparse), N long-polling
 //! clients on keep-alive connections, and a few steering clients POSTing
 //! parameter updates.  The client side is a *multiplexed* epoll load
 //! generator — one thread drives every poller connection as a small state
 //! machine — so poller counts in the thousands do not need thousands of
-//! OS threads (falling back to thread-per-poller where epoll is absent).
+//! OS threads.
 //!
-//! The phase matrix crosses backend × mode at the base poller count, then
-//! holds `mode=delta` and scales to 1 000 connections on both backends
-//! (and 10 000 on readiness in the full run, raising `RLIMIT_NOFILE`
-//! first).  Every delivered frame is audited on the wire: sequences must
-//! never regress or repeat, and a delta's `base_sequence` must equal the
+//! The phase matrix runs both wire modes at the base poller count, then
+//! holds `mode=delta` and scales to 1 000 connections (and 10 000 in the
+//! full run, raising `RLIMIT_NOFILE` first).  Every delivered frame is
+//! audited on the wire: sequences must never regress or repeat, and a
+//! delta's `base_sequence` must equal the
 //! last frame this client applied — composed delta chains and full-frame
 //! resyncs are counted separately.  The report gives requests/s,
 //! delivery-latency percentiles (receive time minus publish time),
 //! bytes on wire per delivered frame (after the RLE pass), and the hub's
 //! encode count per published frame, which must stay independent of the
-//! poller count.  A final table prices the encode-once cache against
-//! re-encoding per client.
+//! poller count.
 //!
 //! Usage:
 //! `cargo run --release -p ricsa-bench --bin webfront_load -- [--quick]
 //!  [--pollers N] [--seconds S] [--workers W] [--json PATH]`
 //!
-//! `--quick` runs the CI scale: the base phases at ≥100 pollers plus both
-//! 1 000-connection phases, ~2.5 s each.  The default base is 300 pollers
-//! for 8 s per phase plus the 10 000-connection readiness phase.  The
+//! `--quick` runs the CI scale: the two base phases at ≥100 pollers plus
+//! the 1 000-connection phase, ~2.5 s each.  The default base is 300
+//! pollers for 8 s per phase plus the 10 000-connection phase.  The
 //! BENCH json goes to `target/webfront_load.json` unless `--json PATH`
 //! overrides it.  The process exits non-zero if the sequence audit finds
 //! a violation.
 
 use epoll::{Interest, Poller};
-use ricsa_bench::{
-    flag_value, serve_pollers_cached, serve_pollers_encoding, synth_web_frame, time_per_call,
-    write_bench_json, ENCODE_CACHE_POLLERS,
-};
+use ricsa_bench::{flag_value, synth_web_frame, write_bench_json};
 use ricsa_webfront::http::{read_blocking_response, HttpServerConfig};
-use ricsa_webfront::hub::SessionHub;
 use ricsa_webfront::server::{FrontEndConfig, FrontEndServer};
-use ricsa_webfront::Backend;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::io::{BufReader, ErrorKind, Read, Write};
@@ -56,7 +49,6 @@ use parking_lot::Mutex;
 /// Everything one phase is configured with.
 #[derive(Clone)]
 struct PhaseConfig {
-    backend: Backend,
     mode: &'static str,
     pollers: usize,
     steerers: usize,
@@ -99,7 +91,6 @@ impl Audit {
 /// Aggregated results of one phase, serialized into the BENCH json.
 #[derive(Debug, Serialize)]
 struct PhaseStats {
-    backend: String,
     mode: String,
     pollers: usize,
     seconds: f64,
@@ -132,44 +123,25 @@ struct PhaseStats {
     server: Option<ricsa_webfront::http::PoolMetricsSnapshot>,
 }
 
-/// One row of the encode-cache pricing table.
-#[derive(Debug, Serialize)]
-struct EncodeTiming {
-    pollers: usize,
-    /// Serving `pollers` clients from the encode-once cache (lookup + Arc
-    /// clone each).
-    cached_us: f64,
-    /// Re-encoding the frame for each of the `pollers` clients.
-    per_client_us: f64,
-}
-
 #[derive(Debug, Serialize)]
 struct BenchJson {
     quick: bool,
     workers: usize,
     /// bytes-per-delivery(full) / bytes-per-delivery(delta) at the base
-    /// scale on the readiness backend.
+    /// scale.
     wire_reduction: f64,
-    pool_delta_p99_at_base_ms: f64,
-    pool_delta_p99_at_1k_ms: f64,
     readiness_delta_p99_at_base_ms: f64,
     readiness_delta_p99_at_1k_ms: f64,
-    /// Readiness delta p99 at the 1k scale is within
-    /// [`FLAT_P99_FACTOR`] of its p99 at the base scale
-    /// ([`p99_stays_flat`]).
+    /// Delta p99 at the 1k scale is within [`FLAT_P99_FACTOR`] of its p99
+    /// at the base scale ([`p99_stays_flat`]).
     readiness_p99_flat: bool,
-    /// Readiness beats the rotation pool at the 1k scale: its p99 does
-    /// not exceed the pool's at the same connection count.
-    readiness_le_pool_p99_at_1k: bool,
-    /// Encodes per published frame at 1k vs the base poller count on the
-    /// readiness backend — staying within 3x means encoding is
-    /// O(publishes), not O(pollers).
+    /// Encodes per published frame at 1k vs the base poller count —
+    /// staying within 3x means encoding is O(publishes), not O(pollers).
     encode_independent: bool,
     phases: Vec<PhaseStats>,
-    encode_cache: Vec<EncodeTiming>,
 }
 
-/// What one load generator (mux loop or fallback thread) accumulated.
+/// What the load generator accumulated.
 #[derive(Debug, Default)]
 struct GenResult {
     polls: u64,
@@ -180,22 +152,6 @@ struct GenResult {
     latencies_us: Vec<u64>,
     disconnects: u64,
     audit: Audit,
-}
-
-impl GenResult {
-    fn merge(&mut self, other: GenResult) {
-        self.polls += other.polls;
-        self.frames += other.frames;
-        self.delta_frames += other.delta_frames;
-        self.wire_bytes += other.wire_bytes;
-        self.latencies_us.extend(other.latencies_us);
-        self.disconnects += other.disconnects;
-        self.audit.duplicates += other.audit.duplicates;
-        self.audit.delta_base_mismatches += other.audit.delta_base_mismatches;
-        self.audit.full_mode_gaps += other.audit.full_mode_gaps;
-        self.audit.resyncs += other.audit.resyncs;
-        self.audit.chained_deliveries += other.audit.chained_deliveries;
-    }
 }
 
 /// Pull `"field":<u64>` out of a JSON body without a full parse — the load
@@ -479,60 +435,6 @@ fn arm(poller: &Poller, conn: &mut MuxConn, key: u64) {
     }
 }
 
-/// Thread-per-poller fallback for platforms without epoll: one blocking
-/// keep-alive connection per thread, same audit as the mux generator.
-fn poller_thread(
-    addr: SocketAddr,
-    mode: &'static str,
-    since0: u64,
-    stop: Arc<AtomicBool>,
-    publish_times: Arc<Mutex<HashMap<u64, Instant>>>,
-) -> GenResult {
-    let mut result = GenResult::default();
-    let Ok(stream) = TcpStream::connect(addr) else {
-        result.disconnects += 1;
-        return result;
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        result.disconnects += 1;
-        return result;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut since = since0;
-    let mut last_delivered = since0;
-
-    while !stop.load(Ordering::Relaxed) {
-        let request = format!(
-            "GET /api/poll?since={since}&timeout_ms=1000&mode={mode} HTTP/1.1\r\nHost: l\r\n\r\n"
-        );
-        if writer.write_all(request.as_bytes()).is_err() {
-            break;
-        }
-        let Ok((status, wire, body)) = read_blocking_response(&mut reader) else {
-            break;
-        };
-        let received = Instant::now();
-        result.polls += 1;
-        result.wire_bytes += wire;
-        if status != 200 {
-            continue;
-        }
-        let body = String::from_utf8_lossy(&body);
-        if let Some(seq) = audit_delivery(&body, mode, &mut last_delivered, &mut result) {
-            if let Some(published) = publish_times.lock().get(&seq) {
-                result
-                    .latencies_us
-                    .push(received.duration_since(*published).as_micros() as u64);
-            }
-            since = seq;
-        }
-    }
-    result
-}
-
 fn steerer_thread(addr: SocketAddr, stop: Arc<AtomicBool>) -> u64 {
     let mut sent = 0;
     let Ok(stream) = TcpStream::connect(addr) else {
@@ -563,13 +465,6 @@ fn steerer_thread(addr: SocketAddr, stop: Arc<AtomicBool>) -> u64 {
     sent
 }
 
-fn backend_name(backend: Backend) -> &'static str {
-    match backend {
-        Backend::Pool => "pool",
-        Backend::Readiness => "readiness",
-    }
-}
-
 fn run_phase(config: &PhaseConfig) -> PhaseStats {
     let server = FrontEndServer::start_with(
         "127.0.0.1:0",
@@ -577,7 +472,6 @@ fn run_phase(config: &PhaseConfig) -> PhaseStats {
             http: HttpServerConfig {
                 workers: config.workers,
                 max_connections: config.pollers + config.steerers + 64,
-                backend: config.backend,
                 ..HttpServerConfig::default()
             },
             hub_capacity: 64,
@@ -598,25 +492,7 @@ fn run_phase(config: &PhaseConfig) -> PhaseStats {
         let publish_times = publish_times.clone();
         let (mode, count) = (config.mode, config.pollers);
         std::thread::spawn(move || {
-            if epoll::is_supported() {
-                run_mux_generator(addr, mode, count, since0, stop, publish_times, ready_tx)
-            } else {
-                let _ = ready_tx.send(());
-                let threads: Vec<_> = (0..count)
-                    .map(|_| {
-                        let stop = stop.clone();
-                        let publish_times = publish_times.clone();
-                        std::thread::spawn(move || {
-                            poller_thread(addr, mode, since0, stop, publish_times)
-                        })
-                    })
-                    .collect();
-                let mut merged = GenResult::default();
-                for handle in threads {
-                    merged.merge(handle.join().unwrap());
-                }
-                merged
-            }
+            run_mux_generator(addr, mode, count, since0, stop, publish_times, ready_tx)
         })
     };
     let steerers: Vec<_> = (0..config.steerers)
@@ -657,8 +533,8 @@ fn run_phase(config: &PhaseConfig) -> PhaseStats {
 
     std::thread::sleep(Duration::from_secs_f64(config.seconds));
     // Sample the server's own backpressure metrics while the load is
-    // still attached — queue depth, parked connections, and rotation
-    // latency at full load are the overload early-warning signals.
+    // still attached — queue depth, parked connections, and run-queue
+    // wait at full load are the overload early-warning signals.
     let server_stats = fetch_server_stats(addr);
     stop.store(true, Ordering::Relaxed);
     let frames_published = publisher.join().unwrap();
@@ -670,7 +546,6 @@ fn run_phase(config: &PhaseConfig) -> PhaseStats {
     let mut latencies = result.latencies_us;
     latencies.sort_unstable();
     PhaseStats {
-        backend: backend_name(config.backend).to_string(),
         mode: config.mode.to_string(),
         pollers: config.pollers,
         seconds: config.seconds,
@@ -714,34 +589,9 @@ fn fetch_server_stats(addr: SocketAddr) -> Option<ricsa_webfront::http::PoolMetr
     serde_json::from_slice(&body).ok()
 }
 
-/// Price the encode-once cache against per-client re-encoding for a range
-/// of poller counts: the cached column should stay within the cost of
-/// `pollers` lookups, independent of the encode cost.
-fn encode_cache_timings(width: usize, height: usize) -> Vec<EncodeTiming> {
-    let mut rows = Vec::new();
-    let frame = synth_web_frame(3, width, height);
-    for &pollers in ENCODE_CACHE_POLLERS {
-        let hub = SessionHub::new(4);
-        hub.publish(frame.clone());
-        let cached_us =
-            time_per_call(5, || serve_pollers_cached(&hub, pollers)).as_secs_f64() * 1e6;
-        let mut numbered = frame.clone();
-        numbered.sequence = 1;
-        let per_client_us =
-            time_per_call(5, || serve_pollers_encoding(&numbered, pollers)).as_secs_f64() * 1e6;
-        rows.push(EncodeTiming {
-            pollers,
-            cached_us,
-            per_client_us,
-        });
-    }
-    rows
-}
-
 fn print_phase(stats: &PhaseStats) {
     println!(
-        "{:>10}{:>6}{:>8}{:>10}{:>10}{:>9}{:>9}{:>9.0}{:>9.2}{:>9.2}{:>9.2}",
-        stats.backend,
+        "{:>6}{:>8}{:>10}{:>10}{:>9}{:>9}{:>9.0}{:>9.2}{:>9.2}{:>9.2}",
         stats.mode,
         stats.pollers,
         stats.poll_requests,
@@ -768,7 +618,7 @@ fn print_phase(stats: &PhaseStats) {
     if let Some(s) = &stats.server {
         println!(
             "       server@load: {} conns, run-queue {}, {} pending long-polls, \
-             {} parked, rotation mean {:.0} µs (max {} µs), visit mean {:.0} µs (max {} µs)",
+             {} parked, queue wait mean {:.0} µs (max {} µs), visit mean {:.0} µs (max {} µs)",
             s.active_connections,
             s.queue_depth,
             s.pending_responses,
@@ -781,22 +631,13 @@ fn print_phase(stats: &PhaseStats) {
     }
 }
 
-/// `phases` lookup by (backend, mode, pollers); panics if the phase was
-/// not run (programming error in the matrix below).
-fn find<'a>(phases: &'a [PhaseStats], backend: &str, mode: &str, pollers: usize) -> &'a PhaseStats {
+/// `phases` lookup by (mode, pollers); panics if the phase was not run
+/// (programming error in the matrix below).
+fn find<'a>(phases: &'a [PhaseStats], mode: &str, pollers: usize) -> &'a PhaseStats {
     phases
         .iter()
-        .find(|p| p.backend == backend && p.mode == mode && p.pollers == pollers)
+        .find(|p| p.mode == mode && p.pollers == pollers)
         .expect("phase present in the matrix")
-}
-
-/// NaN-safe "no deliveries means unboundedly late" for comparisons.
-fn or_inf(v: f64) -> f64 {
-    if v.is_nan() {
-        f64::INFINITY
-    } else {
-        v
-    }
 }
 
 /// How far a p99 may grow from the base scale to 1k connections and
@@ -826,7 +667,7 @@ fn main() {
     let (width, height) = if quick { (128, 128) } else { (192, 192) };
     let kilo = 1000usize;
     let ten_k = 10_000usize;
-    let run_ten_k = !quick && epoll::is_supported();
+    let run_ten_k = !quick;
 
     // Client and server sockets live in this one process: two descriptors
     // per poller plus headroom.
@@ -841,7 +682,6 @@ fn main() {
     }
 
     let base = PhaseConfig {
-        backend: Backend::Pool,
         mode: "full",
         pollers: base_pollers,
         steerers: 4,
@@ -851,10 +691,10 @@ fn main() {
         height,
         workers,
     };
-    // The matrix: backend × mode at the base scale, then delta mode scaled
-    // to 1k connections on both backends (and 10k on readiness in the full
-    // run).  Publishing slows as connections grow so a phase measures
-    // steady-state delivery, not an ever-deepening backlog.
+    // The matrix: both modes at the base scale, then delta mode scaled to
+    // 1k connections (and 10k in the full run).  Publishing slows as
+    // connections grow so a phase measures steady-state delivery, not an
+    // ever-deepening backlog.
     let mut matrix = vec![
         base.clone(),
         PhaseConfig {
@@ -862,22 +702,6 @@ fn main() {
             ..base.clone()
         },
         PhaseConfig {
-            backend: Backend::Readiness,
-            ..base.clone()
-        },
-        PhaseConfig {
-            backend: Backend::Readiness,
-            mode: "delta",
-            ..base.clone()
-        },
-        PhaseConfig {
-            mode: "delta",
-            pollers: kilo,
-            publish_interval: Duration::from_millis(150),
-            ..base.clone()
-        },
-        PhaseConfig {
-            backend: Backend::Readiness,
             mode: "delta",
             pollers: kilo,
             publish_interval: Duration::from_millis(150),
@@ -886,7 +710,6 @@ fn main() {
     ];
     if run_ten_k {
         matrix.push(PhaseConfig {
-            backend: Backend::Readiness,
             mode: "delta",
             pollers: ten_k,
             publish_interval: Duration::from_millis(500),
@@ -895,13 +718,12 @@ fn main() {
     }
 
     eprintln!(
-        "webfront load: backends {{pool, readiness}}, base {base_pollers} pollers \
+        "webfront load: base {base_pollers} pollers \
          + {} steerers, {workers} workers, {width}x{height} frames, {seconds} s per phase...",
         base.steerers
     );
     println!(
-        "{:>10}{:>6}{:>8}{:>10}{:>10}{:>9}{:>9}{:>9}{:>9}{:>9}{:>9}",
-        "backend",
+        "{:>6}{:>8}{:>10}{:>10}{:>9}{:>9}{:>9}{:>9}{:>9}{:>9}",
         "mode",
         "pollers",
         "polls",
@@ -920,8 +742,8 @@ fn main() {
         phases.push(stats);
     }
 
-    let full_base = find(&phases, "readiness", "full", base_pollers);
-    let delta_base = find(&phases, "readiness", "delta", base_pollers);
+    let full_base = find(&phases, "full", base_pollers);
+    let delta_base = find(&phases, "delta", base_pollers);
     let wire_reduction = full_base.bytes_per_delivery / delta_base.bytes_per_delivery;
     println!(
         "bytes on wire per delivered frame: full {:.0} vs delta {:.0}  \
@@ -929,31 +751,15 @@ fn main() {
         full_base.bytes_per_delivery, delta_base.bytes_per_delivery
     );
 
-    let pool_base = find(&phases, "pool", "delta", base_pollers);
-    let pool_1k = find(&phases, "pool", "delta", kilo);
-    let ready_1k = find(&phases, "readiness", "delta", kilo);
-    let readiness_p99_flat = p99_stays_flat(delta_base.p99_ms, ready_1k.p99_ms);
-    let readiness_le_pool_p99_at_1k = or_inf(ready_1k.p99_ms) <= or_inf(pool_1k.p99_ms);
+    let delta_1k = find(&phases, "delta", kilo);
+    let readiness_p99_flat = p99_stays_flat(delta_base.p99_ms, delta_1k.p99_ms);
     let encode_independent =
-        ready_1k.encodes_per_frame <= 3.0 * delta_base.encodes_per_frame.max(1.0);
+        delta_1k.encodes_per_frame <= 3.0 * delta_base.encodes_per_frame.max(1.0);
     println!(
-        "delta p99 @{base_pollers}: pool {:.2} ms vs readiness {:.2} ms; \
-         @{kilo}: pool {:.2} ms vs readiness {:.2} ms (readiness {} the pool @{kilo})",
-        pool_base.p99_ms,
-        delta_base.p99_ms,
-        pool_1k.p99_ms,
-        ready_1k.p99_ms,
-        if readiness_le_pool_p99_at_1k {
-            "at or below"
-        } else {
-            "ABOVE"
-        }
-    );
-    println!(
-        "readiness delta p99 {base_pollers} -> {kilo} pollers: {:.2} ms -> {:.2} ms \
+        "delta p99 {base_pollers} -> {kilo} pollers: {:.2} ms -> {:.2} ms \
          ({}: flat means within {FLAT_P99_FACTOR}x)",
         delta_base.p99_ms,
-        ready_1k.p99_ms,
+        delta_1k.p99_ms,
         if readiness_p99_flat {
             "stays flat"
         } else {
@@ -964,40 +770,20 @@ fn main() {
         "encodes per published frame: {:.2} @{base_pollers} pollers vs {:.2} @{kilo} \
          ({}dependent of poller count)",
         delta_base.encodes_per_frame,
-        ready_1k.encodes_per_frame,
+        delta_1k.encodes_per_frame,
         if encode_independent { "in" } else { "NOT in" }
     );
-
-    eprintln!("pricing the encode-once cache against per-client encoding...");
-    let encode_cache = encode_cache_timings(width, height);
-    println!(
-        "{:>9}{:>15}{:>17}{:>9}",
-        "pollers", "cached (µs)", "per-client (µs)", "ratio"
-    );
-    for row in &encode_cache {
-        println!(
-            "{:>9}{:>15.1}{:>17.1}{:>9.1}",
-            row.pollers,
-            row.cached_us,
-            row.per_client_us,
-            row.per_client_us / row.cached_us.max(1e-9)
-        );
-    }
 
     let total_violations: u64 = phases.iter().map(|p| p.audit.violations()).sum();
     let bench = BenchJson {
         quick,
         workers,
         wire_reduction,
-        pool_delta_p99_at_base_ms: pool_base.p99_ms,
-        pool_delta_p99_at_1k_ms: pool_1k.p99_ms,
         readiness_delta_p99_at_base_ms: delta_base.p99_ms,
-        readiness_delta_p99_at_1k_ms: ready_1k.p99_ms,
+        readiness_delta_p99_at_1k_ms: delta_1k.p99_ms,
         readiness_p99_flat,
-        readiness_le_pool_p99_at_1k,
         encode_independent,
         phases,
-        encode_cache,
     };
     write_bench_json(&json_path, &bench);
     if total_violations > 0 {

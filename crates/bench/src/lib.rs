@@ -12,7 +12,7 @@
 use ricsa_core::experiment::ExperimentOptions;
 use ricsa_netsim::time::SimTime;
 use ricsa_viz::image::Image;
-use ricsa_webfront::hub::{encode_frame_full, Frame, PollMode, SessionHub};
+use ricsa_webfront::hub::Frame;
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -60,34 +60,6 @@ pub fn synth_web_frame(step: u64, width: usize, height: usize) -> Frame {
         image: img.encode_raw(),
         monitors: vec![("step".into(), step as f64)],
     }
-}
-
-/// Poller counts priced by `webfront_load`'s encode-cache comparison.
-pub const ENCODE_CACHE_POLLERS: &[usize] = &[1, 16, 128];
-
-/// The cached side of the encode-cache comparison: serve `pollers` clients
-/// from the hub's encode-once cache (a lookup plus an `Arc` clone each).
-pub fn serve_pollers_cached(hub: &SessionHub, pollers: usize) {
-    for _ in 0..pollers {
-        black_box(hub.try_payload(0, PollMode::Full));
-    }
-}
-
-/// The per-client side of the comparison: re-encode the frame once per
-/// client instead of hitting the cache.
-pub fn serve_pollers_encoding(frame: &Frame, pollers: usize) {
-    for _ in 0..pollers {
-        black_box(encode_frame_full(frame, 1));
-    }
-}
-
-/// Render a labelled series (the paper's bar charts) as aligned text rows.
-pub fn format_series(title: &str, rows: &[(String, f64)]) -> String {
-    let mut out = format!("{title}\n");
-    for (label, value) in rows {
-        out.push_str(&format!("  {label:<56}{value:>12.3}\n"));
-    }
-    out
 }
 
 /// Median wall-clock time of one call to `routine` over `sample_size`
@@ -181,12 +153,5 @@ mod tests {
         assert_eq!(full.size_scale, 1.0);
         assert!(quick.size_scale < 0.05);
         assert_eq!(full.iterations, quick.iterations);
-    }
-
-    #[test]
-    fn series_formatting_includes_labels_and_values() {
-        let s = format_series("t", &[("a".into(), 1.0), ("b".into(), 2.5)]);
-        assert!(s.contains("a"));
-        assert!(s.contains("2.500"));
     }
 }

@@ -10,9 +10,9 @@
 //!   (pipelining-safe: unconsumed bytes simply stay buffered), and writes
 //!   the responses in order.
 //! * **Deferred responses.**  A handler returns an [`Outcome`]: either a
-//!   ready [`HttpResponse`] or a `Pending` closure the pool re-polls on
+//!   ready [`HttpResponse`] or a `Pending` closure a worker re-polls on
 //!   every visit until it produces a response.  This is how `/api/poll`
-//!   long-polls hundreds of clients without blocking a worker per client.
+//!   long-polls thousands of clients without blocking a worker per client.
 //! * **Connection limits.**  Beyond [`HttpServerConfig::max_connections`]
 //!   the acceptor answers `503 Service Unavailable` and closes, so overload
 //!   degrades crisply instead of exhausting file descriptors.
@@ -20,12 +20,14 @@
 //!   lets workers flush any response that is already computable, closes the
 //!   remaining connections, and joins every thread.
 //!
-//! Scheduling granularity: an idle connection is revisited roughly every
-//! [`POLL_INTERVAL`]; that bounds both the long-poll wake-up latency and
-//! the CPU burned on idle connections (each worker naps between
-//! unproductive visits instead of spinning).
+//! Scheduling: a visit that moved no bytes and dispatched no request
+//! parks the connection in the [`crate::readiness`] reactor, out of the
+//! run queue.  It is visited again when its socket becomes ready, when the
+//! publish doorbell ([`Waker`]) rings, or when its deadline passes (the
+//! keep-alive timeout if idle, `PENDING_RECHECK` for a deferred response),
+//! so serving costs grow with activity, not with open connections.
 
-use crate::readiness::{Backend, Reactor, Waker};
+use crate::readiness::{Reactor, Waker};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -34,12 +36,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often an idle or pending connection is revisited by the pool.  This
-/// bounds long-poll wake-up latency from below; it is deliberately a couple
-/// of milliseconds — far below a frame interval — so delivery latency is
-/// dominated by the publisher, not the scheduler.
-pub const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Maximum accepted header-block size; a connection exceeding it is cut
 /// off with `400 Bad Request`.
@@ -432,10 +428,10 @@ pub enum Outcome {
     /// The response is ready now.
     Ready(HttpResponse),
     /// The response is not computable yet (a long-poll waiting for the next
-    /// frame).  The pool re-invokes the closure on every scheduling visit —
-    /// roughly every [`POLL_INTERVAL`] — until it returns `Some`; the
-    /// closure owns its own deadline and returns its timeout response when
-    /// that passes.  No worker thread blocks while the closure waits.
+    /// frame).  A worker re-invokes the closure on every visit — on a publish
+    /// ring, on socket readiness and at least every `PENDING_RECHECK`
+    /// (50 ms) — until it returns `Some`; the closure owns its deadline and
+    /// returns its timeout response then.  No worker blocks while it waits.
     Pending(Box<dyn FnMut() -> Option<HttpResponse> + Send>),
 }
 
@@ -458,11 +454,6 @@ pub struct HttpServerConfig {
     /// Keep-alive idle timeout: a connection with no request in flight and
     /// no bytes arriving for this long is closed.
     pub keep_alive: Duration,
-    /// How unproductive connections wait: rotated through the pool
-    /// ([`Backend::Pool`], the portable default) or parked in the kernel
-    /// until ready ([`Backend::Readiness`]; falls back to the pool at
-    /// runtime where epoll is unavailable).
-    pub backend: Backend,
 }
 
 impl Default for HttpServerConfig {
@@ -471,7 +462,6 @@ impl Default for HttpServerConfig {
             workers: 8,
             max_connections: 1024,
             keep_alive: Duration::from_secs(30),
-            backend: Backend::Pool,
         }
     }
 }
@@ -518,9 +508,9 @@ pub(crate) struct Conn {
     pub(crate) saw_eof: bool,
     /// Last time bytes arrived or response bytes were flushed.
     pub(crate) last_activity: Instant,
-    /// Earliest next visit worth making (idle connections rotate at
-    /// [`POLL_INTERVAL`]).
-    pub(crate) next_check: Instant,
+    /// When the connection last entered the run queue (accepted, requeued
+    /// after a productive visit, or unparked by the reactor).
+    pub(crate) queued_at: Instant,
 }
 
 impl Conn {
@@ -573,9 +563,11 @@ fn try_flush(conn: &mut Conn) -> Option<bool> {
 }
 
 /// Live backpressure metrics of the worker pool, exported so overload is
-/// observable *before* the 503 connection limit trips (ROADMAP item; the
-/// front end serves them on `/api/stats`).  All counters are relaxed
-/// atomics — they are monitoring signals, not synchronization.
+/// observable *before* the 503 connection limit trips (the front end
+/// serves them on `/api/stats`).  All counters are relaxed atomics — they
+/// are monitoring signals, not synchronization.  "Rotation" is run-queue
+/// wait: the time from a connection entering the run queue to a worker
+/// popping it.
 #[derive(Debug, Default)]
 pub struct PoolMetrics {
     /// Connections currently open (gauge).
@@ -584,8 +576,7 @@ pub struct PoolMetrics {
     queue_depth: AtomicUsize,
     /// Deferred responses (long-polls) currently parked (gauge).
     pending_responses: AtomicUsize,
-    /// Connections parked in the readiness reactor (gauge; zero on the
-    /// rotation-pool backend).
+    /// Connections parked in the readiness reactor (gauge).
     parked: AtomicUsize,
     /// Requests served since start.
     served_total: AtomicU64,
@@ -595,10 +586,10 @@ pub struct PoolMetrics {
     visit_us_total: AtomicU64,
     /// Worst single visit, microseconds.
     visit_us_max: AtomicU64,
-    /// Total microseconds connections waited past their due time before a
-    /// worker reached them (rotation latency).
+    /// Total microseconds connections waited in the run queue before a
+    /// worker popped them.
     rotation_us_total: AtomicU64,
-    /// Worst rotation latency, microseconds.
+    /// Worst run-queue wait, microseconds.
     rotation_us_max: AtomicU64,
 }
 
@@ -612,8 +603,7 @@ pub struct PoolMetricsSnapshot {
     pub queue_depth: usize,
     /// Long-polls currently parked as deferred responses.
     pub pending_responses: usize,
-    /// Connections parked in the readiness reactor (zero on the
-    /// rotation-pool backend).
+    /// Connections parked in the readiness reactor.
     pub parked_connections: usize,
     /// Requests served since start.
     pub requests_served: u64,
@@ -623,10 +613,10 @@ pub struct PoolMetricsSnapshot {
     pub mean_visit_us: f64,
     /// Worst per-visit service time, microseconds.
     pub max_visit_us: u64,
-    /// Mean worker rotation latency (lateness past a connection's due
-    /// time), microseconds.
+    /// Mean run-queue wait (from entering the queue to a worker popping
+    /// the connection), microseconds.
     pub mean_rotation_us: f64,
-    /// Worst rotation latency, microseconds.
+    /// Worst run-queue wait, microseconds.
     pub max_rotation_us: u64,
 }
 
@@ -658,7 +648,7 @@ impl PoolMetrics {
         }
     }
 
-    /// Update the parked-connections gauge (readiness reactor only).
+    /// Update the parked-connections gauge.
     pub(crate) fn set_parked(&self, parked: usize) {
         self.parked.store(parked, Ordering::Relaxed);
     }
@@ -672,7 +662,8 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn push(&self, conn: Conn) {
+    fn push(&self, mut conn: Conn) {
+        conn.queued_at = Instant::now();
         let mut queue = self.queue.lock();
         queue.push_back(conn);
         self.metrics
@@ -684,7 +675,8 @@ impl Shared {
 
     /// Requeue a batch of connections the reactor woke together (one lock
     /// acquisition, one broadcast — a publish wakes thousands of parked
-    /// long-polls at once).
+    /// long-polls at once).  The reactor stamped `queued_at` as it
+    /// unparked them.
     pub(crate) fn push_batch(&self, conns: Vec<Conn>) {
         if conns.is_empty() {
             return;
@@ -701,6 +693,22 @@ impl Shared {
         } else {
             self.cvar.notify_all();
         }
+    }
+
+    /// Close one connection at shutdown: queue its pending response if it
+    /// is ready right now, flush what the socket accepts, then drop it.
+    /// Clients mid-long-poll see EOF and re-poll.
+    fn drain(&self, mut conn: Conn) {
+        if let Some(mut pending) = conn.pending.take() {
+            self.metrics
+                .pending_responses
+                .fetch_sub(1, Ordering::Relaxed);
+            if let Some(resp) = pending() {
+                conn.queue_response(&resp, false);
+            }
+        }
+        let _ = try_flush(&mut conn);
+        self.metrics.active.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Pop without waiting (shutdown drain).
@@ -732,9 +740,7 @@ pub struct HttpServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
-    /// Present iff the readiness backend is active (requested *and*
-    /// supported); `None` means the rotation pool is doing the waiting.
-    reactor: Option<Arc<Reactor>>,
+    reactor: Arc<Reactor>,
 }
 
 impl HttpServer {
@@ -748,7 +754,9 @@ impl HttpServer {
     }
 
     /// Bind to `addr` and serve with an explicit configuration: one
-    /// acceptor thread plus `config.workers` pool workers.
+    /// acceptor thread, one reactor thread and `config.workers` pool
+    /// workers.  Fails with [`ErrorKind::Unsupported`] where the platform
+    /// has no epoll (anywhere but Linux).
     pub fn start_with<F>(
         addr: &str,
         config: HttpServerConfig,
@@ -784,14 +792,8 @@ impl HttpServer {
         let handler: Arc<Handler> = Arc::new(handler);
         let mut threads = Vec::with_capacity(config.workers + 2);
 
-        // The readiness backend degrades to the pool at runtime (not
-        // compile time) when epoll is unavailable, so the same binary
-        // works everywhere.
-        let reactor = match config.backend {
-            Backend::Pool => None,
-            Backend::Readiness => Reactor::new(config.keep_alive, shared.metrics.clone()).ok(),
-        };
-        if let Some(reactor) = &reactor {
+        let reactor = Reactor::new(config.keep_alive, shared.metrics.clone())?;
+        {
             let reactor = reactor.clone();
             let shared = shared.clone();
             threads.push(std::thread::spawn(move || reactor.run(&shared)));
@@ -839,12 +841,10 @@ impl HttpServer {
         self.shared.metrics.clone()
     }
 
-    /// The publish doorbell, when the readiness backend is active: ring it
-    /// whenever new data could resolve parked long-polls (the hub rings it
-    /// on every frame publish).  `None` on the rotation pool, whose 2 ms
-    /// revisits need no doorbell.
-    pub fn waker(&self) -> Option<Waker> {
-        self.reactor.as_ref().map(|r| r.waker())
+    /// The publish doorbell: ring it whenever new data could resolve
+    /// parked long-polls (the hub rings it on every frame publish).
+    pub fn waker(&self) -> Waker {
+        self.reactor.waker()
     }
 
     /// Gracefully stop the server: no new connections are accepted, workers
@@ -858,9 +858,7 @@ impl HttpServer {
         self.shared.stop.store(true, Ordering::Relaxed);
         // Wake the reactor out of epoll_wait so it hands its parked
         // connections back for draining before it exits.
-        if let Some(reactor) = &self.reactor {
-            reactor.waker().ring();
-        }
+        self.reactor.waker().ring();
         self.shared.cvar.notify_all();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
@@ -868,14 +866,8 @@ impl HttpServer {
         // Connections the reactor requeued after the last worker already
         // exited (stop + momentarily-empty queue) are drained here so a
         // computable response still reaches the wire.
-        while let Some(mut conn) = self.shared.try_pop() {
-            if let Some(mut pending) = conn.pending.take() {
-                if let Some(resp) = pending() {
-                    conn.queue_response(&resp, false);
-                }
-            }
-            let _ = try_flush(&mut conn);
-            self.shared.metrics.active.fetch_sub(1, Ordering::Relaxed);
+        while let Some(conn) = self.shared.try_pop() {
+            self.shared.drain(conn);
         }
     }
 }
@@ -928,13 +920,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_connections: usiz
                     pending_keep_alive: true,
                     saw_eof: false,
                     last_activity: now,
-                    next_check: now,
+                    queued_at: now,
                 });
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+            // Nothing to accept, or a transient failure (`ECONNABORTED`,
+            // `EMFILE` while descriptors are exhausted): back off and
+            // retry.  Only the stop flag ends the acceptor.
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
@@ -943,66 +935,28 @@ fn worker_loop(
     shared: Arc<Shared>,
     handler: Arc<Handler>,
     config: HttpServerConfig,
-    reactor: Option<Arc<Reactor>>,
+    reactor: Arc<Reactor>,
 ) {
-    // Not-yet-due connections skipped since the last productive visit (or
-    // nap).  Napping only after a full rotation's worth of skips keeps the
-    // wake-up latency at ~POLL_INTERVAL regardless of connection count —
-    // a due connection is reached by fast pop/requeue cycles, not behind a
-    // 1ms sleep per queued connection — while still idling the CPU when
-    // nothing is due anywhere.
-    let mut skipped: usize = 0;
     loop {
         let stopping = shared.stop.load(Ordering::Relaxed);
-        let Some(mut conn) = shared.pop() else {
+        let Some(conn) = shared.pop() else {
             return; // stop signalled and queue drained
         };
         if stopping {
-            // Drain mode: queue a pending response if it is ready right
-            // now, flush what the socket accepts, then close.  Clients
-            // mid-long-poll see EOF and re-poll.
-            if conn.pending.is_some() {
-                shared
-                    .metrics
-                    .pending_responses
-                    .fetch_sub(1, Ordering::Relaxed);
-            }
-            if let Some(mut pending) = conn.pending.take() {
-                if let Some(resp) = pending() {
-                    conn.queue_response(&resp, false);
-                }
-            }
-            let _ = try_flush(&mut conn);
-            shared.metrics.active.fetch_sub(1, Ordering::Relaxed);
+            shared.drain(conn);
             continue;
         }
-        let now = Instant::now();
-        if conn.next_check > now {
-            let nap = (conn.next_check - now).min(Duration::from_millis(1));
-            shared.push(conn);
-            skipped += 1;
-            // This worker's share of a full rotation was all not-due:
-            // everything is waiting, so sleep instead of spinning.
-            let share =
-                (shared.metrics.active.load(Ordering::Relaxed) / config.workers.max(1)).max(1);
-            if skipped > share {
-                skipped = 0;
-                std::thread::sleep(nap);
-            }
-            continue;
-        }
-        skipped = 0;
-        // Rotation latency: how far past its due time this connection sat
-        // before a worker reached it — the long-poll wake-up latency the
-        // pool actually delivers, which degrades before the 503 limit.
-        let rotation_us = now.saturating_duration_since(conn.next_check).as_micros() as u64;
         let had_pending = conn.pending.is_some();
         // Snapshot the publish generation *before* the visit: if the hub
         // publishes between the handler's check and the park below,
         // try_park sees a newer generation and refuses (see the
         // readiness module docs for the full race argument).
-        let gen_at_visit = reactor.as_ref().map_or(0, |r| r.publish_gen());
+        let gen_at_visit = reactor.publish_gen();
         let visit_started = Instant::now();
+        // Run-queue wait: how long this connection sat queued before a
+        // worker reached it — the long-poll wake-up latency the pool
+        // actually delivers, which degrades before the 503 limit.
+        let rotation_us = visit_started.duration_since(conn.queued_at).as_micros() as u64;
         let mut progressed = false;
         let outcome = service(conn, handler.as_ref(), &config, &shared, &mut progressed);
         let visit_us = visit_started.elapsed().as_micros() as u64;
@@ -1029,21 +983,15 @@ fn worker_loop(
             _ => {}
         }
         match outcome {
+            Some(conn) if progressed => shared.push(conn),
             Some(conn) => {
-                // Readiness backend: a visit that made no progress means
-                // this connection is waiting on its socket, on a publish,
-                // or on a timeout — all of which the reactor can watch
-                // without the pool revisiting the connection every 2 ms.
-                match &reactor {
-                    Some(reactor) if !progressed => {
-                        if let Err(mut refused) = reactor.try_park(conn, gen_at_visit) {
-                            // A publish raced the visit (or registration
-                            // failed): re-check immediately.
-                            refused.next_check = Instant::now();
-                            shared.push(refused);
-                        }
-                    }
-                    _ => shared.push(conn),
+                // A visit that made no progress means this connection is
+                // waiting on its socket, on a publish, or on a timeout —
+                // all of which the reactor watches without a worker.
+                if let Err(refused) = reactor.try_park(conn, gen_at_visit) {
+                    // A publish raced the visit (or registration failed):
+                    // re-check immediately.
+                    shared.push(refused);
                 }
             }
             None => {
@@ -1060,8 +1008,8 @@ fn worker_loop(
 /// deferred to later visits when the socket (or the data) is not ready.
 /// Returns the connection to requeue, or `None` when it is closed.
 /// `made_progress` reports whether the visit accomplished anything (bytes
-/// moved or a request dispatched) — the readiness backend parks
-/// connections whose visit reports `false`.
+/// moved or a request dispatched) — the worker parks a connection whose
+/// visit reports `false`.
 fn service(
     mut conn: Conn,
     handler: &Handler,
@@ -1203,17 +1151,13 @@ fn service(
     }
 
     *made_progress = progressed;
-    conn.next_check = if progressed {
-        Instant::now()
-    } else {
-        Instant::now() + POLL_INTERVAL
-    };
     Some(conn)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::readiness::PENDING_RECHECK;
     use std::io::BufReader;
 
     fn parse_ok(raw: &[u8]) -> HttpRequest {
@@ -1373,6 +1317,9 @@ mod tests {
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
         for i in 0..5 {
+            // Idle gaps: the connection parks between requests and must
+            // wake on arriving bytes.
+            std::thread::sleep(Duration::from_millis(30));
             writer
                 .write_all(format!("GET /req{i} HTTP/1.1\r\nHost: l\r\n\r\n").as_bytes())
                 .unwrap();
@@ -1603,82 +1550,41 @@ mod tests {
         server.shutdown();
     }
 
+    /// The server's metrics once a connection is parked (or after 5 s).
+    fn wait_for_parked(server: &HttpServer) -> PoolMetricsSnapshot {
+        let metrics = server.metrics();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while metrics.snapshot().parked_connections == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        metrics.snapshot()
+    }
+
     #[test]
-    fn graceful_shutdown_joins_all_threads() {
+    fn a_default_server_parks_idle_connections() {
         let server = HttpServer::start("127.0.0.1:0", |_| {
             HttpResponse::ok("text/plain", "x").into()
         })
         .unwrap();
-        let addr = server.addr();
-        // A connection parked in a long keep-alive must not wedge shutdown.
-        let _idle = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        server.shutdown(); // joins; the test passes iff this returns
-    }
-
-    /// Config for the readiness backend; tests using it return early on
-    /// platforms without epoll (where the server would silently fall back
-    /// to the pool and the assertions below about parking would not hold).
-    fn readiness_config() -> HttpServerConfig {
-        HttpServerConfig {
-            backend: Backend::Readiness,
-            ..HttpServerConfig::default()
-        }
-    }
-
-    #[test]
-    fn readiness_backend_serves_keep_alive_and_pipelining() {
-        if !epoll::is_supported() {
-            return;
-        }
-        let server = HttpServer::start_with("127.0.0.1:0", readiness_config(), |req| {
-            HttpResponse::ok("text/plain", req.path).into()
-        })
-        .unwrap();
-        assert!(server.waker().is_some(), "readiness backend must be active");
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        // Sequential keep-alive requests with idle gaps (the connection
-        // parks between them and must wake on arriving bytes)...
-        for i in 0..3 {
-            std::thread::sleep(Duration::from_millis(30));
-            writer
-                .write_all(format!("GET /seq{i} HTTP/1.1\r\nHost: l\r\n\r\n").as_bytes())
-                .unwrap();
-            let (status, body) = read_response(&mut reader);
-            assert_eq!(status, 200);
-            assert_eq!(body, format!("/seq{i}").as_bytes());
-        }
-        // ... then a pipelined burst, answered in order.
-        writer
-            .write_all(
-                b"GET /one HTTP/1.1\r\n\r\nGET /two HTTP/1.1\r\n\r\nGET /three HTTP/1.1\r\n\r\n",
-            )
-            .unwrap();
-        for expect in ["/one", "/two", "/three"] {
-            let (status, body) = read_response(&mut reader);
-            assert_eq!(status, 200);
-            assert_eq!(body, expect.as_bytes());
-        }
+        let _idle = TcpStream::connect(server.addr()).unwrap();
+        let snapshot = wait_for_parked(&server);
+        assert!(
+            snapshot.parked_connections >= 1,
+            "an idle connection must wait in the reactor"
+        );
+        assert_eq!(snapshot.queue_depth, 0, "and not in the run queue");
         server.shutdown();
     }
 
     #[test]
     fn readiness_parks_long_polls_and_wakes_them_on_the_doorbell() {
-        if !epoll::is_supported() {
-            return;
-        }
         // The scheduling claim under test: a parked long-poll's closure is
         // re-polled on the reactor's PENDING_RECHECK cadence (~20/s), not
-        // the pool's 2 ms rotation (~500/s).
+        // by a worker spinning on it.
         let closure_polls = Arc::new(AtomicU64::new(0));
         let released = Arc::new(AtomicBool::new(false));
         let (polls2, released2) = (closure_polls.clone(), released.clone());
-        let server = HttpServer::start_with("127.0.0.1:0", readiness_config(), move |_| {
+        let server = HttpServer::start("127.0.0.1:0", move |_| {
             let (polls, released) = (polls2.clone(), released2.clone());
             Outcome::Pending(Box::new(move || {
                 polls.fetch_add(1, Ordering::Relaxed);
@@ -1688,7 +1594,7 @@ mod tests {
             }))
         })
         .unwrap();
-        let waker = server.waker().expect("readiness backend active");
+        let waker = server.waker();
         let stream = TcpStream::connect(server.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -1699,24 +1605,18 @@ mod tests {
 
         // While the long-poll waits, the connection must show up in the
         // parked gauge ...
-        let metrics = server.metrics();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while metrics.snapshot().parked_connections == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
         assert!(
-            metrics.snapshot().parked_connections >= 1,
+            wait_for_parked(&server).parked_connections >= 1,
             "long-poll must park in the reactor"
         );
-        // ... and accumulate closure polls at the parked cadence.  300 ms
-        // is ~6 rechecks parked vs ~150 pool rotations; 40 leaves slack
-        // for scheduler noise in either direction.
+        // ... and accumulate closure polls at the parked cadence: 300 ms
+        // is ~6 rechecks; 40 leaves slack for scheduler noise.
         std::thread::sleep(Duration::from_millis(300));
         let polled = closure_polls.load(Ordering::Relaxed);
         assert!(
             polled < 40,
             "parked long-poll was re-polled {polled} times in 300 ms — \
-             that is rotation-pool cadence, not parking"
+             PENDING_RECHECK ({PENDING_RECHECK:?}) allows about 6"
         );
 
         // The doorbell resolves it.
@@ -1730,12 +1630,9 @@ mod tests {
 
     #[test]
     fn readiness_parked_idle_connections_time_out() {
-        if !epoll::is_supported() {
-            return;
-        }
         let config = HttpServerConfig {
             keep_alive: Duration::from_millis(100),
-            ..readiness_config()
+            ..HttpServerConfig::default()
         };
         let server = HttpServer::start_with("127.0.0.1:0", config, |_| {
             HttpResponse::ok("text/plain", "x").into()
@@ -1761,10 +1658,7 @@ mod tests {
 
     #[test]
     fn readiness_graceful_shutdown_with_parked_connections() {
-        if !epoll::is_supported() {
-            return;
-        }
-        let server = HttpServer::start_with("127.0.0.1:0", readiness_config(), |_| {
+        let server = HttpServer::start("127.0.0.1:0", |_| {
             let deadline = Instant::now() + Duration::from_secs(30);
             Outcome::Pending(Box::new(move || {
                 (Instant::now() >= deadline).then(|| HttpResponse::ok("text/plain", "t"))

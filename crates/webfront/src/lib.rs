@@ -8,7 +8,8 @@
 //!
 //! * [`http`] — an HTTP/1.1 server on a fixed worker thread pool with
 //!   keep-alive connections, pipelining-safe parsing, connection limits,
-//!   deferred (non-blocking) long-poll responses, and graceful shutdown,
+//!   deferred (non-blocking) long-poll responses, and graceful shutdown;
+//!   [`readiness`] is its connection scheduler, an epoll reactor,
 //! * [`hub`] — the session hub: frames published by the visualization side
 //!   are base64/JSON-encoded exactly once into shared `Arc<str>` payloads
 //!   (plus a changed-tile *delta* payload), long-polled by any number of
@@ -40,5 +41,5 @@ pub mod server;
 pub use http::{HttpRequest, HttpResponse, HttpServer, HttpServerConfig, Outcome};
 pub use hub::{Frame, FramePayload, PollMode, SessionHub, SteeringInbox};
 pub use multi::{MultiFrontEnd, SessionEndpoints};
-pub use readiness::{Backend, Waker};
+pub use readiness::Waker;
 pub use server::{FrontEndConfig, FrontEndServer};

@@ -2,8 +2,8 @@
 //!
 //! Production scale means many concurrent *sessions* — each user steering
 //! their own pipeline — served from one front end.  [`MultiFrontEnd`]
-//! owns a single [`HttpServer`] (thread pool or readiness reactor, same
-//! as [`crate::server::FrontEndServer`]) and a live registry of session
+//! owns a single [`HttpServer`] (the same one as
+//! [`crate::server::FrontEndServer`]) and a live registry of session
 //! endpoints.  Every session-scoped route of the single-session front end
 //! is available under a `/s/<id>/` prefix:
 //!
@@ -27,7 +27,6 @@
 
 use crate::http::{HttpRequest, HttpResponse, HttpServer, Outcome, PoolMetrics};
 use crate::hub::{SessionHub, SteeringInbox};
-use crate::readiness::Waker;
 use crate::server::{route, FrontEndConfig};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -66,7 +65,6 @@ fn write(registry: &RwLock<Sessions>) -> RwLockWriteGuard<'_, Sessions> {
 pub struct MultiFrontEnd {
     http: HttpServer,
     registry: Registry,
-    waker: Option<Waker>,
     /// Frames retained by every session hub subsequently added.
     hub_capacity: usize,
 }
@@ -87,11 +85,9 @@ impl MultiFrontEnd {
         let http = HttpServer::start_with_metrics(addr, config.http, metrics, move |req| {
             route_session(&route_registry, &route_metrics, req)
         })?;
-        let waker = http.waker();
         Ok(MultiFrontEnd {
             http,
             registry,
-            waker,
             hub_capacity: config.hub_capacity,
         })
     }
@@ -106,10 +102,8 @@ impl MultiFrontEnd {
             return existing.clone();
         }
         let hub = SessionHub::new(self.hub_capacity);
-        if let Some(waker) = &self.waker {
-            let waker = waker.clone();
-            hub.add_wake_hook(move || waker.ring());
-        }
+        let waker = self.http.waker();
+        hub.add_wake_hook(move || waker.ring());
         let endpoints = SessionEndpoints {
             hub,
             inbox: SteeringInbox::new(),

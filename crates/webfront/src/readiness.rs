@@ -1,14 +1,11 @@
-//! Readiness-driven connection scheduling: park idle and long-polling
-//! connections in the kernel instead of rotating them through the worker
-//! pool.
+//! Readiness-driven connection scheduling: idle and long-polling
+//! connections wait in the kernel, not in the worker pool's run queue.
 //!
-//! The rotation pool (the [`Backend::Pool`] path in [`crate::http`])
-//! revisits every live connection roughly every
-//! [`crate::http::POLL_INTERVAL`].  That is simple and portable, but the
-//! cost is linear in *connections*, not in *activity*: ten thousand idle
-//! long-pollers burn ten thousand visits per 2 ms tick to discover that
-//! nothing changed.  This module adds the classic readiness design on top
-//! of the same worker pool:
+//! Revisiting every live connection on a timer costs work linear in
+//! *connections*, not in *activity*: ten thousand idle long-pollers would
+//! burn ten thousand visits per tick to discover that nothing changed.
+//! The server's one connection scheduler is the classic readiness design
+//! instead:
 //!
 //! * A `Reactor` owns an epoll instance (via the `epoll` shim).  When a
 //!   worker visit makes no progress on a connection, the worker *parks* it
@@ -30,10 +27,11 @@
 //!   finds the connection already in the registry and wakes it.  The hub
 //!   stores the frame before ringing, so whichever side wins sees it.
 //!
-//! Route handlers are untouched: the [`crate::http::Outcome::Pending`]
-//! contract was designed so the scheduler underneath could change.  On
-//! platforms without epoll ([`Backend::auto`] probes at runtime) the
-//! server keeps the rotation pool, bit-for-bit unchanged.
+//! Route handlers see none of this: a [`crate::http::Outcome::Pending`]
+//! closure is re-polled on a publish ring, on socket readiness and at
+//! least every `PENDING_RECHECK`.  epoll is Linux-only; elsewhere
+//! `Reactor::new` — and with it every `start*` of the serving layer —
+//! returns `ErrorKind::Unsupported`.
 
 use crate::http::{Conn, PoolMetrics, Shared};
 use epoll::{EventFd, Interest, Poller};
@@ -44,32 +42,6 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How the HTTP server schedules its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The portable rotation pool: every live connection is revisited
-    /// roughly every [`crate::http::POLL_INTERVAL`].  Cost grows with the
-    /// connection count even when all of them are idle.
-    Pool,
-    /// Kernel readiness (epoll): unproductive connections are parked until
-    /// the kernel reports their socket ready, their deadline passes, or
-    /// the hub's [`Waker`] rings.  Cost grows with *activity*.  Falls back
-    /// to [`Backend::Pool`] at runtime where epoll is unavailable.
-    Readiness,
-}
-
-impl Backend {
-    /// [`Backend::Readiness`] where the platform supports it (Linux),
-    /// [`Backend::Pool`] elsewhere.
-    pub fn auto() -> Backend {
-        if epoll::is_supported() {
-            Backend::Readiness
-        } else {
-            Backend::Pool
-        }
-    }
-}
 
 /// A publish doorbell: ringing it wakes every parked long-poll so the pool
 /// re-checks their deferred responses.  Cheap (`Clone` is an `Arc` clone,
@@ -97,9 +69,9 @@ const MAX_WAIT: Duration = Duration::from_millis(100);
 /// Park deadline for a connection holding a deferred (long-poll) response:
 /// even with no publish and no socket activity, the pending closure is
 /// re-polled at least this often, which bounds how late its own timeout
-/// response can be.  Far above the pool's 2 ms rotation — that is the
-/// point: a parked long-poll costs ~20 closure polls per second instead of
-/// ~500, and publishes still wake it in microseconds via the [`Waker`].
+/// response can be.  Deliberately coarse: a parked long-poll costs ~20
+/// closure polls per second, and a publish still wakes it in microseconds
+/// via the [`Waker`].
 pub(crate) const PENDING_RECHECK: Duration = Duration::from_millis(50);
 
 /// Slack added to the keep-alive deadline of parked idle connections, so
@@ -154,8 +126,8 @@ fn raw_fd(stream: &TcpStream) -> epoll::RawFd {
 }
 
 impl Reactor {
-    /// Create the reactor, or fail where epoll is unsupported (the caller
-    /// falls back to the rotation pool).
+    /// Create the reactor, or fail with `ErrorKind::Unsupported` where
+    /// there is no epoll.
     pub(crate) fn new(
         keep_alive: Duration,
         metrics: Arc<PoolMetrics>,
@@ -239,12 +211,12 @@ impl Reactor {
     }
 
     /// Remove one parked connection (deleting its epoll registration) and
-    /// mark it due immediately.  Caller holds the registry lock.
+    /// stamp it as queued at `now`.  Caller holds the registry lock.
     fn unpark(&self, registry: &mut Registry, key: u64, now: Instant, out: &mut Vec<Conn>) {
         if let Some(parked) = registry.parked.remove(&key) {
             let mut conn = parked.conn;
             let _ = self.poller.delete(raw_fd(&conn.stream));
-            conn.next_check = now;
+            conn.queued_at = now;
             out.push(conn);
         }
     }
@@ -322,9 +294,7 @@ impl Reactor {
             }
             self.metrics.set_parked(registry.parked.len());
             drop(registry);
-            if !woken.is_empty() {
-                shared.push_batch(woken);
-            }
+            shared.push_batch(woken);
         }
     }
 }

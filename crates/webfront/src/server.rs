@@ -17,7 +17,7 @@
 //!   [`Outcome::Pending`] the pool re-polls,
 //! * `GET /api/frame` — the latest frame immediately (or 404),
 //! * `GET /api/stats` — server-side backpressure metrics (run-queue depth,
-//!   worker rotation latency, per-visit service time, parked long-polls),
+//!   run-queue wait, per-visit service time, parked connections),
 //!   so overload is observable *before* the 503 connection limit trips,
 //! * `POST /api/steer` — submit steering parameters as JSON.
 //!
@@ -27,7 +27,6 @@
 use crate::http::{HttpRequest, HttpResponse, HttpServer, HttpServerConfig, Outcome, PoolMetrics};
 use crate::hub::{PollMode, SessionHub, SteeringInbox};
 use crate::page::INDEX_HTML;
-use crate::readiness::Backend;
 use ricsa_hydro::steering::SteerableParams;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -45,13 +44,7 @@ pub struct FrontEndConfig {
 impl Default for FrontEndConfig {
     fn default() -> Self {
         FrontEndConfig {
-            // The front end defaults to the readiness backend where the
-            // platform has it: long-polls park in the kernel and the hub's
-            // wake hook rings them awake on publish.
-            http: HttpServerConfig {
-                backend: Backend::auto(),
-                ..HttpServerConfig::default()
-            },
+            http: HttpServerConfig::default(),
             hub_capacity: 32,
         }
     }
@@ -85,13 +78,12 @@ impl FrontEndServer {
         let http = HttpServer::start_with_metrics(addr, config.http, metrics, move |req| {
             route(&route_hub, &route_inbox, &route_metrics, req)
         })?;
-        // Readiness backend: ring the reactor doorbell on every publish so
-        // parked long-polls wake the moment their frame exists.  The hub
-        // runs hooks only after the new frame is readable, so a woken
-        // worker always finds it.
-        if let Some(waker) = http.waker() {
-            hub.add_wake_hook(move || waker.ring());
-        }
+        // Ring the reactor doorbell on every publish so parked long-polls
+        // wake the moment their frame exists.  The hub runs hooks only
+        // after the new frame is readable, so a woken worker always finds
+        // it.
+        let waker = http.waker();
+        hub.add_wake_hook(move || waker.ring());
         Ok(FrontEndServer { http, hub, inbox })
     }
 

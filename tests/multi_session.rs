@@ -1,6 +1,6 @@
 //! Wire-level multi-session isolation audit.
 //!
-//! N session hubs behind ONE readiness-backed HTTP server, with racing
+//! N session hubs behind ONE HTTP server, with racing
 //! publishers and pollers over real sockets.  Every session publishes
 //! frames colour-stamped with its own id; every poller audits, per
 //! received payload, that
@@ -18,7 +18,7 @@
 use ricsa_viz::image::Image;
 use ricsa_webfront::http::read_blocking_response;
 use ricsa_webfront::hub::{apply_delta, delta_from_json, image_from_json};
-use ricsa_webfront::{Backend, Frame, FrontEndConfig, HttpServerConfig, MultiFrontEnd};
+use ricsa_webfront::{Frame, FrontEndConfig, MultiFrontEnd};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -201,11 +201,8 @@ fn run_delta_poller(addr: SocketAddr, session: u64, done: Arc<AtomicBool>) {
 #[test]
 fn racing_sessions_never_leak_frames_or_drop_sequences() {
     let config = FrontEndConfig {
-        http: HttpServerConfig {
-            backend: Backend::Readiness,
-            ..HttpServerConfig::default()
-        },
         hub_capacity: 64,
+        ..FrontEndConfig::default()
     };
     let front = MultiFrontEnd::start_with("127.0.0.1:0", config).expect("start server");
     let addr = front.addr();

@@ -106,10 +106,9 @@ fn readme_serving_layer_section_matches_the_code() {
 }
 
 /// The readiness-core claims in the serving-layer section must hold
-/// against the crate surface: `Backend::auto()` picks kernel readiness
-/// where epoll exists, the RLE wire codec is lossless, and a client 2-8
-/// frames behind is served one composed delta chain that applies exactly
-/// to the frame it retains.
+/// against the crate surface: the RLE wire codec is lossless, and a
+/// client 2-8 frames behind is served one composed delta chain that
+/// applies exactly to the frame it retains.
 #[test]
 fn readme_readiness_section_matches_the_code() {
     let text = readme();
@@ -120,7 +119,7 @@ fn readme_readiness_section_matches_the_code() {
         "composed delta chains",
         "RLE",
         "audited on the wire",
-        "Backend::auto()",
+        "Linux (epoll)",
         "arc_swap",
     ] {
         assert!(
@@ -132,18 +131,6 @@ fn readme_readiness_section_matches_the_code() {
     use ricsa::webfront::hub::{
         apply_delta, delta_from_json, image_from_json, Frame, PollMode, SessionHub,
     };
-    use ricsa::webfront::Backend;
-    // Auto-selection: kernel readiness wherever epoll exists (CI runs on
-    // Linux); the portable pool everywhere else.
-    if cfg!(target_os = "linux") {
-        assert_eq!(
-            Backend::auto(),
-            Backend::Readiness,
-            "Backend::auto() promise"
-        );
-    } else {
-        assert_eq!(Backend::auto(), Backend::Pool, "portable fallback promise");
-    }
     let hub = SessionHub::default();
     let publish = |img: &Image, cycle: u64| {
         hub.publish(Frame {
