@@ -1,22 +1,29 @@
-//! The session hub: frames out, steering commands in — encoded exactly once.
+//! The session hub: frames out, steering commands in — encoded at most once.
 //!
 //! The hub is the piece that makes the front end both "Ajax" and scalable:
 //!
-//! * **Publish → encode once.**  When the visualization side publishes a
-//!   frame, the hub base64/JSON-encodes it *once* into a shared `Arc<str>`
-//!   payload ([`FramePayload`]).  Every poller — one browser or a thousand —
-//!   receives a clone of the same `Arc`; per-client cost is a lookup plus a
-//!   reference-count bump, never a re-encode.  [`SessionHub::encode_count`]
-//!   certifies this (it grows with publishes, not with pollers).
-//! * **Delta frames.**  Alongside the full payload, publish computes the
-//!   changed-tile difference to the *previous* frame ([`diff_images`]) and
-//!   caches a delta payload.  A poller that is exactly one frame behind and
-//!   asks for [`PollMode::Delta`] receives only the tiles that changed —
-//!   the paper's "partial screen updates" carried through to the wire.  The
-//!   delta is kept only when it is smaller than the full payload, and any
-//!   poller further behind (or a resized frame) silently falls back to the
-//!   full frame, so delta mode is never worse and always exact:
-//!   [`apply_delta`] reconstructs the full frame bit-for-bit.
+//! * **Publish → diff; encode once, on first demand.**  Publishing a frame
+//!   costs what needs its predecessor — decoding the image and cutting the
+//!   tile difference — and no encoding.  The first poller that asks for an
+//!   encoding (full, or delta) base64/JSON-encodes it *once* into a shared
+//!   `Arc<str>` payload ([`FramePayload`]); every later poller — one
+//!   browser or a thousand — receives a clone of the same `Arc`, and an
+//!   encoding nobody polls is never made (the embedded page polls delta
+//!   only, so its frames never pay for a full payload).  Per-client cost is
+//!   a lookup plus a reference-count bump, never a re-encode.
+//!   [`SessionHub::encode_count`] certifies this (it grows with publishes,
+//!   not with pollers).  The writers put the pixel body straight into the
+//!   payload text, so an encode costs what its bytes cost.
+//! * **Delta frames.**  Publish computes the changed-tile difference to
+//!   the *previous* frame ([`diff_images`]).  A poller that is exactly one
+//!   frame behind and asks for [`PollMode::Delta`] receives only the tiles
+//!   that changed — the paper's "partial screen updates" carried through
+//!   to the wire.  The delta is kept only when it is at least 10% smaller
+//!   than the full payload (whose length is computed, not encoded, for the
+//!   comparison), and any poller further behind (or a resized frame)
+//!   silently falls back to the full frame, so delta mode is never worse
+//!   and always exact: [`apply_delta`] reconstructs the full frame
+//!   bit-for-bit.
 //! * **Delta chains.**  A poller `k` frames behind (2 ≤ `k` ≤
 //!   [`MAX_DELTA_CHAIN`]) receives the *composition* of the cached per-step
 //!   deltas — the union of changed tiles with the newest version of each
@@ -28,7 +35,7 @@
 //! * **Lock-free reads, one publish critical section.**  The published
 //!   frame ring lives behind an atomic-pointer snapshot (the `arc_swap`
 //!   shim): pollers read payloads with zero locks.  A publish holds the
-//!   publisher lock from sequence assignment through encode to the ring
+//!   publisher lock from sequence assignment through the diff to the ring
 //!   swap — each hub has one publisher (one pipeline per session), so
 //!   nothing waits on it, and publishers that do race simply serialise:
 //!   every frame lands whole, in order, with its delta.
@@ -54,7 +61,7 @@ use ricsa_viz::image::Image;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Tile edge length (pixels) used for delta frames.
@@ -105,67 +112,102 @@ pub struct FramePayload {
 
 // ---------------------------------------------------------------- base64
 
+const BASE64_ALPHABET: &[u8; 64] =
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Marks a byte outside the alphabet in [`BASE64_VALUES`] (`=` included).
+const NOT_BASE64: u8 = 0xFF;
+
+/// Byte → sextet, the inverse of [`BASE64_ALPHABET`].
+const BASE64_VALUES: [u8; 256] = {
+    let mut table = [NOT_BASE64; 256];
+    let mut sextet = 0;
+    while sextet < 64 {
+        table[BASE64_ALPHABET[sextet] as usize] = sextet as u8;
+        sextet += 1;
+    }
+    table
+};
+
+/// Length of the padded base64 text of `bytes` bytes.
+fn base64_len(bytes: usize) -> usize {
+    bytes.div_ceil(3) * 4
+}
+
+/// Append the base64 text of `data` to `out`.
+fn base64_extend(out: &mut Vec<u8>, data: &[u8]) {
+    let sextet = |n: u32, shift: u32| BASE64_ALPHABET[(n >> shift) as usize & 63];
+    let start = out.len();
+    out.resize(start + base64_len(data.len()), b'=');
+    let mut groups = data.chunks_exact(3);
+    let mut quanta = out[start..].chunks_exact_mut(4);
+    for (group, quantum) in (&mut groups).zip(&mut quanta) {
+        let n = (group[0] as u32) << 16 | (group[1] as u32) << 8 | group[2] as u32;
+        quantum.copy_from_slice(&[sextet(n, 18), sextet(n, 12), sextet(n, 6), sextet(n, 0)]);
+    }
+    // One or two bytes left over fill two or three characters of a last
+    // quantum; what they do not fill stays `=`.
+    if let Some(quantum) = quanta.next() {
+        let rest = groups.remainder();
+        let n = (rest[0] as u32) << 16 | (rest.get(1).copied().unwrap_or(0) as u32) << 8;
+        quantum[0] = sextet(n, 18);
+        quantum[1] = sextet(n, 12);
+        if rest.len() == 2 {
+            quantum[2] = sextet(n, 6);
+        }
+    }
+}
+
 /// Base64 encoding (standard alphabet, with padding) for frame payloads.
 pub fn base64_encode(data: &[u8]) -> String {
-    const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
-        let b = [
-            chunk[0],
-            *chunk.get(1).unwrap_or(&0),
-            *chunk.get(2).unwrap_or(&0),
-        ];
-        let n = ((b[0] as u32) << 16) | ((b[1] as u32) << 8) | b[2] as u32;
-        out.push(ALPHABET[(n >> 18) as usize & 63] as char);
-        out.push(ALPHABET[(n >> 12) as usize & 63] as char);
-        out.push(if chunk.len() > 1 {
-            ALPHABET[(n >> 6) as usize & 63] as char
-        } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 {
-            ALPHABET[n as usize & 63] as char
-        } else {
-            '='
-        });
-    }
-    out
+    let mut out = Vec::with_capacity(base64_len(data.len()));
+    base64_extend(&mut out, data);
+    String::from_utf8(out).expect("base64 text is ASCII")
 }
 
 /// Decode standard base64 (the inverse of [`base64_encode`]); `None` on
-/// any non-alphabet byte or truncated quantum.
+/// any non-alphabet byte, truncated quantum, or `=` anywhere but as the
+/// last one or two characters of the text.
 pub fn base64_decode(s: &str) -> Option<Vec<u8>> {
-    fn value(c: u8) -> Option<u32> {
-        match c {
-            b'A'..=b'Z' => Some((c - b'A') as u32),
-            b'a'..=b'z' => Some((c - b'a' + 26) as u32),
-            b'0'..=b'9' => Some((c - b'0' + 52) as u32),
-            b'+' => Some(62),
-            b'/' => Some(63),
-            _ => None,
-        }
-    }
     let bytes = s.as_bytes();
     if !bytes.len().is_multiple_of(4) {
         return None;
     }
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    for chunk in bytes.chunks(4) {
-        let pad = chunk.iter().filter(|&&c| c == b'=').count();
-        if pad > 2 || chunk[..4 - pad].contains(&b'=') {
+    let pad = bytes
+        .iter()
+        .rev()
+        .take(2)
+        .take_while(|&&c| c == b'=')
+        .count();
+    let (whole, padded) = bytes.split_at(bytes.len() - if pad > 0 { 4 } else { 0 });
+    let mut out = vec![0u8; whole.len() / 4 * 3];
+    for (quantum, group) in whole.chunks_exact(4).zip(out.chunks_exact_mut(3)) {
+        let v = [
+            BASE64_VALUES[quantum[0] as usize],
+            BASE64_VALUES[quantum[1] as usize],
+            BASE64_VALUES[quantum[2] as usize],
+            BASE64_VALUES[quantum[3] as usize],
+        ];
+        // A sextet is below 64, so the marker's high bits survive the OR.
+        if v[0] | v[1] | v[2] | v[3] == NOT_BASE64 {
             return None;
         }
+        let n = (v[0] as u32) << 18 | (v[1] as u32) << 12 | (v[2] as u32) << 6 | v[3] as u32;
+        group.copy_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
+    }
+    if pad > 0 {
         let mut n: u32 = 0;
-        for &c in &chunk[..4 - pad] {
-            n = (n << 6) | value(c)?;
+        for &c in &padded[..4 - pad] {
+            let v = BASE64_VALUES[c as usize];
+            if v == NOT_BASE64 {
+                return None;
+            }
+            n = (n << 6) | v as u32;
         }
         n <<= 6 * pad as u32;
         out.push((n >> 16) as u8);
-        if pad < 2 {
+        if pad == 1 {
             out.push((n >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(n as u8);
         }
     }
     Some(out)
@@ -300,44 +342,100 @@ pub fn delta_from_json(value: &serde_json::Value) -> Option<(u64, FrameDelta)> {
 }
 
 // -------------------------------------------------------------- encoding
+//
+// The writers below put a payload's JSON text straight into one pre-sized
+// buffer: the pixel body goes from (RLE-packed) bytes to base64 text in
+// place and never enters a `serde_json::Value` tree, whose `Display` would
+// escape-scan it back out.  Small fields still go through `Value`, so
+// numbers and monitor names are formatted and escaped by the one rule.
+// Members are written in alphabetical key order, the order the tree's
+// `BTreeMap` gives; the tests keep the tree-building encoders as the
+// reference and assert byte identity.
 
-fn frame_header_json(frame: &Frame, epoch: u64) -> serde_json::Value {
-    serde_json::json!({
-        "sequence": frame.sequence,
-        "cycle": frame.cycle,
-        "time": frame.time,
-        "monitors": frame.monitors,
-        "epoch": epoch,
-    })
+fn put(out: &mut Vec<u8>, text: &str) {
+    out.extend_from_slice(text.as_bytes());
+}
+
+fn put_value(out: &mut Vec<u8>, value: &impl Serialize) {
+    put(out, &serde_json::to_value(value).to_string());
+}
+
+fn into_json(out: Vec<u8>) -> String {
+    String::from_utf8(out).expect("JSON text and base64 are UTF-8")
+}
+
+/// `data` as it ships: run-length packed when that shrinks it.
+fn pack(data: &[u8]) -> Option<Vec<u8>> {
+    Some(rle::compress(data)).filter(|packed| packed.len() < data.len())
+}
+
+/// Write a full-frame payload around `image`, the bytes to ship (packed
+/// when `rle`).  With an empty `image` this is the envelope alone.
+fn write_full(out: &mut Vec<u8>, frame: &Frame, epoch: u64, rle: bool, image: &[u8]) {
+    put(out, "{");
+    if rle {
+        put(out, "\"codec\":\"rle\",");
+    }
+    put(out, "\"cycle\":");
+    put_value(out, &frame.cycle);
+    put(out, ",\"epoch\":");
+    put_value(out, &epoch);
+    put(out, ",\"image_base64\":\"");
+    base64_extend(out, image);
+    put(out, "\",\"mode\":\"full\",\"monitors\":");
+    put_value(out, &frame.monitors);
+    put(out, ",\"sequence\":");
+    put_value(out, &frame.sequence);
+    put(out, ",\"time\":");
+    put_value(out, &frame.time);
+    put(out, "}");
+}
+
+/// Room for a payload's members other than pixel bodies and monitors.
+const ENVELOPE_ROOM: usize = 256;
+
+/// Room for one tile's members other than its pixel body.
+const TILE_ROOM: usize = 64;
+
+/// Size of the monitors member, for pre-sizing (names are seldom escaped).
+fn monitors_room(frame: &Frame) -> usize {
+    frame.monitors.iter().map(|(name, _)| name.len() + 32).sum()
 }
 
 /// JSON-encode a complete frame (mode `full`) stamped with the hub's
-/// `epoch`.  This is the work the encode cache performs exactly once per
-/// publish; the benchmark's `hub.encode_full_ms` calls it directly to
-/// price the per-client-encode alternative.
+/// `epoch`.  This is the work the encode cache performs once per frame,
+/// for the first poller that wants the full payload; the benchmark's
+/// `hub.encode_full_ms` calls it directly to price the
+/// per-client-encode alternative.
 ///
 /// The image bytes are run-length compressed before base64 whenever that
 /// shrinks them, signalled by `"codec":"rle"`; incompressible frames ship
 /// raw with no `codec` field, so compression is never a regression.
 pub fn encode_frame_full(frame: &Frame, epoch: u64) -> String {
-    let mut value = frame_header_json(frame, epoch);
-    if let serde_json::Value::Object(map) = &mut value {
-        map.insert("mode".into(), serde_json::json!("full"));
-        let packed = rle::compress(&frame.image);
-        if packed.len() < frame.image.len() {
-            map.insert("codec".into(), serde_json::json!("rle"));
-            map.insert(
-                "image_base64".into(),
-                serde_json::json!(base64_encode(&packed)),
-            );
-        } else {
-            map.insert(
-                "image_base64".into(),
-                serde_json::json!(base64_encode(&frame.image)),
-            );
-        }
-    }
-    value.to_string()
+    let packed = pack(&frame.image);
+    let image = packed.as_deref().unwrap_or(&frame.image);
+    let mut out =
+        Vec::with_capacity(base64_len(image.len()) + monitors_room(frame) + ENVELOPE_ROOM);
+    write_full(&mut out, frame, epoch, packed.is_some(), image);
+    into_json(out)
+}
+
+/// The length of [`encode_frame_full`]'s output, computed without
+/// producing it: the envelope around an empty body plus the base64 length
+/// of the bytes that would ship.  The profitability rule weighs a delta
+/// against this, so a frame polled only in delta mode never pays for its
+/// full payload.
+fn full_payload_len(frame: &Frame, epoch: u64) -> usize {
+    let packed_len = rle::compress(&frame.image).len();
+    let mut envelope = Vec::with_capacity(monitors_room(frame) + ENVELOPE_ROOM);
+    write_full(
+        &mut envelope,
+        frame,
+        epoch,
+        packed_len < frame.image.len(),
+        &[],
+    );
+    envelope.len() + base64_len(packed_len.min(frame.image.len()))
 }
 
 /// Recover the raw image bytes (RICSAIMG framing) carried by a full-frame
@@ -367,54 +465,83 @@ pub fn encode_frame_delta(
     base_sequence: u64,
     delta: &FrameDelta,
 ) -> String {
-    let tiles: Vec<serde_json::Value> = delta
-        .tiles
+    let tiles: Vec<&TilePatch> = delta.tiles.iter().collect();
+    write_delta(frame, epoch, base_sequence, delta, &tiles)
+}
+
+/// [`encode_frame_delta`] over borrowed tiles: `grid` gives the geometry
+/// (its own tiles are ignored), `tiles` the patches to ship, so a composed
+/// chain copies each tile's pixels once, into the output.
+fn write_delta(
+    frame: &Frame,
+    epoch: u64,
+    base_sequence: u64,
+    grid: &FrameDelta,
+    tiles: &[&TilePatch],
+) -> String {
+    let bodies: usize = tiles
         .iter()
-        .map(|t| {
-            let packed = rle::compress(&t.data);
-            if packed.len() < t.data.len() {
-                serde_json::json!({
-                    "x": t.x,
-                    "y": t.y,
-                    "w": t.w,
-                    "h": t.h,
-                    "rle": true,
-                    "data_base64": base64_encode(&packed),
-                })
-            } else {
-                serde_json::json!({
-                    "x": t.x,
-                    "y": t.y,
-                    "w": t.w,
-                    "h": t.h,
-                    "data_base64": base64_encode(&t.data),
-                })
-            }
-        })
-        .collect();
-    let mut value = frame_header_json(frame, epoch);
-    if let serde_json::Value::Object(map) = &mut value {
-        map.insert("mode".into(), serde_json::json!("delta"));
-        map.insert("base_sequence".into(), serde_json::json!(base_sequence));
-        map.insert("width".into(), serde_json::json!(delta.width));
-        map.insert("height".into(), serde_json::json!(delta.height));
-        map.insert("tile".into(), serde_json::json!(delta.tile));
-        map.insert("tiles".into(), serde_json::Value::Array(tiles));
+        .map(|t| base64_len(t.data.len()) + TILE_ROOM)
+        .sum();
+    let mut buffer = Vec::with_capacity(bodies + monitors_room(frame) + ENVELOPE_ROOM);
+    let out = &mut buffer;
+    put(out, "{\"base_sequence\":");
+    put_value(out, &base_sequence);
+    put(out, ",\"cycle\":");
+    put_value(out, &frame.cycle);
+    put(out, ",\"epoch\":");
+    put_value(out, &epoch);
+    put(out, ",\"height\":");
+    put_value(out, &grid.height);
+    put(out, ",\"mode\":\"delta\",\"monitors\":");
+    put_value(out, &frame.monitors);
+    put(out, ",\"sequence\":");
+    put_value(out, &frame.sequence);
+    put(out, ",\"tile\":");
+    put_value(out, &grid.tile);
+    put(out, ",\"tiles\":[");
+    for (i, tile) in tiles.iter().enumerate() {
+        let packed = pack(&tile.data);
+        put(out, if i > 0 { ",{" } else { "{" });
+        put(out, "\"data_base64\":\"");
+        base64_extend(out, packed.as_deref().unwrap_or(&tile.data));
+        put(out, "\",\"h\":");
+        put_value(out, &tile.h);
+        if packed.is_some() {
+            put(out, ",\"rle\":true");
+        }
+        put(out, ",\"w\":");
+        put_value(out, &tile.w);
+        put(out, ",\"x\":");
+        put_value(out, &tile.x);
+        put(out, ",\"y\":");
+        put_value(out, &tile.y);
+        put(out, "}");
     }
-    value.to_string()
+    put(out, "],\"time\":");
+    put_value(out, &frame.time);
+    put(out, ",\"width\":");
+    put_value(out, &grid.width);
+    put(out, "}");
+    into_json(buffer)
 }
 
 // ------------------------------------------------------------------- hub
 
-/// One frame with its cached wire encodings.
+/// One frame with its wire encodings, each made by the first poller that
+/// needs it (`OnceLock`: racing pollers share one encode, late ones clone
+/// the `Arc`).
 struct CachedFrame {
     frame: Frame,
-    /// Full-frame payload, encoded once at publish.
-    full: Arc<str>,
+    /// Full-frame payload.
+    full: OnceLock<Arc<str>>,
+    /// Length of the full payload, for the profitability rule: read off
+    /// `full` when that exists, computed without encoding otherwise.
+    full_len: OnceLock<usize>,
     /// Delta payload against the immediately preceding sequence number;
     /// `None` for the first frame, after a resize, or when the delta would
     /// not be meaningfully smaller than the full payload.
-    delta: Option<Arc<str>>,
+    delta: OnceLock<Option<Arc<str>>>,
     /// The raw (un-encoded) tile difference against the immediately
     /// preceding sequence, kept for chain composition — present even when
     /// the encoded single-step delta was discarded as unprofitable, since
@@ -473,6 +600,48 @@ struct HubInner {
     wait_cvar: Condvar,
 }
 
+impl HubInner {
+    /// The full payload of `cached`, encoded on first demand.
+    fn full(&self, cached: &CachedFrame) -> Arc<str> {
+        cached
+            .full
+            .get_or_init(|| {
+                self.encodes.fetch_add(1, Ordering::Relaxed);
+                Arc::from(encode_frame_full(&cached.frame, self.epoch))
+            })
+            .clone()
+    }
+
+    /// The length of `cached`'s full payload, whether or not it exists.
+    fn full_len(&self, cached: &CachedFrame) -> usize {
+        *cached.full_len.get_or_init(|| match cached.full.get() {
+            Some(full) => full.len(),
+            None => full_payload_len(&cached.frame, self.epoch),
+        })
+    }
+
+    /// A delta is worth shipping when it saves at least 10% of the full
+    /// payload; when most of the screen changed it is not.
+    fn profitable(&self, delta_json: &str, cached: &CachedFrame) -> bool {
+        delta_json.len() * 10 <= self.full_len(cached) * 9
+    }
+
+    /// The single-step delta payload of `cached`, encoded on first demand;
+    /// `None` when there is no tile difference or it is not profitable.
+    fn step_delta(&self, cached: &CachedFrame) -> Option<Arc<str>> {
+        cached
+            .delta
+            .get_or_init(|| {
+                let raw = cached.delta_raw.as_ref()?;
+                self.encodes.fetch_add(1, Ordering::Relaxed);
+                let frame = &cached.frame;
+                let json = encode_frame_delta(frame, self.epoch, frame.sequence - 1, raw);
+                self.profitable(&json, cached).then(|| Arc::from(json))
+            })
+            .clone()
+    }
+}
+
 impl FrameRing {
     /// The oldest retained frame newer than `since`.
     fn first_after(&self, since: u64) -> Option<&Arc<CachedFrame>> {
@@ -488,6 +657,20 @@ impl FrameRing {
     fn head(&self) -> u64 {
         self.newest().map_or(0, |c| c.frame.sequence)
     }
+}
+
+/// A nanosecond clock reading folded into `[10^15, 9·10^15)`.  Two server
+/// incarnations read different nanoseconds, so a restart shows; every
+/// value prints as 16 digits, so a payload's length does not depend on
+/// when its hub was created; and the range lies within f64's exact
+/// integers (below 2^53) — JSON numbers, and the serde shim's `Value`, are
+/// doubles, and a rounded epoch would defeat the restart detection it
+/// exists for.
+fn fresh_epoch() -> u64 {
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos());
+    1_000_000_000_000_000 + (nanos % 8_000_000_000_000_000) as u64
 }
 
 /// The frame hub shared between the visualization side and HTTP handlers.
@@ -511,16 +694,7 @@ impl SessionHub {
                 publisher: Mutex::new(None),
                 capacity: capacity.max(1),
                 encodes: AtomicU64::new(0),
-                // Keep the epoch within f64's exact-integer range (2^53):
-                // JSON numbers — and the serde shim's Value — are doubles,
-                // and a corrupted epoch would defeat the restart detection
-                // it exists for.
-                epoch: (std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_nanos() as u64)
-                    .unwrap_or(1)
-                    & ((1 << 53) - 1))
-                    .max(1),
+                epoch: fresh_epoch(),
                 compose: Mutex::new(HashMap::new()),
                 wake_hooks: Mutex::new(Vec::new()),
                 wait_lock: Mutex::new(()),
@@ -539,13 +713,15 @@ impl SessionHub {
     }
 
     /// Publish a frame; it is assigned the next sequence number, which is
-    /// returned.  The full payload — and, when profitable, the delta
-    /// against the previous frame — is encoded here, exactly once, no
-    /// matter how many clients will poll it.  Waiting pollers are woken.
+    /// returned.  Publish does the work that needs the predecessor — decode
+    /// the image and cut the tile difference against the previous frame —
+    /// and no encoding: each wire payload is made by the first poller that
+    /// asks for it, once, no matter how many clients poll it, and a payload
+    /// nobody asks for is never made.  Waiting pollers are woken.
     ///
     /// The whole publish is one critical section on the publisher lock.
     /// Pollers never take that lock (they read the previous ring snapshot,
-    /// lock-free, while a frame is encoded), and concurrent publishers
+    /// lock-free, while a frame is diffed), and concurrent publishers
     /// serialise, so every frame diffs against its true predecessor.
     pub fn publish(&self, mut frame: Frame) -> u64 {
         let inner = &*self.inner;
@@ -555,34 +731,19 @@ impl SessionHub {
             let seq = ring.head() + 1;
             frame.sequence = seq;
 
-            let full: Arc<str> = Arc::from(encode_frame_full(&frame, inner.epoch).as_str());
             let cur_image = Image::decode_raw(&frame.image);
-            let mut delta_encodes = 0u64;
             let delta_raw = last_image
                 .as_ref()
                 .zip(cur_image.as_ref())
                 .and_then(|(prev_img, cur_img)| diff_images(prev_img, cur_img, DELTA_TILE));
-            let delta = delta_raw
-                .as_ref()
-                .map(|delta| {
-                    delta_encodes = 1; // real work even if discarded below
-                    encode_frame_delta(&frame, inner.epoch, seq - 1, delta)
-                })
-                // A delta that is not meaningfully smaller than the full
-                // frame (most of the screen changed) is not worth caching
-                // or shipping: require at least a 10% saving.
-                .filter(|json| json.len() * 10 <= full.len() * 9)
-                .map(|json| Arc::from(json.as_str()));
-            inner
-                .encodes
-                .fetch_add(1 + delta_encodes, Ordering::Relaxed);
             *last_image = cur_image;
 
             let mut frames = ring.frames.clone();
             frames.push(Arc::new(CachedFrame {
                 frame,
-                full,
-                delta,
+                full: OnceLock::new(),
+                full_len: OnceLock::new(),
+                delta: OnceLock::new(),
                 delta_raw,
             }));
             if frames.len() > inner.capacity {
@@ -632,9 +793,12 @@ impl SessionHub {
     }
 
     /// Total encode passes performed (full + per-step delta + composed
-    /// delta).  Grows with publishes — plus at most [`MAX_DELTA_CHAIN`]
-    /// compositions per publish — never with pollers: the invariant the
-    /// encode cache exists to provide.
+    /// delta), each on the first demand for that payload.  A frame costs
+    /// at most one full and one single-step delta encode — nothing while
+    /// nobody polls it, one when every poller asks for the same mode —
+    /// plus at most [`MAX_DELTA_CHAIN`] compositions while it is the head.
+    /// Grows with publishes, never with pollers: the invariant the encode
+    /// cache exists to provide.
     pub fn encode_count(&self) -> u64 {
         self.inner.encodes.load(Ordering::Relaxed)
     }
@@ -647,13 +811,14 @@ impl SessionHub {
             .newest()
             .map(|cached| FramePayload {
                 sequence: cached.frame.sequence,
-                json: cached.full.clone(),
+                json: self.inner.full(cached),
                 is_delta: false,
             })
     }
 
     /// The shared payload for a frame newer than `since`, without waiting.
-    /// Reads the current ring snapshot lock-free.
+    /// Reads the current ring snapshot lock-free; the first request for a
+    /// payload encodes it, every later one clones the shared `Arc`.
     ///
     /// [`PollMode::Full`] (and a client exactly at the head) always gets
     /// the oldest retained frame newer than `since`, as a full payload.
@@ -680,17 +845,17 @@ impl SessionHub {
                 // frame in one hop instead of replaying stale frames.
                 return ring.newest().map(|newest| FramePayload {
                     sequence: newest.frame.sequence,
-                    json: newest.full.clone(),
+                    json: self.inner.full(newest),
                     is_delta: false,
                 });
             }
             // One behind (or an unprofitable/incomplete chain): step with
             // the cached per-publish delta when there is one.
             if sequence == since + 1 {
-                if let Some(delta) = &cached.delta {
+                if let Some(json) = self.inner.step_delta(cached) {
                     return Some(FramePayload {
                         sequence,
-                        json: delta.clone(),
+                        json,
                         is_delta: true,
                     });
                 }
@@ -698,7 +863,7 @@ impl SessionHub {
         }
         Some(FramePayload {
             sequence,
-            json: cached.full.clone(),
+            json: self.inner.full(cached),
             is_delta: false,
         })
     }
@@ -752,25 +917,14 @@ impl SessionHub {
                 merged.insert((tile.x, tile.y), tile);
             }
         }
-        let mut tiles: Vec<TilePatch> = merged.into_values().cloned().collect();
+        let mut tiles: Vec<&TilePatch> = merged.into_values().collect();
         tiles.sort_by_key(|t| (t.y, t.x));
-        let composed = FrameDelta {
-            width: first.width,
-            height: first.height,
-            tile: first.tile,
-            tiles,
-        };
         let (head_frame, _) = chain[lag as usize - 1];
-        let json = encode_frame_delta(&head_frame.frame, inner.epoch, since, &composed);
+        let json = write_delta(&head_frame.frame, inner.epoch, since, first, &tiles);
         inner.encodes.fetch_add(1, Ordering::Relaxed);
-        // Same profitability rule as single-step deltas: a composition
-        // within 10% of the full payload is not worth shipping, and the
-        // verdict is cached so other pollers at this lag skip the attempt.
-        let entry: Option<Arc<str>> = if json.len() * 10 <= head_frame.full.len() * 9 {
-            Some(Arc::from(json.as_str()))
-        } else {
-            None
-        };
+        // Same profitability rule as single-step deltas, and the verdict
+        // is cached so other pollers at this lag skip the attempt.
+        let entry: Option<Arc<str>> = inner.profitable(&json, head_frame).then(|| Arc::from(json));
         cache.insert((since, head), entry.clone());
         entry.map(|json| FramePayload {
             sequence: head,
@@ -864,6 +1018,171 @@ mod tests {
         img
     }
 
+    // The encoders as they were before the direct writers: build a
+    // `Value` tree, pixel body included, and print it.  Kept as the
+    // reference the writers must match byte for byte.
+
+    fn frame_header_json(frame: &Frame, epoch: u64) -> serde_json::Value {
+        serde_json::json!({
+            "sequence": frame.sequence,
+            "cycle": frame.cycle,
+            "time": frame.time,
+            "monitors": frame.monitors,
+            "epoch": epoch,
+        })
+    }
+
+    fn reference_encode_full(frame: &Frame, epoch: u64) -> String {
+        let mut value = frame_header_json(frame, epoch);
+        if let serde_json::Value::Object(map) = &mut value {
+            map.insert("mode".into(), serde_json::json!("full"));
+            let packed = rle::compress(&frame.image);
+            if packed.len() < frame.image.len() {
+                map.insert("codec".into(), serde_json::json!("rle"));
+                map.insert(
+                    "image_base64".into(),
+                    serde_json::json!(base64_encode(&packed)),
+                );
+            } else {
+                map.insert(
+                    "image_base64".into(),
+                    serde_json::json!(base64_encode(&frame.image)),
+                );
+            }
+        }
+        value.to_string()
+    }
+
+    fn reference_encode_delta(
+        frame: &Frame,
+        epoch: u64,
+        base_sequence: u64,
+        delta: &FrameDelta,
+    ) -> String {
+        let tiles: Vec<serde_json::Value> = delta
+            .tiles
+            .iter()
+            .map(|t| {
+                let packed = rle::compress(&t.data);
+                if packed.len() < t.data.len() {
+                    serde_json::json!({
+                        "x": t.x,
+                        "y": t.y,
+                        "w": t.w,
+                        "h": t.h,
+                        "rle": true,
+                        "data_base64": base64_encode(&packed),
+                    })
+                } else {
+                    serde_json::json!({
+                        "x": t.x,
+                        "y": t.y,
+                        "w": t.w,
+                        "h": t.h,
+                        "data_base64": base64_encode(&t.data),
+                    })
+                }
+            })
+            .collect();
+        let mut value = frame_header_json(frame, epoch);
+        if let serde_json::Value::Object(map) = &mut value {
+            map.insert("mode".into(), serde_json::json!("delta"));
+            map.insert("base_sequence".into(), serde_json::json!(base_sequence));
+            map.insert("width".into(), serde_json::json!(delta.width));
+            map.insert("height".into(), serde_json::json!(delta.height));
+            map.insert("tile".into(), serde_json::json!(delta.tile));
+            map.insert("tiles".into(), serde_json::Value::Array(tiles));
+        }
+        value.to_string()
+    }
+
+    #[test]
+    fn direct_writers_are_byte_identical_to_the_value_tree_encoders() {
+        let mut rng = StdRng::seed_from_u64(0x1D);
+        let monitor_sets: Vec<Vec<(String, f64)>> = vec![
+            vec![],
+            vec![("max_pressure".into(), 1.5), ("step".into(), 12.0)],
+            vec![
+                ("quote\"back\\slash".into(), -0.25),
+                ("line\nbreak\ttab".into(), 1e-9),
+                ("control\u{1}byte\u{8}\u{c}\r".into(), 3.0e20),
+                ("ünï©ode €😀".into(), 0.1 + 0.2),
+                ("nan".into(), f64::NAN),
+                ("inf".into(), f64::NEG_INFINITY),
+                (String::new(), -0.0),
+            ],
+        ];
+        // Flat, noisy and half-and-half images; 1×1, tile multiples and
+        // sizes that leave partial tiles at both edges.
+        let sizes = [
+            (1, 1),
+            (3, 2),
+            (32, 32),
+            (64, 96),
+            (33, 31),
+            (70, 45),
+            (100, 7),
+        ];
+        let mut case = 0u64;
+        for &(w, h) in &sizes {
+            let flat = Image::filled(w, h, [10, 20, 30, 255]);
+            let noisy = noisy_image(&mut rng, w, h);
+            let mut mixed = flat.clone();
+            for y in 0..h {
+                for x in w / 2..w {
+                    mixed.set(x, y, noisy.get(x, y));
+                }
+            }
+            let images = [flat, noisy, mixed];
+            for cur in &images {
+                for prev in &images {
+                    case += 1;
+                    let f = Frame {
+                        // Past 2^53 a number leaves the integer form.
+                        sequence: if case.is_multiple_of(7) {
+                            u64::MAX - case
+                        } else {
+                            case
+                        },
+                        cycle: case * 3,
+                        time: case as f64 * 0.037,
+                        image: cur.encode_raw(),
+                        monitors: monitor_sets[case as usize % monitor_sets.len()].clone(),
+                    };
+                    let epoch = 1_000_000_000_000_000 + case;
+                    let full = encode_frame_full(&f, epoch);
+                    assert_eq!(full, reference_encode_full(&f, epoch), "full, case {case}");
+                    assert_eq!(
+                        full_payload_len(&f, epoch),
+                        full.len(),
+                        "computed full length, case {case}"
+                    );
+                    // prev == cur gives the empty delta, flat against noisy
+                    // every tile, mixed against either about half of them.
+                    let delta = diff_images(prev, cur, DELTA_TILE).unwrap();
+                    assert_eq!(
+                        encode_frame_delta(&f, epoch, case - 1, &delta),
+                        reference_encode_delta(&f, epoch, case - 1, &delta),
+                        "delta, case {case}"
+                    );
+                }
+            }
+        }
+        // Many tiles: a small grid over a larger frame.
+        let prev = noisy_image(&mut rng, 120, 90);
+        let cur = noisy_image(&mut rng, 120, 90);
+        let delta = diff_images(&prev, &cur, 8).unwrap();
+        assert_eq!(delta.tiles.len(), 15 * 12);
+        let f = Frame {
+            image: cur.encode_raw(),
+            ..frame(9)
+        };
+        assert_eq!(
+            encode_frame_delta(&f, 7, 8, &delta),
+            reference_encode_delta(&f, 7, 8, &delta)
+        );
+    }
+
     #[test]
     fn publish_assigns_increasing_sequence_numbers() {
         let hub = SessionHub::new(4);
@@ -912,17 +1231,14 @@ mod tests {
     fn payloads_are_encoded_once_and_shared_across_pollers() {
         let hub = SessionHub::new(8);
         hub.publish(frame(1));
-        let encodes_after_publish = hub.encode_count();
+        assert_eq!(hub.encode_count(), 0, "publishing must not encode");
         let first = hub.try_payload(0, PollMode::Full).unwrap();
+        assert_eq!(hub.encode_count(), 1, "the first poll encodes");
         for _ in 0..100 {
             let p = hub.try_payload(0, PollMode::Full).unwrap();
             assert!(Arc::ptr_eq(&p.json, &first.json), "same shared allocation");
         }
-        assert_eq!(
-            hub.encode_count(),
-            encodes_after_publish,
-            "polling must not encode"
-        );
+        assert_eq!(hub.encode_count(), 1, "later polls must not encode");
         let value: serde_json::Value = serde_json::from_str(&first.json).unwrap();
         assert_eq!(value["sequence"], 1);
         assert_eq!(value["mode"], "full");
@@ -1177,6 +1493,135 @@ mod tests {
     }
 
     #[test]
+    fn encodes_follow_demand_one_per_frame_and_mode_polled() {
+        const FRAMES: u64 = 12;
+        let mut rng = StdRng::seed_from_u64(0xDE3A);
+        // A delta-only client in step with the publisher, as the embedded
+        // page is: frame 1 has no predecessor and ships full, every later
+        // frame ships its delta, and no full payload is ever made for them.
+        let delta_hub = SessionHub::new(32);
+        // A full-only client of the same frames never causes a delta.
+        let full_hub = SessionHub::new(32);
+        // And frames nobody polls cost nothing.
+        let idle_hub = SessionHub::new(32);
+        let mut img = noisy_image(&mut rng, 96, 64);
+        for step in 1..=FRAMES {
+            img.set(step as usize, 3, [step as u8, 1, 2, 255]);
+            let next = Frame {
+                image: img.encode_raw(),
+                ..frame(step)
+            };
+            for hub in [&delta_hub, &full_hub, &idle_hub] {
+                assert_eq!(hub.publish(next.clone()), step);
+            }
+            let delta = delta_hub.try_payload(step - 1, PollMode::Delta).unwrap();
+            assert_eq!(delta.is_delta, step > 1);
+            assert_eq!(delta_hub.encode_count(), step);
+            let full = full_hub.try_payload(step - 1, PollMode::Full).unwrap();
+            assert!(!full.is_delta);
+            assert_eq!(full_hub.encode_count(), step);
+        }
+        assert_eq!(idle_hub.encode_count(), 0);
+        // The profitability verdict did not need the full payload: asking
+        // for it now is the first time it is made.
+        delta_hub.try_payload(FRAMES - 1, PollMode::Full).unwrap();
+        assert_eq!(delta_hub.encode_count(), FRAMES + 1);
+    }
+
+    #[test]
+    fn an_unprofitable_delta_costs_its_encode_and_the_full_one() {
+        let mut rng = StdRng::seed_from_u64(0x0FF);
+        let hub = SessionHub::new(4);
+        for c in 1..=2 {
+            hub.publish(Frame {
+                image: noisy_image(&mut rng, 64, 64).encode_raw(),
+                ..frame(c)
+            });
+        }
+        let first = hub.try_payload(1, PollMode::Delta).unwrap();
+        assert!(!first.is_delta, "every tile changed: the full frame ships");
+        assert_eq!(hub.encode_count(), 2);
+        let again = hub.try_payload(1, PollMode::Delta).unwrap();
+        assert!(Arc::ptr_eq(&again.json, &first.json));
+        assert_eq!(hub.encode_count(), 2, "the verdict is remembered");
+    }
+
+    #[test]
+    fn pollers_racing_for_a_first_payload_share_one_encode() {
+        const POLLERS: usize = 8;
+        let mut rng = StdRng::seed_from_u64(0x8ACE);
+        let hub = SessionHub::new(4);
+        let mut img = noisy_image(&mut rng, 128, 128);
+        for c in 1..=2 {
+            img.set(c as usize, 0, [c as u8, 0, 0, 255]);
+            hub.publish(Frame {
+                image: img.encode_raw(),
+                ..frame(c)
+            });
+        }
+        for (mode, expect_delta, encodes) in
+            [(PollMode::Full, false, 1), (PollMode::Delta, true, 2)]
+        {
+            let barrier = Arc::new(std::sync::Barrier::new(POLLERS));
+            let racers: Vec<_> = (0..POLLERS)
+                .map(|_| {
+                    let (hub, barrier) = (hub.clone(), barrier.clone());
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        hub.try_payload(1, mode).unwrap()
+                    })
+                })
+                .collect();
+            let payloads: Vec<FramePayload> =
+                racers.into_iter().map(|r| r.join().unwrap()).collect();
+            for p in &payloads {
+                assert_eq!(p.is_delta, expect_delta);
+                assert!(Arc::ptr_eq(&p.json, &payloads[0].json), "one shared encode");
+            }
+            assert_eq!(hub.encode_count(), encodes);
+        }
+    }
+
+    #[test]
+    fn payload_lengths_do_not_depend_on_the_hub_instance() {
+        // The epoch always prints 16 digits, so two incarnations serving
+        // the same frames put the same number of bytes on the wire.
+        let mut rng = StdRng::seed_from_u64(0xE90C);
+        let hubs = [SessionHub::new(16), SessionHub::new(16)];
+        for hub in &hubs {
+            let epoch = hub.epoch();
+            assert_eq!(epoch.to_string().len(), 16, "epoch {epoch}");
+            assert!(epoch < 1 << 53, "exact as a JSON double");
+        }
+        let mut img = noisy_image(&mut rng, 96, 64);
+        for step in 1..=4u64 {
+            img.set(step as usize, 5, [step as u8, 9, 9, 255]);
+            for hub in &hubs {
+                hub.publish(Frame {
+                    image: img.encode_raw(),
+                    ..frame(step)
+                });
+            }
+        }
+        let head = hubs[0].latest_sequence();
+        let polls = [
+            (0, PollMode::Full),
+            (head - 1, PollMode::Full),
+            (head - 1, PollMode::Delta),
+            (head - 3, PollMode::Delta),
+        ];
+        for (since, mode) in polls {
+            let [a, b] = hubs
+                .each_ref()
+                .map(|hub| hub.try_payload(since, mode).unwrap());
+            assert_eq!(a.is_delta, b.is_delta);
+            assert_eq!(a.json.len(), b.json.len(), "since {since}, {mode:?}");
+        }
+        let [a, b] = hubs.each_ref().map(|hub| hub.latest_payload().unwrap());
+        assert_eq!(a.json.len(), b.json.len());
+    }
+
+    #[test]
     fn wake_hooks_run_after_every_publish() {
         let hub = SessionHub::new(4);
         let hits = Arc::new(AtomicU64::new(0));
@@ -1213,13 +1658,23 @@ mod tests {
         assert_eq!(base64_encode(b"foobar"), "Zm9vYmFy");
         assert_eq!(base64_decode("Zm9vYmFy").unwrap(), b"foobar");
         assert_eq!(base64_decode("Zg==").unwrap(), b"f");
+        assert_eq!(base64_decode("Zm8=").unwrap(), b"fo");
+        assert_eq!(base64_decode("").unwrap(), b"");
         assert!(base64_decode("Zg=").is_none());
         assert!(base64_decode("Z!==").is_none());
+        // `=` pads the end of the text and nothing else.
+        for interior in [
+            "Z=g=", "=Zg=", "Z===", "====", "Zg==Zm9v", "Zm8=Zm9v", "Zm9vZ=8=",
+        ] {
+            assert!(base64_decode(interior).is_none(), "{interior}");
+        }
+        assert!(base64_decode("Zm9vZ\u{e9}v").is_none(), "non-ASCII");
         let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..20 {
-            let n = rng.gen_range(0..100);
+        for n in 0..=1000 {
             let data: Vec<u8> = (0..n).map(|_| rng.gen_range(0..256) as u8).collect();
-            assert_eq!(base64_decode(&base64_encode(&data)).unwrap(), data);
+            let text = base64_encode(&data);
+            assert_eq!(text.len(), base64_len(n));
+            assert_eq!(base64_decode(&text).unwrap(), data);
         }
     }
 
@@ -1239,6 +1694,8 @@ mod tests {
                     let mut since = 0;
                     while since < FRAMES {
                         if let Some(f) = hub.poll_after(since, Duration::from_secs(10)) {
+                            let payload = hub.try_payload(since, PollMode::Full).unwrap();
+                            assert_eq!(payload.sequence, f.sequence);
                             seen.push(f.sequence);
                             since = f.sequence;
                         }
@@ -1264,9 +1721,10 @@ mod tests {
             let expected: Vec<u64> = (1..=FRAMES).collect();
             assert_eq!(seen, expected, "no lost or duplicated sequence numbers");
         }
-        // At most one full + one delta encode per publish, independent of
-        // the number of pollers.
-        assert!(hub.encode_count() <= 2 * FRAMES);
+        // Every poller pulled every frame's full payload: one encode per
+        // frame, whichever poller got there first, and no delta encode
+        // since nobody asked for one.
+        assert_eq!(hub.encode_count(), FRAMES);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   deferred (non-blocking) long-poll responses, and graceful shutdown;
 //!   [`readiness`] is its connection scheduler, an epoll reactor,
 //! * [`hub`] — the session hub: frames published by the visualization side
-//!   are base64/JSON-encoded exactly once into shared `Arc<str>` payloads
-//!   (plus a changed-tile *delta* payload), long-polled by any number of
-//!   browser clients that each carry their own `since` cursor, plus a
-//!   steering inbox,
+//!   are base64/JSON-encoded at most once per wire encoding (the full
+//!   frame, the changed-tile *delta*) into shared `Arc<str>` payloads, by
+//!   the first poller that asks, and long-polled by any number of browser
+//!   clients that each carry their own `since` cursor, plus a steering
+//!   inbox,
 //! * [`server`] — wiring the hub to HTTP routes (`/api/state`,
 //!   `/api/frame`, `/api/poll`, `/api/steer`) and serving
 //!   the embedded single-page client,

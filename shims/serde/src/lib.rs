@@ -200,21 +200,31 @@ fn write_number(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
     }
 }
 
+/// Linear in the input: a run of characters that need no escape is copied
+/// with one `write_str`.  Every byte that does need one is ASCII, and an
+/// ASCII byte never lies inside a multi-byte sequence, so cutting the
+/// string at those bytes cuts it at character boundaries.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0C}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run_start = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        f.write_str(&s[run_start..at])?;
+        match byte {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            0x08 => f.write_str("\\b")?,
+            0x0C => f.write_str("\\f")?,
+            _ => write!(f, "\\u{byte:04x}")?,
+        }
+        run_start = at + 1;
     }
+    f.write_str(&s[run_start..])?;
     f.write_str("\"")
 }
 
@@ -610,6 +620,66 @@ mod tests {
             Value::String("a\"b\\c\nd".to_string()).to_string(),
             r#""a\"b\\c\nd""#
         );
+    }
+
+    /// The escaping rule one character at a time, as `write_escaped` was
+    /// written before it copied runs.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_copying_escape_equals_the_per_char_reference() {
+        // Every ASCII character alone, between runs and next to multi-byte
+        // scalars, then strings drawn from a small seeded generator.
+        let multi = ["é", "€", "😀", "ünï©ode"];
+        let mut cases: Vec<String> = vec![String::new(), "plain run".to_string()];
+        for byte in 0x00..=0x7Fu8 {
+            let c = byte as char;
+            cases.push(c.to_string());
+            cases.push(format!("ab{c}cd{c}{c}"));
+            cases.push(format!("{c}€{c}😀{c}"));
+        }
+        let mut state = 0x2008_0609u64;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        for _ in 0..200 {
+            let mut s = String::new();
+            for _ in 0..next(40) {
+                match next(3) {
+                    0 => s.push(next(0x80) as u8 as char),
+                    1 => s.push_str(multi[next(multi.len())]),
+                    _ => s.push_str("run of ordinary text"),
+                }
+            }
+            cases.push(s);
+        }
+        for case in cases {
+            assert_eq!(
+                Value::String(case.clone()).to_string(),
+                escape_per_char(&case),
+                "{case:?}"
+            );
+        }
     }
 
     #[test]

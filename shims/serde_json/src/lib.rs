@@ -371,6 +371,24 @@ mod tests {
     }
 
     #[test]
+    fn every_ascii_character_survives_the_text_round_trip() {
+        // The writer escapes by byte and copies the runs in between; the
+        // parser must read back exactly what went in, whatever sits next
+        // to an escape.
+        let all_ascii: String = (0x00..=0x7Fu8).map(|b| b as char).collect();
+        let mut cases = vec![all_ascii.clone(), format!("é{all_ascii}😀")];
+        for byte in 0x00..=0x7Fu8 {
+            let c = byte as char;
+            cases.push(format!("{c}"));
+            cases.push(format!("€{c}{c}ünï{c}😀"));
+        }
+        for case in cases {
+            let text = to_string(&case).unwrap();
+            assert_eq!(parse(&text).unwrap(), Value::String(case));
+        }
+    }
+
+    #[test]
     fn invalid_utf8_is_rejected() {
         // "€" cut short, inside a string and at the end of the input.
         assert!(from_slice::<String>(b"\"\xE2\x82\"").is_err());

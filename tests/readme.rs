@@ -98,8 +98,11 @@ fn readme_serving_layer_section_matches_the_code() {
         image: ricsa::viz::image::Image::filled(4, 4, [1, 2, 3, 255]).encode_raw(),
         monitors: vec![],
     });
+    // The first poll encodes the payload; nine more share it.
+    hub.try_payload(0, PollMode::Full);
     let encodes = hub.encode_count();
-    for _ in 0..10 {
+    assert_eq!(encodes, 1, "encode-on-first-demand promise");
+    for _ in 0..9 {
         hub.try_payload(0, PollMode::Full);
     }
     assert_eq!(hub.encode_count(), encodes, "encode-once promise");
