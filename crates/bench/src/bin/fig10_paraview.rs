@@ -3,8 +3,7 @@
 //!
 //! Usage: `cargo run --release -p ricsa-bench --bin fig10_paraview [--quick]`
 
-use ricsa_bench::{bench_scale_options, full_scale_options};
-use ricsa_core::experiment::{fig10_experiment, format_fig10_table};
+use ricsa_core::experiment::{fig10_experiment, format_fig10_table, ExperimentOptions};
 
 /// Processing/protocol overhead factor applied to the ParaView deployment;
 /// the paper attributes its measured gap to "higher processing and
@@ -15,9 +14,9 @@ const PARAVIEW_OVERHEAD: f64 = 1.35;
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let options = if quick {
-        bench_scale_options()
+        ExperimentOptions::quick()
     } else {
-        full_scale_options()
+        ExperimentOptions::default()
     };
     eprintln!(
         "running Fig. 10 reproduction ({} scale)...",

@@ -6,15 +6,14 @@
 //! `--quick` runs at 1/64th dataset scale (seconds instead of minutes) and
 //! is what CI uses; the full run reproduces the paper-scale dataset sizes.
 
-use ricsa_bench::{bench_scale_options, full_scale_options};
-use ricsa_core::experiment::{fig9_experiment, format_fig9_table, LoopSpec};
+use ricsa_core::experiment::{fig9_experiment, format_fig9_table, ExperimentOptions, LoopSpec};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let options = if quick {
-        bench_scale_options()
+        ExperimentOptions::quick()
     } else {
-        full_scale_options()
+        ExperimentOptions::default()
     };
     eprintln!(
         "running Fig. 9 reproduction ({} scale, {} iteration(s) per loop)...",

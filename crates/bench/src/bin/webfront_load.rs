@@ -33,8 +33,10 @@
 //! a violation.
 
 use epoll::{Interest, Poller};
-use ricsa_bench::{flag_value, synth_web_frame, write_bench_json};
+use ricsa_bench::{flag_value, write_bench_json};
+use ricsa_viz::image::Image;
 use ricsa_webfront::http::{read_blocking_response, HttpServerConfig};
+use ricsa_webfront::hub::Frame;
 use ricsa_webfront::server::{FrontEndConfig, FrontEndServer};
 use serde::Serialize;
 use std::collections::HashMap;
@@ -45,6 +47,34 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+
+/// The synthetic frame at publish step `step`: a static gradient
+/// background with a bright square blob walking across it, so consecutive
+/// frames differ only around the blob and delta encodings are genuinely
+/// sparse.
+fn synth_web_frame(step: u64, width: usize, height: usize) -> Frame {
+    const BLOB: usize = 24;
+    let mut img = Image::new(width, height);
+    for y in 0..height {
+        for x in 0..width {
+            img.set(x, y, [(x ^ y) as u8, (x / 2) as u8, (y / 2) as u8, 255]);
+        }
+    }
+    let bx = (step as usize * 2) % width.saturating_sub(BLOB).max(1);
+    let by = (step as usize) % height.saturating_sub(BLOB).max(1);
+    for y in by..(by + BLOB).min(height) {
+        for x in bx..(bx + BLOB).min(width) {
+            img.set(x, y, [255, 240, 40, 255]);
+        }
+    }
+    Frame {
+        sequence: 0,
+        cycle: step,
+        time: step as f64 * 0.01,
+        image: img.encode_raw(),
+        monitors: vec![("step".into(), step as f64)],
+    }
+}
 
 /// Everything one phase is configured with.
 #[derive(Clone)]

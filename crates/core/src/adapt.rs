@@ -23,8 +23,8 @@
 //! frame `k-1` reached the client — so a frame boundary is a quiescent
 //! point, and a migration there delivers every frame index **exactly
 //! once**: the audit counts `IterationCompleted` trace records per index
-//! and reports any loss or duplication (the `adapt_live` bench asserts
-//! both are zero).
+//! and reports any loss or duplication (`tests/loop_records.rs` and the
+//! adaptation sweep's audit assert both are zero).
 //!
 //! DESIGN.md §8 documents the control plane; §8.5 the migration protocol
 //! (quiesce → teardown → VRT handoff → resume) and its invariant.
@@ -261,9 +261,9 @@ pub fn run_adaptive_loop(
 
 // ---------------------------------------------------------------- demo WAN
 
-/// The two-route demonstration WAN used by the `adapt_live` bench and the
-/// adaptive-loop tests, plus the link ids its degradation scenario
-/// targets.
+/// The two-route demonstration WAN used by the adaptive-loop tests and the
+/// benchmark's `wan_loop` workload, plus the link ids its degradation
+/// scenario targets.
 #[derive(Debug, Clone)]
 pub struct DemoWan {
     /// The topology: src, midA, midB, client, cm.

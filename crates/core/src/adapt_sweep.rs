@@ -1,41 +1,38 @@
 //! The dynamic-scenario sweep: static vs adaptive vs oracle at scale.
 //!
-//! Where [`crate::sweep`] quantifies the *optimizer's* win rate across
-//! families of generated static WANs (the paper's §6 methodology), this
-//! module quantifies the *adaptive controller's* win rate across families
-//! of generated **dynamic** scenarios.  Per scenario it
+//! Where the scenario sweep of [`crate::sweep`] quantifies the *optimizer's*
+//! win rate across families of generated static WANs (the paper's §6
+//! methodology), this [`Sweep`] quantifies the *adaptive controller's* win
+//! rate across families of generated **dynamic** scenarios.  Per scenario it
 //!
 //! 1. generates a WAN ([`ricsa_netsim::generators`]),
-//! 2. derives one member of a seeded dynamic-schedule family
-//!    ([`ricsa_netsim::dynamics::generate_schedule_family`] — `K`
-//!    schedules keyed off the WAN's own seed),
+//! 2. derives one member of the WAN's seeded dynamic-schedule family
+//!    ([`ricsa_netsim::dynamics::family_member_seed`] — `K` schedules
+//!    keyed off the WAN's own seed),
 //! 3. runs the frame-paced steering loop under the Static, Adaptive and
 //!    Oracle policies ([`crate::adapt::run_adaptive_loop`]), plus a
 //!    second Adaptive run with the RTT signal disabled (the
 //!    detection-latency axis), and
-//! 4. folds the four runs into one serde-able
-//!    [`ricsa_pipemap::sweep::AdaptSweepRecord`]:
+//! 4. folds the four runs into one serde-able [`AdaptSweepRecord`]:
 //!    per-policy frame throughput, post-event speedup vs static,
 //!    oracle gap, time-to-remap, detection latencies with and without
-//!    the RTT signal, warm-vs-cold solve timings and a decision-trace
-//!    digest.
+//!    the RTT signal and a decision-trace digest.
 //!
-//! Scenarios are independent, so the sweep fans out over worker threads
-//! via the `rayon` shim; every record is byte-deterministic per seed
-//! (wall-clock solve timings are excluded from record equality, exactly
-//! as in [`ricsa_pipemap::sweep::SweepRecord`]).  This is the first
-//! subsystem that composes every prior layer — generators, dynamics,
-//! passive telemetry, warm re-solves, the migration protocol — into one
-//! reproducible experiment; DESIGN.md §9 ("Adaptation evaluation book")
-//! documents the scenario model and how to read the output.
+//! Every record is byte-deterministic per seed — virtual-time quantities
+//! only.  This is the first subsystem that composes every prior layer —
+//! generators, dynamics, passive telemetry, warm re-solves, the migration
+//! protocol — into one reproducible experiment; DESIGN.md §9 ("Adaptation
+//! evaluation book") documents the scenario model and how to read the
+//! output.
 
 use crate::adapt::{run_adaptive_loop, AdaptPolicy, AdaptiveLoopSpec, AdaptiveRun};
 use crate::catalog::{standard_pipeline, SimulationCatalog};
-use crate::sweep::scenario_seed;
-use rayon::prelude::*;
+use crate::sweep::{generated_wan, mean, off_path_node, opt, table, Distribution, Sweep};
 use ricsa_adapt::monitor::AdaptConfig;
-use ricsa_netsim::dynamics::{generate_schedule_family, DynamicScenario, ScheduleParams};
-use ricsa_netsim::generators::{generate, GeneratedWan, WanKind};
+use ricsa_netsim::dynamics::{
+    family_member_seed, generate_schedule, DynamicScenario, ScheduleParams,
+};
+use ricsa_netsim::generators::GeneratedWan;
 use ricsa_netsim::link::LinkId;
 use ricsa_netsim::node::NodeId;
 use ricsa_netsim::rng::SimRng;
@@ -43,7 +40,6 @@ use ricsa_netsim::time::SimTime;
 use ricsa_pipemap::dp::optimize_with;
 use ricsa_pipemap::fnv1a_hex;
 use ricsa_pipemap::network::NetGraph;
-use ricsa_pipemap::sweep::{AdaptSweepRecord, AdaptSweepSummary};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one dynamic-scenario (adaptation) sweep.
@@ -74,10 +70,6 @@ pub struct AdaptSweepConfig {
     pub adapt: AdaptConfig,
     /// Parameters of the seeded schedule generator.
     pub schedule: ScheduleParams,
-    /// Also run the goodput-only adaptive controller per scenario to
-    /// measure the RTT signal's detection-latency win (one extra policy
-    /// run per scenario).
-    pub rtt_axis: bool,
     /// Fraction of each schedule's event links deterministically
     /// retargeted onto the *initially optimal* data route (decided per
     /// distinct link, so an episode's degradation and recovery stay
@@ -114,7 +106,6 @@ impl Default for AdaptSweepConfig {
                 degrade_weight: 2.0,
                 ..ScheduleParams::default()
             },
-            rtt_axis: true,
             route_bias: 0.5,
         }
     }
@@ -146,10 +137,160 @@ impl AdaptSweepConfig {
             ..AdaptSweepConfig::default()
         }
     }
+}
 
-    /// Total dynamic scenarios the sweep evaluates.
-    pub fn scenarios(&self) -> usize {
-        self.wans * self.schedules_per_wan
+/// One serializable row of the sweep: a generated WAN plus one seeded
+/// event schedule, run under the static, adaptive and oracle control
+/// policies.  The default is the record of a scenario that never ran:
+/// every metric absent.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct AdaptSweepRecord {
+    /// Scenario id within the sweep (`wan_index * schedules_per_wan + k`).
+    pub id: u64,
+    /// Human-readable description: WAN family/scale plus schedule seed.
+    pub label: String,
+    /// Seed the WAN topology was generated from.
+    pub wan_seed: u64,
+    /// Seed of this dynamic schedule (a family member of `wan_seed`).
+    pub schedule_seed: u64,
+    /// Node count of the WAN.
+    pub nodes: usize,
+    /// Directed link count of the WAN.
+    pub links: usize,
+    /// Scheduled link events that landed *inside the run's measured
+    /// virtual window* (events the policies actually experienced; events
+    /// scheduled past the last completed frame are not counted).  0 when
+    /// the scenario never ran.
+    pub events: usize,
+    /// Frames requested per policy run.
+    pub frames: u64,
+    /// Frames delivered per virtual second under the static policy.
+    pub static_fps: Option<f64>,
+    /// Frames delivered per virtual second under the adaptive policy.
+    pub adaptive_fps: Option<f64>,
+    /// Frames delivered per virtual second under the oracle policy.
+    pub oracle_fps: Option<f64>,
+    /// Static post-event mean loop delay divided by adaptive post-event
+    /// mean (> 1: adaptation won; ≈ 1: tie — typically no event touched
+    /// the active route; < 1: adaptation lost, e.g. a migration paid for
+    /// a change that recovered).  `None` when no event landed inside the
+    /// run's virtual window or a policy run completed no post-event frame.
+    pub post_event_speedup: Option<f64>,
+    /// Adaptive steady-state mean delay divided by the oracle's (the
+    /// adaptation quality bound: 1 = converged onto the oracle).
+    pub oracle_gap: Option<f64>,
+    /// Virtual seconds from the first scheduled event to the adaptive
+    /// run's first migration commit.
+    pub remap_latency_s: Option<f64>,
+    /// Migrations the adaptive run executed.
+    pub migrations: usize,
+    /// Virtual seconds from the first scheduled event to the first
+    /// confirmed change-point detection, RTT signal on.
+    pub detect_latency_s: Option<f64>,
+    /// The same with the RTT signal off (goodput-only detection).
+    pub detect_latency_no_rtt_s: Option<f64>,
+    /// Frames lost, summed over the policy runs (0 on a healthy record).
+    pub frames_lost: u64,
+    /// Duplicated frame deliveries, summed over the policy runs (0 on a
+    /// healthy record).
+    pub frames_duplicated: u64,
+    /// FNV-1a digest of the adaptive run's serialized decision trace —
+    /// the compact determinism witness two runs of the same seed must
+    /// reproduce.
+    pub decision_digest: String,
+}
+
+/// Aggregate statistics over an [`AdaptSweepRecord`] set: adaptation win
+/// rates against the static policy, oracle-gap percentiles, and the
+/// detection-latency comparison of the RTT-signal axis.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AdaptSweepSummary {
+    /// Total dynamic scenarios in the set.
+    pub scenarios: usize,
+    /// Records with a comparable post-event window (an event landed
+    /// in-window and both static and adaptive completed frames after it);
+    /// only these contribute to the win/speedup statistics.
+    pub compared: usize,
+    /// Compared records where adaptive strictly beat static (beyond
+    /// round-off).
+    pub adaptive_wins: usize,
+    /// Compared records where adaptive strictly lost (the honest column:
+    /// migrations that paid for changes which recovered, or thrash near
+    /// the margin/cooldown boundary).
+    pub adaptive_losses: usize,
+    /// Compared records decided within round-off — typically no scheduled
+    /// event touched the active route, so both policies ran identically.
+    pub ties: usize,
+    /// `adaptive_wins / compared` (0 when nothing was compared).
+    pub win_rate: f64,
+    /// Mean post-event speedup (static / adaptive) over compared records.
+    pub mean_post_event_speedup: f64,
+    /// 10th percentile of the post-event speedups.
+    pub p10_post_event_speedup: f64,
+    /// Median post-event speedup.
+    pub p50_post_event_speedup: f64,
+    /// 90th percentile of the post-event speedups.
+    pub p90_post_event_speedup: f64,
+    /// Mean adaptive/oracle steady-state ratio over records carrying one.
+    pub mean_oracle_gap: f64,
+    /// 90th percentile of the oracle gap.
+    pub p90_oracle_gap: f64,
+    /// Mean virtual seconds from first event to migration commit, over
+    /// adaptive runs that migrated.
+    pub mean_remap_latency_s: Option<f64>,
+    /// Fraction of event-carrying records where the RTT-on controller
+    /// confirmed any detection.
+    pub detect_rate: f64,
+    /// The same for the goodput-only (RTT-off) controller.
+    pub detect_rate_no_rtt: f64,
+    /// Mean detection latency of the RTT-on controller, seconds.
+    pub mean_detect_latency_s: Option<f64>,
+    /// Mean detection latency of the goodput-only controller, seconds.
+    pub mean_detect_latency_no_rtt_s: Option<f64>,
+    /// Mean `(goodput-only − RTT-on)` detection latency over records
+    /// where both confirmed — positive means the RTT signal detected
+    /// earlier.
+    pub mean_rtt_detect_advantage_s: Option<f64>,
+}
+
+impl AdaptSweepSummary {
+    /// Compute the summary of a record set.
+    pub fn aggregate(records: &[AdaptSweepRecord]) -> AdaptSweepSummary {
+        let speedups = Distribution::of(records.iter().filter_map(|r| r.post_event_speedup));
+        let gaps = Distribution::of(records.iter().filter_map(|r| r.oracle_gap));
+        let remap: Vec<f64> = records.iter().filter_map(|r| r.remap_latency_s).collect();
+        let eventful: Vec<&AdaptSweepRecord> = records.iter().filter(|r| r.events > 0).collect();
+        let latencies = |latency: fn(&AdaptSweepRecord) -> Option<f64>| -> Vec<f64> {
+            eventful.iter().filter_map(|r| latency(r)).collect()
+        };
+        let detect = latencies(|r| r.detect_latency_s);
+        let detect_no_rtt = latencies(|r| r.detect_latency_no_rtt_s);
+        // Positive: the RTT signal detected earlier.  Only where both did.
+        let advantage = latencies(|r| Some(r.detect_latency_no_rtt_s? - r.detect_latency_s?));
+        let rate = |detected: &[f64]| match eventful.len() {
+            0 => 0.0,
+            n => detected.len() as f64 / n as f64,
+        };
+        AdaptSweepSummary {
+            scenarios: records.len(),
+            compared: speedups.count,
+            adaptive_wins: speedups.wins,
+            adaptive_losses: speedups.losses,
+            ties: speedups.count - speedups.wins - speedups.losses,
+            win_rate: speedups.win_rate(),
+            mean_post_event_speedup: speedups.mean,
+            p10_post_event_speedup: speedups.p10,
+            p50_post_event_speedup: speedups.p50,
+            p90_post_event_speedup: speedups.p90,
+            mean_oracle_gap: gaps.mean,
+            p90_oracle_gap: gaps.p90,
+            mean_remap_latency_s: mean(&remap),
+            detect_rate: rate(&detect),
+            detect_rate_no_rtt: rate(&detect_no_rtt),
+            mean_detect_latency_s: mean(&detect),
+            mean_detect_latency_no_rtt_s: mean(&detect_no_rtt),
+            mean_rtt_detect_advantage_s: mean(&advantage),
+        }
     }
 }
 
@@ -165,153 +306,214 @@ pub struct AdaptSweepReport {
 /// Frames averaged for steady-state (oracle-gap) comparisons.
 const STEADY_TAIL: usize = 4;
 
-/// Run the sweep: generate → schedule → run policies → aggregate.
-pub fn run_adapt_sweep(config: &AdaptSweepConfig) -> AdaptSweepReport {
-    let total = config.scenarios();
-    let records: Vec<AdaptSweepRecord> = (0..total)
-        .into_par_iter()
-        .map(|i| run_dynamic_scenario(config, i))
-        .collect();
-    let summary = AdaptSweepSummary::aggregate(&records);
-    AdaptSweepReport { records, summary }
-}
+impl Sweep for AdaptSweepConfig {
+    type Cell = AdaptSweepRecord;
+    type Report = AdaptSweepReport;
 
-/// Generate and evaluate dynamic scenario `index` of the sweep.
-fn run_dynamic_scenario(config: &AdaptSweepConfig, index: usize) -> AdaptSweepRecord {
-    let wan_index = index / config.schedules_per_wan.max(1);
-    let member = index % config.schedules_per_wan.max(1);
-    let kind = if wan_index.is_multiple_of(2) {
-        WanKind::Waxman
-    } else {
-        WanKind::TransitStub
-    };
-    // Stride 5 is coprime to the default size spans, so the size axis
-    // actually cycles through the whole range (stride 7 with a span of 7
-    // would pin every WAN to `min_nodes`).
-    let span = config.max_nodes.max(config.min_nodes) - config.min_nodes + 1;
-    let nodes = config.min_nodes + (wan_index * 5) % span;
-    let wan_seed = scenario_seed(config.seed, wan_index as u64);
-    let wan = generate(kind, nodes, wan_seed);
-    let schedule = generate_schedule_family(
-        wan.topology.edge_count(),
-        &config.schedule,
-        wan_seed,
-        member + 1,
-    )
-    .pop()
-    .expect("family has member+1 elements");
-    let mut record = empty_record(config, index as u64, &wan, &schedule);
-    let Some(spec) = loop_spec(config, &wan, &schedule) else {
-        return record; // no feasible mapping or no off-path CM node
-    };
-
-    let run = |policy: AdaptPolicy, rtt_signal: bool| {
-        let mut spec = spec.clone();
-        spec.adapt.rtt_signal = rtt_signal;
-        run_adaptive_loop(&spec, policy).ok()
-    };
-    let Some(static_run) = run(AdaptPolicy::Static, true) else {
-        return record;
-    };
-    let Some(adaptive) = run(AdaptPolicy::Adaptive, true) else {
-        return record;
-    };
-    let Some(oracle) = run(AdaptPolicy::Oracle, true) else {
-        return record;
-    };
-    let adaptive_no_rtt = if config.rtt_axis {
-        run(AdaptPolicy::Adaptive, false)
-    } else {
-        None
-    };
-
-    // Only events that landed inside the static run's virtual window are
-    // part of the scenario the policies actually experienced.
-    let window_end = virtual_end(&static_run).unwrap_or(0.0);
-    record.events = spec
-        .schedule
-        .events
-        .iter()
-        .filter(|e| e.at.as_secs() <= window_end)
-        .count();
-    let event_at = spec
-        .schedule
-        .first_event_at()
-        .map(|t| t.as_secs())
-        .filter(|t| *t <= window_end);
-
-    record.static_fps = frames_per_virtual_second(&static_run);
-    record.adaptive_fps = frames_per_virtual_second(&adaptive);
-    record.oracle_fps = frames_per_virtual_second(&oracle);
-    record.post_event_speedup = event_at.and_then(|at| {
-        match (
-            static_run.mean_delay_where(|s| s >= at),
-            adaptive.mean_delay_where(|s| s >= at),
-        ) {
-            (Some(st), Some(ad)) if ad > 0.0 => Some(st / ad),
-            _ => None,
+    fn preset(quick: bool) -> Self {
+        if quick {
+            AdaptSweepConfig::quick()
+        } else {
+            AdaptSweepConfig::full()
         }
-    });
-    record.oracle_gap = match (
-        adaptive.steady_state_mean(STEADY_TAIL),
-        oracle.steady_state_mean(STEADY_TAIL),
-    ) {
-        (Some(a), Some(o)) if o > 0.0 => Some(a / o),
-        _ => None,
-    };
-    record.remap_latency_s = adaptive.remap_latency_s;
-    record.migrations = adaptive.migrations.len();
-    record.detect_latency_s = event_at.and_then(|at| detect_latency(&adaptive, at));
-    record.detect_latency_no_rtt_s = event_at.and_then(|at| {
-        adaptive_no_rtt
-            .as_ref()
-            .and_then(|run| detect_latency(run, at))
-    });
-    record.frames_lost = static_run.frames_lost
-        + adaptive.frames_lost
-        + oracle.frames_lost
-        + adaptive_no_rtt.as_ref().map_or(0, |r| r.frames_lost);
-    record.frames_duplicated = static_run.frames_duplicated
-        + adaptive.frames_duplicated
-        + oracle.frames_duplicated
-        + adaptive_no_rtt.as_ref().map_or(0, |r| r.frames_duplicated);
-    record.decision_digest = decision_digest(&adaptive);
-    record.warm_solve_us = mean_solve_us(&adaptive);
-    record.cold_solve_us = mean_solve_us(&oracle);
-    record
-}
+    }
 
-/// The record of a scenario before (or without) any policy run: identity
-/// fields filled in, every metric absent.
-fn empty_record(
-    config: &AdaptSweepConfig,
-    id: u64,
-    wan: &GeneratedWan,
-    schedule: &DynamicScenario,
-) -> AdaptSweepRecord {
-    AdaptSweepRecord {
-        id,
-        label: format!("{} + {}", wan.label, schedule.label),
-        wan_seed: wan.seed,
-        schedule_seed: schedule.seed,
-        nodes: wan.topology.node_count(),
-        links: wan.topology.edge_count(),
-        events: 0,
-        frames: config.frames,
-        static_fps: None,
-        adaptive_fps: None,
-        oracle_fps: None,
-        post_event_speedup: None,
-        oracle_gap: None,
-        remap_latency_s: None,
-        migrations: 0,
-        detect_latency_s: None,
-        detect_latency_no_rtt_s: None,
-        frames_lost: 0,
-        frames_duplicated: 0,
-        decision_digest: String::new(),
-        warm_solve_us: 0.0,
-        cold_solve_us: 0.0,
+    fn seed_mut(&mut self) -> &mut u64 {
+        &mut self.seed
+    }
+
+    /// Dynamic scenarios evaluated: every schedule of every WAN.
+    fn cells(&self) -> usize {
+        self.wans * self.schedules_per_wan
+    }
+
+    /// Generate and evaluate dynamic scenario `index`: WAN
+    /// `index / schedules_per_wan`, member `index % schedules_per_wan` of
+    /// its schedule family, every policy.
+    fn run_cell(&self, index: usize) -> AdaptSweepRecord {
+        let per_wan = self.schedules_per_wan;
+        // Stride 5 is coprime to both presets' size spans (9 and 19), so
+        // the size axis cycles through the whole range.
+        let (_, wan) = generated_wan(
+            self.seed,
+            index / per_wan,
+            (self.min_nodes, self.max_nodes),
+            5,
+        );
+        let schedule = generate_schedule(
+            wan.topology.edge_count(),
+            &self.schedule,
+            family_member_seed(wan.seed, (index % per_wan) as u64),
+        );
+        let mut record = AdaptSweepRecord {
+            id: index as u64,
+            label: format!("{} + {}", wan.label, schedule.label),
+            wan_seed: wan.seed,
+            schedule_seed: schedule.seed,
+            nodes: wan.topology.node_count(),
+            links: wan.topology.edge_count(),
+            frames: self.frames,
+            ..AdaptSweepRecord::default()
+        };
+        let Some(spec) = loop_spec(self, &wan, &schedule) else {
+            return record; // no feasible mapping or no off-path CM node
+        };
+        let run = |policy: AdaptPolicy, rtt_signal: bool| {
+            let mut spec = spec.clone();
+            spec.adapt.rtt_signal = rtt_signal;
+            run_adaptive_loop(&spec, policy).ok()
+        };
+        // The fourth run is the detection-latency axis: the same adaptive
+        // controller on goodput alone.
+        let (Some(static_run), Some(adaptive), Some(oracle), Some(adaptive_no_rtt)) = (
+            run(AdaptPolicy::Static, true),
+            run(AdaptPolicy::Adaptive, true),
+            run(AdaptPolicy::Oracle, true),
+            run(AdaptPolicy::Adaptive, false),
+        ) else {
+            return record;
+        };
+        let runs = [&static_run, &adaptive, &oracle, &adaptive_no_rtt];
+
+        // Only events that landed inside the static run's virtual window are
+        // part of the scenario the policies actually experienced.
+        let window_end = virtual_end(&static_run).unwrap_or(0.0);
+        record.events = spec
+            .schedule
+            .events
+            .iter()
+            .filter(|e| e.at.as_secs() <= window_end)
+            .count();
+        let event_at = spec
+            .schedule
+            .first_event_at()
+            .map(|t| t.as_secs())
+            .filter(|t| *t <= window_end);
+
+        record.static_fps = frames_per_virtual_second(&static_run);
+        record.adaptive_fps = frames_per_virtual_second(&adaptive);
+        record.oracle_fps = frames_per_virtual_second(&oracle);
+        record.post_event_speedup = event_at.and_then(|at| {
+            match (
+                static_run.mean_delay_where(|s| s >= at),
+                adaptive.mean_delay_where(|s| s >= at),
+            ) {
+                (Some(st), Some(ad)) if ad > 0.0 => Some(st / ad),
+                _ => None,
+            }
+        });
+        record.oracle_gap = match (
+            adaptive.steady_state_mean(STEADY_TAIL),
+            oracle.steady_state_mean(STEADY_TAIL),
+        ) {
+            (Some(a), Some(o)) if o > 0.0 => Some(a / o),
+            _ => None,
+        };
+        record.remap_latency_s = adaptive.remap_latency_s;
+        record.migrations = adaptive.migrations.len();
+        record.detect_latency_s = event_at.and_then(|at| detect_latency(&adaptive, at));
+        record.detect_latency_no_rtt_s =
+            event_at.and_then(|at| detect_latency(&adaptive_no_rtt, at));
+        record.frames_lost = runs.iter().map(|r| r.frames_lost).sum();
+        record.frames_duplicated = runs.iter().map(|r| r.frames_duplicated).sum();
+        record.decision_digest = decision_digest(&adaptive);
+        record
+    }
+
+    fn aggregate(&self, records: Vec<AdaptSweepRecord>) -> AdaptSweepReport {
+        let summary = AdaptSweepSummary::aggregate(&records);
+        AdaptSweepReport { records, summary }
+    }
+
+    fn format(report: &AdaptSweepReport) -> String {
+        let mut out = table(
+            &[
+                ("id", -5),
+                ("nodes", 6),
+                ("links", 7),
+                ("events", 8),
+                ("stat fps", 10),
+                ("adpt fps", 10),
+                ("orcl fps", 10),
+                ("speedup", 9),
+                ("remaps", 8),
+                ("gap", 9),
+                ("det rtt", 10),
+                ("det good", 10),
+            ],
+            report.records.iter().map(|r| {
+                vec![
+                    r.id.to_string(),
+                    r.nodes.to_string(),
+                    r.links.to_string(),
+                    r.events.to_string(),
+                    opt(r.static_fps, 3, ""),
+                    opt(r.adaptive_fps, 3, ""),
+                    opt(r.oracle_fps, 3, ""),
+                    opt(r.post_event_speedup, 2, "x"),
+                    r.migrations.to_string(),
+                    opt(r.oracle_gap, 3, ""),
+                    opt(r.detect_latency_s, 3, ""),
+                    opt(r.detect_latency_no_rtt_s, 3, ""),
+                ]
+            }),
+        );
+        let s = &report.summary;
+        out.push_str(&format!(
+            "\nAdaptive vs static: {}/{} compared — {} wins / {} ties / {} losses, win rate {:.0}%\n",
+            s.compared,
+            s.scenarios,
+            s.adaptive_wins,
+            s.ties,
+            s.adaptive_losses,
+            100.0 * s.win_rate
+        ));
+        out.push_str(&format!(
+            "post-event speedup (static/adaptive): mean {:.2}x (p10 {:.2}x, median {:.2}x, p90 {:.2}x)\n",
+            s.mean_post_event_speedup,
+            s.p10_post_event_speedup,
+            s.p50_post_event_speedup,
+            s.p90_post_event_speedup
+        ));
+        out.push_str(&format!(
+            "oracle gap (adaptive/oracle steady state): mean {:.3}, p90 {:.3}\n",
+            s.mean_oracle_gap, s.p90_oracle_gap
+        ));
+        out.push_str(&format!(
+            "time-to-remap: mean {} s after the first event\n",
+            opt(s.mean_remap_latency_s, 3, "")
+        ));
+        out.push_str(&format!(
+            "detection: RTT signal on {:.0}% of eventful scenarios (mean {} s) vs goodput-only {:.0}% (mean {} s); mean RTT advantage {} s\n",
+            100.0 * s.detect_rate,
+            opt(s.mean_detect_latency_s, 3, ""),
+            100.0 * s.detect_rate_no_rtt,
+            opt(s.mean_detect_latency_no_rtt_s, 3, ""),
+            opt(s.mean_rtt_detect_advantage_s, 3, "")
+        ));
+        out
+    }
+
+    /// The frame audit must be clean across every migration of every
+    /// scenario, and most scenarios must have produced a comparison.
+    fn audit(&self, report: &AdaptSweepReport) -> Result<(), String> {
+        if let Some(r) = report
+            .records
+            .iter()
+            .find(|r| r.frames_lost + r.frames_duplicated > 0)
+        {
+            return Err(format!(
+                "scenario {}: {} lost / {} duplicated frames across the policy runs",
+                r.id, r.frames_lost, r.frames_duplicated
+            ));
+        }
+        let (compared, total) = (report.summary.compared, report.records.len());
+        if compared < total / 2 {
+            return Err(format!(
+                "most scenarios must be comparable, only {compared}/{total} are"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -337,9 +539,7 @@ pub fn loop_spec(
     );
     let initial = initial?;
     let path = &initial.mapping.path;
-    let cm = (0..wan.topology.node_count())
-        .map(NodeId)
-        .find(|id| !path.contains(&id.0) && *id != wan.source)?;
+    let cm = off_path_node(&wan.topology, path)?;
     let route_links: Vec<LinkId> = path
         .windows(2)
         .filter_map(|pair| {
@@ -437,102 +637,16 @@ fn detect_latency(run: &AdaptiveRun, event_at: f64) -> Option<f64> {
         .map(|d| d.at - event_at)
 }
 
-/// Mean wall-clock microseconds per re-solve of the run (0 when none ran).
-fn mean_solve_us(run: &AdaptiveRun) -> f64 {
-    if run.solves == 0 {
-        0.0
-    } else {
-        run.solve_us_total / run.solves as f64
-    }
-}
-
 /// FNV-1a digest of the run's serialized decision trace — a compact,
 /// wall-clock-free determinism witness.
 fn decision_digest(run: &AdaptiveRun) -> String {
     fnv1a_hex(&serde_json::to_string(&run.decisions).unwrap_or_default())
 }
 
-/// Render a sweep report as an aligned text table plus summary lines.
-pub fn format_adapt_sweep_report(report: &AdaptSweepReport) -> String {
-    let fmt = |v: Option<f64>| match v {
-        Some(x) => format!("{x:.3}"),
-        None => "-".to_string(),
-    };
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<5}{:>6}{:>7}{:>8}{:>10}{:>10}{:>10}{:>9}{:>8}{:>9}{:>10}{:>10}\n",
-        "id",
-        "nodes",
-        "links",
-        "events",
-        "stat fps",
-        "adpt fps",
-        "orcl fps",
-        "speedup",
-        "remaps",
-        "gap",
-        "det rtt",
-        "det good"
-    ));
-    for r in &report.records {
-        out.push_str(&format!(
-            "{:<5}{:>6}{:>7}{:>8}{:>10}{:>10}{:>10}{:>9}{:>8}{:>9}{:>10}{:>10}\n",
-            r.id,
-            r.nodes,
-            r.links,
-            r.events,
-            fmt(r.static_fps),
-            fmt(r.adaptive_fps),
-            fmt(r.oracle_fps),
-            match r.post_event_speedup {
-                Some(s) => format!("{s:.2}x"),
-                None => "-".to_string(),
-            },
-            r.migrations,
-            fmt(r.oracle_gap),
-            fmt(r.detect_latency_s),
-            fmt(r.detect_latency_no_rtt_s),
-        ));
-    }
-    let s = &report.summary;
-    out.push_str(&format!(
-        "\nAdaptive vs static: {}/{} compared — {} wins / {} ties / {} losses, win rate {:.0}%\n",
-        s.compared,
-        s.scenarios,
-        s.adaptive_wins,
-        s.ties,
-        s.adaptive_losses,
-        100.0 * s.win_rate
-    ));
-    out.push_str(&format!(
-        "post-event speedup (static/adaptive): mean {:.2}x (p10 {:.2}x, median {:.2}x, p90 {:.2}x)\n",
-        s.mean_post_event_speedup,
-        s.p10_post_event_speedup,
-        s.p50_post_event_speedup,
-        s.p90_post_event_speedup
-    ));
-    out.push_str(&format!(
-        "oracle gap (adaptive/oracle steady state): mean {:.3}, p90 {:.3}\n",
-        s.mean_oracle_gap, s.p90_oracle_gap
-    ));
-    out.push_str(&format!(
-        "time-to-remap: mean {} s after the first event\n",
-        fmt(s.mean_remap_latency_s)
-    ));
-    out.push_str(&format!(
-        "detection: RTT signal on {:.0}% of eventful scenarios (mean {} s) vs goodput-only {:.0}% (mean {} s); mean RTT advantage {} s\n",
-        100.0 * s.detect_rate,
-        fmt(s.mean_detect_latency_s),
-        100.0 * s.detect_rate_no_rtt,
-        fmt(s.mean_detect_latency_no_rtt_s),
-        fmt(s.mean_rtt_detect_advantage_s)
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::run;
 
     fn tiny_config() -> AdaptSweepConfig {
         AdaptSweepConfig {
@@ -548,23 +662,11 @@ mod tests {
     #[test]
     fn adapt_sweep_records_are_deterministic_per_seed() {
         let config = tiny_config();
-        let a = run_adapt_sweep(&config);
-        let b = run_adapt_sweep(&config);
-        assert_eq!(a.records, b.records, "records must reproduce per seed");
-        assert_eq!(a.summary, b.summary);
-        let digests_a: Vec<&str> = a
-            .records
-            .iter()
-            .map(|r| r.decision_digest.as_str())
-            .collect();
-        let digests_b: Vec<&str> = b
-            .records
-            .iter()
-            .map(|r| r.decision_digest.as_str())
-            .collect();
-        assert_eq!(digests_a, digests_b, "decision digests must reproduce");
+        let a = run(&config);
+        let b = run(&config);
+        assert_eq!(a, b, "records and summary must reproduce per seed");
         // A different base seed produces a different scenario set.
-        let other = run_adapt_sweep(&AdaptSweepConfig {
+        let other = run(&AdaptSweepConfig {
             seed: config.seed + 1,
             ..config
         });
@@ -573,7 +675,8 @@ mod tests {
 
     #[test]
     fn adapt_sweep_produces_comparable_scenarios_and_audits_cleanly() {
-        let report = run_adapt_sweep(&tiny_config());
+        let config = tiny_config();
+        let report = run(&config);
         assert_eq!(report.records.len(), 4);
         let ran = report
             .records
@@ -581,16 +684,64 @@ mod tests {
             .filter(|r| r.static_fps.is_some())
             .count();
         assert!(ran >= 3, "only {ran}/4 scenarios ran all policies");
-        for r in &report.records {
-            assert_eq!(r.frames_lost, 0, "scenario {}: lost frames", r.id);
-            assert_eq!(r.frames_duplicated, 0, "scenario {}: dup frames", r.id);
-            if r.static_fps.is_some() {
-                assert!(!r.decision_digest.is_empty());
-            }
+        assert_eq!(config.audit(&report), Ok(()));
+        for r in report.records.iter().filter(|r| r.static_fps.is_some()) {
+            assert!(!r.decision_digest.is_empty());
         }
-        let table = format_adapt_sweep_report(&report);
+        let table = AdaptSweepConfig::format(&report);
         assert!(table.contains("Adaptive vs static"));
         assert!(table.contains("oracle gap"));
         assert!(table.contains("detection"));
+        // The audit names the scenario that lost a frame, and refuses a
+        // record set with nothing to compare.
+        let mut lossy = report.clone();
+        lossy.records[2].frames_lost = 1;
+        assert!(config.audit(&lossy).unwrap_err().contains("scenario 2"));
+        let unran = config.aggregate(vec![AdaptSweepRecord::default(); 4]);
+        assert!(config.audit(&unran).unwrap_err().contains("0/4"));
+    }
+
+    #[test]
+    fn adapt_summary_counts_wins_losses_ties_and_detection_axes() {
+        let mk = |id: u64,
+                  speedup: Option<f64>,
+                  events: usize,
+                  detect: Option<f64>,
+                  detect_no_rtt: Option<f64>| AdaptSweepRecord {
+            id,
+            events,
+            post_event_speedup: speedup,
+            oracle_gap: speedup.map(|_| 1.0),
+            remap_latency_s: speedup.filter(|&s| s > 1.0).map(|_| 2.0),
+            detect_latency_s: detect,
+            detect_latency_no_rtt_s: detect_no_rtt,
+            ..AdaptSweepRecord::default()
+        };
+        let records = vec![
+            mk(0, Some(2.0), 3, Some(1.0), Some(3.0)),
+            mk(1, Some(1.0), 2, Some(1.5), None),
+            mk(2, Some(0.9), 1, None, None),
+            mk(3, None, 0, None, None),
+        ];
+        let s = AdaptSweepSummary::aggregate(&records);
+        assert_eq!(s.scenarios, 4);
+        assert_eq!(s.compared, 3);
+        assert_eq!(s.adaptive_wins, 1);
+        assert_eq!(s.adaptive_losses, 1);
+        assert_eq!(s.ties, 1);
+        assert!((s.win_rate - 1.0 / 3.0).abs() < 1e-12);
+        assert!((s.mean_post_event_speedup - 1.3).abs() < 1e-12);
+        // Detection rates are over the 3 eventful records only.
+        assert!((s.detect_rate - 2.0 / 3.0).abs() < 1e-12);
+        assert!((s.detect_rate_no_rtt - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(s.mean_detect_latency_s, Some(1.25));
+        assert_eq!(s.mean_detect_latency_no_rtt_s, Some(3.0));
+        // Advantage counted only where both controllers detected.
+        assert_eq!(s.mean_rtt_detect_advantage_s, Some(2.0));
+        assert_eq!(s.mean_remap_latency_s, Some(2.0));
+        let empty = AdaptSweepSummary::aggregate(&[]);
+        assert_eq!(empty.compared, 0);
+        assert_eq!(empty.detect_rate, 0.0);
+        assert_eq!(empty.mean_detect_latency_s, None);
     }
 }

@@ -16,8 +16,10 @@
 //! * [`roles`] — the client/front-end and central-management applications,
 //! * [`session`] — assembling one steering session on a topology,
 //! * [`experiment`] — the Fig. 9 / Fig. 10 experiment drivers,
-//! * [`sweep`] — the scenario-sweep driver evaluating the optimizer across
-//!   generated WAN families (see DESIGN.md §6),
+//! * [`sweep`] — the one evaluation-sweep harness (seeded cells, fan-out,
+//!   distribution summary, table formatting, audits) and the scenario
+//!   sweep evaluating the optimizer across generated WAN families (see
+//!   DESIGN.md §6),
 //! * `driver` (crate-private) — the one frame-paced loop driver: per-hop
 //!   stage hosting in per-node session muxes, the incremental frame
 //!   audit, the per-loop controller (static / monitored / oracle) and the
@@ -57,9 +59,7 @@ pub mod stage;
 pub mod sweep;
 
 pub use adapt::{run_adaptive_loop, AdaptPolicy, AdaptiveLoopSpec, AdaptiveRun};
-pub use adapt_sweep::{
-    format_adapt_sweep_report, run_adapt_sweep, AdaptSweepConfig, AdaptSweepReport,
-};
+pub use adapt_sweep::{AdaptSweepConfig, AdaptSweepRecord, AdaptSweepReport, AdaptSweepSummary};
 pub use api::{SimulationCommand, SimulationServer, SimulationStatus};
 pub use catalog::{standard_pipeline, SessionSpec, SimulationCatalog};
 pub use experiment::{
@@ -68,11 +68,10 @@ pub use experiment::{
 pub use message::ControlMessage;
 pub use session::{SessionPlan, SteeringSession};
 pub use session_sweep::{
-    format_session_sweep_report, run_session_sweep, ContentionFamily, PolicyComparison,
-    SessionSweepConfig, SessionSweepRecord, SessionSweepReport,
+    ContentionFamily, PolicyComparison, SessionSweepConfig, SessionSweepRecord, SessionSweepReport,
 };
 pub use sessions::{
     contention_wan, jain_fairness, run_multi_session, MappingPolicy, MultiSessionRun,
     MultiSessionSpec, SessionLoopSpec, SessionMux, SessionRun,
 };
-pub use sweep::{format_sweep_report, run_sweep, ScenarioOutcome, SweepConfig, SweepReport};
+pub use sweep::{ScenarioOutcome, Sweep, SweepConfig, SweepReport, SweepSummary};

@@ -1,7 +1,7 @@
 //! The multi-session sweep: joint vs independent vs client/server at scale.
 //!
 //! Where [`crate::adapt_sweep`] quantifies the *adaptive controller's* win
-//! rate across dynamic scenarios, this module quantifies the
+//! rate across dynamic scenarios, this [`Sweep`] quantifies the
 //! *contention-aware joint mapper's* win across session counts.  Per cell
 //! (scenario family × session count) it builds the N-session contention
 //! WAN ([`crate::sessions::contention_wan`]), spawns N frame-paced user
@@ -18,21 +18,17 @@
 //! exactly once ([`SessionSweepRecord::lost`] / `duplicated` are zero on
 //! a healthy run); per cell the [`PolicyComparison`] reports the joint
 //! policy's aggregate-throughput ratio and Jain-fairness delta over
-//! independent.  Cells are independent, so the sweep fans out over worker
-//! threads via the `rayon` shim, and every record is deterministic per
-//! seed — the metrics are virtual-time only.  The `session_sweep` bench
-//! binary prints the table and writes the BENCH json; DESIGN.md §11
-//! documents the layer.
+//! independent.  Every record is deterministic per seed — the metrics are
+//! virtual-time only.  `sweep session` prints the table and writes the
+//! BENCH json; DESIGN.md §11 documents the layer.
 
 use crate::sessions::{
     contention_wan, demo_session_pipeline, run_multi_session, MappingPolicy, MultiSessionRun,
     MultiSessionSpec, SessionLoopSpec,
 };
-use crate::sweep::scenario_seed;
-use rayon::prelude::*;
+use crate::sweep::{scenario_seed, table, Distribution, Sweep};
 use ricsa_adapt::monitor::AdaptConfig;
 use ricsa_netsim::time::SimTime;
-use ricsa_pipemap::sweep::percentile;
 use serde::{Deserialize, Serialize};
 
 /// One seeded contention-scenario family: how the N co-scheduled
@@ -132,11 +128,6 @@ impl SessionSweepConfig {
     pub fn full() -> Self {
         SessionSweepConfig::default()
     }
-
-    /// Cells evaluated (each runs all three policies).
-    pub fn cells(&self) -> usize {
-        self.session_counts.len() * self.families.len()
-    }
 }
 
 /// One policy's outcome on one cell of the sweep.
@@ -211,89 +202,197 @@ impl SessionSweepReport {
     }
 }
 
-/// Run the sweep: every cell (family × session count) under every policy.
-pub fn run_session_sweep(config: &SessionSweepConfig) -> SessionSweepReport {
-    let cells: Vec<(usize, usize)> = (0..config.families.len())
-        .flat_map(|f| (0..config.session_counts.len()).map(move |c| (f, c)))
-        .collect();
-    let per_cell: Vec<Vec<SessionSweepRecord>> = cells
-        .par_iter()
-        .map(|&(f, c)| run_cell(config, f, c))
-        .collect();
-    let mut records = Vec::with_capacity(per_cell.len() * 3);
-    let mut comparisons = Vec::with_capacity(per_cell.len());
-    for cell in per_cell {
-        if let (Some(ind), Some(joint)) = (
-            cell.iter().find(|r| r.policy == "independent"),
-            cell.iter().find(|r| r.policy == "joint"),
-        ) {
-            let fps_ratio = joint.aggregate_fps / ind.aggregate_fps.max(f64::EPSILON);
-            let fairness_delta = joint.fairness - ind.fairness;
-            comparisons.push(PolicyComparison {
-                family: ind.family.clone(),
-                n: ind.n,
-                fps_ratio,
-                fairness_delta,
-                p99_ratio: ind.p99_delay_s / joint.p99_delay_s.max(f64::EPSILON),
-                joint_wins_both: fps_ratio > 1.0 && fairness_delta > 0.0,
-            });
-        }
-        records.extend(cell);
-    }
-    SessionSweepReport {
-        records,
-        comparisons,
-    }
-}
+impl Sweep for SessionSweepConfig {
+    /// The records of one cell, one per policy that completed.
+    type Cell = Vec<SessionSweepRecord>;
+    type Report = SessionSweepReport;
 
-/// Run one cell: the same N loops on the same WAN under each policy.
-fn run_cell(
-    config: &SessionSweepConfig,
-    family_idx: usize,
-    count_idx: usize,
-) -> Vec<SessionSweepRecord> {
-    let family = &config.families[family_idx];
-    let n = config.session_counts[count_idx];
-    let wan = contention_wan(n);
-    let cell = (family_idx * config.session_counts.len() + count_idx) as u64;
-    let seed = scenario_seed(config.seed, cell);
-    let policies = [
-        MappingPolicy::Independent,
-        MappingPolicy::Joint,
-        MappingPolicy::ClientServer,
-    ];
-    policies
-        .iter()
-        .filter_map(|&policy| {
-            let sessions: Vec<SessionLoopSpec> = (0..n)
-                .map(|i| SessionLoopSpec {
-                    id: i as u64 + 1,
-                    pipeline: demo_session_pipeline(
-                        family.base_scale + family.scale_step * i as f64,
-                    ),
-                    source: wan.sources[i],
-                    client: wan.clients[i],
-                    frames: config.frames,
-                    start_at: 0.0,
-                })
-                .collect();
-            let spec = MultiSessionSpec {
-                topology: wan.topology.clone(),
-                cm: wan.cm,
-                sessions,
-                policy,
-                seed,
-                target_goodput: config.target_goodput,
-                adaptive: false,
-                adapt: config.adapt.clone(),
-                joint_rounds: config.joint_rounds,
-                max_virtual_time: config.max_virtual_time,
-            };
-            run_multi_session(&spec)
-                .ok()
-                .map(|run| to_record(family, n, wan.trunk_nodes(), &run))
-        })
-        .collect()
+    fn preset(quick: bool) -> Self {
+        if quick {
+            SessionSweepConfig::quick()
+        } else {
+            SessionSweepConfig::full()
+        }
+    }
+
+    fn seed_mut(&mut self) -> &mut u64 {
+        &mut self.seed
+    }
+
+    /// Cells evaluated, family-major (each runs all three policies).
+    fn cells(&self) -> usize {
+        self.families.len() * self.session_counts.len()
+    }
+
+    /// Run one cell: the same N loops on the same WAN under each policy.
+    fn run_cell(&self, index: usize) -> Vec<SessionSweepRecord> {
+        let family = &self.families[index / self.session_counts.len()];
+        let n = self.session_counts[index % self.session_counts.len()];
+        let wan = contention_wan(n);
+        let seed = scenario_seed(self.seed, index as u64);
+        let policies = [
+            MappingPolicy::Independent,
+            MappingPolicy::Joint,
+            MappingPolicy::ClientServer,
+        ];
+        policies
+            .iter()
+            .filter_map(|&policy| {
+                let sessions: Vec<SessionLoopSpec> = (0..n)
+                    .map(|i| SessionLoopSpec {
+                        id: i as u64 + 1,
+                        pipeline: demo_session_pipeline(
+                            family.base_scale + family.scale_step * i as f64,
+                        ),
+                        source: wan.sources[i],
+                        client: wan.clients[i],
+                        frames: self.frames,
+                        start_at: 0.0,
+                    })
+                    .collect();
+                let spec = MultiSessionSpec {
+                    topology: wan.topology.clone(),
+                    cm: wan.cm,
+                    sessions,
+                    policy,
+                    seed,
+                    target_goodput: self.target_goodput,
+                    adaptive: false,
+                    adapt: self.adapt.clone(),
+                    joint_rounds: self.joint_rounds,
+                    max_virtual_time: self.max_virtual_time,
+                };
+                run_multi_session(&spec)
+                    .ok()
+                    .map(|run| to_record(family, n, wan.trunk_nodes(), &run))
+            })
+            .collect()
+    }
+
+    fn aggregate(&self, cells: Vec<Vec<SessionSweepRecord>>) -> SessionSweepReport {
+        let mut records = Vec::with_capacity(cells.len() * 3);
+        let mut comparisons = Vec::with_capacity(cells.len());
+        for cell in cells {
+            if let (Some(ind), Some(joint)) = (
+                cell.iter().find(|r| r.policy == "independent"),
+                cell.iter().find(|r| r.policy == "joint"),
+            ) {
+                let fps_ratio = joint.aggregate_fps / ind.aggregate_fps.max(f64::EPSILON);
+                let fairness_delta = joint.fairness - ind.fairness;
+                comparisons.push(PolicyComparison {
+                    family: ind.family.clone(),
+                    n: ind.n,
+                    fps_ratio,
+                    fairness_delta,
+                    p99_ratio: ind.p99_delay_s / joint.p99_delay_s.max(f64::EPSILON),
+                    joint_wins_both: fps_ratio > 1.0 && fairness_delta > 0.0,
+                });
+            }
+            records.extend(cell);
+        }
+        SessionSweepReport {
+            records,
+            comparisons,
+        }
+    }
+
+    fn format(report: &SessionSweepReport) -> String {
+        let mut out = table(
+            &[
+                ("family", -12),
+                ("n", 4),
+                ("", 2), // a gap: `n` is right-aligned, `policy` left-aligned
+                ("policy", -14),
+                ("done", 6),
+                ("lost", 6),
+                ("dup", 5),
+                ("agg fps", 10),
+                ("fairness", 10),
+                ("mean s", 10),
+                ("p99 s", 10),
+                ("trunk", 7),
+            ],
+            report.records.iter().map(|r| {
+                vec![
+                    r.family.clone(),
+                    r.n.to_string(),
+                    String::new(),
+                    r.policy.clone(),
+                    r.completed.to_string(),
+                    r.lost.to_string(),
+                    r.duplicated.to_string(),
+                    format!("{:.3}", r.aggregate_fps),
+                    format!("{:.3}", r.fairness),
+                    format!("{:.3}", r.mean_delay_s),
+                    format!("{:.3}", r.p99_delay_s),
+                    r.trunk_users.to_string(),
+                ]
+            }),
+        );
+        out.push('\n');
+        for c in &report.comparisons {
+            out.push_str(&format!(
+                "{} n={}: joint/independent fps {:.2}x, fairness {:+.3}, p99 {:.2}x shorter{}\n",
+                c.family,
+                c.n,
+                c.fps_ratio,
+                c.fairness_delta,
+                c.p99_ratio,
+                if c.joint_wins_both {
+                    "  [joint wins both]"
+                } else {
+                    ""
+                }
+            ));
+        }
+        out.push_str(&format!(
+            "joint beat independent on throughput AND fairness in {}/{} cells\n",
+            report.joint_double_wins(),
+            report.comparisons.len()
+        ));
+        out
+    }
+
+    /// Every policy completes on every cell with a clean per-session frame
+    /// audit, and under contention (N = 8) the joint solve beats N
+    /// independent solves on aggregate throughput *and* fairness in at
+    /// least one family.
+    fn audit(&self, report: &SessionSweepReport) -> Result<(), String> {
+        let expected = self.cells() * 3;
+        if report.records.len() != expected {
+            return Err(format!(
+                "every policy must complete on every cell, {}/{expected} did",
+                report.records.len()
+            ));
+        }
+        if let Some(r) = report
+            .records
+            .iter()
+            .find(|r| r.lost + r.duplicated > 0 || r.completed != self.frames * r.n as u64)
+        {
+            return Err(format!(
+                "{} n={} {}: {} lost / {} duplicated / {} of {} frames delivered",
+                r.family,
+                r.n,
+                r.policy,
+                r.lost,
+                r.duplicated,
+                r.completed,
+                self.frames * r.n as u64
+            ));
+        }
+        if !report
+            .comparisons
+            .iter()
+            .any(|c| c.n == 8 && c.joint_wins_both)
+        {
+            return Err(format!(
+                "joint must beat independent on fps and fairness at N=8 in some family: {:?}",
+                report.comparisons
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Fold one run into its sweep record.
@@ -303,17 +402,7 @@ fn to_record(
     trunk: (usize, usize),
     run: &MultiSessionRun,
 ) -> SessionSweepRecord {
-    let mut delays: Vec<f64> = run
-        .sessions
-        .iter()
-        .flat_map(|s| s.delays.iter().copied())
-        .collect();
-    delays.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mean = if delays.is_empty() {
-        0.0
-    } else {
-        delays.iter().sum::<f64>() / delays.len() as f64
-    };
+    let delays = Distribution::of(run.sessions.iter().flat_map(|s| s.delays.iter().copied()));
     let trunk_users = run
         .sessions
         .iter()
@@ -334,74 +423,18 @@ fn to_record(
         duplicated: run.sessions.iter().map(|s| s.duplicated).sum(),
         aggregate_fps: run.aggregate_fps,
         fairness: run.fairness,
-        mean_delay_s: mean,
-        p99_delay_s: percentile(&delays, 0.99),
+        mean_delay_s: delays.mean,
+        p99_delay_s: delays.p99,
         predicted_aggregate_s: run.predicted_aggregate,
         trunk_users,
         duration_s: run.duration,
     }
 }
 
-/// Render a sweep report as an aligned text table plus comparison lines.
-pub fn format_session_sweep_report(report: &SessionSweepReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<12}{:>4}  {:<14}{:>6}{:>6}{:>5}{:>10}{:>10}{:>10}{:>10}{:>7}\n",
-        "family",
-        "n",
-        "policy",
-        "done",
-        "lost",
-        "dup",
-        "agg fps",
-        "fairness",
-        "mean s",
-        "p99 s",
-        "trunk"
-    ));
-    for r in &report.records {
-        out.push_str(&format!(
-            "{:<12}{:>4}  {:<14}{:>6}{:>6}{:>5}{:>10.3}{:>10.3}{:>10.3}{:>10.3}{:>7}\n",
-            r.family,
-            r.n,
-            r.policy,
-            r.completed,
-            r.lost,
-            r.duplicated,
-            r.aggregate_fps,
-            r.fairness,
-            r.mean_delay_s,
-            r.p99_delay_s,
-            r.trunk_users,
-        ));
-    }
-    out.push('\n');
-    for c in &report.comparisons {
-        out.push_str(&format!(
-            "{} n={}: joint/independent fps {:.2}x, fairness {:+.3}, p99 {:.2}x shorter{}\n",
-            c.family,
-            c.n,
-            c.fps_ratio,
-            c.fairness_delta,
-            c.p99_ratio,
-            if c.joint_wins_both {
-                "  [joint wins both]"
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str(&format!(
-        "joint beat independent on throughput AND fairness in {}/{} cells\n",
-        report.joint_double_wins(),
-        report.comparisons.len()
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::run;
 
     fn tiny_config() -> SessionSweepConfig {
         SessionSweepConfig {
@@ -415,34 +448,31 @@ mod tests {
     #[test]
     fn session_sweep_audits_cleanly_and_reproduces() {
         let config = tiny_config();
-        let a = run_session_sweep(&config);
+        let a = run(&config);
         assert_eq!(a.records.len(), 2 * 3, "2 cells × 3 policies");
         assert_eq!(a.comparisons.len(), 2);
+        // Every policy completed with a clean frame audit; the one check
+        // left to fail is the N = 8 comparison this config does not run.
+        assert!(config.audit(&a).unwrap_err().contains("at N=8"));
+        let mut lossy = a.clone();
+        lossy.records[4].lost = 1;
+        assert!(config.audit(&lossy).unwrap_err().contains("1 lost"));
+        lossy.records.pop();
+        assert!(config.audit(&lossy).unwrap_err().contains("5/6"));
         for r in &a.records {
-            assert_eq!(
-                r.lost, 0,
-                "{} n={} {}: lost frames",
-                r.family, r.n, r.policy
-            );
-            assert_eq!(
-                r.duplicated, 0,
-                "{} n={} {}: dup frames",
-                r.family, r.n, r.policy
-            );
-            assert_eq!(r.completed, 3 * r.n as u64, "every frame of every session");
             assert!(r.p99_delay_s >= r.mean_delay_s * 0.5);
             assert!(r.aggregate_fps > 0.0 && r.fairness > 0.0 && r.fairness <= 1.0 + 1e-9);
         }
-        let b = run_session_sweep(&config);
+        let b = run(&config);
         assert_eq!(a, b, "virtual-time metrics must reproduce per seed");
-        let table = format_session_sweep_report(&a);
+        let table = SessionSweepConfig::format(&a);
         assert!(table.contains("joint/independent fps"));
         assert!(table.contains("cells"));
     }
 
     #[test]
     fn joint_never_predicts_worse_than_independent_in_any_cell() {
-        let report = run_session_sweep(&tiny_config());
+        let report = run(&tiny_config());
         for c in report.comparisons.iter() {
             let ind = report
                 .records
@@ -463,14 +493,5 @@ mod tests {
                 ind.predicted_aggregate_s
             );
         }
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&sorted, 0.5), 2.0);
-        assert_eq!(percentile(&sorted, 0.99), 4.0);
-        assert_eq!(percentile(&sorted[..1], 0.99), 1.0);
-        assert_eq!(percentile(&[], 0.99), 0.0);
     }
 }

@@ -30,8 +30,9 @@
 //!   slower) relay route.  Independent solves all pile onto the trunk;
 //!   the joint solve spreads the load.
 //!
-//! DESIGN.md §11 documents the layer; the `session_sweep` bench bin
-//! quantifies joint-vs-independent-vs-client/server across session counts.
+//! DESIGN.md §11 documents the layer; `sweep session` (the bench bin over
+//! [`crate::session_sweep`]) quantifies
+//! joint-vs-independent-vs-client/server across session counts.
 
 use crate::driver::{drive, Controller, DriveSpec, LoopState};
 use crate::message::{ControlMessage, KIND_CONTROL};

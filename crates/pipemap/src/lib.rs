@@ -41,10 +41,7 @@ pub use exhaustive::exhaustive_optimal;
 pub use joint::{solution_digest, solve_joint, JointOptions, JointSession, JointSolution};
 pub use network::{NetGraph, NetLink, NetNode};
 pub use pipeline::{ModuleSpec, Pipeline};
-pub use sweep::{
-    solve_batch, solve_scenario, AdaptSweepRecord, AdaptSweepSummary, Scenario, ScenarioSolution,
-    SweepRecord, SweepSummary,
-};
+pub use sweep::{solve_scenario, Scenario, ScenarioSolution, SweepRecord};
 pub use vrt::{RoutingEntry, VisualizationRoutingTable};
 
 /// 64-bit FNV-1a of `text` as 16 lowercase hex digits — the one digest

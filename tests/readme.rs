@@ -181,7 +181,7 @@ fn readme_readiness_section_matches_the_code() {
     );
 }
 
-/// The adaptive re-mapping section must show the `adapt_live` command and
+/// The adaptive re-mapping section must show the `sweep adapt` command and
 /// its promises must hold against the actual crate surface: deterministic
 /// schedules, passive telemetry with no probe traffic, and a change-point
 /// detector that confirms a collapse but not jitter.
@@ -189,8 +189,8 @@ fn readme_readiness_section_matches_the_code() {
 fn readme_adaptive_section_matches_the_code() {
     let text = readme();
     assert!(
-        text.contains("--bin adapt_live -- --quick"),
-        "README must show the adapt_live --quick command"
+        text.contains("--bin sweep -- adapt --quick"),
+        "README must show the sweep adapt --quick command"
     );
     for promise in [
         "change-point",
@@ -221,7 +221,7 @@ fn readme_adaptive_section_matches_the_code() {
     );
 }
 
-/// The adaptation-sweep section must show the `adapt_sweep` command and
+/// The adaptation-sweep section must show the `sweep adapt` command and
 /// its promises must hold against the actual crate surface: schedule
 /// families keyed off one base seed, a byte-deterministic record set,
 /// and an RTT signal that detects a degradation goodput cannot see.
@@ -229,8 +229,8 @@ fn readme_adaptive_section_matches_the_code() {
 fn readme_adaptation_sweep_section_matches_the_code() {
     let text = readme();
     assert!(
-        text.contains("--bin adapt_sweep -- --quick"),
-        "README must show the adapt_sweep --quick command"
+        text.contains("--bin sweep -- adapt --quick"),
+        "README must show the sweep adapt --quick command"
     );
     for promise in [
         "generate_schedule_family",
@@ -298,7 +298,7 @@ fn readme_adaptation_sweep_section_matches_the_code() {
     assert_eq!(record.signal, ricsa::adapt::SIGNAL_RTT);
 }
 
-/// The multi-session section must show the `session_sweep` command and
+/// The multi-session section must show the `sweep session` command and
 /// its promises must hold against the actual crate surface: the joint
 /// solve is deterministic and never predicts worse than independent
 /// under the contended model, and the session layer audits frames per
@@ -307,8 +307,8 @@ fn readme_adaptation_sweep_section_matches_the_code() {
 fn readme_multi_session_section_matches_the_code() {
     let text = readme();
     assert!(
-        text.contains("--bin session_sweep -- --quick"),
-        "README must show the session_sweep --quick command"
+        text.contains("--bin sweep -- session --quick"),
+        "README must show the sweep session --quick command"
     );
     for promise in [
         "contention-aware joint solve",

@@ -6,66 +6,46 @@
 //! virtual-time quantities only, so a digest moves only when a mapping, a
 //! schedule, a simulated loop or a summary statistic moves: a harness
 //! refactor that keeps these digests has kept every number the sweeps
-//! print.  This is the committed baseline of the `sweep` bin.
+//! print.  Each test also runs the sweep's audit — the acceptance checks
+//! whose failure makes the `sweep` bin exit 1 — so tier-1 runs them, not
+//! only CI.  This is the committed baseline of the `sweep` bin.
 //!
 //! The digests were captured at the commit that introduced this file and
 //! are not to be edited by a change that claims to preserve behaviour.
 
-use ricsa::core::adapt_sweep::{run_adapt_sweep, AdaptSweepConfig};
-use ricsa::core::session_sweep::{run_session_sweep, SessionSweepConfig};
-use ricsa::core::sweep::{run_sweep, SweepConfig};
+use ricsa::core::sweep::{run, Sweep};
+use ricsa::core::{AdaptSweepConfig, SessionSweepConfig, SweepConfig};
 use ricsa::netsim::generators::{waxman, WaxmanParams};
 use ricsa::pipemap::dp::{optimize_with, DpOptions};
 use ricsa::pipemap::fnv1a_hex;
 use ricsa::pipemap::network::NetGraph;
 use ricsa::pipemap::pipeline::Pipeline;
-use serde_json::Value;
 
-/// The wall-clock fields a record may carry; everything else in a report
-/// is deterministic per seed.
-const WALL_CLOCK_KEYS: [&str; 4] = ["dp_cold_us", "dp_warm_us", "warm_solve_us", "cold_solve_us"];
-
-fn strip_wall_clock(value: &mut Value) {
-    match value {
-        Value::Object(map) => {
-            for key in WALL_CLOCK_KEYS {
-                map.remove(key);
-            }
-            map.values_mut().for_each(strip_wall_clock);
-        }
-        Value::Array(items) => items.iter_mut().for_each(strip_wall_clock),
-        _ => {}
-    }
-}
-
-fn report_digest(mut value: Value) -> String {
-    strip_wall_clock(&mut value);
-    fnv1a_hex(&value.to_string())
+/// Run the quick preset, audit it, digest the serialized report.
+fn quick_report_digest<S: Sweep>() -> String {
+    let config = S::preset(true);
+    let report = run(&config);
+    assert_eq!(config.audit(&report), Ok(()));
+    fnv1a_hex(&serde_json::to_string(&report).expect("reports serialize"))
 }
 
 #[test]
 fn quick_scenario_sweep_report_is_pinned() {
-    let report = run_sweep(&SweepConfig::quick());
-    assert_eq!(
-        report_digest(serde_json::to_value(&report)),
-        "af26149df41c6a2b"
-    );
+    assert_eq!(quick_report_digest::<SweepConfig>(), "af26149df41c6a2b");
 }
 
 #[test]
 fn quick_adapt_sweep_report_is_pinned() {
-    let report = run_adapt_sweep(&AdaptSweepConfig::quick());
     assert_eq!(
-        report_digest(serde_json::to_value(&report)),
+        quick_report_digest::<AdaptSweepConfig>(),
         "4dc83a7db704d794"
     );
 }
 
 #[test]
 fn quick_session_sweep_report_is_pinned() {
-    let report = run_session_sweep(&SessionSweepConfig::quick());
     assert_eq!(
-        report_digest(serde_json::to_value(&report)),
+        quick_report_digest::<SessionSweepConfig>(),
         "dd688a9a222c452d"
     );
 }
