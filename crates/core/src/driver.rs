@@ -442,13 +442,13 @@ impl Driver<'_> {
 
 /// Pull every loop's frames through one simulated WAN, concurrently.
 /// Returns the frame audit and the virtual time the run ended; each loop's
-/// progress is left in its [`LoopState`].  Errors only when a mapping's
-/// data path revisits a node.
+/// progress is left in its [`LoopState`].  Errors when the topology is
+/// invalid or a mapping's data path revisits a node.
 pub(crate) fn drive(
     spec: &DriveSpec,
     loops: &mut [LoopState],
 ) -> Result<(FrameAudit, f64), String> {
-    let mut sim = Simulator::new(spec.topology.clone(), spec.seed);
+    let mut sim = Simulator::try_new(spec.topology.clone(), spec.seed)?;
     for event in spec.schedule {
         sim.schedule_link_change(event.at, event.link, event.change.clone());
     }

@@ -22,7 +22,6 @@ pub struct CentralManagerApp {
     participants: Vec<NodeId>,
     vrt: VisualizationRoutingTable,
     dedup: DedupFilter,
-    requests_handled: u64,
 }
 
 impl CentralManagerApp {
@@ -39,13 +38,7 @@ impl CentralManagerApp {
             participants,
             vrt,
             dedup: DedupFilter::new(),
-            requests_handled: 0,
         }
-    }
-
-    /// Number of steering requests this CM has handled.
-    pub fn requests_handled(&self) -> u64 {
-        self.requests_handled
     }
 }
 
@@ -60,7 +53,6 @@ impl Application for CentralManagerApp {
         }
         match msg {
             ControlMessage::SteeringRequest { request_id, .. } => {
-                self.requests_handled += 1;
                 ctx.trace(TraceEvent::new(TraceKind::Note {
                     label: format!("cm-request:{request_id}"),
                     value: ctx.now().as_secs(),
@@ -161,7 +153,6 @@ mod tests {
         let mut cm = CentralManagerApp::new(7, NodeId(3), vec![NodeId(3), NodeId(4)], sample_vrt());
         let mut ctx = Context::new(NodeId(1), SimTime::from_secs(2.0), 0, vec![0.5]);
         cm.on_datagram(&mut ctx, datagram(&request()));
-        assert_eq!(cm.requests_handled(), 1);
         let begins = ctx
             .outgoing()
             .iter()
@@ -183,7 +174,6 @@ mod tests {
         // Duplicate request copies are ignored.
         let mut ctx2 = Context::new(NodeId(1), SimTime::from_secs(2.0), 50, vec![0.5]);
         cm.on_datagram(&mut ctx2, datagram(&request()));
-        assert_eq!(cm.requests_handled(), 1);
         assert!(ctx2.outgoing().is_empty());
     }
 

@@ -115,9 +115,9 @@ fn datagram_session(payload: &Payload) -> Option<u64> {
 /// The shell installed into the simulator and the handles the session
 /// manager keeps share one [`Rc`]'d state, so stages can be inserted and
 /// removed while the simulation runs — that is how sessions spawn, retire
-/// and migrate live.  Late-inserted stages do not receive `on_start`
-/// (this manager never configures a client drive, whose initial request
-/// is the only thing `StageApp::on_start` does).
+/// and migrate live.  Resident stages never receive `on_start`: this
+/// manager configures no client drive, whose initial request is the only
+/// thing `StageApp::on_start` does.
 #[derive(Clone, Default)]
 pub struct SessionMux {
     state: Rc<RefCell<MuxState>>,
@@ -153,14 +153,6 @@ impl SessionMux {
 }
 
 impl Application for SessionMux {
-    fn on_start(&mut self, ctx: &mut Context) {
-        let state = &mut *self.state.borrow_mut();
-        let ids: Vec<u64> = state.inners.keys().copied().collect();
-        for session in ids {
-            deliver(state, session, ctx, |app, ctx| app.on_start(ctx));
-        }
-    }
-
     fn on_datagram(&mut self, ctx: &mut Context, dg: Datagram) {
         let state = &mut *self.state.borrow_mut();
         match datagram_session(&dg.payload) {
@@ -906,6 +898,19 @@ mod tests {
         let mut spec = spec_for(&wan, &[2, 2], MappingPolicy::Independent);
         spec.sessions[0].id = 1 << 24;
         assert!(run_multi_session(&spec).is_err());
+    }
+
+    #[test]
+    fn an_invalid_topology_is_an_error_value_not_a_panic() {
+        // The mapper never reads a link's jitter, so the spec plans — and
+        // the simulator, which does, must refuse it by value.
+        let wan = contention_wan(1);
+        let mut spec = spec_for(&wan, &[2], MappingPolicy::Independent);
+        let link = LinkId(0);
+        spec.topology.edge_spec_mut(link).expect("link 0").jitter = -1.0;
+        let refused = std::panic::catch_unwind(|| run_multi_session(&spec));
+        let error = refused.expect("no unwinding").expect_err("no run");
+        assert!(error.contains("jitter"), "{error}");
     }
 
     #[test]

@@ -241,15 +241,6 @@ impl StageApp {
         }
     }
 
-    /// Publish the outgoing flow's passive telemetry into the shared sink
-    /// (keyed by the directed link this stage forwards over), if a sink is
-    /// configured.
-    fn record_sender_telemetry(&self, node: NodeId, telemetry: FlowTelemetry) {
-        if let (Some(sink), Some(next)) = (&self.config.telemetry, self.config.next) {
-            sink.borrow_mut().insert((node.0, next.0), telemetry);
-        }
-    }
-
     fn flow_config(&self, bytes: usize) -> FlowConfig {
         FlowConfig {
             message_bytes: Some(bytes.max(1)),
@@ -488,16 +479,18 @@ impl Application for StageApp {
                 }
             }
             KIND_ACK => {
-                let (finished, telemetry) = if let Phase::Sending { sender, .. } = &mut self.phase {
-                    sender.on_datagram(ctx, dg);
-                    (sender.is_finished(), Some(sender.telemetry().clone()))
-                } else {
-                    (false, None)
+                let Phase::Sending { sender, .. } = &mut self.phase else {
+                    return;
                 };
-                if let Some(t) = telemetry {
-                    self.record_sender_telemetry(ctx.node_id(), t);
+                sender.on_datagram(ctx, dg);
+                // Publish the flow's passive telemetry under the directed
+                // link this stage forwards over — copied only when some
+                // monitor reads the sink.
+                if let (Some(sink), Some(next)) = (&self.config.telemetry, self.config.next) {
+                    let link = (ctx.node_id().0, next.0);
+                    sink.borrow_mut().insert(link, sender.telemetry().clone());
                 }
-                if finished {
+                if sender.is_finished() {
                     self.phase = Phase::Idle;
                 }
             }
@@ -516,6 +509,8 @@ impl Application for StageApp {
                 sender_timers,
                 ..
             } if sender_timers.contains(&timer_id) => {
+                // An id fires at most once: forget it, keep what it re-arms.
+                sender_timers.remove(&timer_id);
                 let before = ctx.scheduled_timers().len();
                 sender.on_timer(ctx, timer_id);
                 sender_timers.extend(armed_since(ctx, before));
@@ -531,6 +526,7 @@ impl Application for StageApp {
                 receiver_timers,
                 ..
             } if receiver_timers.contains(&timer_id) => {
+                receiver_timers.remove(&timer_id);
                 let before = ctx.scheduled_timers().len();
                 receiver.on_timer(ctx, timer_id);
                 receiver_timers.extend(armed_since(ctx, before));

@@ -495,7 +495,7 @@ fn simulate_mapping(
         predicted: *predicted,
         processing_overhead: 1.0,
     };
-    let mut sim = Simulator::new(wan.topology.clone(), scenario.seed);
+    let mut sim = Simulator::try_new(wan.topology.clone(), scenario.seed).ok()?;
     SteeringSession::install(&plan, &mut sim, cm, 1, config.target_goodput);
     let delays = SteeringSession::run(&mut sim, 1, config.max_virtual_time);
     delays

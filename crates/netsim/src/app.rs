@@ -48,15 +48,31 @@ pub struct TimerRequest {
     pub timer_id: u64,
 }
 
+/// Number of uniform draws the engine makes for every event it dispatches
+/// to a hosting node, whether or not the application calls
+/// [`Context::random`].  This is a determinism contract, not a convenience:
+/// the position of the simulation RNG after each dispatch is part of every
+/// lossy run's record, so the count may never depend on what the callback
+/// does — and may never change without changing every seeded result.
+pub const RANDOMS_PER_CALLBACK: usize = 4;
+
+/// The side effects an application requests during one callback.  The
+/// engine lends these buffers to each [`Context`] and takes them back
+/// drained, so a dispatch allocates nothing once they have grown.
+#[derive(Default)]
+pub(crate) struct Effects {
+    pub(crate) sends: Vec<SendRequest>,
+    pub(crate) timers: Vec<TimerRequest>,
+    pub(crate) traces: Vec<TraceEvent>,
+}
+
 /// The simulator services exposed to an application during a callback.
 pub struct Context {
     node: NodeId,
     now: SimTime,
     next_timer_id: u64,
-    pub(crate) sends: Vec<SendRequest>,
-    pub(crate) timers: Vec<TimerRequest>,
-    pub(crate) traces: Vec<TraceEvent>,
-    pub(crate) random_draws: Vec<f64>,
+    pub(crate) effects: Effects,
+    random_draws: [f64; RANDOMS_PER_CALLBACK],
     random_cursor: usize,
 }
 
@@ -66,15 +82,29 @@ impl Context {
     /// The simulation engine builds contexts internally; this constructor is
     /// public so that applications (transport protocols, framework roles) can
     /// be unit-tested in isolation without spinning up a full simulator.
+    /// As in the engine, [`RANDOMS_PER_CALLBACK`] draws are kept: a shorter
+    /// list is padded with its last value (0.5 when empty).
     pub fn new(node: NodeId, now: SimTime, next_timer_id: u64, randoms: Vec<f64>) -> Self {
+        let draw = |i| randoms.get(i).or(randoms.last()).copied().unwrap_or(0.5);
+        let random_draws = std::array::from_fn(draw);
+        Context::lent(node, now, next_timer_id, random_draws, Effects::default())
+    }
+
+    /// The engine's constructor: a full set of draws and the (empty)
+    /// effect buffers the callback fills.
+    pub(crate) fn lent(
+        node: NodeId,
+        now: SimTime,
+        next_timer_id: u64,
+        random_draws: [f64; RANDOMS_PER_CALLBACK],
+        effects: Effects,
+    ) -> Self {
         Context {
             node,
             now,
             next_timer_id,
-            sends: Vec::new(),
-            timers: Vec::new(),
-            traces: Vec::new(),
-            random_draws: randoms,
+            effects,
+            random_draws,
             random_cursor: 0,
         }
     }
@@ -92,7 +122,7 @@ impl Context {
     /// Send a datagram to another node.  Delivery (or loss) is decided by the
     /// links along the routed path.
     pub fn send(&mut self, dst: NodeId, payload: Payload) {
-        self.sends.push(SendRequest { dst, payload });
+        self.effects.sends.push(SendRequest { dst, payload });
     }
 
     /// Schedule a timer `delay` in the future; returns the timer identifier
@@ -100,7 +130,7 @@ impl Context {
     pub fn set_timer(&mut self, delay: SimTime) -> u64 {
         let id = self.next_timer_id;
         self.next_timer_id += 1;
-        self.timers.push(TimerRequest {
+        self.effects.timers.push(TimerRequest {
             delay,
             timer_id: id,
         });
@@ -109,17 +139,12 @@ impl Context {
 
     /// A deterministic uniform draw in `[0, 1)` tied to the simulation seed.
     ///
-    /// A bounded number of draws (currently 4) is available per callback;
-    /// further calls repeat the last value, which keeps the engine
-    /// deterministic without unbounded pre-generation.
+    /// A bounded number of draws ([`RANDOMS_PER_CALLBACK`]) is available
+    /// per callback; further calls repeat the last value, which keeps the
+    /// engine deterministic without unbounded pre-generation.
     pub fn random(&mut self) -> f64 {
-        let v = self
-            .random_draws
-            .get(self.random_cursor)
-            .or_else(|| self.random_draws.last())
-            .copied()
-            .unwrap_or(0.5);
-        if self.random_cursor + 1 < self.random_draws.len() {
+        let v = self.random_draws[self.random_cursor];
+        if self.random_cursor + 1 < RANDOMS_PER_CALLBACK {
             self.random_cursor += 1;
         }
         v
@@ -127,7 +152,7 @@ impl Context {
 
     /// Record a trace event visible to the experiment harness.
     pub fn trace(&mut self, event: TraceEvent) {
-        self.traces.push(event);
+        self.effects.traces.push(event);
     }
 
     pub(crate) fn next_timer_id(&self) -> u64 {
@@ -136,12 +161,12 @@ impl Context {
 
     /// The datagram sends requested so far in this callback (test helper).
     pub fn outgoing(&self) -> &[SendRequest] {
-        &self.sends
+        &self.effects.sends
     }
 
     /// The timers scheduled so far in this callback (test helper).
     pub fn scheduled_timers(&self) -> &[TimerRequest] {
-        &self.timers
+        &self.effects.timers
     }
 }
 
@@ -159,8 +184,8 @@ mod tests {
         let t2 = ctx.set_timer(SimTime::from_millis(10.0));
         assert_eq!(t1, 10);
         assert_eq!(t2, 11);
-        assert_eq!(ctx.sends.len(), 1);
-        assert_eq!(ctx.timers.len(), 2);
+        assert_eq!(ctx.outgoing().len(), 1);
+        assert_eq!(ctx.scheduled_timers().len(), 2);
         assert_eq!(ctx.next_timer_id(), 12);
     }
 
@@ -192,7 +217,7 @@ mod tests {
                 payload: Payload::opaque(1),
             },
         );
-        assert!(ctx.sends.is_empty());
-        assert!(ctx.timers.is_empty());
+        assert!(ctx.outgoing().is_empty());
+        assert!(ctx.scheduled_timers().is_empty());
     }
 }

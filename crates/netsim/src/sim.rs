@@ -6,7 +6,7 @@
 //! dispatching them to applications; side effects requested by applications
 //! (sends, timers, traces) are applied when the callback returns.
 
-use crate::app::{Application, Context};
+use crate::app::{Application, Context, Effects};
 use crate::dynamics::{DynamicScenario, LinkChange};
 use crate::event::{EventKind, EventQueue};
 use crate::link::{Link, LinkId, LinkOutcome};
@@ -17,24 +17,23 @@ use crate::routing::RoutingTable;
 use crate::time::SimTime;
 use crate::topology::Topology;
 use crate::trace::Trace;
-use std::collections::HashMap;
-
-/// Number of pre-generated uniform draws handed to each application callback.
-/// Kept small because most applications never call `Context::random` and the
-/// draws are regenerated for every dispatched event.
-const RANDOMS_PER_CALLBACK: usize = 4;
 
 /// The discrete-event simulator.
 pub struct Simulator {
     topology: Topology,
     routing: RoutingTable,
     links: Vec<Link>,
-    apps: HashMap<NodeId, Box<dyn Application>>,
+    /// The application hosted on each node, indexed by `NodeId`.
+    apps: Vec<Option<Box<dyn Application>>>,
     queue: EventQueue,
     now: SimTime,
     rng: SimRng,
     trace: Trace,
-    next_timer_ids: HashMap<NodeId, u64>,
+    /// Each node's next timer id, indexed by `NodeId`; it outlives the
+    /// applications installed on the node, so ids never repeat.
+    next_timer_ids: Vec<u64>,
+    /// The effect buffers lent to the context of each dispatch.
+    effects: Effects,
     started: bool,
     stats: SimStats,
 }
@@ -60,29 +59,37 @@ impl Simulator {
     /// Create a simulator for a topology with the given RNG seed.
     ///
     /// # Panics
-    /// Panics if the topology fails validation; experiments should always be
-    /// run on validated topologies.
+    /// Panics if the topology fails validation; callers whose topology is
+    /// generated or comes from a spec use [`Simulator::try_new`].
     pub fn new(topology: Topology, seed: u64) -> Self {
-        topology.validate().expect("topology failed validation");
+        Simulator::try_new(topology, seed).expect("topology failed validation")
+    }
+
+    /// Create a simulator for a topology with the given RNG seed, or say
+    /// why the topology is invalid.
+    pub fn try_new(topology: Topology, seed: u64) -> Result<Self, String> {
+        topology.validate()?;
         let mut rng = SimRng::new(seed);
         let routing = RoutingTable::build(&topology);
         let links = topology
             .edges()
             .map(|e| Link::new(e.id, e.from, e.to, e.spec.clone(), &mut rng))
             .collect();
-        Simulator {
+        let nodes = topology.node_count();
+        Ok(Simulator {
             topology,
             routing,
             links,
-            apps: HashMap::new(),
+            apps: (0..nodes).map(|_| None).collect(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng,
             trace: Trace::default(),
-            next_timer_ids: HashMap::new(),
+            next_timer_ids: vec![0; nodes],
+            effects: Effects::default(),
             started: false,
             stats: SimStats::default(),
-        }
+        })
     }
 
     /// Install an application on a node.  The application's `on_start` is
@@ -92,8 +99,7 @@ impl Simulator {
             self.topology.node(node).is_some(),
             "cannot install application on unknown node {node}"
         );
-        self.apps.insert(node, app);
-        self.next_timer_ids.entry(node).or_insert(0);
+        self.apps[node.0] = Some(app);
         if self.started {
             self.queue.push(self.now, EventKind::Start { node });
         }
@@ -166,7 +172,7 @@ impl Simulator {
 
     /// Remove and return the application installed on a node.
     pub fn take_app(&mut self, node: NodeId) -> Option<Box<dyn Application>> {
-        self.apps.remove(&node)
+        self.apps.get_mut(node.0)?.take()
     }
 
     fn schedule_starts(&mut self) {
@@ -174,9 +180,8 @@ impl Simulator {
             return;
         }
         self.started = true;
-        let mut nodes: Vec<NodeId> = self.apps.keys().copied().collect();
-        nodes.sort();
-        for node in nodes {
+        for node in (0..self.apps.len()).filter(|&node| self.apps[node].is_some()) {
+            let node = NodeId(node);
             self.queue.push(self.now, EventKind::Start { node });
         }
     }
@@ -185,11 +190,7 @@ impl Simulator {
     /// first.  Returns the time at which execution stopped.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.schedule_starts();
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            let event = self.queue.pop().expect("peeked event must exist");
+        while let Some(event) = self.queue.pop_due(deadline) {
             self.now = event.at;
             self.stats.events_processed += 1;
             match event.kind {
@@ -235,7 +236,8 @@ impl Simulator {
         match link.offer(self.now, wire, &mut self.rng) {
             LinkOutcome::Deliver(arrival) => {
                 let next_node = link.to;
-                self.queue.push(
+                self.queue.push_fifo(
+                    link_id.0,
                     arrival,
                     EventKind::DatagramArrival {
                         node: next_node,
@@ -251,31 +253,34 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, node: NodeId, what: Dispatch) {
-        let mut app = match self.apps.remove(&node) {
-            Some(a) => a,
-            None => return,
+        // Take the application out for the callback and put it back after;
+        // a node that hosts none consumes no draws.
+        let Some(mut app) = self.apps.get_mut(node.0).and_then(Option::take) else {
+            return;
         };
-        let next_timer = self.next_timer_ids.get(&node).copied().unwrap_or(0);
-        let randoms: Vec<f64> = (0..RANDOMS_PER_CALLBACK)
-            .map(|_| self.rng.uniform())
-            .collect();
-        let mut ctx = Context::new(node, self.now, next_timer, randoms);
+        let randoms = std::array::from_fn(|_| self.rng.uniform());
+        let effects = std::mem::take(&mut self.effects);
+        let mut ctx = Context::lent(
+            node,
+            self.now,
+            self.next_timer_ids[node.0],
+            randoms,
+            effects,
+        );
         match what {
             Dispatch::Start => app.on_start(&mut ctx),
             Dispatch::Timer(id) => app.on_timer(&mut ctx, id),
             Dispatch::Datagram(dg) => app.on_datagram(&mut ctx, dg),
         }
-        self.next_timer_ids.insert(node, ctx.next_timer_id());
-        // Apply side effects.
-        let sends = std::mem::take(&mut ctx.sends);
-        let timers = std::mem::take(&mut ctx.timers);
-        let traces = std::mem::take(&mut ctx.traces);
-        for mut tr in traces {
+        self.next_timer_ids[node.0] = ctx.next_timer_id();
+        // Apply side effects, draining the buffers for the next dispatch.
+        let mut effects = ctx.effects;
+        for mut tr in effects.traces.drain(..) {
             tr.at = self.now;
             tr.node = node;
             self.trace.push(tr);
         }
-        for t in timers {
+        for t in effects.timers.drain(..) {
             self.queue.push(
                 self.now + t.delay,
                 EventKind::Timer {
@@ -284,7 +289,7 @@ impl Simulator {
                 },
             );
         }
-        for s in sends {
+        for s in effects.sends.drain(..) {
             self.stats.datagrams_sent += 1;
             let dg = Datagram {
                 src: node,
@@ -306,7 +311,8 @@ impl Simulator {
                 self.forward(node, dg);
             }
         }
-        self.apps.insert(node, app);
+        self.effects = effects;
+        self.apps[node.0] = Some(app);
     }
 
     /// Convenience: send a datagram "from the outside" (not from an

@@ -10,7 +10,10 @@ use ricsa_netsim::node::NodeId;
 use ricsa_netsim::packet::{Datagram, Payload};
 use ricsa_netsim::time::SimTime;
 use ricsa_netsim::trace::{TraceEvent, TraceKind};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+
+#[cfg(test)]
+mod reference;
 
 /// Receiver half of a transport flow.
 ///
@@ -24,13 +27,17 @@ pub struct FlowReceiver {
     stats: SharedFlowStats,
     /// Highest sequence number such that all `<= cumulative` are received.
     cumulative: Option<u64>,
-    /// Out-of-order datagrams above the cumulative point.
-    pending: BTreeSet<u64>,
+    /// Out-of-order datagrams above the cumulative point, as maximal runs
+    /// `lo -> hi` (inclusive, merged on insert): the set costs one entry per
+    /// hole, not one per buffered datagram, and so does every ACK built
+    /// from it.  The first run starts above `cumulative + 1`.
+    runs: BTreeMap<u64, u64>,
     highest_seen: Option<u64>,
     received_count: u64,
     /// Recent arrivals `(time_secs, bytes)` kept for the sliding-window
-    /// goodput estimate.
+    /// goodput estimate, and the sum of their bytes.
     recent_arrivals: VecDeque<(f64, u64)>,
+    recent_bytes: u64,
     /// First arrival time, so early estimates use the true elapsed span.
     first_arrival: Option<f64>,
     ack_timer_pending: bool,
@@ -45,7 +52,7 @@ pub struct FlowReceiver {
     /// report the backoff doubles: the receiver does not know the path
     /// round-trip time, and on a bufferbloated path re-asking faster than
     /// the queue drains turns every hole into a duplicate storm.
-    nack_schedule: std::collections::BTreeMap<u64, (f64, f64)>,
+    nack_schedule: BTreeMap<u64, (f64, f64)>,
     goodput_estimate: f64,
     finished: bool,
 }
@@ -58,15 +65,16 @@ impl FlowReceiver {
             sender,
             stats,
             cumulative: None,
-            pending: BTreeSet::new(),
+            runs: BTreeMap::new(),
             highest_seen: None,
             received_count: 0,
             recent_arrivals: VecDeque::new(),
+            recent_bytes: 0,
             first_arrival: None,
             ack_timer_pending: false,
             since_last_ack: 0,
             received_at_last_tick: 0,
-            nack_schedule: std::collections::BTreeMap::new(),
+            nack_schedule: BTreeMap::new(),
             goodput_estimate: 0.0,
             finished: false,
         }
@@ -87,18 +95,39 @@ impl FlowReceiver {
         self.finished
     }
 
-    fn advance_cumulative(&mut self) {
-        loop {
-            let next = match self.cumulative {
-                None => 0,
-                Some(c) => c + 1,
-            };
-            if self.pending.remove(&next) {
-                self.cumulative = Some(next);
-            } else {
-                break;
-            }
+    /// The lowest sequence number not yet covered by the cumulative point.
+    fn next_expected(&self) -> u64 {
+        self.cumulative.map_or(0, |c| c + 1)
+    }
+
+    /// Record the arrival of `seq`; `false` when it is a duplicate.
+    fn record(&mut self, seq: u64) -> bool {
+        let next = self.next_expected();
+        if seq < next {
+            return false;
         }
+        if seq == next {
+            // In order: the cumulative point moves, over the run that
+            // started right behind the filled hole if there is one.
+            let absorbed = match self.runs.first_entry() {
+                Some(run) if *run.key() == seq + 1 => run.remove(),
+                _ => seq,
+            };
+            self.cumulative = Some(absorbed);
+            return true;
+        }
+        let below = self.runs.range(..=seq).next_back();
+        let below = below.map(|(&lo, &hi)| (lo, hi));
+        if below.is_some_and(|(_, hi)| hi >= seq) {
+            return false;
+        }
+        let lo = match below {
+            Some((lo, hi)) if hi + 1 == seq => lo,
+            _ => seq,
+        };
+        let hi = self.runs.remove(&(seq + 1)).unwrap_or(seq);
+        self.runs.insert(lo, hi);
+        true
     }
 
     #[cfg(test)]
@@ -107,21 +136,21 @@ impl FlowReceiver {
     }
 
     /// Sequence numbers in `(cumulative, end)` that have not arrived,
-    /// bounded by `cap`.
+    /// bounded by `cap`: the gaps between the runs, then the tail to `end`.
     fn missing_up_to(&self, end: u64, cap: usize) -> Vec<u64> {
-        if self.highest_seen.is_none() {
-            return Vec::new();
-        }
-        let start = self.cumulative.map(|c| c + 1).unwrap_or(0);
         let mut missing = Vec::new();
-        for seq in start..end {
-            if !self.pending.contains(&seq) {
-                missing.push(seq);
-                if missing.len() >= cap {
-                    break;
-                }
-            }
+        if self.highest_seen.is_none() {
+            return missing;
         }
+        let mut cursor = self.next_expected();
+        for (&lo, &hi) in &self.runs {
+            if lo >= end || missing.len() >= cap {
+                break;
+            }
+            missing.extend((cursor..lo).take(cap - missing.len()));
+            cursor = hi + 1;
+        }
+        missing.extend((cursor..end).take(cap - missing.len()));
         missing
     }
 
@@ -147,10 +176,10 @@ impl FlowReceiver {
         // Scan past the per-ACK cap so throttled low holes cannot starve
         // eligible higher ones.
         let holes = self.missing_up_to(end, 4 * MAX_NACKS_PER_ACK);
-        // Forget tracked holes that have been filled in the meantime.
-        let still_missing: std::collections::BTreeSet<u64> = holes.iter().copied().collect();
+        // Forget tracked holes that have been filled in the meantime
+        // (`holes` is ascending).
         self.nack_schedule
-            .retain(|seq, _| still_missing.contains(seq));
+            .retain(|seq, _| holes.binary_search(seq).is_ok());
         let nack_delay = self.config.nack_delay.max(0.0);
         let first_backoff = (2.0 * self.config.ack_interval).max(nack_delay);
         const MAX_BACKOFF: f64 = 2.0;
@@ -172,23 +201,12 @@ impl FlowReceiver {
         missing
     }
 
-    /// Coalesce the out-of-order buffer into inclusive SACK ranges,
-    /// truncated to [`MAX_SACK_RANGES_PER_ACK`] (lowest ranges first — they
-    /// are the ones that let the sender clear its oldest outstanding state).
+    /// The out-of-order buffer as inclusive SACK ranges, truncated to
+    /// [`MAX_SACK_RANGES_PER_ACK`] (lowest ranges first — they are the ones
+    /// that let the sender clear its oldest outstanding state).
     fn sack_ranges(&self) -> Vec<(u64, u64)> {
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for &seq in &self.pending {
-            match ranges.last_mut() {
-                Some((_, hi)) if *hi + 1 == seq => *hi = seq,
-                _ => {
-                    if ranges.len() >= MAX_SACK_RANGES_PER_ACK {
-                        break;
-                    }
-                    ranges.push((seq, seq));
-                }
-            }
-        }
-        ranges
+        let lowest = self.runs.iter().take(MAX_SACK_RANGES_PER_ACK);
+        lowest.map(|(&lo, &hi)| (lo, hi)).collect()
     }
 
     fn send_ack(&mut self, ctx: &mut Context) {
@@ -201,14 +219,15 @@ impl FlowReceiver {
         // Goodput over a sliding window: robust to the burst/sleep pattern of
         // the sender, unlike a per-ACK-interval estimate.
         let window = self.goodput_window();
-        while let Some(&(t, _)) = self.recent_arrivals.front() {
+        while let Some(&(t, bytes)) = self.recent_arrivals.front() {
             if now_s - t > window {
                 self.recent_arrivals.pop_front();
+                self.recent_bytes -= bytes;
             } else {
                 break;
             }
         }
-        let bytes_in_window: u64 = self.recent_arrivals.iter().map(|(_, b)| b).sum();
+        let bytes_in_window = self.recent_bytes;
         let span = match self.first_arrival {
             Some(first) => (now_s - first).clamp(1e-6, window),
             None => window,
@@ -277,10 +296,9 @@ impl Application for FlowReceiver {
             return;
         }
         let seq = dg.payload.seq;
-        let already =
-            self.cumulative.map(|c| seq <= c).unwrap_or(false) || self.pending.contains(&seq);
+        let fresh = self.record(seq);
         let mut stats = self.stats.borrow_mut();
-        if already {
+        if !fresh {
             stats.duplicates += 1;
             drop(stats);
             // A duplicate arriving after completion means the sender missed
@@ -302,9 +320,8 @@ impl Application for FlowReceiver {
         }
         self.recent_arrivals
             .push_back((now_s, dg.payload.size as u64));
+        self.recent_bytes += dg.payload.size as u64;
         self.highest_seen = Some(self.highest_seen.map_or(seq, |h| h.max(seq)));
-        self.pending.insert(seq);
-        self.advance_cumulative();
         self.since_last_ack += 1;
         if self.since_last_ack >= self.config.ack_every {
             self.send_ack(ctx);
@@ -337,6 +354,7 @@ impl Application for FlowReceiver {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::ReferenceReceiver;
     use super::*;
     use crate::flow::shared_stats;
     use ricsa_netsim::app::Context;
@@ -451,5 +469,208 @@ mod tests {
             rx.on_datagram(&mut ctx, data(seq, 10));
         }
         assert!(rx.missing_below_highest().len() <= MAX_NACKS_PER_ACK);
+    }
+
+    /// The run-set receiver and the per-datagram reference, fed the same
+    /// callbacks: every side effect of every callback must match.
+    struct Pair {
+        new: FlowReceiver,
+        old: ReferenceReceiver,
+        stats: [SharedFlowStats; 2],
+        next_timer: u64,
+    }
+
+    impl Pair {
+        fn new(config: FlowConfig) -> Self {
+            let stats = [shared_stats(), shared_stats()];
+            Pair {
+                new: FlowReceiver::new(config.clone(), NodeId(0), stats[0].clone()),
+                old: ReferenceReceiver::new(config, NodeId(0), stats[1].clone()),
+                stats,
+                next_timer: 0,
+            }
+        }
+
+        /// Run one callback on both receivers at `now` and return the ACKs
+        /// it made them send, after checking they sent the same bytes.
+        fn both(
+            &mut self,
+            now: f64,
+            f: impl Fn(&mut dyn Application, &mut Context),
+        ) -> Vec<AckInfo> {
+            let mut ctx_new =
+                Context::new(NodeId(1), SimTime::from_secs(now), self.next_timer, vec![]);
+            let mut ctx_old =
+                Context::new(NodeId(1), SimTime::from_secs(now), self.next_timer, vec![]);
+            f(&mut self.new, &mut ctx_new);
+            f(&mut self.old, &mut ctx_old);
+            let (sent_new, sent_old) = (ctx_new.outgoing(), ctx_old.outgoing());
+            assert_eq!(sent_new.len(), sent_old.len(), "ACK count at t = {now}");
+            for (a, b) in sent_new.iter().zip(sent_old) {
+                assert_eq!(a.dst, b.dst);
+                assert_eq!(a.payload, b.payload, "ACK bytes at t = {now}");
+            }
+            let timers = |ctx: &Context| -> Vec<(u64, f64)> {
+                let armed = ctx.scheduled_timers().iter();
+                armed.map(|t| (t.timer_id, t.delay.as_secs())).collect()
+            };
+            assert_eq!(timers(&ctx_new), timers(&ctx_old));
+            self.next_timer += ctx_new.scheduled_timers().len() as u64;
+            assert_eq!(self.new.is_finished(), self.old.is_finished());
+            assert_eq!(self.new.goodput_estimate, self.old.goodput_estimate);
+            let acks = sent_new.iter().map(|s| AckInfo::decode(&s.payload.data));
+            acks.map(|ack| ack.expect("receivers send well-formed ACKs"))
+                .collect()
+        }
+    }
+
+    /// What the 200 schedules exercised between them.
+    #[derive(Default)]
+    struct Coverage {
+        acks: u64,
+        duplicates: u64,
+        retransmitted: u64,
+        nack_cap_hit: u32,
+        scan_cap_hit: u32,
+        sack_cap_hit: u32,
+        quiet_extension: u32,
+    }
+
+    /// One seeded arrival schedule: a sender model pushes `total` datagrams
+    /// through a lossy, reordering, duplicating channel, retransmits what
+    /// the ACKs report missing, and the periodic tick fires on time —
+    /// including over stretches with no arrivals at all.
+    fn run_schedule(seed: u64, seen: &mut Coverage) {
+        use ricsa_netsim::rng::SimRng;
+        let mut rng = SimRng::new(seed);
+        let total = 20 + rng.index(if seed.is_multiple_of(8) { 1200 } else { 300 }) as u64;
+        let finite = seed.is_multiple_of(2);
+        let config = FlowConfig {
+            mtu: 100,
+            ack_every: [1, 2, 4, 8, 32][rng.index(5)],
+            nack_delay: [0.0, 0.01][rng.index(2)],
+            message_bytes: finite.then_some(total as usize * 100 - 40),
+            ..FlowConfig::default()
+        };
+        let tick = config.ack_interval;
+        let (loss, reorder, dup) = (
+            rng.uniform_range(0.0, 0.3),
+            rng.uniform_range(0.0, 0.4),
+            rng.uniform_range(0.0, 0.2),
+        );
+        // Some schedules lose a long stretch outright (more holes than one
+        // ACK scans), some every other datagram of one (more runs than one
+        // ACK carries); both only on first transmission.
+        let stretch = rng.index(total as usize) as u64;
+        let stretch = stretch..stretch + [0, 0, 300, 700][rng.index(4)];
+        let alternate = seed.is_multiple_of(3);
+        let mut first_try = vec![true; total as usize];
+
+        let mut pair = Pair::new(config);
+        pair.both(0.0, |rx, ctx| rx.on_start(ctx));
+        let mut wire: VecDeque<u64> = (0..total).collect();
+        let mut late: Vec<(f64, u64)> = Vec::new();
+        let (mut now, mut next_tick, mut idle_ticks) = (0.0, tick, 0);
+        let mut acks: Vec<AckInfo> = Vec::new();
+        for _ in 0..200_000 {
+            now += rng.uniform_range(0.0002, 0.004);
+            if wire.is_empty() && late.is_empty() {
+                // Nothing in flight: the next thing to happen is a tick.
+                now = next_tick;
+                idle_ticks += 1;
+            }
+            while next_tick <= now {
+                acks.extend(pair.both(next_tick, |rx, ctx| rx.on_timer(ctx, 0)));
+                next_tick += tick;
+            }
+            let mut arrivals: Vec<u64> = Vec::new();
+            late.retain(|&(due, seq)| {
+                let released = due <= now;
+                if released {
+                    arrivals.push(seq);
+                }
+                !released
+            });
+            if let Some(seq) = wire.pop_front() {
+                let doomed = std::mem::take(&mut first_try[seq as usize])
+                    && stretch.contains(&seq)
+                    && (!alternate || seq % 2 == 0);
+                if doomed || rng.coin(loss) {
+                } else if rng.coin(reorder) {
+                    late.push((now + rng.uniform_range(0.001, 0.08), seq));
+                } else {
+                    arrivals.push(seq);
+                    if rng.coin(dup) {
+                        arrivals.push(seq);
+                    }
+                }
+            }
+            for seq in arrivals {
+                acks.extend(pair.both(now, |rx, ctx| rx.on_datagram(ctx, data(seq, 100))));
+            }
+            for ack in acks.drain(..) {
+                seen.acks += 1;
+                seen.nack_cap_hit += u32::from(ack.missing.len() == MAX_NACKS_PER_ACK);
+                seen.sack_cap_hit += u32::from(ack.sack.len() == MAX_SACK_RANGES_PER_ACK);
+                // Everything received lies at or below `highest_seen`.
+                let holes = ack.highest_seen + 1 - ack.received_count;
+                seen.scan_cap_hit += u32::from(holes > 4 * MAX_NACKS_PER_ACK as u64);
+                let beyond = |seq: &u64| *seq > ack.highest_seen;
+                seen.quiet_extension += u32::from(ack.missing.iter().any(beyond));
+                // The sender model: retransmit what the receiver asks for.
+                seen.retransmitted += ack.missing.len() as u64;
+                wire.extend(ack.missing.iter().filter(|seq| **seq < total));
+            }
+            if pair.new.is_finished() || (!finite && idle_ticks > 6) {
+                break;
+            }
+        }
+        if pair.new.is_finished() {
+            // The sender missed the final ACK and retransmits the tail.
+            let again = pair.both(now + 0.3, |rx, ctx| {
+                rx.on_datagram(ctx, data(total - 1, 60))
+            });
+            assert_eq!(again.len(), 1);
+        }
+        assert_eq!(pair.new.is_finished(), finite, "seed {seed}");
+        assert_eq!(*pair.stats[0].borrow(), *pair.stats[1].borrow());
+        seen.duplicates += pair.stats[0].borrow().duplicates;
+    }
+
+    #[test]
+    fn every_ack_matches_the_per_datagram_reference_byte_for_byte() {
+        let mut seen = Coverage::default();
+        for seed in 0..200 {
+            run_schedule(seed, &mut seen);
+        }
+        assert!(seen.acks > 10_000, "{} ACKs compared", seen.acks);
+        assert!(seen.duplicates > 500 && seen.retransmitted > 500);
+        assert!(seen.nack_cap_hit > 0 && seen.scan_cap_hit > 0 && seen.sack_cap_hit > 0);
+        assert!(
+            seen.quiet_extension > 0,
+            "no quiet tick reached past highest_seen"
+        );
+    }
+
+    #[test]
+    fn fifty_thousand_datagrams_behind_one_hole_are_one_run() {
+        let (mut rx, _stats) = mk_receiver(None);
+        let mut ctx = ctx_at(0.0);
+        for seq in (1..=50_000).filter(|seq| *seq != 30_000) {
+            rx.on_datagram(&mut ctx, data(seq, 10));
+        }
+        // Two holes, two runs: the ACK below is built from these two
+        // entries, whatever the number of datagrams they stand for.
+        assert_eq!(rx.runs.len(), 2);
+        rx.on_datagram(&mut ctx, data(30_000, 10));
+        assert_eq!(rx.runs.iter().collect::<Vec<_>>(), [(&1, &50_000)]);
+        let mut later = ctx_at(1.0);
+        rx.send_ack(&mut later);
+        let ack = AckInfo::decode(&later.outgoing()[0].payload.data).unwrap();
+        assert_eq!((ack.cumulative, ack.highest_seen), (NO_CUMULATIVE, 50_000));
+        assert_eq!((ack.missing, ack.sack), (vec![0], vec![(1, 50_000)]));
+        rx.on_datagram(&mut later, data(0, 10));
+        assert_eq!(rx.cumulative, Some(50_000));
+        assert!(rx.runs.is_empty());
     }
 }

@@ -238,32 +238,30 @@ impl<C: RateController> WindowSender<C> {
                 self.cumulative_acked
                     .map_or(newly_cumulative, |c| c.max(newly_cumulative)),
             );
-            let acked: Vec<u64> = self
-                .outstanding
-                .iter()
-                .copied()
-                .take_while(|s| *s <= newly_cumulative)
-                .collect();
-            for seq in acked {
-                self.outstanding.remove(&seq);
-            }
-            self.sacked.retain(|s| *s > newly_cumulative);
-        }
-        // Explicit selective acknowledgements: the receiver vouches for
-        // these exact ranges, so the sender may retire them.
-        for &(lo, hi) in &ack.sack {
-            let in_range: Vec<u64> = self.outstanding.range(lo..=hi).copied().collect();
-            for seq in in_range {
-                self.outstanding.remove(&seq);
-                self.sacked.insert(seq);
+            // Everything at or below the acknowledged point retires; what
+            // stays is the part of each set above it.
+            if let Some(above) = newly_cumulative.checked_add(1) {
+                self.outstanding = self.outstanding.split_off(&above);
+                self.sacked = self.sacked.split_off(&above);
             }
         }
         // Later feedback supersedes stale NACK state: anything now covered
         // by the cumulative point or a SACK range must not be retransmitted.
-        let cum = self.cumulative_acked;
-        let sacked = &self.sacked;
-        self.nacked
-            .retain(|s| !(cum.map(|c| *s <= c).unwrap_or(false) || sacked.contains(s)));
+        // `nacked` only ever takes unconfirmed sequence numbers, so what
+        // this ACK confirms is all there is to drop from it: the stretch up
+        // to the cumulative point here, each newly SACKed datagram below.
+        if let Some(above) = self.cumulative_acked.and_then(|c| c.checked_add(1)) {
+            self.nacked = self.nacked.split_off(&above);
+        }
+        // Explicit selective acknowledgements: the receiver vouches for
+        // these exact ranges, so the sender may retire them.
+        for &(lo, hi) in &ack.sack {
+            while let Some(&seq) = self.outstanding.range(lo..=hi).next() {
+                self.outstanding.remove(&seq);
+                self.sacked.insert(seq);
+                self.nacked.remove(&seq);
+            }
+        }
         // NACK-driven retransmission + loss signal to the controller.  Only
         // NACKs that survive the filters count as losses: entries for
         // never-sent sequences (a quiet receiver NACKs up to the full
@@ -562,5 +560,180 @@ mod tests {
             ..FlowConfig::default()
         };
         let _ = WindowSender::new(config, NodeId(1), FixedController::new(0.01, 4), stats);
+    }
+
+    /// Counts the calls `handle_ack` makes into the rate controller.
+    struct Recording {
+        window: u32,
+        losses: Vec<f64>,
+        goodputs: Vec<(f64, f64)>,
+    }
+
+    impl RateController for Recording {
+        fn on_goodput(&mut self, goodput_bps: f64, now: f64) {
+            self.goodputs.push((goodput_bps, now));
+        }
+        fn on_loss(&mut self, now: f64) {
+            self.losses.push(now);
+        }
+        fn sleep_time(&self) -> f64 {
+            0.01
+        }
+        fn window(&self) -> u32 {
+            self.window
+        }
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+    }
+
+    /// The acknowledgement bookkeeping of a sender, updated the way
+    /// `handle_ack` was first written: collect-then-remove over whole sets
+    /// and a `retain` over `sacked` and `nacked` per ACK.  The differential
+    /// test below holds `WindowSender::handle_ack` to it.
+    #[derive(Debug, Clone, PartialEq)]
+    struct ReferenceAckState {
+        cumulative_acked: Option<u64>,
+        sacked: BTreeSet<u64>,
+        nacked: BTreeSet<u64>,
+        outstanding: BTreeSet<u64>,
+        finished: bool,
+    }
+
+    impl ReferenceAckState {
+        fn of<C: RateController>(tx: &WindowSender<C>) -> Self {
+            ReferenceAckState {
+                cumulative_acked: tx.cumulative_acked,
+                sacked: tx.sacked.clone(),
+                nacked: tx.nacked.clone(),
+                outstanding: tx.outstanding.clone(),
+                finished: tx.finished,
+            }
+        }
+
+        fn is_acked(&self, seq: u64) -> bool {
+            self.cumulative_acked.map(|c| seq <= c).unwrap_or(false) || self.sacked.contains(&seq)
+        }
+
+        /// Apply `ack`; returns the NACKs that count as fresh losses.
+        fn handle_ack(&mut self, ack: &AckInfo, next_new_seq: u64, total: Option<u64>) -> u32 {
+            if ack.cumulative != NO_CUMULATIVE {
+                let newly_cumulative = ack.cumulative;
+                self.cumulative_acked = Some(
+                    self.cumulative_acked
+                        .map_or(newly_cumulative, |c| c.max(newly_cumulative)),
+                );
+                let acked: Vec<u64> = self
+                    .outstanding
+                    .iter()
+                    .copied()
+                    .take_while(|s| *s <= newly_cumulative)
+                    .collect();
+                for seq in acked {
+                    self.outstanding.remove(&seq);
+                }
+                self.sacked.retain(|s| *s > newly_cumulative);
+            }
+            for &(lo, hi) in &ack.sack {
+                let in_range: Vec<u64> = self.outstanding.range(lo..=hi).copied().collect();
+                for seq in in_range {
+                    self.outstanding.remove(&seq);
+                    self.sacked.insert(seq);
+                }
+            }
+            let cum = self.cumulative_acked;
+            let sacked = &self.sacked;
+            self.nacked
+                .retain(|s| !(cum.map(|c| *s <= c).unwrap_or(false) || sacked.contains(s)));
+            let mut fresh_losses = 0u32;
+            for &seq in &ack.missing {
+                if seq < next_new_seq && !self.is_acked(seq) && self.nacked.insert(seq) {
+                    fresh_losses += 1;
+                }
+            }
+            if let Some(total) = total {
+                if self.cumulative_acked.is_some_and(|c| c + 1 >= total) {
+                    self.finished = true;
+                }
+            }
+            fresh_losses
+        }
+    }
+
+    /// A random ACK around what the sender has sent so far: cumulative
+    /// points that lag, repeat, jump back (reordered ACKs) or run ahead of
+    /// the data, SACK ranges and NACKs over sent, confirmed and never-sent
+    /// sequence numbers alike.
+    fn random_ack(rng: &mut ricsa_netsim::rng::SimRng, sent: u64) -> AckInfo {
+        let span = sent as usize + 8;
+        let mut pick = |n: usize| rng.index(n) as u64;
+        let cumulative = match pick(5) {
+            0 => NO_CUMULATIVE,
+            1 => pick(span),
+            _ => pick(span) / 2,
+        };
+        let sack = (0..pick(6))
+            .map(|_| {
+                let lo = pick(span);
+                (lo, lo + pick(12))
+            })
+            .collect();
+        AckInfo {
+            cumulative,
+            highest_seen: pick(span),
+            missing: (0..pick(10)).map(|_| pick(span)).collect(),
+            sack,
+            goodput_bps: [0.0, 1e5, 3e6][pick(3) as usize],
+            received_count: pick(span),
+        }
+    }
+
+    #[test]
+    fn handle_ack_matches_the_whole_set_reference_over_random_ack_streams() {
+        let (mut loss_events, mut stale_nacks_dropped, mut finished) = (0, 0, 0);
+        for seed in 0..200u64 {
+            let mut rng = ricsa_netsim::rng::SimRng::new(seed);
+            let total = (seed % 2 == 0).then(|| 50 + rng.index(400) as u64);
+            let config = FlowConfig {
+                mtu: 100,
+                message_bytes: total.map(|n| n as usize * 100),
+                max_outstanding: 64 + rng.index(200),
+                ..FlowConfig::default()
+            };
+            let controller = Recording {
+                window: 1 + rng.index(32) as u32,
+                losses: Vec::new(),
+                goodputs: Vec::new(),
+            };
+            let mut tx = WindowSender::new(config, NodeId(1), controller, shared_stats());
+            let mut now = 0.0;
+            tx.on_start(&mut ctx_at(now));
+            for _ in 0..300 {
+                now += rng.uniform_range(0.001, 0.12);
+                if rng.coin(0.4) {
+                    // A burst: new data, retransmissions, and (after a long
+                    // enough silence) the retransmission timeout.
+                    tx.on_timer(&mut ctx_at(now), 0);
+                    continue;
+                }
+                let ack = random_ack(&mut rng, tx.next_new_seq);
+                let mut expected = ReferenceAckState::of(&tx);
+                let fresh = expected.handle_ack(&ack, tx.next_new_seq, total);
+                let calls = (tx.controller.losses.len(), tx.controller.goodputs.len());
+                stale_nacks_dropped += (tx.nacked.len() > expected.nacked.len()) as u32;
+                tx.on_datagram(&mut ctx_at(now), ack_payload(&ack));
+                assert_eq!(ReferenceAckState::of(&tx), expected, "seed {seed} at {now}");
+                let losses = &tx.controller.losses[calls.0..];
+                assert_eq!(losses, (fresh > 0).then_some(now).as_slice());
+                let goodputs = &tx.controller.goodputs[calls.1..];
+                let reported = (ack.goodput_bps > 0.0).then_some((ack.goodput_bps, now));
+                assert_eq!(goodputs, reported.as_slice());
+                loss_events += losses.len();
+            }
+            finished += tx.is_finished() as u32;
+        }
+        assert!(loss_events > 1000, "{loss_events} loss events");
+        assert!(stale_nacks_dropped > 500, "{stale_nacks_dropped}");
+        assert!(finished > 10, "{finished} messages completed");
     }
 }

@@ -13,7 +13,9 @@
 use ricsa::adapt::monitor::AdaptConfig;
 use ricsa::core::adapt::{demo_wan, run_adaptive_loop, AdaptPolicy, AdaptiveLoopSpec, AdaptiveRun};
 use ricsa::core::adapt_sweep::{loop_spec, AdaptSweepConfig};
-use ricsa::core::experiment::{fig9_experiment, ExperimentOptions};
+use ricsa::core::catalog::SimulationCatalog;
+use ricsa::core::experiment::{fig9_experiment, ExperimentOptions, LoopSpec};
+use ricsa::core::session::{PathChoice, SteeringSession};
 use ricsa::core::sessions::{
     contention_wan, demo_session_pipeline, run_multi_session, MappingPolicy, MultiSessionRun,
     MultiSessionSpec, SessionLoopSpec,
@@ -21,9 +23,12 @@ use ricsa::core::sessions::{
 use ricsa::netsim::dynamics::generate_schedule_family;
 use ricsa::netsim::generators::{generate, WanKind};
 use ricsa::netsim::loss::LossModel;
+use ricsa::netsim::presets::{fig8_topology, Fig8Site};
+use ricsa::netsim::sim::{SimStats, Simulator};
 use ricsa::netsim::time::SimTime;
 use ricsa::pipemap::fnv1a_hex;
 use ricsa::pipemap::pipeline::{ModuleSpec, Pipeline};
+use ricsa::vizdata::dataset::DatasetKind;
 
 /// Every deterministic field of an adaptive run (the two wall-clock solve
 /// timings are the only ones left out).
@@ -256,4 +261,41 @@ fn quick_fig9_loop_results_are_pinned() {
     assert!(results.iter().all(|r| r.measured_delay.is_finite()));
     let json = serde_json::to_string(&results).expect("loop results serialize");
     assert_eq!(fnv1a_hex(&json), "3172c0e470b51f9e");
+}
+
+/// The 18 full-scale Fig. 9 runs of the `wan_loop` benchmark workload, as
+/// the engine counts them.  The totals are exact per seed and move when an
+/// event is added, dropped or reordered, when a dispatch draws more or
+/// fewer random numbers, or when an ACK changes by a bit (the controller
+/// paces the next burst off it): a faster engine that keeps them, and the
+/// digests above, runs the same simulation.  CI checks the same numbers on
+/// the benchmark's traced output.
+#[test]
+fn full_scale_fig9_event_and_datagram_counts_are_pinned() {
+    let fig8 = fig8_topology();
+    let catalog = SimulationCatalog::default();
+    let (client, cm) = (fig8.node(Fig8Site::Ornl), fig8.node(Fig8Site::Lsu));
+    let mut total = SimStats::default();
+    for dataset in DatasetKind::ALL {
+        for spec in LoopSpec::fig9_loops() {
+            let choice = match &spec.forced_path {
+                Some(path) => PathChoice::ForcedPath(path.iter().map(|s| fig8.node(*s)).collect()),
+                None => PathChoice::Optimal,
+            };
+            let source = fig8.node(spec.data_source);
+            let (topology, name) = (&fig8.topology, dataset.name());
+            let plan = SteeringSession::plan(1, topology, &catalog, name, source, client, &choice)
+                .expect("every Fig. 9 loop admits a mapping on the Fig. 8 deployment");
+            let mut sim = Simulator::new(topology.clone(), 20080609);
+            SteeringSession::install(&plan, &mut sim, cm, 1, 200e6);
+            let delays = SteeringSession::run(&mut sim, 1, SimTime::from_secs(600.0));
+            assert_eq!(delays.len(), 1, "{} {name}: one frame, once", spec.name);
+            total.events_processed += sim.stats().events_processed;
+            total.datagrams_sent += sim.stats().datagrams_sent;
+            total.datagrams_dropped += sim.stats().datagrams_dropped;
+        }
+    }
+    assert_eq!(total.events_processed, 468_285);
+    assert_eq!(total.datagrams_sent, 452_617);
+    assert_eq!(total.datagrams_dropped, 232);
 }
