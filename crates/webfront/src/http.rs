@@ -1,35 +1,34 @@
-//! A high-concurrency HTTP/1.1 server on a fixed worker thread pool.
+//! A high-concurrency HTTP/1.1 server on a fixed set of event-loop threads.
 //!
 //! The paper's front end must absorb "heavy traffic" from many browsers at
-//! once, so connections are *not* pinned to threads.  A fixed pool of
-//! workers multiplexes all live connections through a shared run queue:
+//! once, so no thread ever waits on one client.  Each of
+//! [`HttpServerConfig::workers`] threads runs one [`crate::readiness`]
+//! event loop; a connection belongs to the loop that accepted it from
+//! `accept` to close, and this module is what a loop does on a visit:
 //!
 //! * **Keep-alive.**  Connections are HTTP/1.1 persistent by default; each
-//!   worker visit reads whatever bytes have arrived (sockets are
-//!   non-blocking), parses as many complete requests as the buffer holds
-//!   (pipelining-safe: unconsumed bytes simply stay buffered), and writes
-//!   the responses in order.
+//!   visit reads whatever bytes have arrived (sockets are non-blocking),
+//!   parses as many complete requests as the buffer holds (pipelining-safe:
+//!   unconsumed bytes simply stay buffered), and writes the responses in
+//!   order.
 //! * **Deferred responses.**  A handler returns an [`Outcome`]: either a
-//!   ready [`HttpResponse`] or a `Pending` closure a worker re-polls on
+//!   ready [`HttpResponse`] or a `Pending` closure the loop re-polls on
 //!   every visit until it produces a response.  This is how `/api/poll`
-//!   long-polls thousands of clients without blocking a worker per client.
+//!   long-polls thousands of clients without a thread per client.
 //! * **Connection limits.**  Beyond [`HttpServerConfig::max_connections`]
-//!   the acceptor answers `503 Service Unavailable` and closes, so overload
-//!   degrades crisply instead of exhausting file descriptors.
-//! * **Graceful shutdown.**  [`HttpServer::shutdown`] stops the acceptor,
-//!   lets workers flush any response that is already computable, closes the
-//!   remaining connections, and joins every thread.
+//!   a new connection is answered `503 Service Unavailable` and closed, so
+//!   overload degrades crisply instead of exhausting file descriptors.
+//! * **Graceful shutdown.**  [`HttpServer::shutdown`] stops accepting,
+//!   flushes any response that is already computable, closes the remaining
+//!   connections, and joins every thread.
 //!
-//! Scheduling: a visit that moved no bytes and dispatched no request
-//! parks the connection in the [`crate::readiness`] reactor, out of the
-//! run queue.  It is visited again when its socket becomes ready, when the
-//! publish doorbell ([`Waker`]) rings, or when its deadline passes (the
-//! keep-alive timeout if idle, `PENDING_RECHECK` for a deferred response),
-//! so serving costs grow with activity, not with open connections.
+//! A visit that moved no bytes and dispatched no request leaves the
+//! connection waiting in its loop's epoll set until its socket is ready,
+//! the publish doorbell ([`Waker`]) rings, or its deadline passes (the
+//! keep-alive timeout if idle, `PENDING_RECHECK` for a deferred response).
 
-use crate::readiness::{Reactor, Waker};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use crate::readiness::{EventLoop, Waker};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -428,10 +427,11 @@ pub enum Outcome {
     /// The response is ready now.
     Ready(HttpResponse),
     /// The response is not computable yet (a long-poll waiting for the next
-    /// frame).  A worker re-invokes the closure on every visit — on a publish
-    /// ring, on socket readiness and at least every `PENDING_RECHECK`
-    /// (50 ms) — until it returns `Some`; the closure owns its deadline and
-    /// returns its timeout response then.  No worker blocks while it waits.
+    /// frame).  The connection's event loop re-invokes the closure on every
+    /// visit — on a publish ring, on socket readiness and at least every
+    /// `PENDING_RECHECK` (50 ms) — until it returns `Some`; the closure owns
+    /// its deadline and returns its timeout response then.  No thread blocks
+    /// while it waits.
     Pending(Box<dyn FnMut() -> Option<HttpResponse> + Send>),
 }
 
@@ -444,10 +444,10 @@ impl From<HttpResponse> for Outcome {
 /// Sizing and timing knobs for [`HttpServer`].
 #[derive(Debug, Clone)]
 pub struct HttpServerConfig {
-    /// Worker threads multiplexing all connections.  Because long-polls
-    /// never block a worker, this needs to cover concurrent *parsing and
-    /// writing*, not concurrent clients; a small pool serves hundreds of
-    /// keep-alive pollers.
+    /// Event-loop threads, each serving the connections it accepted.
+    /// Because long-polls never block a loop, this needs to cover
+    /// concurrent *parsing and writing*, not concurrent clients; a few
+    /// loops serve hundreds of keep-alive pollers.
     pub workers: usize,
     /// Accepted-connection ceiling; beyond it new connections get `503`.
     pub max_connections: usize,
@@ -484,14 +484,14 @@ const MAX_IN_BUFFERED: usize = MAX_BODY_BYTES + MAX_HEADER_BYTES + (64 << 10);
 /// keep every byte it ever sent allocated).
 const OUT_COMPACT_THRESHOLD: usize = 64 << 10;
 
-/// One live connection owned by the run queue (or, transiently, by the
-/// worker visiting it, or parked in the readiness reactor).
+/// One live connection, owned from `accept` to close by the event loop
+/// that accepted it.
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     /// Bytes read but not yet consumed by a complete request.
     buf: Vec<u8>,
     /// Response bytes queued but not yet accepted by the (non-blocking)
-    /// socket — a slow reader never blocks a worker, it just accumulates
+    /// socket — a slow reader never blocks a loop, it just accumulates
     /// here up to [`MAX_OUT_BUFFERED`].
     out: Vec<u8>,
     /// How much of `out` has already been written.
@@ -508,12 +508,29 @@ pub(crate) struct Conn {
     pub(crate) saw_eof: bool,
     /// Last time bytes arrived or response bytes were flushed.
     pub(crate) last_activity: Instant,
-    /// When the connection last entered the run queue (accepted, requeued
-    /// after a productive visit, or unparked by the reactor).
-    pub(crate) queued_at: Instant,
+    /// `Some` while the connection waits in its loop's epoll set: the time
+    /// it must be visited whatever its socket does (its entry in the
+    /// loop's deadline set).  `None` while it sits in the ready list.
+    pub(crate) deadline: Option<Instant>,
 }
 
 impl Conn {
+    /// A connection just accepted at `now`.
+    pub(crate) fn new(stream: TcpStream, now: Instant) -> Conn {
+        Conn {
+            stream,
+            buf: Vec::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            close_after_flush: false,
+            pending: None,
+            pending_keep_alive: true,
+            saw_eof: false,
+            last_activity: now,
+            deadline: None,
+        }
+    }
+
     /// Queue a response for the wire (written by [`try_flush`] as the
     /// socket accepts it).
     fn queue_response(&mut self, resp: &HttpResponse, keep_alive: bool) {
@@ -562,22 +579,23 @@ fn try_flush(conn: &mut Conn) -> Option<bool> {
     Some(wrote)
 }
 
-/// Live backpressure metrics of the worker pool, exported so overload is
+/// Live backpressure metrics of the event loops, exported so overload is
 /// observable *before* the 503 connection limit trips (the front end
 /// serves them on `/api/stats`).  All counters are relaxed atomics — they
-/// are monitoring signals, not synchronization.  "Rotation" is run-queue
-/// wait: the time from a connection entering the run queue to a worker
-/// popping it.
+/// are monitoring signals, not synchronization — and every gauge is the
+/// sum over the loops.  "Rotation" is wake-to-visit wait: the time from a
+/// connection being woken (socket ready, doorbell, deadline, or its own
+/// progress on the previous visit) to its loop visiting it.
 #[derive(Debug, Default)]
 pub struct PoolMetrics {
     /// Connections currently open (gauge).
-    active: AtomicUsize,
-    /// Connections sitting in the run queue right now (gauge).
-    queue_depth: AtomicUsize,
-    /// Deferred responses (long-polls) currently parked (gauge).
-    pending_responses: AtomicUsize,
-    /// Connections parked in the readiness reactor (gauge).
-    parked: AtomicUsize,
+    pub(crate) active: AtomicUsize,
+    /// Connections woken but not yet visited (gauge).
+    pub(crate) queue_depth: AtomicUsize,
+    /// Deferred responses (long-polls) currently waiting (gauge).
+    pub(crate) pending_responses: AtomicUsize,
+    /// Connections waiting in an epoll set for a wake-up (gauge).
+    pub(crate) parked: AtomicUsize,
     /// Requests served since start.
     served_total: AtomicU64,
     /// Scheduling visits performed.
@@ -586,10 +604,9 @@ pub struct PoolMetrics {
     visit_us_total: AtomicU64,
     /// Worst single visit, microseconds.
     visit_us_max: AtomicU64,
-    /// Total microseconds connections waited in the run queue before a
-    /// worker popped them.
+    /// Total microseconds connections waited between wake-up and visit.
     rotation_us_total: AtomicU64,
-    /// Worst run-queue wait, microseconds.
+    /// Worst wake-to-visit wait, microseconds.
     rotation_us_max: AtomicU64,
 }
 
@@ -599,11 +616,11 @@ pub struct PoolMetrics {
 pub struct PoolMetricsSnapshot {
     /// Connections currently open.
     pub active_connections: usize,
-    /// Connections waiting in the run queue.
+    /// Connections woken but not yet visited, summed over the loops.
     pub queue_depth: usize,
-    /// Long-polls currently parked as deferred responses.
+    /// Long-polls currently waiting as deferred responses.
     pub pending_responses: usize,
-    /// Connections parked in the readiness reactor.
+    /// Connections waiting in an epoll set for a wake-up.
     pub parked_connections: usize,
     /// Requests served since start.
     pub requests_served: u64,
@@ -613,10 +630,9 @@ pub struct PoolMetricsSnapshot {
     pub mean_visit_us: f64,
     /// Worst per-visit service time, microseconds.
     pub max_visit_us: u64,
-    /// Mean run-queue wait (from entering the queue to a worker popping
-    /// the connection), microseconds.
+    /// Mean wake-to-visit wait, microseconds.
     pub mean_rotation_us: f64,
-    /// Worst run-queue wait, microseconds.
+    /// Worst wake-to-visit wait, microseconds.
     pub max_rotation_us: u64,
 }
 
@@ -624,8 +640,10 @@ impl PoolMetrics {
     /// Snapshot every counter.
     pub fn snapshot(&self) -> PoolMetricsSnapshot {
         let visits = self.visits.load(Ordering::Relaxed);
-        let visit_us = self.visit_us_total.load(Ordering::Relaxed);
-        let rotation_us = self.rotation_us_total.load(Ordering::Relaxed);
+        let mean = |total_us: &AtomicU64| match visits {
+            0 => 0.0,
+            n => total_us.load(Ordering::Relaxed) as f64 / n as f64,
+        };
         PoolMetricsSnapshot {
             active_connections: self.active.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
@@ -633,72 +651,40 @@ impl PoolMetrics {
             parked_connections: self.parked.load(Ordering::Relaxed),
             requests_served: self.served_total.load(Ordering::Relaxed),
             visits,
-            mean_visit_us: if visits == 0 {
-                0.0
-            } else {
-                visit_us as f64 / visits as f64
-            },
+            mean_visit_us: mean(&self.visit_us_total),
             max_visit_us: self.visit_us_max.load(Ordering::Relaxed),
-            mean_rotation_us: if visits == 0 {
-                0.0
-            } else {
-                rotation_us as f64 / visits as f64
-            },
+            mean_rotation_us: mean(&self.rotation_us_total),
             max_rotation_us: self.rotation_us_max.load(Ordering::Relaxed),
         }
     }
 
-    /// Update the parked-connections gauge.
-    pub(crate) fn set_parked(&self, parked: usize) {
-        self.parked.store(parked, Ordering::Relaxed);
+    /// Account one visit: how long the connection waited for it and how
+    /// long it took.
+    pub(crate) fn record_visit(&self, rotation_us: u64, visit_us: u64) {
+        self.visits.fetch_add(1, Ordering::Relaxed);
+        self.visit_us_total.fetch_add(visit_us, Ordering::Relaxed);
+        self.visit_us_max.fetch_max(visit_us, Ordering::Relaxed);
+        self.rotation_us_total
+            .fetch_add(rotation_us, Ordering::Relaxed);
+        self.rotation_us_max
+            .fetch_max(rotation_us, Ordering::Relaxed);
     }
 }
 
+/// What every event loop of one server shares: the stop flag, the metrics,
+/// the configuration and the route handler.  No connection is in here.
 pub(crate) struct Shared {
-    queue: Mutex<VecDeque<Conn>>,
-    cvar: Condvar,
     pub(crate) stop: AtomicBool,
-    metrics: Arc<PoolMetrics>,
+    pub(crate) metrics: Arc<PoolMetrics>,
+    pub(crate) config: HttpServerConfig,
+    pub(crate) handler: Box<Handler>,
 }
 
 impl Shared {
-    fn push(&self, mut conn: Conn) {
-        conn.queued_at = Instant::now();
-        let mut queue = self.queue.lock();
-        queue.push_back(conn);
-        self.metrics
-            .queue_depth
-            .store(queue.len(), Ordering::Relaxed);
-        drop(queue);
-        self.cvar.notify_one();
-    }
-
-    /// Requeue a batch of connections the reactor woke together (one lock
-    /// acquisition, one broadcast — a publish wakes thousands of parked
-    /// long-polls at once).  The reactor stamped `queued_at` as it
-    /// unparked them.
-    pub(crate) fn push_batch(&self, conns: Vec<Conn>) {
-        if conns.is_empty() {
-            return;
-        }
-        let single = conns.len() == 1;
-        let mut queue = self.queue.lock();
-        queue.extend(conns);
-        self.metrics
-            .queue_depth
-            .store(queue.len(), Ordering::Relaxed);
-        drop(queue);
-        if single {
-            self.cvar.notify_one();
-        } else {
-            self.cvar.notify_all();
-        }
-    }
-
     /// Close one connection at shutdown: queue its pending response if it
     /// is ready right now, flush what the socket accepts, then drop it.
     /// Clients mid-long-poll see EOF and re-poll.
-    fn drain(&self, mut conn: Conn) {
+    pub(crate) fn drain(&self, mut conn: Conn) {
         if let Some(mut pending) = conn.pending.take() {
             self.metrics
                 .pending_responses
@@ -710,29 +696,6 @@ impl Shared {
         let _ = try_flush(&mut conn);
         self.metrics.active.fetch_sub(1, Ordering::Relaxed);
     }
-
-    /// Pop without waiting (shutdown drain).
-    fn try_pop(&self) -> Option<Conn> {
-        self.queue.lock().pop_front()
-    }
-
-    /// Pop the next connection, blocking until one is queued or stop is
-    /// signalled; `None` only on stop with an empty queue.
-    fn pop(&self) -> Option<Conn> {
-        let mut queue = self.queue.lock();
-        loop {
-            if let Some(conn) = queue.pop_front() {
-                self.metrics
-                    .queue_depth
-                    .store(queue.len(), Ordering::Relaxed);
-                return Some(conn);
-            }
-            if self.stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            self.cvar.wait_for(&mut queue, Duration::from_millis(50));
-        }
-    }
 }
 
 /// A running HTTP server dispatching to a handler function.
@@ -740,7 +703,7 @@ pub struct HttpServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
-    reactor: Arc<Reactor>,
+    waker: Waker,
 }
 
 impl HttpServer {
@@ -753,10 +716,10 @@ impl HttpServer {
         HttpServer::start_with(addr, HttpServerConfig::default(), handler)
     }
 
-    /// Bind to `addr` and serve with an explicit configuration: one
-    /// acceptor thread, one reactor thread and `config.workers` pool
-    /// workers.  Fails with [`ErrorKind::Unsupported`] where the platform
-    /// has no epoll (anywhere but Linux).
+    /// Bind to `addr` and serve with an explicit configuration, on exactly
+    /// `config.workers` event-loop threads.  Fails with
+    /// [`ErrorKind::Unsupported`] where the platform has no epoll (anywhere
+    /// but Linux).
     pub fn start_with<F>(
         addr: &str,
         config: HttpServerConfig,
@@ -784,40 +747,23 @@ impl HttpServer {
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            cvar: Condvar::new(),
             stop: AtomicBool::new(false),
             metrics,
+            config,
+            handler: Box::new(handler),
         });
-        let handler: Arc<Handler> = Arc::new(handler);
-        let mut threads = Vec::with_capacity(config.workers + 2);
-
-        let reactor = Reactor::new(config.keep_alive, shared.metrics.clone())?;
-        {
-            let reactor = reactor.clone();
-            let shared = shared.clone();
-            threads.push(std::thread::spawn(move || reactor.run(&shared)));
-        }
-
-        let accept_shared = shared.clone();
-        let max_connections = config.max_connections.max(1);
-        threads.push(std::thread::spawn(move || {
-            accept_loop(listener, accept_shared, max_connections)
-        }));
-        for _ in 0..config.workers.max(1) {
-            let shared = shared.clone();
-            let handler = handler.clone();
-            let config = config.clone();
-            let reactor = reactor.clone();
-            threads.push(std::thread::spawn(move || {
-                worker_loop(shared, handler, config, reactor)
-            }));
-        }
+        // Every loop is built here, so a failure is this call's error and
+        // not a thread that quietly never served.
+        let (waker, loops) = EventLoop::team(listener, &shared)?;
+        let threads = loops
+            .into_iter()
+            .map(|mut event_loop| std::thread::spawn(move || while event_loop.turn() {}))
+            .collect();
         Ok(HttpServer {
             addr: local,
             shared,
             threads,
-            reactor,
+            waker,
         })
     }
 
@@ -826,7 +772,7 @@ impl HttpServer {
         self.addr
     }
 
-    /// Connections currently open (queued or being serviced).
+    /// Connections currently open.
     pub fn active_connections(&self) -> usize {
         self.shared.metrics.active.load(Ordering::Relaxed)
     }
@@ -836,38 +782,31 @@ impl HttpServer {
         self.shared.metrics.served_total.load(Ordering::Relaxed)
     }
 
-    /// The pool's live backpressure metrics.
+    /// The server's live backpressure metrics.
     pub fn metrics(&self) -> Arc<PoolMetrics> {
         self.shared.metrics.clone()
     }
 
     /// The publish doorbell: ring it whenever new data could resolve
-    /// parked long-polls (the hub rings it on every frame publish).
+    /// waiting long-polls (the hub rings it on every frame publish).
     pub fn waker(&self) -> Waker {
-        self.reactor.waker()
+        self.waker.clone()
     }
 
-    /// Gracefully stop the server: no new connections are accepted, workers
-    /// flush any response that is already computable, every connection is
-    /// closed, and all threads are joined.
+    /// Gracefully stop the server: no new connections are accepted, every
+    /// loop flushes any response that is already computable and closes its
+    /// connections, and all threads are joined.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        // Wake the reactor out of epoll_wait so it hands its parked
-        // connections back for draining before it exits.
-        self.reactor.waker().ring();
-        self.shared.cvar.notify_all();
+        // The ring gets every loop out of `epoll_wait`; each checks the
+        // flag before it sleeps again.
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.waker.ring();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
-        }
-        // Connections the reactor requeued after the last worker already
-        // exited (stop + momentarily-empty queue) are drained here so a
-        // computable response still reaches the wire.
-        while let Some(conn) = self.shared.try_pop() {
-            self.shared.drain(conn);
         }
     }
 }
@@ -878,127 +817,26 @@ impl Drop for HttpServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_connections: usize) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if shared.metrics.active.load(Ordering::Relaxed) >= max_connections {
-                    // Crisp overload behaviour: tell the client and close.
-                    // Drain whatever request bytes already arrived first —
-                    // closing with unread input makes the kernel RST the
-                    // connection, which would discard the 503 before the
-                    // client reads it.
-                    if stream.set_nonblocking(true).is_ok() {
-                        // Bounded drain: the acceptor must not be pinned
-                        // by one client streaming data at it.
-                        let mut sink = [0u8; 1024];
-                        let mut drained = 0usize;
-                        while drained < 16 << 10 {
-                            match stream.read(&mut sink) {
-                                Ok(n) if n > 0 => drained += n,
-                                _ => break,
-                            }
-                        }
-                        let _ = stream.set_nonblocking(false);
-                    }
-                    let _ = stream.write_all(&HttpResponse::service_unavailable().encode(false));
-                    let _ = stream.shutdown(std::net::Shutdown::Write);
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                shared.metrics.active.fetch_add(1, Ordering::Relaxed);
-                let now = Instant::now();
-                shared.push(Conn {
-                    stream,
-                    buf: Vec::new(),
-                    out: Vec::new(),
-                    out_pos: 0,
-                    close_after_flush: false,
-                    pending: None,
-                    pending_keep_alive: true,
-                    saw_eof: false,
-                    last_activity: now,
-                    queued_at: now,
-                });
+/// Answer a connection accepted over the limit with `503` and close it —
+/// crisp overload behaviour.  Whatever request bytes already arrived are
+/// drained first: closing with unread input makes the kernel RST the
+/// connection, which would discard the 503 before the client reads it.
+pub(crate) fn refuse(mut stream: TcpStream) {
+    if stream.set_nonblocking(true).is_ok() {
+        // Bounded drain: the loop must not be pinned by one client
+        // streaming data at it.
+        let mut sink = [0u8; 1024];
+        let mut drained = 0usize;
+        while drained < 16 << 10 {
+            match stream.read(&mut sink) {
+                Ok(n) if n > 0 => drained += n,
+                _ => break,
             }
-            // Nothing to accept, or a transient failure (`ECONNABORTED`,
-            // `EMFILE` while descriptors are exhausted): back off and
-            // retry.  Only the stop flag ends the acceptor.
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
+        let _ = stream.set_nonblocking(false);
     }
-}
-
-fn worker_loop(
-    shared: Arc<Shared>,
-    handler: Arc<Handler>,
-    config: HttpServerConfig,
-    reactor: Arc<Reactor>,
-) {
-    loop {
-        let stopping = shared.stop.load(Ordering::Relaxed);
-        let Some(conn) = shared.pop() else {
-            return; // stop signalled and queue drained
-        };
-        if stopping {
-            shared.drain(conn);
-            continue;
-        }
-        let had_pending = conn.pending.is_some();
-        // Snapshot the publish generation *before* the visit: if the hub
-        // publishes between the handler's check and the park below,
-        // try_park sees a newer generation and refuses (see the
-        // readiness module docs for the full race argument).
-        let gen_at_visit = reactor.publish_gen();
-        let visit_started = Instant::now();
-        // Run-queue wait: how long this connection sat queued before a
-        // worker reached it — the long-poll wake-up latency the pool
-        // actually delivers, which degrades before the 503 limit.
-        let rotation_us = visit_started.duration_since(conn.queued_at).as_micros() as u64;
-        let mut progressed = false;
-        let outcome = service(conn, handler.as_ref(), &config, &shared, &mut progressed);
-        let visit_us = visit_started.elapsed().as_micros() as u64;
-        let metrics = &shared.metrics;
-        metrics.visits.fetch_add(1, Ordering::Relaxed);
-        metrics
-            .visit_us_total
-            .fetch_add(visit_us, Ordering::Relaxed);
-        metrics.visit_us_max.fetch_max(visit_us, Ordering::Relaxed);
-        metrics
-            .rotation_us_total
-            .fetch_add(rotation_us, Ordering::Relaxed);
-        metrics
-            .rotation_us_max
-            .fetch_max(rotation_us, Ordering::Relaxed);
-        let has_pending = outcome.as_ref().is_some_and(|c| c.pending.is_some());
-        match (had_pending, has_pending) {
-            (false, true) => {
-                metrics.pending_responses.fetch_add(1, Ordering::Relaxed);
-            }
-            (true, false) => {
-                metrics.pending_responses.fetch_sub(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-        match outcome {
-            Some(conn) if progressed => shared.push(conn),
-            Some(conn) => {
-                // A visit that made no progress means this connection is
-                // waiting on its socket, on a publish, or on a timeout —
-                // all of which the reactor watches without a worker.
-                if let Err(refused) = reactor.try_park(conn, gen_at_visit) {
-                    // A publish raced the visit (or registration failed):
-                    // re-check immediately.
-                    shared.push(refused);
-                }
-            }
-            None => {
-                metrics.active.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
+    let _ = stream.write_all(&HttpResponse::service_unavailable().encode(false));
+    let _ = stream.shutdown(std::net::Shutdown::Write);
 }
 
 /// One scheduling visit to a connection: flush queued output, ingest
@@ -1006,17 +844,11 @@ fn worker_loop(
 /// dispatch every complete request, and decide whether the connection
 /// lives on.  Never blocks — reads, writes and long-polls are all
 /// deferred to later visits when the socket (or the data) is not ready.
-/// Returns the connection to requeue, or `None` when it is closed.
+/// Returns the connection to keep, or `None` when it is closed.
 /// `made_progress` reports whether the visit accomplished anything (bytes
-/// moved or a request dispatched) — the worker parks a connection whose
-/// visit reports `false`.
-fn service(
-    mut conn: Conn,
-    handler: &Handler,
-    config: &HttpServerConfig,
-    shared: &Shared,
-    made_progress: &mut bool,
-) -> Option<Conn> {
+/// moved or a request dispatched) — the loop visits such a connection
+/// again, and leaves one whose visit reports `false` to wait in epoll.
+pub(crate) fn service(mut conn: Conn, shared: &Shared, made_progress: &mut bool) -> Option<Conn> {
     let mut progressed = false;
 
     // 1. Flush output queued on earlier visits first: responses must hit
@@ -1098,7 +930,7 @@ fn service(
                 shared.metrics.served_total.fetch_add(1, Ordering::Relaxed);
                 progressed = true;
                 let keep = request.wants_keep_alive();
-                match handler(*request) {
+                match (shared.handler)(*request) {
                     Outcome::Ready(resp) => conn.queue_response(&resp, keep && !conn.saw_eof),
                     Outcome::Pending(mut pending) => {
                         // Fast path: resolve immediately if the data is
@@ -1136,7 +968,8 @@ fn service(
     //    its own deadline instead — unless the peer already closed its
     //    write half, where the idle timeout caps how long a possibly-dead
     //    socket can wait for a frame.
-    if (conn.pending.is_none() || conn.saw_eof) && conn.last_activity.elapsed() > config.keep_alive
+    if (conn.pending.is_none() || conn.saw_eof)
+        && conn.last_activity.elapsed() > shared.config.keep_alive
     {
         return None;
     }
@@ -1380,8 +1213,8 @@ mod tests {
 
     #[test]
     fn pending_outcomes_long_poll_without_blocking_workers() {
-        // One worker, several waiting clients: with thread-per-poll this
-        // would deadlock; with deferred responses one worker serves all.
+        // One thread, several waiting clients: with thread-per-poll this
+        // would deadlock; with deferred responses one event loop serves all.
         let released = Arc::new(AtomicBool::new(false));
         let released2 = released.clone();
         let config = HttpServerConfig {
@@ -1477,7 +1310,7 @@ mod tests {
         .unwrap();
         // First connection occupies the single slot.
         let first = TcpStream::connect(server.addr()).unwrap();
-        // Wait until the acceptor has registered it.
+        // Wait until a loop has accepted it.
         let deadline = Instant::now() + Duration::from_secs(5);
         while server.active_connections() < 1 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
@@ -1570,62 +1403,81 @@ mod tests {
         let snapshot = wait_for_parked(&server);
         assert!(
             snapshot.parked_connections >= 1,
-            "an idle connection must wait in the reactor"
+            "an idle connection must wait in epoll"
         );
-        assert_eq!(snapshot.queue_depth, 0, "and not in the run queue");
+        assert_eq!(snapshot.queue_depth, 0, "and not in a ready list");
         server.shutdown();
     }
 
     #[test]
     fn readiness_parks_long_polls_and_wakes_them_on_the_doorbell() {
-        // The scheduling claim under test: a parked long-poll's closure is
-        // re-polled on the reactor's PENDING_RECHECK cadence (~20/s), not
-        // by a worker spinning on it.
-        let closure_polls = Arc::new(AtomicU64::new(0));
-        let released = Arc::new(AtomicBool::new(false));
-        let (polls2, released2) = (closure_polls.clone(), released.clone());
-        let server = HttpServer::start("127.0.0.1:0", move |_| {
-            let (polls, released) = (polls2.clone(), released2.clone());
-            Outcome::Pending(Box::new(move || {
-                polls.fetch_add(1, Ordering::Relaxed);
-                released
-                    .load(Ordering::Relaxed)
-                    .then(|| HttpResponse::ok("text/plain", "released"))
-            }))
-        })
-        .unwrap();
-        let waker = server.waker();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
+        // The scheduling claim under test: a waiting long-poll's closure is
+        // re-polled on the PENDING_RECHECK cadence (~20/s), not by a loop
+        // spinning on it — whether the client keeps its write half open or
+        // shuts it down after the request (hang-up is always readable, so
+        // a half-closed socket left armed would wake the loop at once,
+        // every time).
+        for half_closed in [false, true] {
+            let closure_polls = Arc::new(AtomicU64::new(0));
+            let released = Arc::new(AtomicBool::new(false));
+            let (polls2, released2) = (closure_polls.clone(), released.clone());
+            let server = HttpServer::start("127.0.0.1:0", move |_| {
+                let (polls, released) = (polls2.clone(), released2.clone());
+                Outcome::Pending(Box::new(move || {
+                    polls.fetch_add(1, Ordering::Relaxed);
+                    released
+                        .load(Ordering::Relaxed)
+                        .then(|| HttpResponse::ok("text/plain", "released"))
+                }))
+            })
             .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        writer.write_all(b"GET /wait HTTP/1.1\r\n\r\n").unwrap();
+            let waker = server.waker();
+            let stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            writer.write_all(b"GET /wait HTTP/1.1\r\n\r\n").unwrap();
+            if half_closed {
+                writer.shutdown(std::net::Shutdown::Write).unwrap();
+            }
 
-        // While the long-poll waits, the connection must show up in the
-        // parked gauge ...
-        assert!(
-            wait_for_parked(&server).parked_connections >= 1,
-            "long-poll must park in the reactor"
-        );
-        // ... and accumulate closure polls at the parked cadence: 300 ms
-        // is ~6 rechecks; 40 leaves slack for scheduler noise.
-        std::thread::sleep(Duration::from_millis(300));
-        let polled = closure_polls.load(Ordering::Relaxed);
-        assert!(
-            polled < 40,
-            "parked long-poll was re-polled {polled} times in 300 ms — \
-             PENDING_RECHECK ({PENDING_RECHECK:?}) allows about 6"
-        );
+            // While the long-poll waits, the connection must show up in the
+            // parked gauge ...
+            assert!(
+                wait_for_parked(&server).parked_connections >= 1,
+                "long-poll must wait in epoll (half_closed: {half_closed})"
+            );
+            // ... and accumulate closure polls at the parked cadence: 300 ms
+            // is ~6 rechecks; 40 leaves slack for scheduler noise.
+            std::thread::sleep(Duration::from_millis(300));
+            let polled = closure_polls.load(Ordering::Relaxed);
+            assert!(
+                polled < 40,
+                "waiting long-poll (half_closed: {half_closed}) was re-polled \
+                 {polled} times in 300 ms — PENDING_RECHECK \
+                 ({PENDING_RECHECK:?}) allows about 6"
+            );
 
-        // The doorbell resolves it.
-        released.store(true, Ordering::Relaxed);
-        waker.ring();
-        let (status, body) = read_response(&mut reader);
-        assert_eq!(status, 200);
-        assert_eq!(body, b"released");
-        server.shutdown();
+            // The doorbell resolves it.
+            released.store(true, Ordering::Relaxed);
+            waker.ring();
+            let mut response = Vec::new();
+            if half_closed {
+                // The answer to a half-closed client is the last one.
+                reader.read_to_end(&mut response).unwrap();
+                let response = String::from_utf8(response).unwrap();
+                assert!(response.starts_with("HTTP/1.1 200"), "got: {response}");
+                assert!(response.contains("Connection: close"), "got: {response}");
+                assert!(response.ends_with("released"), "got: {response}");
+            } else {
+                let (status, body) = read_response(&mut reader);
+                assert_eq!(status, 200);
+                assert_eq!(body, b"released");
+            }
+            server.shutdown();
+        }
     }
 
     #[test]
@@ -1669,8 +1521,8 @@ mod tests {
         let _idle = TcpStream::connect(addr).unwrap();
         let mut polling = TcpStream::connect(addr).unwrap();
         polling.write_all(b"GET /wait HTTP/1.1\r\n\r\n").unwrap();
-        // Let both connections reach the parked state, then shut down: the
-        // reactor must hand them back and every thread must join.
+        // Let both connections reach the parked state, then shut down: their
+        // loops must close them and every thread must join.
         std::thread::sleep(Duration::from_millis(150));
         server.shutdown(); // the test passes iff this returns
     }

@@ -6,10 +6,10 @@
 //! commands are posted back asynchronously.  This crate reproduces that
 //! interaction pattern without external web frameworks, and scales it:
 //!
-//! * [`http`] — an HTTP/1.1 server on a fixed worker thread pool with
+//! * [`http`] — an HTTP/1.1 server on a fixed set of threads with
 //!   keep-alive connections, pipelining-safe parsing, connection limits,
 //!   deferred (non-blocking) long-poll responses, and graceful shutdown;
-//!   [`readiness`] is its connection scheduler, an epoll reactor,
+//!   [`readiness`] is the epoll event loop each of those threads runs,
 //! * [`hub`] — the session hub: frames published by the visualization side
 //!   are base64/JSON-encoded at most once per wire encoding (the full
 //!   frame, the changed-tile *delta*) into shared `Arc<str>` payloads, by

@@ -13,11 +13,12 @@
 //!   only after decoding a response re-requests a lost one by
 //!   construction.  `since` and `timeout_ms` default to `0` / `15000`
 //!   when absent and answer `400` when present but not a `u64`.  The long
-//!   poll never blocks a server worker: the route returns a deferred
-//!   [`Outcome::Pending`] the pool re-polls,
+//!   poll never blocks a server thread: the route returns a deferred
+//!   [`Outcome::Pending`] the connection's event loop re-polls,
 //! * `GET /api/frame` — the latest frame immediately (or 404),
-//! * `GET /api/stats` — server-side backpressure metrics (run-queue depth,
-//!   run-queue wait, per-visit service time, parked connections),
+//! * `GET /api/stats` — server-side backpressure metrics (connections woken
+//!   and not yet visited, wake-to-visit wait, per-visit service time,
+//!   connections waiting in epoll),
 //!   so overload is observable *before* the 503 connection limit trips,
 //! * `POST /api/steer` — submit steering parameters as JSON.
 //!
@@ -79,10 +80,9 @@ impl FrontEndServer {
         let http = HttpServer::start_with_metrics(addr, config.http, metrics, move |req| {
             route(&route_hub, &route_inbox, &route_metrics, req)
         })?;
-        // Ring the reactor doorbell on every publish so parked long-polls
-        // wake the moment their frame exists.  The hub runs hooks only
-        // after the new frame is readable, so a woken worker always finds
-        // it.
+        // Ring the doorbell on every publish so waiting long-polls wake
+        // the moment their frame exists.  The hub runs hooks only after the
+        // new frame is readable, so a woken event loop always finds it.
         let waker = http.waker();
         hub.add_wake_hook(move || waker.ring());
         Ok(FrontEndServer { http, hub, inbox })
@@ -189,8 +189,8 @@ pub fn route(
             };
             let deadline = Instant::now() + Duration::from_millis(timeout_ms);
             let hub = hub.clone();
-            // Deferred response: the HTTP pool re-polls this closure until
-            // a frame arrives or the deadline passes.  No worker blocks.
+            // Deferred response: the event loop re-polls this closure until
+            // a frame arrives or the deadline passes.  No thread blocks.
             Outcome::Pending(Box::new(move || {
                 if let Some(payload) = hub.try_payload(since, mode) {
                     return Some(HttpResponse::json_shared(payload.json));

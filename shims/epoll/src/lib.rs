@@ -507,6 +507,69 @@ mod tests {
         ringer.join().unwrap();
     }
 
+    /// What the serving layer's no-lost-wake-up argument rests on
+    /// (`ricsa_webfront::readiness`): a level-triggered doorbell is quiet
+    /// once drained and readable again after any later ring, with nothing
+    /// to re-arm in between.
+    #[test]
+    fn a_level_triggered_doorbell_needs_no_rearming() {
+        let poller = Poller::new().unwrap();
+        let doorbell = EventFd::new().unwrap();
+        poller
+            .add(doorbell.as_raw_fd(), 3, Interest::readable())
+            .unwrap();
+        let mut events = Vec::new();
+        let mut wait = |timeout_ms| {
+            poller
+                .wait(&mut events, 16, Some(Duration::from_millis(timeout_ms)))
+                .unwrap()
+        };
+        for round in 0..3 {
+            assert_eq!(wait(5), 0, "round {round}: quiet before the ring");
+            doorbell.ring();
+            doorbell.ring(); // rings coalesce
+            assert_eq!(wait(2000), 1, "round {round}: the ring is reported");
+            assert_eq!(
+                wait(2000),
+                1,
+                "round {round}: and stays reported until drained"
+            );
+            assert_eq!(doorbell.drain(), 2);
+        }
+        assert_eq!(wait(5), 0, "quiet after the last drain");
+    }
+
+    /// Every event loop registers the one listening socket in its own
+    /// epoll instance: a backlogged connection must wake them all (one
+    /// then wins the `accept`).
+    #[test]
+    fn one_listener_in_two_pollers_wakes_both() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let pollers = [Poller::new().unwrap(), Poller::new().unwrap()];
+        for poller in &pollers {
+            poller
+                .add(listener.as_raw_fd(), 11, Interest::readable_oneshot())
+                .unwrap();
+        }
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut events = Vec::new();
+        for poller in &pollers {
+            let got = poller
+                .wait(&mut events, 16, Some(Duration::from_secs(2)))
+                .unwrap();
+            assert_eq!(got, 1);
+            assert_eq!(events[0].key, 11);
+            assert!(events[0].readable);
+        }
+        // One accept empties the backlog; the other loop finds nothing.
+        assert!(listener.accept().is_ok());
+        assert_eq!(
+            listener.accept().unwrap_err().kind(),
+            std::io::ErrorKind::WouldBlock
+        );
+    }
+
     #[test]
     fn nofile_limit_reaches_bench_scale() {
         // The 10k-connection bench needs ~2 fds per poller plus slack; the

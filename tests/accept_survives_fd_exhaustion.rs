@@ -1,4 +1,4 @@
-//! A transient `accept` failure must not end the acceptor thread.
+//! A transient `accept` failure must not stop the server accepting.
 //!
 //! This test exhausts the process's file descriptors, so it lives alone in
 //! its own test binary: the server's `accept` fails with `EMFILE` while a
@@ -28,17 +28,17 @@ fn accept_survives_fd_exhaustion() {
     hoard.pop().expect("at least one descriptor was available");
     let mut client = TcpStream::connect(server.addr()).expect("connect with the freed descriptor");
 
-    // The kernel completed the handshake, but the acceptor cannot allocate
-    // a descriptor for the connection: give it time to fail a few times.
+    // The kernel completed the handshake, but no event loop can allocate a
+    // descriptor for the connection: give them time to fail a few times.
     std::thread::sleep(Duration::from_millis(50));
     drop(hoard);
 
     client
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    // An acceptor that exited took the listener with it: the backlogged
-    // client sees a reset here instead of a response.
-    const OUTLIVE: &str = "the acceptor must outlive a transient accept error";
+    // Loops that gave up on the listener leave the backlogged client
+    // without a response here.
+    const OUTLIVE: &str = "accepting must outlive a transient accept error";
     client
         .write_all(b"GET /after HTTP/1.1\r\nHost: l\r\n\r\n")
         .expect(OUTLIVE);
