@@ -157,6 +157,16 @@ pub struct DecisionRecord {
     pub reason: String,
 }
 
+/// What the monitor keeps for a directed link beside its public estimate.
+struct LinkWatch {
+    /// The link's index in the calibration and live graphs, looked up when
+    /// the link is first seen (`None`: no such link in the graph).
+    link: Option<usize>,
+    goodput: ChangePointDetector,
+    /// Present once the route was seeded or an RTT sample arrived.
+    rtt: Option<ChangePointDetector>,
+}
+
 /// The monitor: live estimates, change detection and re-map decisions.
 pub struct AdaptMonitor {
     config: AdaptConfig,
@@ -169,8 +179,7 @@ pub struct AdaptMonitor {
     destination: usize,
     current: Mapping,
     current_predicted: f64,
-    detectors: BTreeMap<(usize, usize), ChangePointDetector>,
-    rtt_detectors: BTreeMap<(usize, usize), ChangePointDetector>,
+    watched: BTreeMap<(usize, usize), LinkWatch>,
     estimates: BTreeMap<(usize, usize), LinkEstimate>,
     /// Confirmed change points not yet evaluated:
     /// `(link, scale, signal)`.
@@ -181,6 +190,16 @@ pub struct AdaptMonitor {
     /// separately from the deterministic trace).
     solve_us_total: f64,
     solves: u64,
+}
+
+impl LinkWatch {
+    fn new(link: Option<usize>, config: DetectorConfig) -> LinkWatch {
+        LinkWatch {
+            link,
+            goodput: ChangePointDetector::new(config),
+            rtt: None,
+        }
+    }
 }
 
 impl AdaptMonitor {
@@ -226,8 +245,7 @@ impl AdaptMonitor {
             destination,
             current: initial.mapping,
             current_predicted: initial.delay.total,
-            detectors: BTreeMap::new(),
-            rtt_detectors: BTreeMap::new(),
+            watched: BTreeMap::new(),
             estimates: BTreeMap::new(),
             pending: Vec::new(),
             last_remap_at: f64::NEG_INFINITY,
@@ -261,9 +279,10 @@ impl AdaptMonitor {
             .map(|pair| (pair[0], pair[1]))
             .collect();
         for (from, to) in links {
-            let Some(link) = self.base_graph.link_between(from, to) else {
+            let Some(index) = self.base_graph.link_index(from, to) else {
                 continue;
             };
+            let link = self.base_graph.link(index);
             let expected_rtt = 2.0 * link.delay;
             if !(expected_rtt.is_finite() && expected_rtt > 0.0) {
                 continue;
@@ -281,9 +300,11 @@ impl AdaptMonitor {
                 entry.baseline_rtt_s = expected_rtt;
             }
             let config = self.config.detector;
-            self.rtt_detectors
+            self.watched
                 .entry((from, to))
-                .or_insert_with(|| ChangePointDetector::with_baseline(config, expected_rtt));
+                .or_insert_with(|| LinkWatch::new(Some(index), config))
+                .rtt
+                .get_or_insert_with(|| ChangePointDetector::with_baseline(config, expected_rtt));
         }
     }
 
@@ -319,17 +340,22 @@ impl AdaptMonitor {
     /// (topology node indices).  Updates the live estimate and runs the
     /// link's change-point detectors: goodput always, RTT when
     /// [`AdaptConfig::rtt_signal`] is on and the flow resolved at least
-    /// one passive probe.
+    /// one passive probe.  A sample naming a node outside the graph is
+    /// ignored.
     pub fn ingest(&mut self, from: usize, to: usize, telemetry: &FlowTelemetry) {
-        if !telemetry.has_signal() {
+        if !telemetry.has_signal() || from.max(to) >= self.base_graph.node_count() {
             return;
         }
         let key = (from, to);
-        let (calibrated_bandwidth, calibrated_delay) = self
-            .base_graph
-            .link_between(from, to)
-            .map(|l| (l.bandwidth, l.delay))
-            .unwrap_or((0.0, 0.0));
+        let config = self.config.detector;
+        let watch = self
+            .watched
+            .entry(key)
+            .or_insert_with(|| LinkWatch::new(self.base_graph.link_index(from, to), config));
+        let (calibrated_bandwidth, calibrated_delay) = watch
+            .link
+            .map(|index| self.base_graph.link(index))
+            .map_or((0.0, 0.0), |l| (l.bandwidth, l.delay));
         let sample = telemetry.goodput_bps;
         let entry = self.estimates.entry(key).or_insert(LinkEstimate {
             calibrated_bandwidth,
@@ -348,12 +374,7 @@ impl AdaptMonitor {
         }
         entry.current_goodput = sample;
         let mut confirmed_any = false;
-        if let Some(cp) = self
-            .detectors
-            .entry(key)
-            .or_insert_with(|| ChangePointDetector::new(self.config.detector))
-            .observe(sample)
-        {
+        if let Some(cp) = watch.goodput.observe(sample) {
             // Scale relative to the link's *first* baseline, so repeated
             // changes compose correctly (baseline_goodput never moves).
             let scale =
@@ -368,10 +389,9 @@ impl AdaptMonitor {
                 entry.baseline_rtt_s = rtt;
             }
             entry.current_rtt_s = rtt;
-            if let Some(cp) = self
-                .rtt_detectors
-                .entry(key)
-                .or_insert_with(|| ChangePointDetector::new(self.config.detector))
+            if let Some(cp) = watch
+                .rtt
+                .get_or_insert_with(|| ChangePointDetector::new(config))
                 .observe(rtt)
             {
                 // Queueing inflation rescales the *delay* estimate, again
@@ -383,10 +403,9 @@ impl AdaptMonitor {
                 confirmed_any = true;
             }
         }
-        if confirmed_any {
-            self.graph.set_measured(
-                from,
-                to,
+        if let (true, Some(index)) = (confirmed_any, watch.link) {
+            self.graph.set_measured_at(
+                index,
                 (entry.calibrated_bandwidth * entry.scale).max(1.0),
                 (calibrated_delay * entry.delay_scale).max(0.0),
             );
@@ -739,6 +758,26 @@ mod tests {
             "healthy RTT near the seed fired: {:?}",
             healthy.decisions()
         );
+    }
+
+    /// Telemetry keys arrive from the stages' sink unchecked: a sample for
+    /// a node the graph does not have is dropped, not indexed with.
+    #[test]
+    fn out_of_range_ingest_changes_nothing() {
+        let mut m = monitor();
+        m.ingest(0, 1, &telemetry(35e6));
+        let estimates = m.estimates().clone();
+        let graph = m.graph.clone();
+        for (from, to) in [(4, 0), (0, 4), (99, 99), (usize::MAX, 1)] {
+            // Enough collapsed samples to confirm a change on a real link.
+            for goodput in [35e6, 35e6, 3.5e6, 3.5e6, 3.5e6] {
+                m.ingest(from, to, &telemetry(goodput));
+                assert_eq!(m.evaluate(1.0), Decision::Keep);
+            }
+        }
+        assert_eq!(m.estimates(), &estimates);
+        assert!(m.decisions().is_empty());
+        assert!(m.graph == graph && m.base_graph == graph);
     }
 
     #[test]

@@ -125,6 +125,21 @@ pub fn evaluate_mapping(
     graph: &NetGraph,
     mapping: &Mapping,
 ) -> DelayBreakdown {
+    evaluate_with(pipeline, graph, mapping, |link, bytes| {
+        graph.link(link).transfer_time(bytes)
+    })
+}
+
+/// [`evaluate_mapping`] with the cost of moving `bytes` across link index
+/// `link` supplied by the caller — how the joint solver charges contended
+/// prices without building a priced graph.  Same terms, same order of
+/// summation.
+pub(crate) fn evaluate_with(
+    pipeline: &Pipeline,
+    graph: &NetGraph,
+    mapping: &Mapping,
+    transfer_time: impl Fn(usize, f64) -> f64,
+) -> DelayBreakdown {
     validate_mapping(pipeline, graph, mapping).expect("invalid mapping");
     let mut computing = 0.0;
     let mut transport = 0.0;
@@ -141,9 +156,9 @@ pub fn evaluate_mapping(
         // Transfer of the current message to the next path node.
         if g + 1 < mapping.path.len() {
             let link = graph
-                .link_between(mapping.path[g], mapping.path[g + 1])
+                .link_index(mapping.path[g], mapping.path[g + 1])
                 .expect("validated above");
-            transport += link.transfer_time(current_bytes);
+            transport += transfer_time(link, current_bytes);
         }
     }
     DelayBreakdown {

@@ -34,6 +34,7 @@ use crate::delay::{evaluate_mapping, validate_mapping, DelayBreakdown, Mapping};
 use crate::network::{dijkstra, EdgeDir, NetGraph};
 use crate::pipeline::Pipeline;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Relative inflation applied to a warm-start incumbent's evaluated delay
 /// before it seeds the pruner's upper bound.  The incumbent's cost and the
@@ -111,9 +112,79 @@ pub fn optimize(
     optimize_with(pipeline, graph, source, destination, &DpOptions::default()).0
 }
 
+/// Transport lower-bound tables computed once and lent to many solves: the
+/// joint solver's sessions share destinations and message floors, and its
+/// best responses re-solve the same sessions round after round.
+///
+/// A table built on one graph is a valid bound on any graph that is *no
+/// faster* — same links, every `transfer_time` at least as large — because
+/// every path then costs at least what it costs here.  The joint solver
+/// builds them on the unpriced graph and solves on priced ones (pricing
+/// only divides bandwidths).  A weaker bound prunes fewer states, never an
+/// optimal one, and the states it spares cannot tie an optimal walk
+/// (DESIGN.md §6.3), so the mapping returned is the one the solve's own
+/// tables would have produced.
+pub(crate) struct BoundTables {
+    /// Keyed `(destination, floor bits)`.
+    tables: BTreeMap<(usize, u64), Vec<f64>>,
+}
+
+impl BoundTables {
+    /// One table per distinct `(destination, message floor)` among the
+    /// given `(pipeline, destination)` problems, each a Dijkstra on `graph`.
+    /// Destinations outside the graph get none (their solves are
+    /// infeasible before any bound is asked for).
+    pub(crate) fn build<'a>(
+        graph: &NetGraph,
+        problems: impl IntoIterator<Item = (&'a Pipeline, usize)>,
+    ) -> BoundTables {
+        let mut tables = BTreeMap::new();
+        for (pipeline, destination) in problems {
+            if destination >= graph.node_count() {
+                continue;
+            }
+            for floor in message_floors(pipeline) {
+                tables
+                    .entry((destination, floor.to_bits()))
+                    .or_insert_with(|| message_distance_to(graph, destination, floor));
+            }
+        }
+        BoundTables { tables }
+    }
+
+    pub(crate) fn get(&self, destination: usize, floor: f64) -> Option<&[f64]> {
+        self.tables
+            .get(&(destination, floor.to_bits()))
+            .map(Vec::as_slice)
+    }
+
+    /// Number of tables built.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.tables.len()
+    }
+}
+
+/// `floors[j]` = the smallest message the pipeline can still emit from
+/// layer `j` on: the inputs of the remaining modules, plus the finished
+/// image (which relay mode may still forward; including it in walk mode
+/// only weakens the bound, never invalidates it).  Empty for an empty
+/// pipeline.
+pub(crate) fn message_floors(pipeline: &Pipeline) -> Vec<f64> {
+    let Some(last) = pipeline.modules.last() else {
+        return Vec::new();
+    };
+    let n_modules = pipeline.message_count();
+    let mut floors = vec![last.output_bytes; n_modules + 1];
+    for j in (0..n_modules).rev() {
+        floors[j] = floors[j + 1].min(pipeline.input_bytes(j));
+    }
+    floors
+}
+
 /// Pruning context: lower bounds on what any completion must still pay, and
 /// the cheapest known feasible completion (the upper bound).
-struct Pruner {
+struct Pruner<'a> {
     /// `suffix_min_proc[j]` = Σ_{k≥j} min over feasible nodes of module
     /// `k`'s processing time — a lower bound on the remaining computing.
     suffix_min_proc: Vec<f64>,
@@ -131,11 +202,14 @@ struct Pruner {
     /// first use — no table exists before the upper bound turns finite,
     /// and suffix minima repeat, so only a handful are ever computed.
     lb_cache: Vec<(f64, Vec<f64>)>,
+    /// Per layer, the table lent by the caller for this destination and
+    /// `m_floor[layer]`, if it holds one; consulted before `lb_cache`.
+    lent: Vec<Option<&'a [f64]>>,
     /// Cheapest known complete feasible solution.
     upper_bound: f64,
 }
 
-impl Pruner {
+impl<'a> Pruner<'a> {
     /// Build the bounds; `None` means some module is feasible nowhere (the
     /// instance has no placement at all).
     fn build(
@@ -143,7 +217,8 @@ impl Pruner {
         graph: &NetGraph,
         destination: usize,
         feasible: &impl Fn(usize, usize) -> bool,
-    ) -> Option<Pruner> {
+        shared: Option<&'a BoundTables>,
+    ) -> Option<Pruner<'a>> {
         let n_modules = pipeline.message_count();
         let n_nodes = graph.node_count();
         let mut suffix_min_proc = vec![0.0; n_modules + 1];
@@ -164,30 +239,26 @@ impl Pruner {
                 f64::INFINITY
             };
         }
-        // Smallest message that can still cross a link from layer j on:
-        // the inputs of the remaining modules, plus the finished image
-        // (which relay mode may still forward; including it in walk mode
-        // only weakens the bound, never invalidates it).
-        let trailing = pipeline
-            .modules
-            .last()
-            .expect("pipelines are non-empty")
-            .output_bytes;
-        let mut m_floor = vec![trailing; n_modules + 1];
-        for j in (0..n_modules).rev() {
-            m_floor[j] = m_floor[j + 1].min(pipeline.input_bytes(j));
-        }
+        let m_floor = message_floors(pipeline);
+        let lent = m_floor
+            .iter()
+            .map(|&floor| shared.and_then(|s| s.get(destination, floor)))
+            .collect();
         Some(Pruner {
             suffix_min_proc,
             tail_at_destination,
             m_floor,
             lb_cache: Vec::new(),
+            lent,
             upper_bound: f64::INFINITY,
         })
     }
 
     /// The transport lower-bound table for `layer`, built on first use.
     fn transport_lb(&mut self, graph: &NetGraph, destination: usize, layer: usize) -> &[f64] {
+        if let Some(table) = self.lent[layer] {
+            return table;
+        }
         let floor = self.m_floor[layer];
         if let Some(i) = self.lb_cache.iter().position(|(b, _)| *b == floor) {
             return &self.lb_cache[i].1;
@@ -235,7 +306,9 @@ impl Pruner {
 /// where crossing a link costs `transfer_time(bytes)`: a lower bound on
 /// the remaining transport cost of any completion whose messages are all
 /// at least `bytes` large.
-fn message_distance_to(graph: &NetGraph, destination: usize, bytes: f64) -> Vec<f64> {
+pub(crate) fn message_distance_to(graph: &NetGraph, destination: usize, bytes: f64) -> Vec<f64> {
+    #[cfg(test)]
+    TABLES_BUILT.with(|built| built.set(built.get() + 1));
     let mut init = vec![f64::INFINITY; graph.node_count()];
     init[destination] = 0.0;
     let (dist, _) = dijkstra(
@@ -246,6 +319,12 @@ fn message_distance_to(graph: &NetGraph, destination: usize, bytes: f64) -> Vec<
         |_, _| true,
     );
     dist
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bound tables this thread has built, for the tests that count them.
+    pub(crate) static TABLES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// [`optimize`] with explicit [`DpOptions`], also returning work counters.
@@ -271,7 +350,7 @@ pub fn optimize_with(
     destination: usize,
     options: &DpOptions,
 ) -> (Option<OptimizedMapping>, DpStats) {
-    solve(pipeline, graph, source, destination, options, None)
+    solve(pipeline, graph, source, destination, options, None, None)
 }
 
 /// Warm-started re-solve: the previous solution (`incumbent`) seeds the
@@ -298,16 +377,24 @@ pub fn optimize_warm(
         destination,
         options,
         Some(incumbent),
+        None,
     )
 }
 
-fn solve(
+/// The solver behind [`optimize_with`] (no incumbent) and
+/// [`optimize_warm`].  With `shared`, the pruner takes its transport lower
+/// bounds from the lent tables where they hold one for this destination
+/// and floor, and builds its own on `graph` otherwise; the caller vouches
+/// that the tables were built on a graph no slower than `graph` (see
+/// [`BoundTables`]).
+pub(crate) fn solve(
     pipeline: &Pipeline,
     graph: &NetGraph,
     source: usize,
     destination: usize,
     options: &DpOptions,
     incumbent: Option<&Mapping>,
+    shared: Option<&BoundTables>,
 ) -> (Option<OptimizedMapping>, DpStats) {
     let mut stats = DpStats::default();
     let n_modules = pipeline.message_count();
@@ -319,7 +406,7 @@ fn solve(
         !pipeline.modules[module].needs_graphics || graph.node(node).has_graphics
     };
     let mut pruner = if options.prune {
-        match Pruner::build(pipeline, graph, destination, &feasible) {
+        match Pruner::build(pipeline, graph, destination, &feasible, shared) {
             Some(p) => Some(p),
             // Some module is feasible nowhere: no placement exists.
             None => return (None, stats),
@@ -373,7 +460,7 @@ fn walk_dp(
     source: usize,
     destination: usize,
     feasible: &impl Fn(usize, usize) -> bool,
-    mut pruner: Option<&mut Pruner>,
+    mut pruner: Option<&mut Pruner<'_>>,
     stats: &mut DpStats,
 ) -> (Option<OptimizedMapping>, DpStats) {
     let n_modules = pipeline.message_count();
@@ -497,7 +584,7 @@ fn relay_dp(
     source: usize,
     destination: usize,
     feasible: &impl Fn(usize, usize) -> bool,
-    mut pruner: Option<&mut Pruner>,
+    mut pruner: Option<&mut Pruner<'_>>,
     stats: &mut DpStats,
 ) -> (Option<OptimizedMapping>, DpStats) {
     let n_modules = pipeline.message_count();
@@ -606,7 +693,7 @@ fn relay_closure(
     bytes: f64,
     layer: usize,
     destination: usize,
-    mut pruner: Option<&mut Pruner>,
+    mut pruner: Option<&mut Pruner<'_>>,
     stats: &mut DpStats,
 ) -> (Vec<f64>, Vec<usize>) {
     // Extraction-time dominance: any solution whose relay chain passes

@@ -14,7 +14,14 @@
 //!   it commits to the link.
 //! * **Best response.**  Sessions re-solve one at a time in deterministic
 //!   (index) order against the priced graph, each re-solve warm-started
-//!   from the session's incumbent mapping ([`crate::dp::optimize_warm`]).
+//!   from the session's incumbent mapping.  Prices are load counts per
+//!   link index on *one* priced graph kept for the whole solve: a best
+//!   response takes the session's own hops off their links, solves, and
+//!   puts the hops of whatever it now holds back on.  Every price is
+//!   recomputed from the caller's bandwidth and the link's count, never
+//!   updated from the previous price.  The DP's transport lower bounds
+//!   come from tables built once on the unpriced graph and shared by every
+//!   session and round (a bound from a no-slower graph; DESIGN.md §6.3).
 //! * **Termination.**  The iteration stops at a fixed point (a full round
 //!   in which no session moved) or after [`JointOptions::max_rounds`]
 //!   rounds, whichever comes first.  Best-response dynamics on priced
@@ -29,12 +36,14 @@
 //! byte-identical solutions (see [`solution_digest`]).  DESIGN.md §11
 //! documents the model and its place in the multi-session serving stack.
 
-use crate::delay::{evaluate_mapping, DelayBreakdown, Mapping};
-use crate::dp::{optimize_warm, optimize_with, DpOptions};
-use crate::network::NetGraph;
+use crate::delay::{evaluate_with, DelayBreakdown, Mapping};
+use crate::dp::{solve, BoundTables, DpOptions};
+use crate::network::{NetGraph, NetLink};
 use crate::pipeline::Pipeline;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+
+#[cfg(test)]
+mod reference;
 
 /// One session's placement problem: its pipeline and endpoints on the
 /// shared graph.
@@ -93,38 +102,42 @@ pub struct JointSolution {
     pub converged: bool,
 }
 
-/// Count, per directed link `(from, to)`, how many of the given mappings
-/// traverse it.  A mapping traversing a link twice (possible only through
-/// relay walks) counts twice — it really does put two transfers there.
-fn link_loads(mappings: &[Mapping], skip: Option<usize>) -> BTreeMap<(usize, usize), u32> {
-    let mut loads = BTreeMap::new();
-    for (i, mapping) in mappings.iter().enumerate() {
-        if Some(i) == skip {
-            continue;
-        }
-        for hop in mapping.path.windows(2) {
-            *loads.entry((hop[0], hop[1])).or_insert(0) += 1;
-        }
-    }
-    loads
+/// The link indices a mapping's walk crosses, hop by hop.  A hop names the
+/// first link added between its two nodes ([`NetGraph::link_index`]), the
+/// same link [`evaluate_with`] charges; a relay walk crossing a link twice
+/// lists it twice — it really does put two transfers there.
+fn hops<'a>(graph: &'a NetGraph, mapping: &'a Mapping) -> impl Iterator<Item = usize> + 'a {
+    mapping
+        .path
+        .windows(2)
+        .filter_map(|hop| graph.link_index(hop[0], hop[1]))
 }
 
-/// A copy of `graph` with every loaded link's bandwidth divided by
-/// `extra + load` (pricing: `extra = 1` prices the solving session's own
-/// share on top of the others'; contended evaluation uses `extra = 0`
-/// with loads that include every session).
-fn priced_graph(graph: &NetGraph, loads: &BTreeMap<(usize, usize), u32>, extra: u32) -> NetGraph {
-    let mut priced = graph.clone();
-    for (&(from, to), &load) in loads {
-        let divisor = (extra + load) as f64;
-        if divisor <= 1.0 {
-            continue;
-        }
-        if let Some(link) = graph.link_between(from, to) {
-            priced.set_measured(from, to, link.bandwidth / divisor, link.delay);
-        }
+/// `link` with its bandwidth shared `divisor` ways.
+fn shared_link(link: &NetLink, divisor: u32) -> NetLink {
+    NetLink {
+        bandwidth: link.bandwidth / f64::from(divisor),
+        ..*link
     }
-    priced
+}
+
+/// Each mapping's delay where every link gives a transfer `1 / loads[link]`
+/// of its bandwidth.
+fn delays_under(
+    sessions: &[JointSession],
+    graph: &NetGraph,
+    mappings: &[Mapping],
+    loads: &[u32],
+) -> Vec<DelayBreakdown> {
+    sessions
+        .iter()
+        .zip(mappings)
+        .map(|(s, m)| {
+            evaluate_with(&s.pipeline, graph, m, |link, bytes| {
+                shared_link(graph.link(link), loads[link].max(1)).transfer_time(bytes)
+            })
+        })
+        .collect()
 }
 
 /// Evaluate each mapping's delay on the *contended* graph, where every
@@ -135,17 +148,59 @@ pub fn contended_delays(
     graph: &NetGraph,
     mappings: &[Mapping],
 ) -> Vec<DelayBreakdown> {
-    let loads = link_loads(mappings, None);
-    let contended = priced_graph(graph, &loads, 0);
-    sessions
-        .iter()
-        .zip(mappings)
-        .map(|(s, m)| evaluate_mapping(&s.pipeline, &contended, m))
-        .collect()
+    let mut loads = vec![0; graph.link_count()];
+    for mapping in mappings {
+        for link in hops(graph, mapping) {
+            loads[link] += 1;
+        }
+    }
+    delays_under(sessions, graph, mappings, &loads)
 }
 
 fn aggregate_of(delays: &[DelayBreakdown]) -> f64 {
     delays.iter().map(|d| d.total).sum()
+}
+
+/// The priced graph of one joint solve: `loads[link]` transfers are
+/// assigned to each link, and `priced` charges every link for one more —
+/// the share a session would get by committing to it.
+struct Pricing<'a> {
+    /// The caller's graph: the bandwidth every price is computed from.
+    pristine: &'a NetGraph,
+    priced: NetGraph,
+    loads: Vec<u32>,
+}
+
+impl<'a> Pricing<'a> {
+    fn new(pristine: &'a NetGraph) -> Pricing<'a> {
+        Pricing {
+            pristine,
+            priced: pristine.clone(),
+            loads: vec![0; pristine.link_count()],
+        }
+    }
+
+    /// Put `mapping`'s hops on their links.
+    fn assign(&mut self, mapping: &Mapping) {
+        for link in hops(self.pristine, mapping) {
+            self.loads[link] += 1;
+            self.reprice(link);
+        }
+    }
+
+    /// Take `mapping`'s hops (assigned earlier) off their links.
+    fn release(&mut self, mapping: &Mapping) {
+        for link in hops(self.pristine, mapping) {
+            self.loads[link] -= 1;
+            self.reprice(link);
+        }
+    }
+
+    fn reprice(&mut self, link: usize) {
+        let priced = shared_link(self.pristine.link(link), 1 + self.loads[link]);
+        self.priced
+            .set_measured_at(link, priced.bandwidth, priced.delay);
+    }
 }
 
 /// Solve the joint placement problem.  Returns `None` when any session
@@ -158,17 +213,38 @@ pub fn solve_joint(
     graph: &NetGraph,
     options: &JointOptions,
 ) -> Option<JointSolution> {
+    let bounds = options
+        .dp
+        .prune
+        .then(|| BoundTables::build(graph, sessions.iter().map(|s| (&s.pipeline, s.destination))));
+    let respond = |s: &JointSession, graph: &NetGraph, incumbent: Option<&Mapping>| {
+        let (opt, _) = solve(
+            &s.pipeline,
+            graph,
+            s.source,
+            s.destination,
+            &options.dp,
+            incumbent,
+            bounds.as_ref(),
+        );
+        opt.map(|opt| opt.mapping)
+    };
+
     // Round zero: every session solves the pristine graph in isolation.
-    let mut current: Vec<Mapping> = Vec::with_capacity(sessions.len());
-    for s in sessions {
-        let (opt, _) = optimize_with(&s.pipeline, graph, s.source, s.destination, &options.dp);
-        current.push(opt?.mapping);
+    let mut current = sessions
+        .iter()
+        .map(|s| respond(s, graph, None))
+        .collect::<Option<Vec<Mapping>>>()?;
+    let mut pricing = Pricing::new(graph);
+    for mapping in &current {
+        pricing.assign(mapping);
     }
     let independent_mappings = current.clone();
-    let independent_contended = contended_delays(sessions, graph, &current);
+    let independent_contended = delays_under(sessions, graph, &current, &pricing.loads);
     let independent_aggregate = aggregate_of(&independent_contended);
 
     let mut best = current.clone();
+    let mut best_contended = independent_contended.clone();
     let mut best_aggregate = independent_aggregate;
     let mut converged = sessions.len() <= 1;
     let mut rounds_used = 0;
@@ -177,31 +253,24 @@ pub fn solve_joint(
         for round in 1..=options.max_rounds {
             rounds_used = round;
             let mut changed = false;
-            for i in 0..sessions.len() {
+            for (i, s) in sessions.iter().enumerate() {
                 // Price every link by the *other* sessions' current
                 // assignment plus this session's own prospective share.
-                let loads = link_loads(&current, Some(i));
-                let priced = priced_graph(graph, &loads, 1);
-                let s = &sessions[i];
-                let (opt, _) = optimize_warm(
-                    &s.pipeline,
-                    &priced,
-                    s.source,
-                    s.destination,
-                    &options.dp,
-                    &current[i],
-                );
-                if let Some(opt) = opt {
-                    if opt.mapping != current[i] {
-                        current[i] = opt.mapping;
+                pricing.release(&current[i]);
+                if let Some(mapping) = respond(s, &pricing.priced, Some(&current[i])) {
+                    if mapping != current[i] {
+                        current[i] = mapping;
                         changed = true;
                     }
                 }
+                pricing.assign(&current[i]);
             }
-            let aggregate = aggregate_of(&contended_delays(sessions, graph, &current));
+            let contended = delays_under(sessions, graph, &current, &pricing.loads);
+            let aggregate = aggregate_of(&contended);
             if aggregate + 1e-12 < best_aggregate {
                 best_aggregate = aggregate;
                 best = current.clone();
+                best_contended = contended;
             }
             if !changed {
                 converged = true;
@@ -210,12 +279,10 @@ pub fn solve_joint(
         }
     }
 
-    let contended = contended_delays(sessions, graph, &best);
-    let aggregate = aggregate_of(&contended);
     Some(JointSolution {
         mappings: best,
-        contended,
-        aggregate,
+        contended: best_contended,
+        aggregate: best_aggregate,
         independent_mappings,
         independent_contended,
         independent_aggregate,
@@ -233,8 +300,11 @@ pub fn solution_digest(solution: &JointSolution) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::{message_distance_to, message_floors, TABLES_BUILT};
     use crate::pipeline::ModuleSpec;
+    use crate::testutil::XorShift;
     use ricsa_netsim::generators::{generate, WanKind};
+    use std::collections::BTreeSet;
 
     /// A transfer-dominated pipeline; `scale` varies the data volume so
     /// co-scheduled sessions are not carbon copies.
@@ -354,9 +424,16 @@ mod tests {
                     destination: wan.client.0,
                 })
                 .collect();
+            let reference = reference::solve_joint(&sessions, &graph, &options);
             let Some(a) = solve_joint(&sessions, &graph, &options) else {
+                assert_eq!(reference, None, "wan {index}: feasibility mismatch");
                 continue; // a generated WAN with no feasible placement
             };
+            assert_eq!(
+                Some(&a),
+                reference.as_ref(),
+                "wan {index}: not the reference"
+            );
             let b = solve_joint(&sessions, &graph, &options).unwrap();
             assert_eq!(a, b, "wan {index}: joint solve not deterministic");
             assert_eq!(
@@ -406,5 +483,211 @@ mod tests {
             (both_bw_time - 2.0 * solo_bw_time).abs() < 1e-9,
             "expected doubled transfer time: solo {solo_bw_time}, shared {both_bw_time}"
         );
+    }
+
+    /// A benchmark-sized problem: a generated 100–400-node WAN (families
+    /// alternating) and 32 sessions of varied volume with seeded endpoints,
+    /// ending on graphics-capable nodes.
+    fn wan_problem(index: usize) -> (NetGraph, Vec<JointSession>) {
+        let kind = if index.is_multiple_of(2) {
+            WanKind::Waxman
+        } else {
+            WanKind::TransitStub
+        };
+        let nodes = 100 + 300 * (index % 12) / 11;
+        let wan = generate(kind, nodes, 0xD1FF ^ (index as u64 * 104_729));
+        let graph = NetGraph::from_topology(&wan.topology);
+        let displays: Vec<usize> = (0..graph.node_count())
+            .filter(|&n| graph.node(n).has_graphics)
+            .collect();
+        let mut rng = XorShift::new(index as u64 + 77);
+        let sessions = (0..32)
+            .map(|_| JointSession {
+                pipeline: pipeline(0.5 + 3.5 * rng.next()),
+                source: rng.index(0, graph.node_count()),
+                destination: displays[rng.index(0, displays.len())],
+            })
+            .collect();
+        (graph, sessions)
+    }
+
+    fn relayed(max_rounds: usize) -> JointOptions {
+        JointOptions {
+            max_rounds,
+            dp: DpOptions::relayed(),
+        }
+    }
+
+    /// The in-place solver against the clone-and-reprice reference on
+    /// benchmark-sized problems: the whole solution, `==` and not a
+    /// tolerance, at a round bound that converges and two that cut the
+    /// iteration short.
+    #[test]
+    fn in_place_solver_equals_the_reference_on_large_wans() {
+        let mut cut_short = 0;
+        for index in 0..12 {
+            let (graph, sessions) = wan_problem(index);
+            for max_rounds in [1, 2, 6] {
+                let options = relayed(max_rounds);
+                let solution = solve_joint(&sessions, &graph, &options);
+                let reference = reference::solve_joint(&sessions, &graph, &options);
+                assert_eq!(solution, reference, "wan {index}, {max_rounds} rounds");
+                let solution = solution.expect("generated WANs are connected");
+                assert_eq!(
+                    solution.contended,
+                    reference::contended_delays(&sessions, &graph, &solution.mappings),
+                    "wan {index}, {max_rounds} rounds"
+                );
+                cut_short += usize::from(!solution.converged);
+            }
+        }
+        assert!(
+            cut_short >= 12,
+            "only {cut_short} solves stopped at the bound"
+        );
+    }
+
+    /// Only `gpu` renders and only `v → gpu → u` reaches it, so the cheap
+    /// walk is `src u v gpu u v client`: it crosses `u → v` twice and must
+    /// be charged two loads there.  Slower links (`src → v`, `gpu →
+    /// client`) give pricing a way out of each crossing.
+    fn twice_crossed_graph() -> NetGraph {
+        let mut g = NetGraph::new();
+        let src = g.add_node("src", 1.0, false);
+        let u = g.add_node("u", 2.0, false);
+        let v = g.add_node("v", 2.0, false);
+        let gpu = g.add_node("gpu", 6.0, true);
+        let client = g.add_node("client", 1.0, false);
+        g.add_link(src, u, 40e6, 0.004);
+        g.add_link(u, v, 60e6, 0.004);
+        g.add_link(v, gpu, 40e6, 0.004);
+        g.add_link(gpu, u, 40e6, 0.004);
+        g.add_link(v, client, 40e6, 0.004);
+        g.add_link(src, v, 12e6, 0.010);
+        g.add_link(gpu, client, 5e6, 0.020);
+        g
+    }
+
+    #[test]
+    fn a_walk_crossing_one_link_twice_loads_it_twice() {
+        let graph = twice_crossed_graph();
+        let sessions: Vec<JointSession> = (0..4)
+            .map(|i| JointSession {
+                pipeline: pipeline(1.0 + 0.5 * i as f64),
+                source: 0,
+                destination: 4,
+            })
+            .collect();
+        for max_rounds in [1, 2, 6] {
+            let options = relayed(max_rounds);
+            let solution = solve_joint(&sessions, &graph, &options);
+            let reference = reference::solve_joint(&sessions, &graph, &options);
+            assert_eq!(solution, reference, "{max_rounds} rounds");
+            let solution = solution.unwrap();
+            assert_eq!(solution.independent_mappings[0].path, [0, 1, 2, 3, 1, 2, 4]);
+            assert!(solution.aggregate < solution.independent_aggregate);
+        }
+        // One session alone on the double crossing: `u → v` carries two of
+        // its transfers, every other link one.
+        let m = Mapping {
+            path: vec![0, 1, 2, 3, 1, 2, 4],
+            groups: vec![
+                vec![],
+                vec![],
+                vec![],
+                vec![0, 1, 2],
+                vec![],
+                vec![],
+                vec![],
+            ],
+        };
+        let mut halved = graph.clone();
+        halved.set_measured(1, 2, 30e6, 0.004);
+        assert_eq!(
+            contended_delays(&sessions[..1], &graph, std::slice::from_ref(&m)),
+            [crate::delay::evaluate_mapping(
+                &sessions[0].pipeline,
+                &halved,
+                &m
+            )]
+        );
+    }
+
+    /// The shared bound tables' two promises on one 32-session solve: the solve runs at
+    /// most one Dijkstra per distinct `(destination, floor)` pair, and every
+    /// shared table is a lower bound on the table the best response's own
+    /// priced graph would give — at every node, for every best response.
+    /// The priced graph itself must be the reference's, bit for bit.
+    #[test]
+    fn bound_tables_are_built_once_and_bound_every_priced_graph() {
+        let (graph, sessions) = wan_problem(5);
+        let options = relayed(3);
+        let pairs: BTreeSet<(usize, u64)> = sessions
+            .iter()
+            .flat_map(|s| {
+                message_floors(&s.pipeline)
+                    .into_iter()
+                    .map(|floor| (s.destination, floor.to_bits()))
+            })
+            .collect();
+
+        let before = TABLES_BUILT.with(|built| built.get());
+        let solution = solve_joint(&sessions, &graph, &options).unwrap();
+        let built = TABLES_BUILT.with(|built| built.get()) - before;
+        assert!(
+            built <= pairs.len(),
+            "{built} tables for {} pairs",
+            pairs.len()
+        );
+        assert!(built <= sessions.len(), "{built} tables for 32 sessions");
+
+        // Replay the iteration by hand to look at each best response.
+        let bounds = BoundTables::build(
+            &graph,
+            sessions.iter().map(|s| (&s.pipeline, s.destination)),
+        );
+        assert_eq!(
+            bounds.len(),
+            built,
+            "round zero and the best responses built none"
+        );
+        let mut current = solution.independent_mappings.clone();
+        let mut pricing = Pricing::new(&graph);
+        current.iter().for_each(|m| pricing.assign(m));
+        let mut repriced = 0;
+        for _ in 0..solution.rounds_used {
+            for (i, s) in sessions.iter().enumerate() {
+                pricing.release(&current[i]);
+                assert_eq!(
+                    pricing.priced,
+                    reference::best_response_graph(&graph, &current, i),
+                    "session {i}"
+                );
+                for floor in message_floors(&s.pipeline) {
+                    let shared = bounds.get(s.destination, floor).expect("built above");
+                    let own = message_distance_to(&pricing.priced, s.destination, floor);
+                    assert!(shared.iter().zip(&own).all(|(lent, own)| lent <= own));
+                    repriced += usize::from(shared != own);
+                }
+                let incumbent = Some(&current[i]);
+                let (opt, _) = solve(
+                    &s.pipeline,
+                    &pricing.priced,
+                    s.source,
+                    s.destination,
+                    &options.dp,
+                    incumbent,
+                    Some(&bounds),
+                );
+                current[i] = opt.unwrap().mapping;
+                pricing.assign(&current[i]);
+            }
+        }
+        assert!(repriced > 0, "pricing never moved a bound table");
+        assert_eq!(pricing.priced, {
+            let mut all = Pricing::new(&graph);
+            current.iter().for_each(|m| all.assign(m));
+            all.priced
+        });
     }
 }

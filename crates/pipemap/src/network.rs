@@ -143,12 +143,23 @@ impl NetGraph {
         &self.outgoing[node]
     }
 
-    /// The directed link from `from` to `to`, if any.
-    pub fn link_between(&self, from: usize, to: usize) -> Option<&NetLink> {
-        self.outgoing[from]
+    /// Index of the directed link from `from` to `to` — a handle for
+    /// [`NetGraph::link`] and [`NetGraph::set_measured_at`] that stays valid
+    /// for the life of the graph.  Between parallel links the first added
+    /// wins; a node index outside the graph has no links, so the answer is
+    /// `None` rather than a panic.
+    pub fn link_index(&self, from: usize, to: usize) -> Option<usize> {
+        self.outgoing
+            .get(from)?
             .iter()
-            .map(|&i| &self.links[i])
-            .find(|l| l.to == to)
+            .copied()
+            .find(|&i| self.links[i].to == to)
+    }
+
+    /// The directed link from `from` to `to`, if any (the link
+    /// [`NetGraph::link_index`] names).
+    pub fn link_between(&self, from: usize, to: usize) -> Option<&NetLink> {
+        self.link_index(from, to).map(|i| &self.links[i])
     }
 
     /// Find a node index by name.
@@ -188,17 +199,23 @@ impl NetGraph {
     /// Replace the bandwidth/delay of the link `from → to` with measured
     /// values (e.g. an EPB estimate); returns false if no such link exists.
     pub fn set_measured(&mut self, from: usize, to: usize, bandwidth: f64, delay: f64) -> bool {
-        if let Some(idx) = self.outgoing[from]
-            .iter()
-            .copied()
-            .find(|&i| self.links[i].to == to)
-        {
-            self.links[idx].bandwidth = bandwidth;
-            self.links[idx].delay = delay;
-            true
-        } else {
-            false
+        match self.link_index(from, to) {
+            Some(idx) => {
+                self.set_measured_at(idx, bandwidth, delay);
+                true
+            }
+            None => false,
         }
+    }
+
+    /// [`NetGraph::set_measured`] by link index.
+    ///
+    /// # Panics
+    /// Panics if `idx` is not a link of this graph.
+    pub fn set_measured_at(&mut self, idx: usize, bandwidth: f64, delay: f64) {
+        let link = &mut self.links[idx];
+        link.bandwidth = bandwidth;
+        link.delay = delay;
     }
 }
 
@@ -338,6 +355,34 @@ mod tests {
         assert_eq!(l.bandwidth, 9e6);
         assert_eq!(l.delay, 0.001);
         assert!(!g.set_measured(2, 0, 1.0, 1.0));
+    }
+
+    #[test]
+    fn link_handles_name_the_first_match_and_set_by_index() {
+        let mut g = triangle();
+        let parallel = g.add_link(0, 1, 7e6, 0.5);
+        let first = g.link_index(0, 1).unwrap();
+        assert_ne!(first, parallel, "the first link added wins");
+        assert_eq!(g.link(first), g.link_between(0, 1).unwrap());
+        g.set_measured_at(first, 3e6, 0.25);
+        assert_eq!(g.link_between(0, 1).unwrap().bandwidth, 3e6);
+        assert_eq!(g.link(first).delay, 0.25);
+        assert_eq!(g.link(parallel).bandwidth, 7e6);
+        assert_eq!(g.link_index(2, 0), None);
+    }
+
+    /// Node ids arrive from telemetry: one outside the graph names no
+    /// link, it does not index out of bounds.
+    #[test]
+    fn out_of_range_nodes_have_no_links() {
+        let mut g = triangle();
+        let before = g.clone();
+        for (from, to) in [(3, 0), (0, 3), (99, 99), (usize::MAX, 0)] {
+            assert_eq!(g.link_index(from, to), None);
+            assert!(g.link_between(from, to).is_none());
+            assert!(!g.set_measured(from, to, 1.0, 1.0));
+        }
+        assert_eq!(g, before);
     }
 
     #[test]
