@@ -26,6 +26,7 @@
 //! §8 documents the whole control plane.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod detector;
 pub mod monitor;

@@ -43,10 +43,8 @@ use std::collections::HashMap;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 /// The synthetic frame at publish step `step`: a static gradient
 /// background with a bright square blob walking across it, so consecutive
@@ -419,7 +417,11 @@ fn run_mux_generator(
                         if let Some(seq) =
                             audit_delivery(&body, mode, &mut conn.last_delivered, &mut result)
                         {
-                            if let Some(published) = publish_times.lock().get(&seq) {
+                            if let Some(published) = publish_times
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .get(&seq)
+                            {
                                 result
                                     .latencies_us
                                     .push(now.duration_since(*published).as_micros() as u64);
@@ -550,7 +552,10 @@ fn run_phase(config: &PhaseConfig) -> PhaseStats {
                 // expected sequence number (single publisher), so pollers
                 // woken inside publish() find it and the latency sample
                 // includes the encode time.
-                publish_times.lock().insert(next_seq, Instant::now());
+                publish_times
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(next_seq, Instant::now());
                 let seq = hub.publish(frame);
                 assert_eq!(seq, next_seq, "single publisher owns the sequence");
                 next_seq = seq + 1;

@@ -10,6 +10,7 @@
 //! here.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use serde::Serialize;
 

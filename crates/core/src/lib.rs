@@ -43,6 +43,7 @@
 //!   examples to steer a live in-process simulation.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod adapt;
 pub mod adapt_sweep;

@@ -20,6 +20,7 @@
 //! plugs directly into the visualization pipeline.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod eos;
 pub mod problems;

@@ -21,6 +21,7 @@
 //! RICSA loop ([`vrt`]).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baselines;
 pub mod delay;

@@ -24,6 +24,7 @@
 //!   monitor without any probe traffic (DESIGN.md §8).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aimd;
 pub mod epb;

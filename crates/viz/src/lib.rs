@@ -26,6 +26,7 @@
 //!   exactly as Section 4.4 prescribes.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod camera;
 pub mod cell;

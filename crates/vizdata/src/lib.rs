@@ -18,6 +18,7 @@
 //!   down-sampling of the Visible Woman volume.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod downsample;

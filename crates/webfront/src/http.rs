@@ -133,7 +133,14 @@ impl HttpRequest {
                 continue;
             }
             if let Some((name, value)) = line.split_once(':') {
-                headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+                let (name, value) = (name.trim().to_ascii_lowercase(), value.trim());
+                // Two Content-Lengths that disagree leave the body's end
+                // ambiguous (RFC 9112 §6.3): reject them, for the framing
+                // reason below.  Duplicates that agree are one length.
+                if name == "content-length" && headers.get(&name).is_some_and(|v| v != value) {
+                    return Parse::Invalid;
+                }
+                headers.insert(name, value.to_string());
             }
         }
         // Chunked (or any other) transfer coding is not supported; it must
@@ -220,27 +227,24 @@ pub fn parse_query(query: &str) -> HashMap<String, String> {
         .collect()
 }
 
+/// Decode `+` and `%XX` escapes.  A `%` not followed by two ASCII hex
+/// digits is kept literally.
 fn url_decode(s: &str) -> String {
     let bytes = s.as_bytes();
+    let hex = |at: usize| bytes.get(at).and_then(|&b| (b as char).to_digit(16));
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        match bytes[i] {
-            b'%' if i + 2 < bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).unwrap_or("");
-                if let Ok(v) = u8::from_str_radix(hex, 16) {
-                    out.push(v);
-                    i += 3;
-                    continue;
-                }
-                out.push(b'%');
-                i += 1;
+        match (bytes[i], hex(i + 1), hex(i + 2)) {
+            (b'%', Some(high), Some(low)) => {
+                out.push((high << 4 | low) as u8);
+                i += 3;
             }
-            b'+' => {
+            (b'+', ..) => {
                 out.push(b' ');
                 i += 1;
             }
-            b => {
+            (b, ..) => {
                 out.push(b);
                 i += 1;
             }
@@ -1049,6 +1053,31 @@ mod tests {
         assert!(matches!(HttpRequest::parse_buf(&huge), Parse::Invalid));
         let bomb = b"POST /x HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n";
         assert!(matches!(HttpRequest::parse_buf(bomb), Parse::Invalid));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_invalid_and_agreeing_ones_are_one_length() {
+        // Framing by either length would desync a keep-alive connection.
+        let conflicting =
+            b"POST /s HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 5\r\n\r\nabcde";
+        assert!(matches!(
+            HttpRequest::parse_buf(conflicting),
+            Parse::Invalid
+        ));
+        let req =
+            parse_ok(b"POST /s HTTP/1.1\r\nContent-Length: 4\r\nContent-Length:  4 \r\n\r\nabcd");
+        assert_eq!(req.body, b"abcd");
+    }
+
+    #[test]
+    fn percent_escapes_need_two_hex_digits() {
+        let query = parse_query("a=%41%2b%2F&b=%+5&c=%-1&d=%4&e=%zz&f=100%");
+        assert_eq!(query["a"], "A+/");
+        assert_eq!(query["b"], "% 5", "a sign is not a hex digit");
+        assert_eq!(query["c"], "%-1");
+        assert_eq!(query["d"], "%4");
+        assert_eq!(query["e"], "%zz");
+        assert_eq!(query["f"], "100%");
     }
 
     #[test]

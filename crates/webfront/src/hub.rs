@@ -32,13 +32,15 @@
 //!   exactly equivalent to applying the steps one by one.  Compositions are
 //!   encoded once per `(since, head)` pair and shared, so encode work stays
 //!   bounded by the chain length, never by the poller count.
-//! * **Lock-free reads, one publish critical section.**  The published
-//!   frame ring lives behind an atomic-pointer snapshot (the `arc_swap`
-//!   shim): pollers read payloads with zero locks.  A publish holds the
-//!   publisher lock from sequence assignment through the diff to the ring
-//!   swap — each hub has one publisher (one pipeline per session), so
-//!   nothing waits on it, and publishers that do race simply serialise:
-//!   every frame lands whole, in order, with its delta.
+//! * **Snapshot reads, one publish critical section.**  The published
+//!   frame ring is an immutable snapshot behind a `std::sync::RwLock`: a
+//!   reader holds the read guard only to clone the snapshot's `Arc`, and
+//!   resolves and encodes its payload with no lock held.  A publish holds
+//!   the publisher lock from sequence assignment through the diff to the
+//!   ring swap, and the write guard only for the swap — each hub has one
+//!   publisher (one pipeline per session), so nothing waits on it, and
+//!   publishers that do race simply serialise: every frame lands whole, in
+//!   order, with its delta.
 //! * **Wire compression.**  Full frames and delta tiles are run-length
 //!   coded (the `rle` shim, pixel-granular PackBits) before base64 whenever
 //!   that shrinks them; the `codec`/`rle` JSON fields tell the client to
@@ -54,15 +56,12 @@
 //! See DESIGN.md §7 for the state machine and the delta exactness argument,
 //! and §10 for the snapshot invariants and the traffic assumption.
 
-use arc_swap::ArcSwap;
-use parking_lot::{Condvar, Mutex};
 use ricsa_hydro::steering::SteerableParams;
 use ricsa_viz::image::Image;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Tile edge length (pixels) used for delta frames.
 pub const DELTA_TILE: usize = 32;
@@ -549,9 +548,9 @@ struct CachedFrame {
     delta_raw: Option<FrameDelta>,
 }
 
-/// An immutable snapshot of the published frames, swapped atomically on
-/// every publish.  Pollers read it via [`ArcSwap::load_full`] — no lock —
-/// so payload lookups never contend with publishers or each other.
+/// An immutable snapshot of the published frames, replaced whole on every
+/// publish.  A poller clones the current `Arc` under the ring's read guard
+/// and resolves its payload against the snapshot with no lock held.
 struct FrameRing {
     /// Retained frames in ascending, gap-free sequence order (cloning the
     /// ring clones `Arc`s, not payloads).  The last one is the head.
@@ -562,10 +561,20 @@ struct FrameRing {
 /// a composition tried and found unprofitable.
 type ComposeCache = HashMap<(u64, u64), Option<Arc<str>>>;
 
+/// A hub lock's guard, poisoned or not.  Poison is recovered, not
+/// propagated: every hub critical section leaves its data valid at every
+/// step (the ring's is one pointer swap), so one panicking thread must not
+/// wedge every later publisher and poller.
+fn recover<G>(lock: LockResult<G>) -> G {
+    lock.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Everything a [`SessionHub`] handle points at.
 struct HubInner {
-    /// The lock-free read path: the current frame snapshot.
-    ring: ArcSwap<FrameRing>,
+    /// The read path: the current frame snapshot.  Readers hold the read
+    /// guard for one `Arc` clone, a publish holds the write guard for one
+    /// pointer swap.
+    ring: RwLock<Arc<FrameRing>>,
     /// The publish path; pollers never take this.  Held for a whole
     /// publish, it makes "next sequence number, diff against the head,
     /// append to the ring" one step.  The value is the head frame's
@@ -591,16 +600,14 @@ struct HubInner {
     /// Callbacks run after every publish, once the new ring snapshot is
     /// visible — the server wires the HTTP [`crate::Waker`] doorbell here.
     wake_hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
-    /// Pairs with `wait_cvar` for [`SessionHub::poll_after`].  Publishers
-    /// acquire it (empty critical section) between storing the ring and
-    /// notifying, which closes the missed-wakeup window: a waiter checks
-    /// the ring *while holding it*, so the publisher cannot slip its
-    /// notify between the waiter's check and its wait.
-    wait_lock: Mutex<()>,
-    wait_cvar: Condvar,
 }
 
 impl HubInner {
+    /// The current frame snapshot.
+    fn ring(&self) -> Arc<FrameRing> {
+        Arc::clone(&*recover(self.ring.read()))
+    }
+
     /// The full payload of `cached`, encoded on first demand.
     fn full(&self, cached: &CachedFrame) -> Arc<str> {
         cached
@@ -690,15 +697,13 @@ impl SessionHub {
     pub fn new(capacity: usize) -> Self {
         SessionHub {
             inner: Arc::new(HubInner {
-                ring: ArcSwap::from_pointee(FrameRing { frames: Vec::new() }),
+                ring: RwLock::new(Arc::new(FrameRing { frames: Vec::new() })),
                 publisher: Mutex::new(None),
                 capacity: capacity.max(1),
                 encodes: AtomicU64::new(0),
                 epoch: fresh_epoch(),
                 compose: Mutex::new(HashMap::new()),
                 wake_hooks: Mutex::new(Vec::new()),
-                wait_lock: Mutex::new(()),
-                wait_cvar: Condvar::new(),
             }),
         }
     }
@@ -709,7 +714,7 @@ impl SessionHub {
     /// the moment a frame lands.  Hooks must be cheap and must not call
     /// back into the hub.
     pub fn add_wake_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
-        self.inner.wake_hooks.lock().push(Box::new(hook));
+        recover(self.inner.wake_hooks.lock()).push(Box::new(hook));
     }
 
     /// Publish a frame; it is assigned the next sequence number, which is
@@ -717,17 +722,18 @@ impl SessionHub {
     /// the image and cut the tile difference against the previous frame —
     /// and no encoding: each wire payload is made by the first poller that
     /// asks for it, once, no matter how many clients poll it, and a payload
-    /// nobody asks for is never made.  Waiting pollers are woken.
+    /// nobody asks for is never made.  The wake hooks run once the frame
+    /// is readable.
     ///
     /// The whole publish is one critical section on the publisher lock.
-    /// Pollers never take that lock (they read the previous ring snapshot,
-    /// lock-free, while a frame is diffed), and concurrent publishers
-    /// serialise, so every frame diffs against its true predecessor.
+    /// Pollers never take that lock (they read the previous ring snapshot
+    /// while a frame is diffed), and concurrent publishers serialise, so
+    /// every frame diffs against its true predecessor.
     pub fn publish(&self, mut frame: Frame) -> u64 {
         let inner = &*self.inner;
         let seq = {
-            let mut last_image = inner.publisher.lock();
-            let ring = inner.ring.load_full();
+            let mut last_image = recover(inner.publisher.lock());
+            let ring = inner.ring();
             let seq = ring.head() + 1;
             frame.sequence = seq;
 
@@ -750,21 +756,19 @@ impl SessionHub {
                 let excess = frames.len() - inner.capacity;
                 frames.drain(..excess);
             }
-            inner.ring.store(Arc::new(FrameRing { frames }));
+            let next = Arc::new(FrameRing { frames });
+            // One pointer swap under the write guard; the displaced
+            // snapshot is dropped once the guard is released.
+            let displaced = std::mem::replace(&mut *recover(inner.ring.write()), next);
+            drop(displaced);
             // Compositions target the previous head; drop them (bounded
             // memory, and stale entries would only be asked for once more
             // anyway).
-            inner.compose.lock().clear();
+            recover(inner.compose.lock()).clear();
             seq
         };
 
-        // Wake waiting pollers.  Taking wait_lock (and releasing it empty)
-        // orders the ring store above before any waiter's re-check: a
-        // waiter holding the lock has either already seen the new ring or
-        // is inside wait_for and will be notified.
-        drop(inner.wait_lock.lock());
-        inner.wait_cvar.notify_all();
-        for hook in inner.wake_hooks.lock().iter() {
+        for hook in recover(inner.wake_hooks.lock()).iter() {
             hook();
         }
         seq
@@ -773,16 +777,12 @@ impl SessionHub {
     /// The sequence number of the most recent published frame (0 if none
     /// yet).
     pub fn latest_sequence(&self) -> u64 {
-        self.inner.ring.load_full().head()
+        self.inner.ring().head()
     }
 
     /// The most recent frame, if any.
     pub fn latest_frame(&self) -> Option<Frame> {
-        self.inner
-            .ring
-            .load_full()
-            .newest()
-            .map(|c| c.frame.clone())
+        self.inner.ring().newest().map(|c| c.frame.clone())
     }
 
     /// The hub's instance marker, stamped into every payload (`epoch`
@@ -805,19 +805,15 @@ impl SessionHub {
 
     /// The full payload of the newest frame, if any.
     pub fn latest_payload(&self) -> Option<FramePayload> {
-        self.inner
-            .ring
-            .load_full()
-            .newest()
-            .map(|cached| FramePayload {
-                sequence: cached.frame.sequence,
-                json: self.inner.full(cached),
-                is_delta: false,
-            })
+        self.inner.ring().newest().map(|cached| FramePayload {
+            sequence: cached.frame.sequence,
+            json: self.inner.full(cached),
+            is_delta: false,
+        })
     }
 
     /// The shared payload for a frame newer than `since`, without waiting.
-    /// Reads the current ring snapshot lock-free; the first request for a
+    /// Resolves against the current ring snapshot; the first request for a
     /// payload encodes it, every later one clones the shared `Arc`.
     ///
     /// [`PollMode::Full`] (and a client exactly at the head) always gets
@@ -829,7 +825,7 @@ impl SessionHub {
     /// difference is available; the full frame otherwise.  Compositions
     /// are encoded once per `(since, head)` pair and shared.
     pub fn try_payload(&self, since: u64, mode: PollMode) -> Option<FramePayload> {
-        let ring = self.inner.ring.load_full();
+        let ring = self.inner.ring();
         let cached = ring.first_after(since)?;
         let sequence = cached.frame.sequence;
         if mode == PollMode::Delta {
@@ -900,7 +896,7 @@ impl SessionHub {
             return None;
         }
 
-        let mut cache = inner.compose.lock();
+        let mut cache = recover(inner.compose.lock());
         if let Some(entry) = cache.get(&(since, head)) {
             return entry.as_ref().map(|json| FramePayload {
                 sequence: head,
@@ -932,28 +928,6 @@ impl SessionHub {
             is_delta: true,
         })
     }
-
-    /// Long-poll: return the oldest retained frame newer than `since`,
-    /// waiting up to `timeout` for one to be published.  `None` on timeout —
-    /// the client simply re-polls, exactly like an `XMLHttpRequest` loop.
-    pub fn poll_after(&self, since: u64, timeout: Duration) -> Option<Frame> {
-        let inner = &*self.inner;
-        let deadline = std::time::Instant::now() + timeout;
-        let mut guard = inner.wait_lock.lock();
-        loop {
-            // Check while holding wait_lock: the publisher stores the ring
-            // *before* acquiring it to notify, so a snapshot read here is
-            // either current or the notify is still coming.
-            if let Some(cached) = inner.ring.load_full().first_after(since) {
-                return Some(cached.frame.clone());
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            inner.wait_cvar.wait_for(&mut guard, deadline - now);
-        }
-    }
 }
 
 /// The queue of steering commands posted by clients.
@@ -970,13 +944,13 @@ impl SteeringInbox {
 
     /// Post a steering request (from an HTTP handler).
     pub fn post(&self, params: SteerableParams) {
-        self.queue.lock().push_back(params);
+        recover(self.queue.lock()).push_back(params);
     }
 
     /// Drain all pending requests (from the simulation loop); the last one
     /// wins when several arrived between cycles.
     pub fn drain_latest(&self) -> Option<SteerableParams> {
-        let mut queue = self.queue.lock();
+        let mut queue = recover(self.queue.lock());
         let last = queue.iter().last().copied();
         queue.clear();
         last
@@ -984,12 +958,12 @@ impl SteeringInbox {
 
     /// Number of queued requests.
     pub fn len(&self) -> usize {
-        self.queue.lock().len()
+        recover(self.queue.lock()).len()
     }
 
     /// Whether the inbox is empty.
     pub fn is_empty(&self) -> bool {
-        self.queue.lock().is_empty()
+        recover(self.queue.lock()).is_empty()
     }
 }
 
@@ -997,6 +971,7 @@ impl SteeringInbox {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::time::{Duration, Instant};
 
     fn frame(cycle: u64) -> Frame {
         Frame {
@@ -1005,6 +980,20 @@ mod tests {
             time: cycle as f64 * 0.1,
             image: Image::filled(8, 8, [cycle as u8, 2, 3, 255]).encode_raw(),
             monitors: vec![("max_pressure".into(), 1.5)],
+        }
+    }
+
+    /// Spin on a full-mode `try_payload` until a frame newer than `since`
+    /// is readable.  It yields between tries, so on one CPU the publisher
+    /// gets to run, and it panics past `deadline`, so a lost frame fails
+    /// the test instead of hanging it.
+    fn next_payload(hub: &SessionHub, since: u64, deadline: Instant) -> FramePayload {
+        loop {
+            if let Some(payload) = hub.try_payload(since, PollMode::Full) {
+                return payload;
+            }
+            assert!(Instant::now() < deadline, "no frame after {since} in time");
+            std::thread::yield_now();
         }
     }
 
@@ -1201,30 +1190,12 @@ mod tests {
             hub.publish(frame(c));
         }
         // Capacity 2: only frames 4 and 5 are retained.
-        let f = hub.poll_after(0, Duration::from_millis(10)).unwrap();
-        assert_eq!(f.cycle, 4);
-        let f = hub
-            .poll_after(f.sequence, Duration::from_millis(10))
-            .unwrap();
-        assert_eq!(f.cycle, 5);
-        // Nothing newer than 5: timeout.
-        assert!(hub
-            .poll_after(f.sequence, Duration::from_millis(20))
-            .is_none());
-    }
-
-    #[test]
-    fn long_poll_wakes_when_a_frame_is_published() {
-        let hub = SessionHub::new(4);
-        let hub2 = hub.clone();
-        let waiter = std::thread::spawn(move || hub2.poll_after(0, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(30));
-        hub.publish(frame(9));
-        let got = waiter
-            .join()
-            .unwrap()
-            .expect("poller should wake with the frame");
-        assert_eq!(got.cycle, 9);
+        let p = hub.try_payload(0, PollMode::Full).unwrap();
+        assert_eq!(p.sequence, 4);
+        let p = hub.try_payload(p.sequence, PollMode::Full).unwrap();
+        assert_eq!(p.sequence, 5);
+        // Nothing newer than 5.
+        assert!(hub.try_payload(p.sequence, PollMode::Full).is_none());
     }
 
     #[test]
@@ -1690,15 +1661,12 @@ mod tests {
             .map(|_| {
                 let hub = hub.clone();
                 std::thread::spawn(move || {
+                    let deadline = Instant::now() + Duration::from_secs(10);
                     let mut seen = Vec::new();
                     let mut since = 0;
                     while since < FRAMES {
-                        if let Some(f) = hub.poll_after(since, Duration::from_secs(10)) {
-                            let payload = hub.try_payload(since, PollMode::Full).unwrap();
-                            assert_eq!(payload.sequence, f.sequence);
-                            seen.push(f.sequence);
-                            since = f.sequence;
-                        }
+                        since = next_payload(&hub, since, deadline).sequence;
+                        seen.push(since);
                     }
                     seen
                 })
@@ -1774,9 +1742,9 @@ mod tests {
         }
         assert_eq!(hub.latest_sequence(), 2 * PER_PUBLISHER);
         let mut since = 0;
-        while let Some(f) = hub.poll_after(since, Duration::from_millis(5)) {
-            assert_eq!(f.sequence, since + 1, "cache must be gap-free and ordered");
-            since = f.sequence;
+        while let Some(p) = hub.try_payload(since, PollMode::Full) {
+            assert_eq!(p.sequence, since + 1, "cache must be gap-free and ordered");
+            since = p.sequence;
         }
         assert_eq!(since, 2 * PER_PUBLISHER);
     }
@@ -1793,16 +1761,16 @@ mod tests {
             .map(|_| {
                 let hub = hub.clone();
                 std::thread::spawn(move || {
+                    let deadline = Instant::now() + Duration::from_secs(10);
                     let mut since = 0;
                     while since < 2 * PER_PUBLISHER {
-                        if let Some(f) = hub.poll_after(since, Duration::from_secs(10)) {
-                            assert_eq!(
-                                f.sequence,
-                                since + 1,
-                                "a frame was skipped while publishers raced"
-                            );
-                            since = f.sequence;
-                        }
+                        let p = next_payload(&hub, since, deadline);
+                        assert_eq!(
+                            p.sequence,
+                            since + 1,
+                            "a frame was skipped while publishers raced"
+                        );
+                        since = p.sequence;
                     }
                 })
             })

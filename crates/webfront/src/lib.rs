@@ -31,6 +31,7 @@
 //! documents the serving-layer architecture.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod http;
 pub mod hub;

@@ -4,6 +4,8 @@
 //! `std::sync::mpsc`: the std receiver is single-consumer, so it is shared
 //! behind a mutex to give crossbeam's cloneable-`Receiver` semantics.
 
+#![forbid(unsafe_code)]
+
 pub mod channel {
     use std::sync::mpsc;
     use std::sync::{Arc, Mutex, PoisonError};

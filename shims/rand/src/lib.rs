@@ -7,6 +7,8 @@
 //! statistically solid for simulation workloads (it is not, and does not
 //! claim to be, cryptographically secure).
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Core trait: a source of 64 random bits.

@@ -12,6 +12,8 @@
 //! absent — add it here if a caller needs it, keeping call sites compatible
 //! with the real rayon so the shim can be swapped out later.
 
+#![forbid(unsafe_code)]
+
 use std::num::NonZeroUsize;
 use std::ops::Range;
 

@@ -20,6 +20,8 @@
 //! returns `None` on any truncation or trailing garbage, making it safe on
 //! wire input.
 
+#![forbid(unsafe_code)]
+
 /// Compress `data` (any byte length; pixel framing starts at offset 0).
 ///
 /// The output always starts with the 4-byte original length, so even the

@@ -10,6 +10,8 @@
 //! Swapping the real serde back in later only requires removing these shim
 //! path-dependencies; call sites are written against the real API subset.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 

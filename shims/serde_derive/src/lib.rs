@@ -14,6 +14,8 @@
 //! unit enum variants become strings, and data-carrying variants become
 //! single-key objects `{"Variant": ...}`.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::fmt::Write;
 

@@ -5,6 +5,8 @@
 //! and a `json!` macro covering the literal-object/array subset this
 //! workspace uses.
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize};
 pub use serde::{Map, Value};
 

@@ -20,6 +20,7 @@
 //! See `examples/quickstart.rs` for a five-minute tour.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use ricsa_adapt as adapt;
 pub use ricsa_core as core;

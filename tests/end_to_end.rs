@@ -16,7 +16,7 @@ use ricsa::viz::isosurface::extract_isosurface;
 use ricsa::viz::render::render_mesh;
 use ricsa::vizdata::dataset::DatasetKind;
 use ricsa::vizdata::field::Dims;
-use ricsa::webfront::hub::Frame;
+use ricsa::webfront::hub::{image_from_json, Frame, PollMode};
 use ricsa::webfront::server::FrontEndServer;
 
 /// The full loop: plan on the Fig. 8 topology, install the stages, simulate,
@@ -153,10 +153,12 @@ fn simulation_to_web_front_end_round_trip() {
     assert!((server.params().unwrap().cfl - 0.2).abs() < 1e-9);
     // Frames were published and are poll-able like a browser would.
     assert!(hub.latest_sequence() >= 3);
-    let frame = hub
-        .poll_after(0, std::time::Duration::from_millis(50))
+    let payload = hub
+        .try_payload(0, PollMode::Full)
         .expect("a frame is available");
-    assert!(frame.image.starts_with(b"RICSAIMG"));
+    let value: serde_json::Value = serde_json::from_str(&payload.json).unwrap();
+    let image = image_from_json(&value).expect("a decodable full frame");
+    assert!(image.starts_with(b"RICSAIMG"));
     front_end.shutdown();
 }
 
@@ -167,7 +169,7 @@ fn simulation_to_web_front_end_round_trip() {
 fn web_front_end_delta_polls_reconstruct_full_frames_over_http() {
     use ricsa::viz::image::Image;
     use ricsa::webfront::http::read_blocking_response;
-    use ricsa::webfront::hub::{apply_delta, delta_from_json, image_from_json};
+    use ricsa::webfront::hub::{apply_delta, delta_from_json};
     use std::io::{BufReader, Write};
 
     let front_end = FrontEndServer::start("127.0.0.1:0").expect("bind front end");

@@ -123,7 +123,7 @@ fn readme_readiness_section_matches_the_code() {
         "RLE",
         "audited on the wire",
         "Linux (epoll)",
-        "arc_swap",
+        "read-locked snapshot",
     ] {
         assert!(
             text.contains(promise),
