@@ -16,7 +16,7 @@
 use ricsa::core::sweep::{run, Sweep};
 use ricsa::core::{AdaptSweepConfig, SessionSweepConfig, SweepConfig};
 use ricsa::netsim::generators::{waxman, WaxmanParams};
-use ricsa::pipemap::dp::{optimize_with, DpOptions};
+use ricsa::pipemap::dp::{optimize_with, DpOptions, DpStats};
 use ricsa::pipemap::fnv1a_hex;
 use ricsa::pipemap::network::NetGraph;
 use ricsa::pipemap::pipeline::Pipeline;
@@ -32,6 +32,23 @@ fn quick_report_digest<S: Sweep>() -> String {
 #[test]
 fn quick_scenario_sweep_report_is_pinned() {
     assert_eq!(quick_report_digest::<SweepConfig>(), "af26149df41c6a2b");
+}
+
+/// The scenario sweep's plans alone: the same report with every record's
+/// work counters zeroed, which a faster pruner must keep while its
+/// counters move.
+#[test]
+fn quick_scenario_sweep_plans_are_pinned() {
+    let config = SweepConfig::preset(true);
+    let mut report = run(&config);
+    assert_eq!(config.audit(&report), Ok(()));
+    for outcome in &mut report.outcomes {
+        outcome.record.dp_stats = DpStats::default();
+    }
+    assert_eq!(
+        fnv1a_hex(&serde_json::to_string(&report).expect("reports serialize")),
+        "b9fae256586ad179"
+    );
 }
 
 #[test]
