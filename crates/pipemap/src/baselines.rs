@@ -39,42 +39,42 @@ pub fn best_split_on_path(
         return None;
     }
     let mut best: Option<(Mapping, DelayBreakdown)> = None;
-    // Enumerate all ways to choose q-1 split points in 0..=n (allowing empty
-    // groups, e.g. a source that only serves data or a client that only
-    // displays the image).
+    // Enumerate every non-decreasing choice of q-1 split points in 0..=n
+    // (allowing empty groups, e.g. a source that only serves data or a
+    // client that only displays the image): C(n+q-1, q-1) of them.
     let mut splits = vec![0usize; q - 1];
     loop {
-        // Build groups from the split points (must be non-decreasing).
-        if splits.windows(2).all(|w| w[0] <= w[1]) {
-            let mut groups: Vec<Vec<usize>> = Vec::with_capacity(q);
-            let mut start = 0usize;
-            for &end in splits.iter().chain(std::iter::once(&n)) {
-                groups.push((start..end).collect());
-                start = end;
-            }
-            let mapping = Mapping {
-                path: path.to_vec(),
-                groups,
-            };
-            if validate_mapping(pipeline, graph, &mapping).is_ok() {
-                let delay = evaluate_mapping(pipeline, graph, &mapping);
-                if best
-                    .as_ref()
-                    .map(|(_, d)| delay.total < d.total)
-                    .unwrap_or(true)
-                {
-                    best = Some((mapping, delay));
-                }
+        let mut groups: Vec<Vec<usize>> = Vec::with_capacity(q);
+        let mut start = 0usize;
+        for &end in splits.iter().chain(std::iter::once(&n)) {
+            groups.push((start..end).collect());
+            start = end;
+        }
+        let mapping = Mapping {
+            path: path.to_vec(),
+            groups,
+        };
+        if validate_mapping(pipeline, graph, &mapping).is_ok() {
+            let delay = evaluate_mapping(pipeline, graph, &mapping);
+            if best
+                .as_ref()
+                .map(|(_, d)| delay.total < d.total)
+                .unwrap_or(true)
+            {
+                best = Some((mapping, delay));
             }
         }
-        // Advance the split-point odometer.
+        // Advance an odometer whose first split turns fastest, skipping
+        // decreasing vectors: bump the first split still below the next
+        // one (or `n`), zero those before it.  Ties go to the split seen
+        // first, so the visit order is part of the result.
         let mut i = 0;
         loop {
             if i == splits.len() {
                 return best;
             }
-            splits[i] += 1;
-            if splits[i] <= n {
+            if splits[i] < splits.get(i + 1).copied().unwrap_or(n) {
+                splits[i] += 1;
                 break;
             }
             splits[i] = 0;
@@ -193,6 +193,7 @@ mod tests {
     use super::*;
     use crate::dp::optimize;
     use crate::pipeline::ModuleSpec;
+    use crate::testutil::{random_instance, XorShift};
 
     fn setup() -> (Pipeline, NetGraph) {
         let pipeline = Pipeline::new(
@@ -272,6 +273,99 @@ mod tests {
         let direct = best_split_on_path(&p, &g, &[0, 2]).unwrap();
         assert!(via_mid.1.total < direct.1.total);
         assert!(best_split_on_path(&p, &g, &[]).is_none());
+    }
+
+    /// The full `(n+1)^(q-1)` odometer with a non-decreasing filter: what
+    /// `best_split_on_path` enumerated before it skipped the rest.  Also
+    /// says whether a later split tied the best one so far exactly.
+    fn best_split_by_full_odometer(
+        pipeline: &Pipeline,
+        graph: &NetGraph,
+        path: &[usize],
+    ) -> (Option<(Mapping, DelayBreakdown)>, bool) {
+        let n = pipeline.message_count();
+        let mut best: Option<(Mapping, DelayBreakdown)> = None;
+        let mut tied = false;
+        let mut splits = vec![0usize; path.len() - 1];
+        loop {
+            if splits.windows(2).all(|w| w[0] <= w[1]) {
+                let mut groups = Vec::new();
+                let mut start = 0;
+                for &end in splits.iter().chain(std::iter::once(&n)) {
+                    groups.push((start..end).collect());
+                    start = end;
+                }
+                let mapping = Mapping {
+                    path: path.to_vec(),
+                    groups,
+                };
+                if validate_mapping(pipeline, graph, &mapping).is_ok() {
+                    let delay = evaluate_mapping(pipeline, graph, &mapping);
+                    tied |= best.as_ref().is_some_and(|(_, d)| delay.total == d.total);
+                    if best.as_ref().is_none_or(|(_, d)| delay.total < d.total) {
+                        best = Some((mapping, delay));
+                    }
+                }
+            }
+            let mut i = 0;
+            loop {
+                if i == splits.len() {
+                    return (best, tied);
+                }
+                splits[i] += 1;
+                if splits[i] <= n {
+                    break;
+                }
+                splits[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    /// The non-decreasing enumeration picks what the full odometer picked,
+    /// ties included, on seeded walks of 1–6 nodes.  Pass-through modules
+    /// (no computing, output the size of the input) make exact ties common:
+    /// moving one across a link changes no term.
+    #[test]
+    fn split_enumeration_matches_the_full_odometer() {
+        let mut ties = 0;
+        for seed in 0u64..200 {
+            let mut rng = XorShift::new(seed.wrapping_add(31_000));
+            let n_nodes = rng.index(3, 8);
+            let n_modules = rng.index(1, 6);
+            let (random, g) = random_instance(&mut rng, n_nodes, n_modules, 0.5);
+            let mut bytes = random.source_bytes;
+            let modules = random
+                .modules
+                .iter()
+                .map(|m| {
+                    if rng.next() < 0.4 {
+                        ModuleSpec {
+                            complexity: 0.0,
+                            output_bytes: bytes,
+                            ..m.clone()
+                        }
+                    } else {
+                        bytes = m.output_bytes;
+                        m.clone()
+                    }
+                })
+                .collect();
+            let pipeline = Pipeline::new("splits", random.source_bytes, modules);
+            let mut path = vec![rng.index(0, n_nodes)];
+            for _ in 1..rng.index(1, 7) {
+                let out = g.outgoing_links(*path.last().unwrap());
+                path.push(g.link(out[rng.index(0, out.len())]).to);
+            }
+            let (full, tied) = best_split_by_full_odometer(&pipeline, &g, &path);
+            assert_eq!(
+                best_split_on_path(&pipeline, &g, &path),
+                full,
+                "seed {seed}: path {path:?}"
+            );
+            ties += usize::from(tied);
+        }
+        assert!(ties >= 20, "only {ties} instances had a tie to break");
     }
 
     #[test]

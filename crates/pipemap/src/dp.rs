@@ -34,14 +34,16 @@ use crate::delay::{evaluate_mapping, validate_mapping, DelayBreakdown, Mapping};
 use crate::network::{dijkstra, EdgeDir, NetGraph};
 use crate::pipeline::Pipeline;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-/// Relative inflation applied to a warm-start incumbent's evaluated delay
-/// before it seeds the pruner's upper bound.  The incumbent's cost and the
+/// Relative inflation applied to a known solution's cost — a warm-start
+/// incumbent's evaluated delay, or a relay solve's "finish here" completion
+/// — before it tightens the pruner's upper bound.  That cost and the
 /// recursion's objective sum the same terms in different association
-/// orders; without this slack an incumbent that *is* the optimum could
-/// prune the optimal walk by an ulp.  The inflation only weakens the
-/// bound, so the returned objective stays exactly the cold recursion's.
+/// orders; without this slack a solution that *is* the optimum could prune
+/// the optimal walk by an ulp.  The inflation only weakens the bound, so
+/// the returned objective stays exactly the cold recursion's.
 const WARM_START_SLACK: f64 = 1e-9;
 
 /// The result of the dynamic-programming optimization.
@@ -124,20 +126,27 @@ pub fn optimize(
 /// optimal one, and the states it spares cannot tie an optimal walk
 /// (DESIGN.md §6.3), so the mapping returned is the one the solve's own
 /// tables would have produced.
-pub(crate) struct BoundTables {
+///
+/// Only on the graph they were built on are the tables *exact* distances,
+/// which the relay pruner's "finish here" upper bound needs
+/// ([`BoundTables::exact_on`]).
+pub(crate) struct BoundTables<'g> {
+    /// The graph the tables were built on, borrowed so that it cannot
+    /// change while they are lent.
+    graph: &'g NetGraph,
     /// Keyed `(destination, floor bits)`.
     tables: BTreeMap<(usize, u64), Vec<f64>>,
 }
 
-impl BoundTables {
+impl<'g> BoundTables<'g> {
     /// One table per distinct `(destination, message floor)` among the
     /// given `(pipeline, destination)` problems, each a Dijkstra on `graph`.
     /// Destinations outside the graph get none (their solves are
     /// infeasible before any bound is asked for).
     pub(crate) fn build<'a>(
-        graph: &NetGraph,
+        graph: &'g NetGraph,
         problems: impl IntoIterator<Item = (&'a Pipeline, usize)>,
-    ) -> BoundTables {
+    ) -> BoundTables<'g> {
         let mut tables = BTreeMap::new();
         for (pipeline, destination) in problems {
             if destination >= graph.node_count() {
@@ -149,7 +158,15 @@ impl BoundTables {
                     .or_insert_with(|| message_distance_to(graph, destination, floor));
             }
         }
-        BoundTables { tables }
+        BoundTables { graph, tables }
+    }
+
+    /// True when `graph` is the very graph the tables were built on, so
+    /// they are its exact distances rather than lower bounds.  Identity,
+    /// not equality: the borrow keeps that graph unchanged, and a priced
+    /// copy is never mistaken for it however its prices compare.
+    pub(crate) fn exact_on(&self, graph: &NetGraph) -> bool {
+        std::ptr::eq(self.graph, graph)
     }
 
     pub(crate) fn get(&self, destination: usize, floor: f64) -> Option<&[f64]> {
@@ -185,6 +202,8 @@ pub(crate) fn message_floors(pipeline: &Pipeline) -> Vec<f64> {
 /// Pruning context: lower bounds on what any completion must still pay, and
 /// the cheapest known feasible completion (the upper bound).
 struct Pruner<'a> {
+    graph: &'a NetGraph,
+    destination: usize,
     /// `suffix_min_proc[j]` = Σ_{k≥j} min over feasible nodes of module
     /// `k`'s processing time — a lower bound on the remaining computing.
     suffix_min_proc: Vec<f64>,
@@ -195,16 +214,21 @@ struct Pruner<'a> {
     /// layer `j` on (suffix minimum of the remaining message sizes plus the
     /// finished image).
     m_floor: Vec<f64>,
-    /// Lazily built transport lower bounds, keyed by floor size: the
-    /// shortest distance from every node to the destination where crossing
-    /// a link costs `transfer_time(floor)`.  Valid because every remaining
-    /// link crossing carries some message of at least that size.  Built on
-    /// first use — no table exists before the upper bound turns finite,
-    /// and suffix minima repeat, so only a handful are ever computed.
-    lb_cache: Vec<(f64, Vec<f64>)>,
-    /// Per layer, the table lent by the caller for this destination and
-    /// `m_floor[layer]`, if it holds one; consulted before `lb_cache`.
-    lent: Vec<Option<&'a [f64]>>,
+    /// Transport lower bounds keyed by floor size: the shortest distance
+    /// from every node to the destination where crossing a link costs
+    /// `transfer_time(floor)`.  Valid because every remaining link crossing
+    /// carries some message of at least that size.  Fetched on first use —
+    /// borrowed from `shared` where it holds one, built on the solved graph
+    /// otherwise — and suffix minima repeat, so only a handful exist.
+    tables: Vec<(f64, Cow<'a, [f64]>)>,
+    /// Tables lent by the caller (see [`BoundTables`]).
+    shared: Option<&'a BoundTables<'a>>,
+    /// Relay mode only: the index in `tables` of the finished image's
+    /// table when it is *exact* on the solved graph — then `table[v]` is
+    /// what relaying the image from `v` to the destination costs, and
+    /// "finish every module at `v`, ship the image" is a real completion.
+    /// `None` in walk mode and when `shared` only lower-bounds this graph.
+    ship: Option<usize>,
     /// Cheapest known complete feasible solution.
     upper_bound: f64,
 }
@@ -214,10 +238,11 @@ impl<'a> Pruner<'a> {
     /// instance has no placement at all).
     fn build(
         pipeline: &Pipeline,
-        graph: &NetGraph,
+        graph: &'a NetGraph,
         destination: usize,
         feasible: &impl Fn(usize, usize) -> bool,
-        shared: Option<&'a BoundTables>,
+        relay: bool,
+        shared: Option<&'a BoundTables<'a>>,
     ) -> Option<Pruner<'a>> {
         let n_modules = pipeline.message_count();
         let n_nodes = graph.node_count();
@@ -239,33 +264,37 @@ impl<'a> Pruner<'a> {
                 f64::INFINITY
             };
         }
-        let m_floor = message_floors(pipeline);
-        let lent = m_floor
-            .iter()
-            .map(|&floor| shared.and_then(|s| s.get(destination, floor)))
-            .collect();
-        Some(Pruner {
+        let mut pruner = Pruner {
+            graph,
+            destination,
             suffix_min_proc,
             tail_at_destination,
-            m_floor,
-            lb_cache: Vec::new(),
-            lent,
+            m_floor: message_floors(pipeline),
+            tables: Vec::new(),
+            shared,
+            ship: None,
             upper_bound: f64::INFINITY,
-        })
+        };
+        if relay && shared.is_none_or(|s| s.exact_on(graph)) {
+            let image = n_modules;
+            pruner.ship = Some(pruner.table(image));
+        }
+        Some(pruner)
     }
 
-    /// The transport lower-bound table for `layer`, built on first use.
-    fn transport_lb(&mut self, graph: &NetGraph, destination: usize, layer: usize) -> &[f64] {
-        if let Some(table) = self.lent[layer] {
-            return table;
-        }
+    /// The index in `tables` of the transport lower-bound table for
+    /// `layer`, fetched on first use.
+    fn table(&mut self, layer: usize) -> usize {
         let floor = self.m_floor[layer];
-        if let Some(i) = self.lb_cache.iter().position(|(b, _)| *b == floor) {
-            return &self.lb_cache[i].1;
+        if let Some(i) = self.tables.iter().position(|(b, _)| *b == floor) {
+            return i;
         }
-        let table = message_distance_to(graph, destination, floor);
-        self.lb_cache.push((floor, table));
-        &self.lb_cache.last().expect("just pushed").1
+        let table = match self.shared.and_then(|s| s.get(self.destination, floor)) {
+            Some(lent) => Cow::Borrowed(lent),
+            None => Cow::Owned(message_distance_to(self.graph, self.destination, floor)),
+        };
+        self.tables.push((floor, table));
+        self.tables.len() - 1
     }
 
     /// True when a state at `node` with modules `..layer` placed and cost
@@ -273,22 +302,31 @@ impl<'a> Pruner<'a> {
     /// bound gets a one-part-in-10¹² slack: the upper bound sums the same
     /// terms as the recursion in a different association order, so without
     /// slack an optimal state could lose to its own completion by an ulp.
-    fn dominated(
-        &mut self,
-        graph: &NetGraph,
-        destination: usize,
-        cost: f64,
-        layer: usize,
-        node: usize,
-    ) -> bool {
+    fn dominated(&mut self, cost: f64, layer: usize, node: usize) -> bool {
         if !self.upper_bound.is_finite() {
-            // Nothing can be dominated yet; skip building any bound table.
+            // Nothing can be dominated yet; skip fetching any bound table.
             return false;
         }
         let upper_bound = self.upper_bound;
         let slack = 1e-12 * upper_bound.abs().max(1.0);
         let suffix = self.suffix_min_proc[layer];
-        cost + suffix + self.transport_lb(graph, destination, layer)[node] > upper_bound + slack
+        let table = self.table(layer);
+        cost + suffix + self.tables[table].1[node] > upper_bound + slack
+    }
+
+    /// Relay mode: tighten the upper bound with the completion "run every
+    /// remaining module on `node`, then relay the image to the
+    /// destination".  `here` gives that completion's cost up to the image
+    /// leaving `node` (`None` when a remaining module cannot run there);
+    /// it is asked for only when the image table is exact, so the bound is
+    /// always a real solution's cost.  A node never prunes itself by it:
+    /// its lower bound charges no more processing and no more transport.
+    fn observe_finish_here(&mut self, node: usize, here: impl FnOnce() -> Option<f64>) {
+        let Some(ship) = self.ship else { return };
+        if let Some(here) = here() {
+            let cost = here + self.tables[ship].1[node];
+            self.upper_bound = self.upper_bound.min(cost * (1.0 + WARM_START_SLACK));
+        }
     }
 
     /// Tighten the upper bound with the completion "finish every remaining
@@ -333,7 +371,9 @@ thread_local! {
 ///
 /// With `options.prune` the solver maintains an upper bound `U` (the
 /// cheapest known *feasible completion*: reach the destination after some
-/// prefix of modules and run every remaining module there) and a per-state
+/// prefix of modules and run every remaining module there — or, with
+/// relay hops, run them on any settled node and relay the image to the
+/// destination) and a per-state
 /// lower bound `L(j, v) = cost(j, v) + Σ_{k>j} min_u proc(k, u) +
 /// transport_lb(j, v → v_d)` (shortest path to the destination charging
 /// each link the smallest message the pipeline can still emit).  Both
@@ -386,7 +426,9 @@ pub fn optimize_warm(
 /// bounds from the lent tables where they hold one for this destination
 /// and floor, and builds its own on `graph` otherwise; the caller vouches
 /// that the tables were built on a graph no slower than `graph` (see
-/// [`BoundTables`]).
+/// [`BoundTables`]).  A relay solve bounds itself with "finish here"
+/// completions only when its image table is exact: its own, or lent
+/// tables built on `graph` itself.
 pub(crate) fn solve(
     pipeline: &Pipeline,
     graph: &NetGraph,
@@ -394,7 +436,7 @@ pub(crate) fn solve(
     destination: usize,
     options: &DpOptions,
     incumbent: Option<&Mapping>,
-    shared: Option<&BoundTables>,
+    shared: Option<&BoundTables<'_>>,
 ) -> (Option<OptimizedMapping>, DpStats) {
     let mut stats = DpStats::default();
     let n_modules = pipeline.message_count();
@@ -406,7 +448,14 @@ pub(crate) fn solve(
         !pipeline.modules[module].needs_graphics || graph.node(node).has_graphics
     };
     let mut pruner = if options.prune {
-        match Pruner::build(pipeline, graph, destination, &feasible, shared) {
+        match Pruner::build(
+            pipeline,
+            graph,
+            destination,
+            &feasible,
+            options.relay,
+            shared,
+        ) {
             Some(p) => Some(p),
             // Some module is feasible nowhere: no placement exists.
             None => return (None, stats),
@@ -506,7 +555,7 @@ fn walk_dp(
                 continue;
             }
             if let Some(p) = pruner.as_deref_mut() {
-                if p.dominated(graph, destination, prev[u], j, u) {
+                if p.dominated(prev[u], j, u) {
                     stats.states_pruned += 1;
                     continue;
                 }
@@ -595,43 +644,41 @@ fn relay_dp(
     // message m_j towards module j's host (MAX at the chain's seed).
     let mut relay_parent: Vec<Vec<usize>> = Vec::with_capacity(n_modules);
 
-    let mut seed = vec![f64::INFINITY; n_nodes];
-    seed[source] = 0.0;
+    let mut at_source = vec![f64::INFINITY; n_nodes];
+    at_source[source] = 0.0;
     for j in 0..n_modules {
-        let (closed, rp) = relay_closure(
+        let seed = cost.last().unwrap_or(&at_source);
+        let (mut layer, rp) = relay_closure(
+            pipeline,
             graph,
-            &seed,
-            pipeline.input_bytes(j),
+            seed,
             j,
-            destination,
+            feasible,
             pruner.as_deref_mut(),
             stats,
         );
-        let mut layer = vec![f64::INFINITY; n_nodes];
-        for v in 0..n_nodes {
-            if feasible(j, v) && closed[v].is_finite() {
-                layer[v] = closed[v] + pipeline.processing_time(j, graph.node(v).power);
-            }
+        // Place module j where the message can be: the closure becomes
+        // the layer in place.
+        for (v, cost) in layer.iter_mut().enumerate() {
+            *cost = if feasible(j, v) && cost.is_finite() {
+                *cost + pipeline.processing_time(j, graph.node(v).power)
+            } else {
+                f64::INFINITY
+            };
         }
         if let Some(p) = pruner.as_deref_mut() {
             p.observe_destination(layer[destination], j + 1);
         }
-        seed = layer.clone();
         cost.push(layer);
         relay_parent.push(rp);
     }
     // The finished image may still be forwarded to the client.
-    let trailing_bytes = pipeline
-        .modules
-        .last()
-        .expect("pipelines are non-empty")
-        .output_bytes;
     let (final_closure, final_rp) = relay_closure(
+        pipeline,
         graph,
         &cost[n_modules - 1],
-        trailing_bytes,
         n_modules,
-        destination,
+        feasible,
         pruner,
         stats,
     );
@@ -684,22 +731,26 @@ fn relay_dp(
 }
 
 /// Multi-source Dijkstra closure: starting from per-node costs `seed`,
-/// the cheapest cost of having the message of size `bytes` available at
-/// every node after any chain of forwarding hops.  `layer` is the index of
-/// the next module to place (used by the pruning bound).
+/// the cheapest cost of having message `m_layer` (the input of module
+/// `layer`, or the finished image at `layer == n`) available at every node
+/// after any chain of forwarding hops.  `layer` is also the index of the
+/// next module to place (used by the pruning bounds).
 fn relay_closure(
+    pipeline: &Pipeline,
     graph: &NetGraph,
     seed: &[f64],
-    bytes: f64,
     layer: usize,
-    destination: usize,
+    feasible: &impl Fn(usize, usize) -> bool,
     mut pruner: Option<&mut Pruner<'_>>,
     stats: &mut DpStats,
 ) -> (Vec<f64>, Vec<usize>) {
+    let bytes = pipeline.input_bytes(layer);
+    let n_modules = pipeline.message_count();
     // Extraction-time dominance: any solution whose relay chain passes
     // through a settled node at this layer costs at least its distance plus
     // the remaining lower bounds, so a dominated node need not relax out —
-    // chains through it are provably not optimal.
+    // chains through it are provably not optimal.  Each settled node first
+    // offers its own "finish here" completion as an upper bound.
     dijkstra(
         graph,
         seed,
@@ -707,7 +758,13 @@ fn relay_closure(
         |link| link.transfer_time(bytes),
         |u, d| {
             if let Some(p) = pruner.as_deref_mut() {
-                if p.dominated(graph, destination, d, layer, u) {
+                let power = graph.node(u).power;
+                p.observe_finish_here(u, || {
+                    (layer..n_modules).try_fold(d, |cost, k| {
+                        feasible(k, u).then(|| cost + pipeline.processing_time(k, power))
+                    })
+                });
+                if p.dominated(d, layer, u) {
                     stats.states_pruned += 1;
                     return false;
                 }
@@ -744,7 +801,7 @@ mod tests {
     use super::*;
     use crate::delay::validate_mapping;
     use crate::pipeline::ModuleSpec;
-    use crate::testutil::{random_instance, XorShift};
+    use crate::testutil::{random_instance, wan_problem, XorShift};
 
     /// The three-stage pipeline and three-node network from the delay tests:
     /// a weak source, a powerful middle node, and the client.
@@ -1114,6 +1171,84 @@ mod tests {
                 warm_saved_somewhere,
                 "relay={relay}: the warm bound never saved any work"
             );
+        }
+    }
+
+    const UNPRUNED_RELAY: DpOptions = DpOptions {
+        prune: false,
+        relay: true,
+    };
+
+    /// Cold relay solves on generated 100–400-node WANs: pruning keeps the
+    /// unpruned optimum, and the "finish here" bound prunes from the first
+    /// layer.  Without it a cold solve has no bound before a layer reaches
+    /// the destination, so layer 0 alone expands every reachable node.
+    #[test]
+    fn finish_here_bound_prunes_from_the_first_layer_on_large_wans() {
+        for index in 0..12 {
+            let (graph, sessions) = wan_problem(index, 4);
+            for (i, s) in sessions.iter().enumerate() {
+                let solve = |options: &DpOptions| {
+                    optimize_with(&s.pipeline, &graph, s.source, s.destination, options)
+                };
+                let (pruned, stats) = solve(&DpOptions::relayed());
+                let (unpruned, _) = solve(&UNPRUNED_RELAY);
+                assert_eq!(
+                    pruned.map(|o| o.objective),
+                    unpruned.map(|o| o.objective),
+                    "wan {index} session {i}"
+                );
+                assert!(
+                    stats.states_expanded < graph.node_count() as u64,
+                    "wan {index} session {i}: {} expanded on {} nodes",
+                    stats.states_expanded,
+                    graph.node_count()
+                );
+            }
+        }
+    }
+
+    /// Tables lent from a strictly faster graph only lower-bound the solved
+    /// one.  Were they taken for its exact image distances, a "finish here"
+    /// completion would be priced below its real cost, the upper bound
+    /// would undercut the optimum, and the optimum would be pruned.
+    #[test]
+    fn tables_lent_from_a_faster_graph_never_feed_the_upper_bound() {
+        for index in 0..4 {
+            let (graph, sessions) = wan_problem(index, 4);
+            let mut faster = graph.clone();
+            for id in 0..faster.link_count() {
+                let link = *faster.link(id);
+                faster.set_measured_at(id, 2.0 * link.bandwidth, link.delay);
+            }
+            let tables = BoundTables::build(
+                &faster,
+                sessions.iter().map(|s| (&s.pipeline, s.destination)),
+            );
+            assert!(!tables.exact_on(&graph) && tables.exact_on(&faster));
+            for (i, s) in sessions.iter().enumerate() {
+                let (lent, _) = solve(
+                    &s.pipeline,
+                    &graph,
+                    s.source,
+                    s.destination,
+                    &DpOptions::relayed(),
+                    None,
+                    Some(&tables),
+                );
+                let (unpruned, _) = optimize_with(
+                    &s.pipeline,
+                    &graph,
+                    s.source,
+                    s.destination,
+                    &UNPRUNED_RELAY,
+                );
+                assert_eq!(
+                    lent.map(|o| o.objective),
+                    unpruned.map(|o| o.objective),
+                    "wan {index} session {i}"
+                );
+            }
         }
     }
 

@@ -21,7 +21,8 @@
 //!   recomputed from the caller's bandwidth and the link's count, never
 //!   updated from the previous price.  The DP's transport lower bounds
 //!   come from tables built once on the unpriced graph and shared by every
-//!   session and round (a bound from a no-slower graph; DESIGN.md §6.3).
+//!   session and round (a bound from a no-slower graph; DESIGN.md §6.3);
+//!   round zero solves that graph itself, where they are exact.
 //! * **Termination.**  The iteration stops at a fixed point (a full round
 //!   in which no session moved) or after [`JointOptions::max_rounds`]
 //!   rounds, whichever comes first.  Best-response dynamics on priced
@@ -301,24 +302,9 @@ pub fn solution_digest(solution: &JointSolution) -> String {
 mod tests {
     use super::*;
     use crate::dp::{message_distance_to, message_floors, TABLES_BUILT};
-    use crate::pipeline::ModuleSpec;
-    use crate::testutil::XorShift;
+    use crate::testutil::{scaled_pipeline, wan_problem};
     use ricsa_netsim::generators::{generate, WanKind};
     use std::collections::BTreeSet;
-
-    /// A transfer-dominated pipeline; `scale` varies the data volume so
-    /// co-scheduled sessions are not carbon copies.
-    fn pipeline(scale: f64) -> Pipeline {
-        Pipeline::new(
-            "joint-test",
-            1.6e6 * scale,
-            vec![
-                ModuleSpec::new("filter", 2e-9, 1.6e6 * scale),
-                ModuleSpec::new("extract", 1e-8, 4.0e5 * scale),
-                ModuleSpec::new("render", 5e-9, 1.6e5 * scale).requiring_graphics(),
-            ],
-        )
-    }
 
     /// A two-route WAN with one clearly better shared trunk: every
     /// isolated solve picks the trunk, so pricing has something to spread.
@@ -342,7 +328,7 @@ mod tests {
     fn trunk_sessions(n: usize) -> Vec<JointSession> {
         (0..n)
             .map(|i| JointSession {
-                pipeline: pipeline(1.0 + 0.2 * i as f64),
+                pipeline: scaled_pipeline(1.0 + 0.2 * i as f64),
                 source: 0,
                 destination: 5,
             })
@@ -389,7 +375,7 @@ mod tests {
         graph.add_node("a", 1.0, false);
         graph.add_node("b", 1.0, false); // no graphics anywhere, no links
         let sessions = vec![JointSession {
-            pipeline: pipeline(1.0),
+            pipeline: scaled_pipeline(1.0),
             source: 0,
             destination: 1,
         }];
@@ -419,7 +405,7 @@ mod tests {
             let graph = NetGraph::from_topology(&wan.topology);
             let sessions: Vec<JointSession> = (0..3)
                 .map(|i| JointSession {
-                    pipeline: pipeline(0.8 + 0.3 * i as f64),
+                    pipeline: scaled_pipeline(0.8 + 0.3 * i as f64),
                     source: wan.source.0,
                     destination: wan.client.0,
                 })
@@ -485,32 +471,6 @@ mod tests {
         );
     }
 
-    /// A benchmark-sized problem: a generated 100–400-node WAN (families
-    /// alternating) and 32 sessions of varied volume with seeded endpoints,
-    /// ending on graphics-capable nodes.
-    fn wan_problem(index: usize) -> (NetGraph, Vec<JointSession>) {
-        let kind = if index.is_multiple_of(2) {
-            WanKind::Waxman
-        } else {
-            WanKind::TransitStub
-        };
-        let nodes = 100 + 300 * (index % 12) / 11;
-        let wan = generate(kind, nodes, 0xD1FF ^ (index as u64 * 104_729));
-        let graph = NetGraph::from_topology(&wan.topology);
-        let displays: Vec<usize> = (0..graph.node_count())
-            .filter(|&n| graph.node(n).has_graphics)
-            .collect();
-        let mut rng = XorShift::new(index as u64 + 77);
-        let sessions = (0..32)
-            .map(|_| JointSession {
-                pipeline: pipeline(0.5 + 3.5 * rng.next()),
-                source: rng.index(0, graph.node_count()),
-                destination: displays[rng.index(0, displays.len())],
-            })
-            .collect();
-        (graph, sessions)
-    }
-
     fn relayed(max_rounds: usize) -> JointOptions {
         JointOptions {
             max_rounds,
@@ -526,7 +486,7 @@ mod tests {
     fn in_place_solver_equals_the_reference_on_large_wans() {
         let mut cut_short = 0;
         for index in 0..12 {
-            let (graph, sessions) = wan_problem(index);
+            let (graph, sessions) = wan_problem(index, 32);
             for max_rounds in [1, 2, 6] {
                 let options = relayed(max_rounds);
                 let solution = solve_joint(&sessions, &graph, &options);
@@ -573,7 +533,7 @@ mod tests {
         let graph = twice_crossed_graph();
         let sessions: Vec<JointSession> = (0..4)
             .map(|i| JointSession {
-                pipeline: pipeline(1.0 + 0.5 * i as f64),
+                pipeline: scaled_pipeline(1.0 + 0.5 * i as f64),
                 source: 0,
                 destination: 4,
             })
@@ -620,7 +580,7 @@ mod tests {
     /// The priced graph itself must be the reference's, bit for bit.
     #[test]
     fn bound_tables_are_built_once_and_bound_every_priced_graph() {
-        let (graph, sessions) = wan_problem(5);
+        let (graph, sessions) = wan_problem(5, 32);
         let options = relayed(3);
         let pairs: BTreeSet<(usize, u64)> = sessions
             .iter()

@@ -1,8 +1,11 @@
-//! Shared helpers for this crate's unit tests: a tiny deterministic RNG and
-//! a random-instance generator used by the DP/exhaustive/sweep cross-checks.
+//! Shared helpers for this crate's unit tests: a tiny deterministic RNG, a
+//! random-instance generator used by the DP/exhaustive/sweep cross-checks,
+//! and the generated-WAN problems of the DP and joint-solver tests.
 
+use crate::joint::JointSession;
 use crate::network::NetGraph;
 use crate::pipeline::{ModuleSpec, Pipeline};
+use ricsa_netsim::generators::{generate, WanKind};
 
 /// A tiny deterministic xorshift generator for building random test
 /// instances (kept local so `ricsa-pipemap` needs no RNG dev-dependency).
@@ -70,4 +73,44 @@ pub fn random_instance(
     }
     let pipeline = Pipeline::new("random", 0.5e6 + 4e6 * rng.next(), modules);
     (pipeline, g)
+}
+
+/// A transfer-dominated pipeline; `scale` varies the data volume so
+/// co-scheduled sessions are not carbon copies.
+pub fn scaled_pipeline(scale: f64) -> Pipeline {
+    Pipeline::new(
+        "joint-test",
+        1.6e6 * scale,
+        vec![
+            ModuleSpec::new("filter", 2e-9, 1.6e6 * scale),
+            ModuleSpec::new("extract", 1e-8, 4.0e5 * scale),
+            ModuleSpec::new("render", 5e-9, 1.6e5 * scale).requiring_graphics(),
+        ],
+    )
+}
+
+/// A benchmark-sized problem: a generated 100–400-node WAN (families
+/// alternating) and `sessions` sessions of varied volume with seeded
+/// endpoints, ending on graphics-capable nodes.
+pub fn wan_problem(index: usize, sessions: usize) -> (NetGraph, Vec<JointSession>) {
+    let kind = if index.is_multiple_of(2) {
+        WanKind::Waxman
+    } else {
+        WanKind::TransitStub
+    };
+    let nodes = 100 + 300 * (index % 12) / 11;
+    let wan = generate(kind, nodes, 0xD1FF ^ (index as u64 * 104_729));
+    let graph = NetGraph::from_topology(&wan.topology);
+    let displays: Vec<usize> = (0..graph.node_count())
+        .filter(|&n| graph.node(n).has_graphics)
+        .collect();
+    let mut rng = XorShift::new(index as u64 + 77);
+    let sessions = (0..sessions)
+        .map(|_| JointSession {
+            pipeline: scaled_pipeline(0.5 + 3.5 * rng.next()),
+            source: rng.index(0, graph.node_count()),
+            destination: displays[rng.index(0, displays.len())],
+        })
+        .collect();
+    (graph, sessions)
 }
