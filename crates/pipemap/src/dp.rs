@@ -373,8 +373,8 @@ thread_local! {
 /// cheapest known *feasible completion*: reach the destination after some
 /// prefix of modules and run every remaining module there — or, with
 /// relay hops, run them on any settled node and relay the image to the
-/// destination) and a per-state
-/// lower bound `L(j, v) = cost(j, v) + Σ_{k>j} min_u proc(k, u) +
+/// destination) and a per-state lower bound
+/// `L(j, v) = cost(j, v) + Σ_{k>j} min_u proc(k, u) +
 /// transport_lb(j, v → v_d)` (shortest path to the destination charging
 /// each link the smallest message the pipeline can still emit).  Both
 /// suffix terms truly lower-bound any
