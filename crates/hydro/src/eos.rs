@@ -38,6 +38,19 @@ impl IdealGas {
         ((self.gamma - 1.0) * (total_energy - kinetic)).max(0.0)
     }
 
+    /// Primitive variables `(rho, velocity, pressure)` from conservative
+    /// ones; the density is returned as given.
+    pub(crate) fn primitive(
+        &self,
+        rho: f64,
+        momentum: [f64; 3],
+        total_energy: f64,
+    ) -> (f64, [f64; 3], f64) {
+        let guarded = rho.max(1e-12);
+        let v = momentum.map(|m| m / guarded);
+        (rho, v, self.pressure_cons(rho, momentum, total_energy))
+    }
+
     /// Total energy per volume from primitive variables.
     pub fn total_energy(&self, rho: f64, velocity: [f64; 3], pressure: f64) -> f64 {
         let kinetic = 0.5 * rho * (velocity[0].powi(2) + velocity[1].powi(2) + velocity[2].powi(2));

@@ -114,9 +114,20 @@ pub fn apply_wind_source(state: &mut HydroState, params: &SteerableParams) {
     let wind_rho = 2.0 * params.drive_strength.max(0.01);
     let wind_p = 2.0 * params.drive_strength.max(0.01);
     let wind_speed = params.inflow_velocity.max(0.5);
-    for z in 0..dims.nz {
-        for y in 0..dims.ny {
-            for x in 0..dims.nx {
+    // Only cells within a cell of the sphere's bounding box can pass the
+    // `r <= radius` test; the margin keeps rounding on the safe side.
+    let span = |c: f64, n: usize| {
+        let lo = (c - radius).floor() - 1.0;
+        lo.max(0.0) as usize..((c + radius).ceil() + 2.0).min(n as f64) as usize
+    };
+    let zs = if dims.nz > 1 {
+        span(center[2], dims.nz)
+    } else {
+        0..dims.nz
+    };
+    for z in zs {
+        for y in span(center[1], dims.ny) {
+            for x in span(center[0], dims.nx) {
                 let dx = x as f64 - center[0];
                 let dy = y as f64 - center[1];
                 let dz = if dims.nz > 1 {
@@ -213,6 +224,76 @@ mod tests {
         apply_wind_source(&mut state, &weak);
         let src = state.primitive(state.index(16, 16, 0));
         assert!(src.0 < 0.5, "wind density after weakening {}", src.0);
+    }
+
+    /// The wind source as it was: a distance test at every cell.
+    fn reference_apply_wind_source(state: &mut HydroState, params: &SteerableParams) {
+        let params = params.sanitized();
+        let dims = state.dims;
+        if dims.nx < 4 || dims.ny < 4 {
+            return;
+        }
+        let center = [
+            dims.nx as f64 * 0.35,
+            dims.ny as f64 * 0.5,
+            (dims.nz.max(1)) as f64 * 0.5,
+        ];
+        let radius = (dims.ny.min(dims.nx) as f64 * 0.08).max(1.5);
+        let wind = 2.0 * params.drive_strength.max(0.01);
+        let wind_speed = params.inflow_velocity.max(0.5);
+        for z in 0..dims.nz {
+            for y in 0..dims.ny {
+                for x in 0..dims.nx {
+                    let dx = x as f64 - center[0];
+                    let dy = y as f64 - center[1];
+                    let dz = if dims.nz > 1 {
+                        z as f64 - center[2]
+                    } else {
+                        0.0
+                    };
+                    let r = (dx * dx + dy * dy + dz * dz).sqrt();
+                    if r <= radius {
+                        let dir = if r < 1e-9 {
+                            [0.0, 0.0, 0.0]
+                        } else {
+                            [dx / r, dy / r, dz / r]
+                        };
+                        let v = dir.map(|d| d * wind_speed);
+                        let i = state.index(x, y, z);
+                        state.set_primitive(i, wind, v, wind);
+                    }
+                }
+            }
+        }
+        for z in 0..dims.nz {
+            for y in 0..dims.ny {
+                let i = state.index(0, y, z);
+                state.set_primitive(i, 1.0, [params.inflow_velocity, 0.0, 0.0], 0.6);
+            }
+        }
+    }
+
+    #[test]
+    fn the_wind_source_box_equals_the_whole_grid_scan() {
+        let params = SteerableParams {
+            drive_strength: 1.3,
+            inflow_velocity: 2.2,
+            ..SteerableParams::default()
+        };
+        for dims in [
+            Dims::new(4, 4, 1),
+            Dims::new(5, 9, 2),
+            Dims::new(7, 5, 3),
+            Dims::new(33, 17, 1),
+            Dims::new(64, 64, 32),
+            Dims::new(40, 100, 7),
+        ] {
+            let start = HydroState::uniform(dims, IdealGas::default());
+            let (mut boxed, mut scanned) = (start.clone(), start);
+            apply_wind_source(&mut boxed, &params);
+            reference_apply_wind_source(&mut scanned, &params);
+            assert_eq!(boxed, scanned, "{dims:?}");
+        }
     }
 
     #[test]

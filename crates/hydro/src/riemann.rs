@@ -48,8 +48,11 @@ impl Cons1D {
 
     /// The physical flux of this state along the sweep direction.
     pub fn flux(&self, eos: &IdealGas) -> Cons1D {
-        let un = self.un();
-        let p = self.pressure(eos);
+        self.flux_at(self.un(), self.pressure(eos))
+    }
+
+    /// The physical flux given this state's normal velocity and pressure.
+    fn flux_at(&self, un: f64, p: f64) -> Cons1D {
         Cons1D {
             rho: self.mn,
             mn: self.mn * un + p,
@@ -71,38 +74,66 @@ impl Cons1D {
     }
 }
 
+/// A cell's state with what the HLL flux needs from it at either face:
+/// normal velocity, sound speed and physical flux.  A sweep computes one
+/// per cell, where evaluating both faces from the bare states would compute
+/// every cell's twice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wave {
+    pub(crate) state: Cons1D,
+    pub(crate) un: f64,
+    pub(crate) c: f64,
+    pub(crate) flux: Cons1D,
+}
+
+impl Wave {
+    #[inline(always)]
+    pub(crate) fn new(eos: &IdealGas, state: Cons1D) -> Wave {
+        let un = state.un();
+        let p = state.pressure(eos);
+        Wave {
+            state,
+            un,
+            c: eos.sound_speed(state.rho, p),
+            flux: state.flux_at(un, p),
+        }
+    }
+}
+
 /// The HLL numerical flux across an interface between states `left` and
 /// `right`.
 pub fn hll_flux(eos: &IdealGas, left: &Cons1D, right: &Cons1D) -> Cons1D {
-    let ul = left.un();
-    let ur = right.un();
-    let pl = left.pressure(eos);
-    let pr = right.pressure(eos);
-    let cl = eos.sound_speed(left.rho, pl);
-    let cr = eos.sound_speed(right.rho, pr);
+    hll_between(&Wave::new(eos, *left), &Wave::new(eos, *right))
+}
+
+/// The HLL numerical flux between two prepared cells.  The star-state
+/// flux is computed whether or not it is taken, so a loop over faces has
+/// no branch to take.
+#[inline(always)]
+pub(crate) fn hll_between(l: &Wave, r: &Wave) -> Cons1D {
+    let (left, right) = (&l.state, &r.state);
+    let (ul, ur, cl, cr) = (l.un, r.un, l.c, r.c);
     // Davis wave-speed estimates.
     let s_left = (ul - cl).min(ur - cr);
     let s_right = (ul + cl).max(ur + cr);
-    let fl = left.flux(eos);
-    let fr = right.flux(eos);
-    if s_left >= 0.0 {
-        fl
-    } else if s_right <= 0.0 {
-        fr
-    } else {
-        let span = (s_right - s_left).max(1e-12);
-        Cons1D {
-            rho: (s_right * fl.rho - s_left * fr.rho + s_left * s_right * (right.rho - left.rho))
-                / span,
-            mn: (s_right * fl.mn - s_left * fr.mn + s_left * s_right * (right.mn - left.mn)) / span,
-            mt1: (s_right * fl.mt1 - s_left * fr.mt1 + s_left * s_right * (right.mt1 - left.mt1))
-                / span,
-            mt2: (s_right * fl.mt2 - s_left * fr.mt2 + s_left * s_right * (right.mt2 - left.mt2))
-                / span,
-            energy: (s_right * fl.energy - s_left * fr.energy
-                + s_left * s_right * (right.energy - left.energy))
-                / span,
+    let span = (s_right - s_left).max(1e-12);
+    let pick = |fl: f64, fr: f64, ql: f64, qr: f64| {
+        let star = (s_right * fl - s_left * fr + s_left * s_right * (qr - ql)) / span;
+        if s_left >= 0.0 {
+            fl
+        } else if s_right <= 0.0 {
+            fr
+        } else {
+            star
         }
+    };
+    let (fl, fr) = (l.flux, r.flux);
+    Cons1D {
+        rho: pick(fl.rho, fr.rho, left.rho, right.rho),
+        mn: pick(fl.mn, fr.mn, left.mn, right.mn),
+        mt1: pick(fl.mt1, fr.mt1, left.mt1, right.mt1),
+        mt2: pick(fl.mt2, fr.mt2, left.mt2, right.mt2),
+        energy: pick(fl.energy, fr.energy, left.energy, right.energy),
     }
 }
 

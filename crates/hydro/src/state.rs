@@ -68,19 +68,21 @@ impl HydroState {
 
     /// Primitive variables `(rho, velocity, pressure)` of one cell.
     pub fn primitive(&self, i: usize) -> (f64, [f64; 3], f64) {
-        let rho = self.rho[i].max(1e-12);
-        let v = [
-            self.momentum[0][i] / rho,
-            self.momentum[1][i] / rho,
-            self.momentum[2][i] / rho,
-        ];
-        let mom = [
-            self.momentum[0][i],
-            self.momentum[1][i],
-            self.momentum[2][i],
-        ];
-        let p = self.eos.pressure_cons(self.rho[i], mom, self.energy[i]);
-        (self.rho[i], v, p)
+        let m = &self.momentum;
+        self.eos
+            .primitive(self.rho[i], [m[0][i], m[1][i], m[2][i]], self.energy[i])
+    }
+
+    /// The primitive variables of every cell, in order.
+    fn primitives(&self) -> impl Iterator<Item = (f64, [f64; 3], f64)> + '_ {
+        let m = &self.momentum;
+        self.rho
+            .iter()
+            .zip(&m[0])
+            .zip(&m[1])
+            .zip(&m[2])
+            .zip(&self.energy)
+            .map(|((((&rho, &u), &v), &w), &e)| self.eos.primitive(rho, [u, v, w], e))
     }
 
     /// Total mass in the domain.
@@ -99,8 +101,7 @@ impl HydroState {
     /// the CFL condition.
     pub fn max_signal_speed(&self) -> f64 {
         let mut max = 0.0f64;
-        for i in 0..self.rho.len() {
-            let (rho, v, p) = self.primitive(i);
+        for (rho, v, p) in self.primitives() {
             let c = self.eos.sound_speed(rho, p);
             for vk in v {
                 max = max.max(vk.abs() + c);
@@ -140,11 +141,28 @@ impl HydroState {
 
     /// Package the standard variable set into a `VolumeContainer` for the
     /// data-source node to cache (the paper's periodically cached datasets).
+    /// One pass computes each cell's primitives once for all three fields.
     pub fn to_container(&self) -> VolumeContainer {
+        let blank = || {
+            let mut field = ScalarField::zeros(self.dims);
+            field.spacing = [self.dx[0] as f32, self.dx[1] as f32, self.dx[2] as f32];
+            field
+        };
+        let (mut density, mut pressure, mut speed) = (blank(), blank(), blank());
+        let fields = density
+            .data
+            .iter_mut()
+            .zip(&mut pressure.data)
+            .zip(&mut speed.data);
+        for ((rho, v, p), ((density, pressure), speed)) in self.primitives().zip(fields) {
+            *density = rho as f32;
+            *pressure = p as f32;
+            *speed = ((v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt()) as f32;
+        }
         let mut c = VolumeContainer::new(self.cycle, self.time);
-        c.push("density", self.field(HydroVariable::Density));
-        c.push("pressure", self.field(HydroVariable::Pressure));
-        c.push("velocity", self.field(HydroVariable::VelocityMagnitude));
+        c.push("density", density);
+        c.push("pressure", pressure);
+        c.push("velocity", speed);
         c
     }
 }
@@ -162,9 +180,116 @@ pub enum HydroVariable {
     Energy,
 }
 
+/// Seeded states and bit-level comparison for the differential tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// A state with seeded, mostly physical random cells.  About one cell
+    /// in eight is extreme: near-vacuum density, an energy below the
+    /// kinetic part (negative pressure), or a NaN momentum.
+    pub(crate) fn random_state(dims: Dims, seed: u64) -> HydroState {
+        let mut s = HydroState::uniform(dims, IdealGas::new(1.4));
+        let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            // splitmix64
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for i in 0..dims.count() {
+            let rho = 0.1 + 3.0 * next();
+            let v = [4.0 * next() - 2.0, 4.0 * next() - 2.0, 4.0 * next() - 2.0];
+            s.set_primitive(i, rho, v, 0.05 + 3.0 * next());
+            match (8.0 * next()) as u32 {
+                0 => s.rho[i] = 1e-13,
+                1 => s.energy[i] = 1e-3,
+                2 if next() < 0.25 => s.momentum[1][i] = f64::NAN,
+                _ => {}
+            }
+        }
+        s
+    }
+
+    /// Every bit of the state's arrays, so NaNs compare too.
+    pub(crate) fn bits(s: &HydroState) -> Vec<u64> {
+        let arrays = [
+            &s.rho,
+            &s.momentum[0],
+            &s.momentum[1],
+            &s.momentum[2],
+            &s.energy,
+        ];
+        arrays
+            .into_iter()
+            .flat_map(|a| a.iter().map(|v| v.to_bits()))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::random_state;
     use super::*;
+
+    /// The snapshot as it was: one `field` pass per variable.
+    fn reference_container(s: &HydroState) -> VolumeContainer {
+        let mut c = VolumeContainer::new(s.cycle, s.time);
+        c.push("density", s.field(HydroVariable::Density));
+        c.push("pressure", s.field(HydroVariable::Pressure));
+        c.push("velocity", s.field(HydroVariable::VelocityMagnitude));
+        c
+    }
+
+    /// The CFL speed as it was: one serial pass.
+    fn reference_max_signal_speed(s: &HydroState) -> f64 {
+        let mut max = 0.0f64;
+        for i in 0..s.rho.len() {
+            let (rho, v, p) = s.primitive(i);
+            let c = s.eos.sound_speed(rho, p);
+            for vk in v {
+                max = max.max(vk.abs() + c);
+            }
+        }
+        max
+    }
+
+    fn field_bits(c: &VolumeContainer) -> Vec<(String, Vec<u32>, [u32; 3])> {
+        c.variable_names()
+            .into_iter()
+            .map(|name| {
+                let f = c.variable(name).unwrap();
+                let data = f.data.iter().map(|v| v.to_bits()).collect();
+                (name.to_string(), data, f.spacing.map(f32::to_bits))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_snapshot_and_streamed_cfl_speed_equal_the_reference() {
+        let grids = [
+            Dims::new(0, 3, 3),
+            Dims::new(1, 1, 1),
+            Dims::new(2, 1, 1),
+            Dims::new(7, 5, 3),
+            Dims::new(16, 9, 4),
+        ];
+        for (g, dims) in grids.into_iter().enumerate() {
+            for seed in 0..3 {
+                let mut s = random_state(dims, 0xC0FFEE + 17 * g as u64 + seed);
+                s.cycle = 9 + seed;
+                s.time = 0.125 * seed as f64;
+                let expected = reference_container(&s);
+                let speed = reference_max_signal_speed(&s).to_bits();
+                let got = s.to_container();
+                assert_eq!((got.cycle, got.time), (expected.cycle, expected.time));
+                assert_eq!(field_bits(&got), field_bits(&expected), "{dims:?}");
+                assert_eq!(s.max_signal_speed().to_bits(), speed);
+            }
+        }
+    }
 
     #[test]
     fn uniform_state_is_quiescent_and_physical() {

@@ -66,38 +66,72 @@ impl Camera {
         (right, up, forward)
     }
 
-    /// Project a dataset-space point to pixel coordinates plus view depth,
-    /// given the dataset center and its largest half-extent.
-    pub fn project(&self, p: [f32; 3], center: [f32; 3], half_extent: f32) -> (f32, f32, f32) {
+    /// The projection of a dataset with the given center and largest
+    /// half-extent onto this camera's viewport, with the view basis and
+    /// scales computed once for every point and pixel of a frame.
+    pub fn projector(&self, center: [f32; 3], half_extent: f32) -> Projector {
         let (right, up, forward) = self.basis();
-        let rel = [p[0] - center[0], p[1] - center[1], p[2] - center[2]];
-        let dot = |a: [f32; 3], b: [f32; 3]| a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
-        let scale = self.zoom * 0.5 * self.width.min(self.height) as f32 / half_extent.max(1e-6);
-        let x = self.width as f32 / 2.0 + dot(rel, right) * scale;
-        let y = self.height as f32 / 2.0 - dot(rel, up) * scale;
-        let depth = dot(rel, forward);
-        (x, y, depth)
+        let fit = self.zoom * 0.5 * self.width.min(self.height) as f32;
+        Projector {
+            right,
+            up,
+            forward,
+            center,
+            pixels_per_unit: fit / half_extent.max(1e-6),
+            units_per_pixel: half_extent.max(1e-6) / fit,
+            start_dist: 2.0 * half_extent.max(1.0),
+            half_width: self.width as f32 / 2.0,
+            half_height: self.height as f32 / 2.0,
+        }
+    }
+}
+
+/// An orthographic projection between dataset space and a camera's
+/// viewport: [`Camera::projector`] for one dataset extent.  The rasterizer
+/// projects vertices with it and the ray caster casts pixel rays.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Projector {
+    right: [f32; 3],
+    up: [f32; 3],
+    forward: [f32; 3],
+    center: [f32; 3],
+    pixels_per_unit: f32,
+    units_per_pixel: f32,
+    start_dist: f32,
+    half_width: f32,
+    half_height: f32,
+}
+
+impl Projector {
+    /// The view direction.
+    pub fn forward(&self) -> [f32; 3] {
+        self.forward
     }
 
-    /// The dataset-space ray origin for a pixel (orthographic: one parallel
-    /// ray per pixel), returned as `(origin, direction)`.
-    pub fn pixel_ray(
-        &self,
-        px: usize,
-        py: usize,
-        center: [f32; 3],
-        half_extent: f32,
-    ) -> ([f32; 3], [f32; 3]) {
-        let (right, up, forward) = self.basis();
-        let scale = half_extent.max(1e-6) / (self.zoom * 0.5 * self.width.min(self.height) as f32);
-        let sx = (px as f32 + 0.5 - self.width as f32 / 2.0) * scale;
-        let sy = -(py as f32 + 0.5 - self.height as f32 / 2.0) * scale;
-        // Start well outside the volume and march forward.
-        let start_dist = 2.0 * half_extent.max(1.0);
+    /// Project a dataset-space point to pixel coordinates plus view depth.
+    #[inline]
+    pub fn project(&self, p: [f32; 3]) -> (f32, f32, f32) {
+        let c = self.center;
+        let rel = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
+        let dot = |a: [f32; 3], b: [f32; 3]| a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
+        let x = self.half_width + dot(rel, self.right) * self.pixels_per_unit;
+        let y = self.half_height - dot(rel, self.up) * self.pixels_per_unit;
+        (x, y, dot(rel, self.forward))
+    }
+
+    /// The dataset-space ray for a pixel (orthographic: one parallel ray
+    /// per pixel), returned as `(origin, direction)`.  The origin lies well
+    /// outside the volume, so a ray marches forward from it.
+    #[inline]
+    pub fn pixel_ray(&self, px: usize, py: usize) -> ([f32; 3], [f32; 3]) {
+        let (right, up, forward) = (self.right, self.up, self.forward);
+        let sx = (px as f32 + 0.5 - self.half_width) * self.units_per_pixel;
+        let sy = -(py as f32 + 0.5 - self.half_height) * self.units_per_pixel;
+        let (c, d) = (self.center, self.start_dist);
         let origin = [
-            center[0] + right[0] * sx + up[0] * sy - forward[0] * start_dist,
-            center[1] + right[1] * sx + up[1] * sy - forward[1] * start_dist,
-            center[2] + right[2] * sx + up[2] * sy - forward[2] * start_dist,
+            c[0] + right[0] * sx + up[0] * sy - forward[0] * d,
+            c[1] + right[1] * sx + up[1] * sy - forward[1] * d,
+            c[2] + right[2] * sx + up[2] * sy - forward[2] * d,
         ];
         (origin, forward)
     }
@@ -124,7 +158,9 @@ mod tests {
     #[test]
     fn center_projects_to_viewport_center() {
         let cam = Camera::with_viewport(200, 100);
-        let (x, y, depth) = cam.project([5.0, 5.0, 5.0], [5.0, 5.0, 5.0], 10.0);
+        let (x, y, depth) = cam
+            .projector([5.0, 5.0, 5.0], 10.0)
+            .project([5.0, 5.0, 5.0]);
         assert!((x - 100.0).abs() < 1e-4);
         assert!((y - 50.0).abs() < 1e-4);
         assert!(depth.abs() < 1e-4);
@@ -136,9 +172,9 @@ mod tests {
         cam.yaw = 0.0;
         cam.pitch = 0.0;
         let p = [0.0, 1.0, 1.0];
-        let (x1, _, _) = cam.project(p, [0.0; 3], 2.0);
+        let (x1, _, _) = cam.projector([0.0; 3], 2.0).project(p);
         cam.zoom = 2.0;
-        let (x2, _, _) = cam.project(p, [0.0; 3], 2.0);
+        let (x2, _, _) = cam.projector([0.0; 3], 2.0).project(p);
         let center = 50.0;
         assert!((x2 - center).abs() > (x1 - center).abs());
     }
@@ -157,7 +193,7 @@ mod tests {
         let cam = Camera::with_viewport(64, 64);
         let center = [10.0, 10.0, 10.0];
         let half = 8.0;
-        let (origin, dir) = cam.pixel_ray(32, 32, center, half);
+        let (origin, dir) = cam.projector(center, half).pixel_ray(32, 32);
         let rel = [
             origin[0] - center[0],
             origin[1] - center[1],
@@ -174,7 +210,7 @@ mod tests {
     fn center_pixel_ray_passes_near_the_center() {
         let cam = Camera::with_viewport(65, 65);
         let center = [0.0, 0.0, 0.0];
-        let (origin, dir) = cam.pixel_ray(32, 32, center, 5.0);
+        let (origin, dir) = cam.projector(center, 5.0).pixel_ray(32, 32);
         // Distance from the center to the ray line should be small.
         let t = -(origin[0] * dir[0] + origin[1] * dir[1] + origin[2] * dir[2]);
         let closest = [

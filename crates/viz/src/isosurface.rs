@@ -2,11 +2,12 @@
 //!
 //! Extraction follows the structure assumed by the paper's cost model
 //! (Section 4.4.1): an octree identifies the blocks whose value range
-//! straddles the isovalue, extraction is performed block by block (in
-//! parallel with rayon, standing in for the MPI-parallel cluster modules),
-//! and per-cell statistics over the 15 marching-cubes case classes are
-//! collected so the cost model's `P_Case(i)` frequencies and `T_Case(i)`
-//! timings can be calibrated.
+//! straddles the isovalue, extraction is performed block by block, in block
+//! order, into one mesh, and per-cell statistics over the 15 marching-cubes
+//! case classes are collected so the cost model's `P_Case(i)` frequencies
+//! and `T_Case(i)` timings can be calibrated.  The blocks are walked on one
+//! thread: a live-steering surface touches about ten 16³ blocks, and two
+//! workers over them measured no faster than one pass that needs no merge.
 //!
 //! Triangulation uses a tetrahedral decomposition of each cell (six
 //! tetrahedra), which produces a crack-free surface without the classic
@@ -16,7 +17,6 @@
 
 use crate::cell::{case_class, corner_config, is_active, CASE_CLASS_COUNT, CORNER_OFFSETS};
 use crate::mesh::{normalize, TriangleMesh};
-use rayon::prelude::*;
 use ricsa_vizdata::field::ScalarField;
 use ricsa_vizdata::octree::{Octree, OctreeBlock};
 use serde::{Deserialize, Serialize};
@@ -126,16 +126,10 @@ pub fn extract_from_octree(
         .collect();
     let active_blocks = active.len();
 
-    let partials: Vec<(TriangleMesh, CaseHistogram)> = active
-        .par_iter()
-        .map(|block| extract_block(field, block, isovalue))
-        .collect();
-
     let mut mesh = TriangleMesh::new();
     let mut histogram = CaseHistogram::default();
-    for (m, h) in partials {
-        mesh.append(&m);
-        histogram.merge(&h);
+    for block in active {
+        extract_block_into(&mut mesh, &mut histogram, field, block, isovalue);
     }
     IsosurfaceResult {
         mesh,
@@ -153,6 +147,18 @@ pub fn extract_block(
 ) -> (TriangleMesh, CaseHistogram) {
     let mut mesh = TriangleMesh::new();
     let mut histogram = CaseHistogram::default();
+    extract_block_into(&mut mesh, &mut histogram, field, block, isovalue);
+    (mesh, histogram)
+}
+
+/// Append one block's triangles to `mesh` and its cells to `histogram`.
+fn extract_block_into(
+    mesh: &mut TriangleMesh,
+    histogram: &mut CaseHistogram,
+    field: &ScalarField,
+    block: &OctreeBlock,
+    isovalue: f32,
+) {
     let d = field.dims;
     // Cells whose lower corner lies in the block; the +1 sample comes from
     // the neighbouring block (or is clamped at the domain boundary).
@@ -176,13 +182,12 @@ pub fn extract_block(
                     continue;
                 }
                 let before = mesh.triangle_count();
-                triangulate_cell(&mut mesh, field, [x, y, z], &values, isovalue);
+                triangulate_cell(mesh, field, [x, y, z], &values, isovalue);
                 let emitted = (mesh.triangle_count() - before) as u64;
                 histogram.triangles[class] += emitted;
             }
         }
     }
-    (mesh, histogram)
 }
 
 /// The six tetrahedra of a cube cell, as corner indices.
@@ -249,10 +254,21 @@ fn triangulate_tetrahedron(
     val: [f32; 4],
     isovalue: f32,
 ) {
-    let inside: Vec<usize> = (0..4).filter(|&i| val[i] >= isovalue).collect();
-    let outside: Vec<usize> = (0..4).filter(|&i| val[i] < isovalue).collect();
+    // Corner indices inside and outside the surface, each in corner order;
+    // a NaN corner counts as outside.
+    let (mut inside, mut outside) = ([0usize; 4], [0usize; 4]);
+    let (mut n_in, mut n_out) = (0, 0);
+    for (i, &v) in val.iter().enumerate() {
+        if v >= isovalue {
+            inside[n_in] = i;
+            n_in += 1;
+        } else {
+            outside[n_out] = i;
+            n_out += 1;
+        }
+    }
     let edge = |a: usize, b: usize| interpolate_edge(pos[a], pos[b], val[a], val[b], isovalue);
-    match inside.len() {
+    match n_in {
         0 | 4 => {}
         1 => {
             let a = inside[0];

@@ -73,6 +73,7 @@ pub fn raycast(
     let half_extent = (d.nx.max(d.ny).max(d.nz)) as f32 / 2.0;
     let max_march = 4.0 * half_extent.max(1.0);
     let step = config.step.max(0.05);
+    let projector = camera.projector(center, half_extent);
 
     let rows: Vec<(Vec<u8>, u64)> = (0..camera.height)
         .into_par_iter()
@@ -80,7 +81,7 @@ pub fn raycast(
             let mut row = Vec::with_capacity(camera.width * 4);
             let mut samples = 0u64;
             for px in 0..camera.width {
-                let (origin, dir) = camera.pixel_ray(px, py, center, half_extent);
+                let (origin, dir) = projector.pixel_ray(px, py);
                 let (rgba, n) = march_ray(field, transfer, config, origin, dir, max_march, step);
                 samples += n;
                 row.extend_from_slice(&rgba);
@@ -190,6 +191,61 @@ mod tests {
             center[0] > corner[0].saturating_add(40),
             "center {center:?} should be clearly brighter than corner {corner:?}"
         );
+    }
+
+    /// `Camera::pixel_ray` as it was: the basis recomputed per pixel.
+    fn reference_pixel_ray(
+        camera: &Camera,
+        px: usize,
+        py: usize,
+        center: [f32; 3],
+        half_extent: f32,
+    ) -> ([f32; 3], [f32; 3]) {
+        let (right, up, forward) = camera.basis();
+        let scale =
+            half_extent.max(1e-6) / (camera.zoom * 0.5 * camera.width.min(camera.height) as f32);
+        let sx = (px as f32 + 0.5 - camera.width as f32 / 2.0) * scale;
+        let sy = -(py as f32 + 0.5 - camera.height as f32 / 2.0) * scale;
+        let start_dist = 2.0 * half_extent.max(1.0);
+        let origin = [
+            center[0] + right[0] * sx + up[0] * sy - forward[0] * start_dist,
+            center[1] + right[1] * sx + up[1] * sy - forward[1] * start_dist,
+            center[2] + right[2] * sx + up[2] * sy - forward[2] * start_dist,
+        ];
+        (origin, forward)
+    }
+
+    #[test]
+    fn projector_rays_cast_the_image_the_per_pixel_rays_did() {
+        let field = ramp_volume(20);
+        let tf = TransferFunction::grayscale_ramp(0.2, 1.0);
+        let config = RaycastConfig::default();
+        let d = field.dims;
+        let center = [
+            (d.nx - 1) as f32 / 2.0,
+            (d.ny - 1) as f32 / 2.0,
+            (d.nz - 1) as f32 / 2.0,
+        ];
+        let half_extent = d.nx.max(d.ny).max(d.nz) as f32 / 2.0;
+        for (w, h, yaw, zoom) in [(33, 21, 0.0, 1.0), (16, 40, 1.1, 2.5), (1, 1, -0.7, 0.5)] {
+            let mut camera = Camera::with_viewport(w, h);
+            camera.rotate(yaw, -0.3);
+            camera.zoom = zoom;
+            let (image, stats) = raycast(&field, &camera, &tf, &config);
+            let mut expected = Image::new(w, h);
+            let mut samples = 0;
+            for py in 0..h {
+                for px in 0..w {
+                    let (origin, dir) = reference_pixel_ray(&camera, px, py, center, half_extent);
+                    let max_march = 4.0 * half_extent.max(1.0);
+                    let (rgba, n) = march_ray(&field, &tf, &config, origin, dir, max_march, 1.0);
+                    expected.set(px, py, rgba);
+                    samples += n;
+                }
+            }
+            assert!(image == expected, "{w}x{h}");
+            assert_eq!(stats.samples, samples);
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Offline stand-in for `rayon`.
 //!
-//! Implements the slice of rayon this workspace actually uses — an indexed
-//! source (`Range<usize>`, `&[T]`, `&Vec<T>`) followed by `.map(f).collect()`
-//! — with real parallelism: the index space is split into one contiguous
-//! chunk per available core and mapped on `std::thread::scope` threads,
-//! preserving element order.  There is no work stealing; for the regular,
-//! evenly-sized loops in this workspace (pencil sweeps, z-slabs, scanlines,
-//! octree blocks) static chunking is within noise of rayon.
+//! Implements the slice of rayon this workspace actually uses — a
+//! `Range<usize>` followed by `.into_par_iter().map(f).collect()` — with
+//! real parallelism: the index space is split into one contiguous chunk per
+//! available core and mapped on `std::thread::scope` threads, preserving
+//! element order.  There is no work stealing; for the regular, evenly-sized
+//! loops in this workspace (sweep cells, volume z-slabs, ray-cast
+//! scanlines) static chunking is within noise of rayon.
 //!
 //! Anything fancier (`reduce`, `fold`, adaptive splitting) is intentionally
 //! absent — add it here if a caller needs it, keeping call sites compatible
@@ -16,16 +16,26 @@
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelSlice};
+    pub use crate::IntoParallelIterator;
+}
+
+/// The cores this process may run on, read once: `available_parallelism`
+/// re-reads the cgroup limits on every call, which costs about as much as
+/// the scoped spawn it would size.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 fn worker_count(len: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    cores.min(len).max(1)
+    cores().min(len).max(1)
 }
 
 /// Run `f` over `0..len` on scoped threads, one contiguous chunk per worker,
@@ -118,62 +128,6 @@ impl<F> ParRangeMap<F> {
     }
 }
 
-/// Mirror of rayon's `par_iter` on slices (and `Vec` via deref).
-pub trait ParallelSlice<T: Sync> {
-    fn par_iter(&self) -> ParSlice<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_iter(&self) -> ParSlice<'_, T> {
-        ParSlice { items: self }
-    }
-}
-
-impl<T: Sync> ParallelSlice<T> for Vec<T> {
-    fn par_iter(&self) -> ParSlice<'_, T> {
-        ParSlice { items: self }
-    }
-}
-
-/// A parallel view of a slice.
-pub struct ParSlice<'a, T> {
-    items: &'a [T],
-}
-
-impl<'a, T: Sync> ParSlice<'a, T> {
-    pub fn map<U, F>(self, f: F) -> ParSliceMap<'a, T, F>
-    where
-        U: Send,
-        F: Fn(&'a T) -> U + Sync,
-    {
-        ParSliceMap {
-            items: self.items,
-            f,
-        }
-    }
-}
-
-/// A mapped parallel slice, ready to collect.
-pub struct ParSliceMap<'a, T, F> {
-    items: &'a [T],
-    f: F,
-}
-
-impl<'a, T: Sync, F> ParSliceMap<'a, T, F> {
-    pub fn collect<C, U>(self) -> C
-    where
-        U: Send,
-        F: Fn(&'a T) -> U + Sync,
-        C: FromIterator<U>,
-    {
-        let items = self.items;
-        let f = self.f;
-        parallel_map_indexed(items.len(), |i| f(&items[i]))
-            .into_iter()
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -191,11 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn slice_par_iter_matches_sequential() {
-        let data: Vec<i64> = (0..997).collect();
-        let par: Vec<i64> = data.par_iter().map(|x| x * x).collect();
-        let seq: Vec<i64> = data.iter().map(|x| x * x).collect();
-        assert_eq!(par, seq);
+    fn the_core_count_is_read_once_and_positive() {
+        assert!(super::cores() >= 1);
+        assert_eq!(super::cores(), super::cores());
     }
 
     #[test]
