@@ -67,11 +67,13 @@ pub fn sweep(state: &mut HydroState, axis: Axis, dt: f64) {
             let cells = row(&q, nx, r);
             lanes.prev.compute(&eos, cells);
             // Interface fluxes with outflow (zero-gradient) boundaries.
-            let (w, faces) = (&lanes.prev, &mut lanes.lo);
+            let faces = &mut lanes.lo;
             resize(faces, n + 1);
-            hll_lanes(faces, 0, (cells, w, 0), (cells, w, 0), 1);
-            hll_lanes(faces, 1, (cells, w, 0), (cells, w, 1), n - 1);
-            hll_lanes(faces, n, (cells, w, n - 1), (cells, w, n - 1), 1);
+            let run = |start: usize| lanes.prev.run(cells, start, 1);
+            hll_lanes(faces, 0, run(0), run(0), 1);
+            let body = |start: usize| lanes.prev.run(cells, start, n - 1);
+            hll_lanes(faces, 1, body(0), body(1), n - 1);
+            hll_lanes(faces, n, run(n - 1), run(n - 1), 1);
             update_lanes(
                 row_mut(&mut q, nx, r),
                 [&lanes.lo, &lanes.lo],
@@ -95,17 +97,17 @@ pub fn sweep(state: &mut HydroState, axis: Axis, dt: f64) {
         // completes row c - 1, which is then updated in place.
         let first = row(&q, nx, at(p, 0));
         lanes.prev.compute(&eos, first);
-        let edge = (first, &lanes.prev, 0);
+        let edge = lanes.prev.run(first, 0, nx);
         hll_lanes(&mut lanes.lo, 0, edge, edge, nx);
         for c in 1..=n {
             let below = row(&q, nx, at(p, c - 1));
             if c < n {
                 let above = row(&q, nx, at(p, c));
                 lanes.cur.compute(&eos, above);
-                let (l, r) = ((below, &lanes.prev, 0), (above, &lanes.cur, 0));
+                let (l, r) = (lanes.prev.run(below, 0, nx), lanes.cur.run(above, 0, nx));
                 hll_lanes(&mut lanes.hi, 0, l, r, nx);
             } else {
-                let edge = (below, &lanes.prev, 0);
+                let edge = lanes.prev.run(below, 0, nx);
                 hll_lanes(&mut lanes.hi, 0, edge, edge, nx);
             }
             let cells = row_mut(&mut q, nx, at(p, c - 1));
@@ -153,25 +155,60 @@ struct Waves {
 impl Waves {
     fn compute(&mut self, eos: &IdealGas, q: [&[f64]; 5]) {
         let n = q[0].len();
+        let q = q.map(|a| &a[..n]);
         self.un.resize(n, 0.0);
         self.c.resize(n, 0.0);
         resize(&mut self.flux, n);
+        let (un, c) = (&mut self.un[..n], &mut self.c[..n]);
+        let mut flux = self.flux.each_mut().map(|f| &mut f[..n]);
         for i in 0..n {
             let w = Wave::new(eos, cell(q, i));
-            self.un[i] = w.un;
-            self.c[i] = w.c;
+            un[i] = w.un;
+            c[i] = w.c;
             let f = [w.flux.rho, w.flux.mn, w.flux.mt1, w.flux.mt2, w.flux.energy];
-            for (out, f) in self.flux.iter_mut().zip(f) {
+            for (out, f) in flux.iter_mut().zip(f) {
                 out[i] = f;
             }
         }
     }
 
+    /// Lanes `start..start + len` of these waves over the states `q`.
+    fn run<'a>(&'a self, q: [&'a [f64]; 5], start: usize, len: usize) -> Run<'a> {
+        let lanes = start..start + len;
+        Run {
+            q: q.map(|a| &a[lanes.clone()]),
+            un: &self.un[lanes.clone()],
+            c: &self.c[lanes.clone()],
+            flux: self.flux.each_ref().map(|f| &f[lanes.clone()]),
+        }
+    }
+}
+
+/// A run of prepared cells: their states and waves, lane by lane.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    q: [&'a [f64]; 5],
+    un: &'a [f64],
+    c: &'a [f64],
+    flux: [&'a [f64]; 5],
+}
+
+impl Run<'_> {
+    /// The first `len` lanes, every component cut to exactly that length.
+    fn take(self, len: usize) -> Self {
+        Run {
+            q: self.q.map(|a| &a[..len]),
+            un: &self.un[..len],
+            c: &self.c[..len],
+            flux: self.flux.map(|f| &f[..len]),
+        }
+    }
+
     #[inline(always)]
-    fn wave(&self, q: [&[f64]; 5], i: usize) -> Wave {
+    fn wave(&self, i: usize) -> Wave {
         let f = |k: usize| self.flux[k][i];
         Wave {
-            state: cell(q, i),
+            state: cell(self.q, i),
             un: self.un[i],
             c: self.c[i],
             flux: Cons1D {
@@ -196,18 +233,16 @@ fn cell(q: [&[f64]; 5], i: usize) -> Cons1D {
     }
 }
 
-/// One side of a run of faces: the cells' states, their waves, and the
-/// lane the run starts at.
-type Side<'a> = ([&'a [f64]; 5], &'a Waves, usize);
-
-/// Faces `at..at + len` of `out`: the HLL flux between lane `l + i` on the
-/// left and lane `r + i` on the right.
-fn hll_lanes(out: &mut [Vec<f64>; 5], at: usize, (ql, wl, l): Side, (qr, wr, r): Side, len: usize) {
+/// Faces `at..at + len` of `out`: lane `i` is the HLL flux between lane
+/// `i` of `left` and lane `i` of `right`.
+fn hll_lanes(out: &mut [Vec<f64>; 5], at: usize, left: Run, right: Run, len: usize) {
+    let (left, right) = (left.take(len), right.take(len));
+    let mut out = out.each_mut().map(|o| &mut o[at..at + len]);
     for i in 0..len {
-        let h = hll_between(&wl.wave(ql, l + i), &wr.wave(qr, r + i));
+        let h = hll_between(&left.wave(i), &right.wave(i));
         let h = [h.rho, h.mn, h.mt1, h.mt2, h.energy];
         for (out, h) in out.iter_mut().zip(h) {
-            out[at + i] = h;
+            out[i] = h;
         }
     }
 }
