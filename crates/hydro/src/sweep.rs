@@ -70,10 +70,10 @@ pub fn sweep(state: &mut HydroState, axis: Axis, dt: f64) {
             let faces = &mut lanes.lo;
             resize(faces, n + 1);
             let run = |start: usize| lanes.prev.run(cells, start, 1);
-            hll_lanes(faces, 0, run(0), run(0), 1);
+            hll_lanes(faces, 0, run(0), run(0));
             let body = |start: usize| lanes.prev.run(cells, start, n - 1);
-            hll_lanes(faces, 1, body(0), body(1), n - 1);
-            hll_lanes(faces, n, run(n - 1), run(n - 1), 1);
+            hll_lanes(faces, 1, body(0), body(1));
+            hll_lanes(faces, n, run(n - 1), run(n - 1));
             update_lanes(
                 row_mut(&mut q, nx, r),
                 [&lanes.lo, &lanes.lo],
@@ -98,17 +98,17 @@ pub fn sweep(state: &mut HydroState, axis: Axis, dt: f64) {
         let first = row(&q, nx, at(p, 0));
         lanes.prev.compute(&eos, first);
         let edge = lanes.prev.run(first, 0, nx);
-        hll_lanes(&mut lanes.lo, 0, edge, edge, nx);
+        hll_lanes(&mut lanes.lo, 0, edge, edge);
         for c in 1..=n {
             let below = row(&q, nx, at(p, c - 1));
             if c < n {
                 let above = row(&q, nx, at(p, c));
                 lanes.cur.compute(&eos, above);
                 let (l, r) = (lanes.prev.run(below, 0, nx), lanes.cur.run(above, 0, nx));
-                hll_lanes(&mut lanes.hi, 0, l, r, nx);
+                hll_lanes(&mut lanes.hi, 0, l, r);
             } else {
                 let edge = lanes.prev.run(below, 0, nx);
-                hll_lanes(&mut lanes.hi, 0, edge, edge, nx);
+                hll_lanes(&mut lanes.hi, 0, edge, edge);
             }
             let cells = row_mut(&mut q, nx, at(p, c - 1));
             update_lanes(cells, [&lanes.lo, &lanes.hi], [0, 0], lambda);
@@ -233,9 +233,10 @@ fn cell(q: [&[f64]; 5], i: usize) -> Cons1D {
     }
 }
 
-/// Faces `at..at + len` of `out`: lane `i` is the HLL flux between lane
-/// `i` of `left` and lane `i` of `right`.
-fn hll_lanes(out: &mut [Vec<f64>; 5], at: usize, left: Run, right: Run, len: usize) {
+/// Faces `at..` of `out`, one per lane of `left`: lane `i` is the HLL flux
+/// between lane `i` of `left` and lane `i` of `right`.
+fn hll_lanes(out: &mut [Vec<f64>; 5], at: usize, left: Run, right: Run) {
+    let len = left.un.len();
     let (left, right) = (left.take(len), right.take(len));
     let mut out = out.each_mut().map(|o| &mut o[at..at + len]);
     for i in 0..len {

@@ -248,7 +248,8 @@ mod tests {
 
     /// A seeded soup of triangles in a 10-unit box, with the awkward ones
     /// mixed in: slivers, zero-area and repeated-vertex triangles, NaN
-    /// coordinates, and triangles taller than the viewport.
+    /// coordinates, triangles taller than the viewport, and exact repeats
+    /// of the previous triangle in another shade (equal depths).
     fn awkward_mesh(seed: u64, triangles: usize) -> TriangleMesh {
         let mut x = seed;
         let mut next = move || {
@@ -258,12 +259,15 @@ mod tests {
             (x >> 40) as f32 / (1u64 << 24) as f32
         };
         let mut mesh = TriangleMesh::new();
+        let mut previous = [[0.0f32; 3]; 3];
         for t in 0..triangles {
             let mut p = [[0.0f32; 3]; 3];
             for v in p.iter_mut().flatten() {
                 *v = 10.0 * next();
             }
             match t % 9 {
+                // An exact repeat: only the depth-test order picks its colour.
+                0 if t > 0 => p = previous,
                 // A sliver: the third vertex a hair off the first edge.
                 1 => p[2] = [p[0][0] + 1e-4, p[0][1] + 5.0 * next(), p[0][2]],
                 // Zero area: collinear, or all three vertices the same.
@@ -280,6 +284,7 @@ mod tests {
             }
             let normal = [next() - 0.5, next() - 0.5, next() - 0.5];
             mesh.push_triangle(p[0], p[1], p[2], normal);
+            previous = p;
         }
         mesh
     }
