@@ -178,8 +178,9 @@ impl SimulationServer {
             Some(solver) => {
                 let snapshot = solver.snapshot();
                 let bytes = snapshot.nbytes();
-                // A full channel only means the consumer lags; drop-oldest
-                // semantics are fine for monitoring.
+                // The channel is unbounded, so nothing is dropped: a send
+                // fails only once the visualization side has hung up, and
+                // then there is nobody left to deliver to.
                 let _ = self.data_tx.send(snapshot);
                 bytes
             }

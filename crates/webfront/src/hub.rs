@@ -15,23 +15,20 @@
 //!   not with pollers).  The writers put the pixel body straight into the
 //!   payload text, so an encode costs what its bytes cost.
 //! * **Delta frames.**  Publish computes the changed-tile difference to
-//!   the *previous* frame ([`diff_images`]).  A poller that is exactly one
-//!   frame behind and asks for [`PollMode::Delta`] receives only the tiles
-//!   that changed — the paper's "partial screen updates" carried through
-//!   to the wire.  The delta is kept only when it is at least 10% smaller
+//!   the *previous* frame ([`diff_images`]).  A poller `k` frames behind
+//!   (1 ≤ `k` ≤ [`MAX_DELTA_CHAIN`]) that asks for [`PollMode::Delta`]
+//!   receives only the tiles that changed since its frame — the paper's
+//!   "partial screen updates" carried through to the wire.  The steps'
+//!   tiles are merged on their common grid, the newest version of each
+//!   winning, which is exactly applying them one by one; one step is a
+//!   chain of one.  A delta ships only when it is at least 10% smaller
 //!   than the full payload (whose length is computed, not encoded, for the
-//!   comparison), and any poller further behind (or a resized frame)
-//!   silently falls back to the full frame, so delta mode is never worse
-//!   and always exact: [`apply_delta`] reconstructs the full frame
-//!   bit-for-bit.
-//! * **Delta chains.**  A poller `k` frames behind (2 ≤ `k` ≤
-//!   [`MAX_DELTA_CHAIN`]) receives the *composition* of the cached per-step
-//!   deltas — the union of changed tiles with the newest version of each
-//!   tile winning — instead of a full frame.  Because every step's delta is
-//!   cut on the same tile grid, composing patches keyed by tile origin is
-//!   exactly equivalent to applying the steps one by one.  Compositions are
-//!   encoded once per `(since, head)` pair and shared, so encode work stays
-//!   bounded by the chain length, never by the poller count.
+//!   comparison).  When the chain to the newest frame does not ship, the
+//!   poller steps one frame (`since + 1`'s delta, else the full payload of
+//!   the oldest frame after `since`); a poller further behind gets the
+//!   newest full frame.  So delta mode is
+//!   never worse and always exact: [`apply_delta`] reconstructs the frame
+//!   bit-for-bit.  Every delta is encoded once, like a full payload.
 //! * **Snapshot reads, one publish critical section.**  The published
 //!   frame ring is an immutable snapshot behind a `std::sync::RwLock`: a
 //!   reader holds the read guard only to clone the snapshot's `Arc`, and
@@ -50,8 +47,8 @@
 //!   cursor — the client holds the pixels, so it knows which frame they
 //!   are (DESIGN.md §7.1).
 //!
-//! Steering commands posted by clients are queued in a [`SteeringInbox`]
-//! for the simulation side to drain between cycles.
+//! The newest steering command posted by clients waits in a
+//! [`SteeringInbox`] for the simulation side to take between cycles.
 //!
 //! See DESIGN.md §7 for the state machine and the delta exactness argument,
 //! and §10 for the snapshot invariants and the traffic assumption.
@@ -59,17 +56,16 @@
 use ricsa_hydro::steering::SteerableParams;
 use ricsa_viz::image::Image;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Tile edge length (pixels) used for delta frames.
 pub const DELTA_TILE: usize = 32;
 
-/// Longest delta chain composed for a lagging poller: a client more than
-/// this many frames behind receives a full frame instead.  Bounds both the
-/// tile-merge work per composition and the number of distinct
-/// `(since, head)` compositions the hub can be asked to encode per publish.
+/// Longest delta chain served to a lagging poller: a client more than this
+/// many frames behind receives a full frame instead.  Bounds both the
+/// tile-merge work per chain and the number of chains the hub can be asked
+/// to encode per publish.
 pub const MAX_DELTA_CHAIN: u64 = 8;
 
 /// One published frame.
@@ -304,7 +300,10 @@ pub fn apply_delta(prev: &Image, delta: &FrameDelta) -> Image {
 
 /// Parse a delta poll response (the wire JSON produced by the hub) back
 /// into its base sequence and [`FrameDelta`].  Used by tests and clients
-/// that reconstruct frames outside a browser.
+/// that reconstruct frames outside a browser.  `None` on a malformed
+/// payload, including a zero tile edge and a tile whose rectangle leaves
+/// the image or whose bytes do not fill it exactly — [`apply_delta`]
+/// trusts every tile it is given.
 pub fn delta_from_json(value: &serde_json::Value) -> Option<(u64, FrameDelta)> {
     if value.get("mode")?.as_str()? != "delta" {
         return None;
@@ -313,6 +312,9 @@ pub fn delta_from_json(value: &serde_json::Value) -> Option<(u64, FrameDelta)> {
     let width = value.get("width")?.as_u64()? as usize;
     let height = value.get("height")?.as_u64()? as usize;
     let tile = value.get("tile")?.as_u64()? as usize;
+    if tile == 0 {
+        return None;
+    }
     let mut tiles = Vec::new();
     for t in value.get("tiles")?.as_array()? {
         let raw = base64_decode(t.get("data_base64")?.as_str()?)?;
@@ -321,13 +323,20 @@ pub fn delta_from_json(value: &serde_json::Value) -> Option<(u64, FrameDelta)> {
         } else {
             raw
         };
-        tiles.push(TilePatch {
+        let patch = TilePatch {
             x: t.get("x")?.as_u64()? as usize,
             y: t.get("y")?.as_u64()? as usize,
             w: t.get("w")?.as_u64()? as usize,
             h: t.get("h")?.as_u64()? as usize,
             data,
-        });
+        };
+        if patch.x.checked_add(patch.w)? > width
+            || patch.y.checked_add(patch.h)? > height
+            || patch.w.checked_mul(patch.h)?.checked_mul(4)? != patch.data.len()
+        {
+            return None;
+        }
+        tiles.push(patch);
     }
     Some((
         base,
@@ -469,8 +478,8 @@ pub fn encode_frame_delta(
 }
 
 /// [`encode_frame_delta`] over borrowed tiles: `grid` gives the geometry
-/// (its own tiles are ignored), `tiles` the patches to ship, so a composed
-/// chain copies each tile's pixels once, into the output.
+/// (its own tiles are ignored), `tiles` the patches to ship, so a chain
+/// copies each tile's pixels once, into the output.
 fn write_delta(
     frame: &Frame,
     epoch: u64,
@@ -538,28 +547,31 @@ struct CachedFrame {
     /// `full` when that exists, computed without encoding otherwise.
     full_len: OnceLock<usize>,
     /// Delta payload against the immediately preceding sequence number;
-    /// `None` for the first frame, after a resize, or when the delta would
-    /// not be meaningfully smaller than the full payload.
+    /// `None` for the first frame, after a resize or an undecodable image,
+    /// or when the delta would not be meaningfully smaller than the full
+    /// payload.
     delta: OnceLock<Option<Arc<str>>>,
     /// The raw (un-encoded) tile difference against the immediately
-    /// preceding sequence, kept for chain composition — present even when
-    /// the encoded single-step delta was discarded as unprofitable, since
-    /// a *composed* chain containing this step may still win.
+    /// preceding sequence, kept for chains — present even when the encoded
+    /// single-step delta was discarded as unprofitable, since a chain
+    /// containing this step may still win.
     delta_raw: Option<FrameDelta>,
 }
 
 /// An immutable snapshot of the published frames, replaced whole on every
 /// publish.  A poller clones the current `Arc` under the ring's read guard
 /// and resolves its payload against the snapshot with no lock held.
+#[derive(Default)]
 struct FrameRing {
     /// Retained frames in ascending, gap-free sequence order (cloning the
     /// ring clones `Arc`s, not payloads).  The last one is the head.
     frames: Vec<Arc<CachedFrame>>,
+    /// The delta chains to the head, indexed by lag − 2 (a one-step delta
+    /// lives in its frame's `delta`), each made by the first poller at
+    /// that lag.  They belong to this snapshot, so a publish that replaces
+    /// it frees them.
+    chains: [OnceLock<Option<Arc<str>>>; MAX_DELTA_CHAIN as usize - 1],
 }
-
-/// Composed-delta memo: `(since, head)` → encoded payload, or `None` for
-/// a composition tried and found unprofitable.
-type ComposeCache = HashMap<(u64, u64), Option<Arc<str>>>;
 
 /// A hub lock's guard, poisoned or not.  Poison is recovered, not
 /// propagated: every hub critical section leaves its data valid at every
@@ -584,19 +596,13 @@ struct HubInner {
     publisher: Mutex<Option<Image>>,
     /// Frames retained in the ring.
     capacity: usize,
-    /// Total encode passes (full + single-step delta + composed delta).
+    /// Total encode passes (full + delta).
     encodes: AtomicU64,
     /// Instance marker stamped into every payload: a client holding state
     /// from a previous server incarnation sees the epoch change and knows
     /// its pixel buffer and `since` cursor are stale (a delta against
     /// another epoch must never be applied).  Immutable after creation.
     epoch: u64,
-    /// Composed-delta cache, keyed `(since, head)`; cleared on publish.
-    /// `None` records a composition that was tried and found unprofitable,
-    /// so it is not re-attempted for every poller at the same lag.  The
-    /// lock is *held through the encode* so racing pollers at the same lag
-    /// share one composition instead of encoding it N times.
-    compose: Mutex<ComposeCache>,
     /// Callbacks run after every publish, once the new ring snapshot is
     /// visible — the server wires the HTTP [`crate::Waker`] doorbell here.
     wake_hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
@@ -633,19 +639,45 @@ impl HubInner {
         delta_json.len() * 10 <= self.full_len(cached) * 9
     }
 
-    /// The single-step delta payload of `cached`, encoded on first demand;
-    /// `None` when there is no tile difference or it is not profitable.
-    fn step_delta(&self, cached: &CachedFrame) -> Option<Arc<str>> {
-        cached
-            .delta
-            .get_or_init(|| {
-                let raw = cached.delta_raw.as_ref()?;
-                self.encodes.fetch_add(1, Ordering::Relaxed);
-                let frame = &cached.frame;
-                let json = encode_frame_delta(frame, self.epoch, frame.sequence - 1, raw);
-                self.profitable(&json, cached).then(|| Arc::from(json))
-            })
-            .clone()
+    /// The delta payload carrying a client from `since` to the retained
+    /// frame `to`: the tiles of steps `since+1..=to` merged into one slot
+    /// per grid cell, the newest step winning — exactly the steps applied
+    /// in order, and already in row-major order.  Encoded on first demand
+    /// and memoised: one step in `to`'s own `delta`, a chain (whose `to` is
+    /// the head) in the ring's `chains`.  `None` when a step is not
+    /// retained or has no tile difference (the first frame, a resize, an
+    /// undecodable image), when the chain is longer than
+    /// [`MAX_DELTA_CHAIN`], or when the delta is not profitable.
+    fn delta(&self, ring: &FrameRing, since: u64, to: u64) -> Option<Arc<str>> {
+        // The ring is gap-free, so frame `s` sits at index `s - first`.
+        let first = ring.frames.first()?.frame.sequence;
+        let start = (since + 1).checked_sub(first)? as usize;
+        let steps = ring.frames.get(start..=to.checked_sub(first)? as usize)?;
+        let target = steps.last()?;
+        let memo = match steps.len() {
+            1 => &target.delta,
+            lag => {
+                debug_assert_eq!(to, ring.head(), "a chain ends at the head");
+                ring.chains.get(lag - 2)?
+            }
+        };
+        memo.get_or_init(|| {
+            // Two consecutive present deltas share one geometry: each was
+            // cut against its predecessor's decoded image.
+            let grid = steps[0].delta_raw.as_ref()?;
+            let cols = grid.width.div_ceil(grid.tile);
+            let mut slots = vec![None; cols * grid.height.div_ceil(grid.tile)];
+            for step in steps {
+                for tile in &step.delta_raw.as_ref()?.tiles {
+                    slots[tile.y / grid.tile * cols + tile.x / grid.tile] = Some(tile);
+                }
+            }
+            let tiles: Vec<&TilePatch> = slots.into_iter().flatten().collect();
+            self.encodes.fetch_add(1, Ordering::Relaxed);
+            let json = write_delta(&target.frame, self.epoch, since, grid, &tiles);
+            self.profitable(&json, target).then(|| Arc::from(json))
+        })
+        .clone()
     }
 }
 
@@ -697,12 +729,11 @@ impl SessionHub {
     pub fn new(capacity: usize) -> Self {
         SessionHub {
             inner: Arc::new(HubInner {
-                ring: RwLock::new(Arc::new(FrameRing { frames: Vec::new() })),
+                ring: RwLock::default(),
                 publisher: Mutex::new(None),
                 capacity: capacity.max(1),
                 encodes: AtomicU64::new(0),
                 epoch: fresh_epoch(),
-                compose: Mutex::new(HashMap::new()),
                 wake_hooks: Mutex::new(Vec::new()),
             }),
         }
@@ -756,15 +787,14 @@ impl SessionHub {
                 let excess = frames.len() - inner.capacity;
                 frames.drain(..excess);
             }
-            let next = Arc::new(FrameRing { frames });
+            let next = Arc::new(FrameRing {
+                frames,
+                ..FrameRing::default()
+            });
             // One pointer swap under the write guard; the displaced
             // snapshot is dropped once the guard is released.
             let displaced = std::mem::replace(&mut *recover(inner.ring.write()), next);
             drop(displaced);
-            // Compositions target the previous head; drop them (bounded
-            // memory, and stale entries would only be asked for once more
-            // anyway).
-            recover(inner.compose.lock()).clear();
             seq
         };
 
@@ -792,11 +822,11 @@ impl SessionHub {
         self.inner.epoch
     }
 
-    /// Total encode passes performed (full + per-step delta + composed
-    /// delta), each on the first demand for that payload.  A frame costs
-    /// at most one full and one single-step delta encode — nothing while
-    /// nobody polls it, one when every poller asks for the same mode —
-    /// plus at most [`MAX_DELTA_CHAIN`] compositions while it is the head.
+    /// Total encode passes performed (full + delta), each on the first
+    /// demand for that payload.  A frame costs at most one full and one
+    /// single-step delta encode — nothing while nobody polls it, one when
+    /// every poller asks for the same mode — plus at most one chain per
+    /// lag in 2..=[`MAX_DELTA_CHAIN`] while it is the head.
     /// Grows with publishes, never with pollers: the invariant the encode
     /// cache exists to provide.
     pub fn encode_count(&self) -> u64 {
@@ -816,124 +846,50 @@ impl SessionHub {
     /// Resolves against the current ring snapshot; the first request for a
     /// payload encodes it, every later one clones the shared `Arc`.
     ///
-    /// [`PollMode::Full`] (and a client exactly at the head) always gets
-    /// the oldest retained frame newer than `since`, as a full payload.
-    /// [`PollMode::Delta`] serves, in order of preference: the cached
-    /// single-step delta when the client is exactly one frame behind; the
-    /// *composed* delta chain carrying it straight to the newest frame
-    /// when it is 2..=[`MAX_DELTA_CHAIN`] behind and every step's tile
-    /// difference is available; the full frame otherwise.  Compositions
-    /// are encoded once per `(since, head)` pair and shared.
+    /// [`PollMode::Full`] always gets the oldest retained frame newer than
+    /// `since`, as a full payload.  [`PollMode::Delta`] serves, in order of
+    /// preference: the delta carrying the client straight to the newest
+    /// frame when it is 1..=[`MAX_DELTA_CHAIN`] behind; the one-step delta
+    /// to `since + 1`; the full frame otherwise — the newest one for a
+    /// client further behind than a chain reaches.
     pub fn try_payload(&self, since: u64, mode: PollMode) -> Option<FramePayload> {
-        let ring = self.inner.ring();
-        let cached = ring.first_after(since)?;
-        let sequence = cached.frame.sequence;
+        let inner = &*self.inner;
+        let ring = inner.ring();
+        let mut cached = ring.first_after(since)?;
         if mode == PollMode::Delta {
-            // first_after succeeded, so head > since and lag >= 1.
-            let lag = ring.head() - since;
-            if (2..=MAX_DELTA_CHAIN).contains(&lag) {
-                if let Some(payload) = self.composed_delta(&ring, since) {
-                    return Some(payload);
-                }
-            }
-            if lag > MAX_DELTA_CHAIN {
-                // Too far behind to compose: resync with the newest full
-                // frame in one hop instead of replaying stale frames.
-                return ring.newest().map(|newest| FramePayload {
-                    sequence: newest.frame.sequence,
-                    json: self.inner.full(newest),
-                    is_delta: false,
-                });
-            }
-            // One behind (or an unprofitable/incomplete chain): step with
-            // the cached per-publish delta when there is one.
-            if sequence == since + 1 {
-                if let Some(json) = self.inner.step_delta(cached) {
-                    return Some(FramePayload {
-                        sequence,
-                        json,
-                        is_delta: true,
-                    });
+            // first_after succeeded, so head > since.
+            let head = ring.head();
+            if head - since > MAX_DELTA_CHAIN {
+                // Resync in one hop instead of replaying stale frames.
+                cached = ring.newest()?;
+            } else {
+                for to in [head, since + 1] {
+                    if let Some(json) = inner.delta(&ring, since, to) {
+                        return Some(FramePayload {
+                            sequence: to,
+                            json,
+                            is_delta: true,
+                        });
+                    }
                 }
             }
         }
         Some(FramePayload {
-            sequence,
-            json: self.inner.full(cached),
+            sequence: cached.frame.sequence,
+            json: inner.full(cached),
             is_delta: false,
-        })
-    }
-
-    /// Compose the per-step deltas `since+1..=head` into one merged delta
-    /// payload (newest version of each tile wins), encoded at most once
-    /// per `(since, head)` pair.  `None` when the chain is too long or too
-    /// short, any step is missing its raw delta (first frame, resize,
-    /// evicted), geometries differ, or the composition is not meaningfully
-    /// smaller than the head's full payload.
-    fn composed_delta(&self, ring: &FrameRing, since: u64) -> Option<FramePayload> {
-        let inner = &*self.inner;
-        let head = ring.head();
-        let lag = head.checked_sub(since)?;
-        if !(2..=MAX_DELTA_CHAIN).contains(&lag) {
-            return None;
-        }
-        // Collect the contiguous steps since+1..=head; every one must be
-        // retained and carry a raw delta on the same geometry.
-        let start = ring.frames.partition_point(|c| c.frame.sequence <= since);
-        let steps = &ring.frames[start..];
-        let mut chain = Vec::with_capacity(lag as usize);
-        for (offset, want) in (since + 1..=head).enumerate() {
-            let step = steps.get(offset)?;
-            if step.frame.sequence != want {
-                return None;
-            }
-            chain.push((step, step.delta_raw.as_ref()?));
-        }
-        let (_, first) = chain[0];
-        if chain.iter().any(|(_, d)| {
-            d.width != first.width || d.height != first.height || d.tile != first.tile
-        }) {
-            return None;
-        }
-
-        let mut cache = recover(inner.compose.lock());
-        if let Some(entry) = cache.get(&(since, head)) {
-            return entry.as_ref().map(|json| FramePayload {
-                sequence: head,
-                json: json.clone(),
-                is_delta: true,
-            });
-        }
-        // Merge: tiles are keyed by their grid origin (every step is cut
-        // on the same grid), so replacing older versions of a tile with
-        // newer ones is exactly equivalent to applying the steps in order.
-        let mut merged: HashMap<(usize, usize), &TilePatch> = HashMap::new();
-        for (_, delta) in &chain {
-            for tile in &delta.tiles {
-                merged.insert((tile.x, tile.y), tile);
-            }
-        }
-        let mut tiles: Vec<&TilePatch> = merged.into_values().collect();
-        tiles.sort_by_key(|t| (t.y, t.x));
-        let (head_frame, _) = chain[lag as usize - 1];
-        let json = write_delta(&head_frame.frame, inner.epoch, since, first, &tiles);
-        inner.encodes.fetch_add(1, Ordering::Relaxed);
-        // Same profitability rule as single-step deltas, and the verdict
-        // is cached so other pollers at this lag skip the attempt.
-        let entry: Option<Arc<str>> = inner.profitable(&json, head_frame).then(|| Arc::from(json));
-        cache.insert((since, head), entry.clone());
-        entry.map(|json| FramePayload {
-            sequence: head,
-            json,
-            is_delta: true,
         })
     }
 }
 
-/// The queue of steering commands posted by clients.
+/// The steering requests posted by clients, latest wins: the simulation
+/// side applies only the newest between cycles, so the inbox keeps that
+/// one and a count of the posts since the last drain — a flood of posts
+/// while nothing drains costs no memory.
 #[derive(Clone, Default)]
 pub struct SteeringInbox {
-    queue: Arc<Mutex<VecDeque<SteerableParams>>>,
+    /// The newest request, and the number of posts since the last drain.
+    pending: Arc<Mutex<(Option<SteerableParams>, usize)>>,
 }
 
 impl SteeringInbox {
@@ -944,26 +900,24 @@ impl SteeringInbox {
 
     /// Post a steering request (from an HTTP handler).
     pub fn post(&self, params: SteerableParams) {
-        recover(self.queue.lock()).push_back(params);
+        let mut pending = recover(self.pending.lock());
+        *pending = (Some(params), pending.1 + 1);
     }
 
     /// Drain all pending requests (from the simulation loop); the last one
     /// wins when several arrived between cycles.
     pub fn drain_latest(&self) -> Option<SteerableParams> {
-        let mut queue = recover(self.queue.lock());
-        let last = queue.iter().last().copied();
-        queue.clear();
-        last
+        std::mem::take(&mut *recover(self.pending.lock())).0
     }
 
-    /// Number of queued requests.
+    /// Number of requests posted since the last drain.
     pub fn len(&self) -> usize {
-        recover(self.queue.lock()).len()
+        recover(self.pending.lock()).1
     }
 
-    /// Whether the inbox is empty.
+    /// Whether no request is pending.
     pub fn is_empty(&self) -> bool {
-        recover(self.queue.lock()).is_empty()
+        self.len() == 0
     }
 }
 
@@ -1335,6 +1289,36 @@ mod tests {
         let (base, wire) = delta_from_json(&value).unwrap();
         assert_eq!(base, 1);
         assert_eq!(apply_delta(&prev, &wire), cur);
+    }
+
+    #[test]
+    fn delta_from_json_rejects_tiles_apply_delta_cannot_apply() {
+        // A 64×48 delta with one tile of `bytes` bytes at (x, y), size w×h,
+        // on a grid of edge `tile`.
+        let delta = |tile: usize, (x, y, w, h): (usize, usize, usize, usize), bytes: usize| {
+            let patch = serde_json::json!({
+                "x": x, "y": y, "w": w, "h": h,
+                "data_base64": base64_encode(&vec![9; bytes]),
+            });
+            serde_json::json!({
+                "mode": "delta", "base_sequence": 1, "width": 64, "height": 48,
+                "tile": tile, "tiles": [patch],
+            })
+        };
+        let whole = 32 * 16 * 4;
+        let (_, wire) = delta_from_json(&delta(32, (32, 32, 32, 16), whole)).unwrap();
+        let applied = apply_delta(&Image::new(64, 48), &wire);
+        assert_eq!(applied.get(63, 47), [9; 4]);
+        for (what, bad) in [
+            ("short data", delta(32, (32, 32, 32, 16), whole - 4)),
+            ("long data", delta(32, (32, 32, 32, 16), whole + 4)),
+            ("past the right edge", delta(32, (40, 32, 32, 16), whole)),
+            ("past the bottom edge", delta(32, (32, 40, 32, 16), whole)),
+            ("rectangle overflow", delta(32, (1 << 63, 0, 1 << 63, 1), 4)),
+            ("zero tile edge", delta(0, (32, 32, 32, 16), whole)),
+        ] {
+            assert!(delta_from_json(&bad).is_none(), "{what} was accepted");
+        }
     }
 
     #[test]
