@@ -98,6 +98,20 @@ fn adaptive_loop_records_on_the_demo_wan_are_pinned() {
     }
 }
 
+/// An event at exactly t = 0 is in force before the oracle's first
+/// decision, which is made before the simulator has run: the oracle
+/// leaves the collapsing route before frame 0 is requested.
+#[test]
+fn oracle_record_with_an_event_at_t_zero_is_pinned() {
+    let mut spec = demo_spec();
+    spec.schedule = demo_wan().degradation(0.0, 0.08);
+    let run = run_adaptive_loop(&spec, AdaptPolicy::Oracle).expect("the demo WAN admits a mapping");
+    assert_eq!(run.frames_lost + run.frames_duplicated, 0);
+    assert_eq!(run.migrations.len(), 1);
+    assert_eq!(run.migrations[0].first_iteration, 0);
+    assert_eq!(adaptive_digest(&run), "6fd5ec1a356d60ce");
+}
+
 /// A generated WAN with lossy links and one member of its seeded schedule
 /// family, turned into a loop spec exactly as `adapt_sweep` does.
 fn lossy_spec(kind: WanKind, nodes: usize, wan_seed: u64, member: usize) -> AdaptiveLoopSpec {
