@@ -10,9 +10,9 @@
 //!   change clears the re-map margin the loop migrates at the next frame
 //!   boundary;
 //! * [`AdaptPolicy::Oracle`] — re-solves from scratch before every frame
-//!   with the *true* current link parameters (maintained by replaying the
-//!   event schedule onto a topology copy).  This is the unachievable
-//!   upper bound the adaptive controller is measured against.
+//!   with the *true* current link parameters, read from the running
+//!   simulator.  This is the unachievable upper bound the adaptive
+//!   controller is measured against.
 //!
 //! This module holds the spec, the run record and the demo WAN.  The loop
 //! itself is the one-session case of the frame-paced driver that also runs
@@ -122,7 +122,7 @@ pub struct AdaptiveRun {
     /// Measured end-to-end delay of each completed frame, frame order.
     pub delays: Vec<f64>,
     /// Virtual start time of each frame (the data source's
-    /// `iteration-start` trace note), frame order.
+    /// `IterationStarted` trace record), frame order.
     pub starts: Vec<f64>,
     /// The data path each frame travelled, frame order.
     pub paths: Vec<Vec<usize>>,
@@ -178,15 +178,13 @@ impl AdaptiveRun {
 }
 
 /// Run one policy over the spec.  Errors only on structurally impossible
-/// inputs (no feasible initial mapping, a self-revisiting data path, or
-/// the CM placed on the data source).
+/// inputs (no feasible initial mapping, a self-revisiting data path, the
+/// CM placed on the data source, zero iterations, or a session id that
+/// overflows the flow-id session bits).
 pub fn run_adaptive_loop(
     spec: &AdaptiveLoopSpec,
     policy: AdaptPolicy,
 ) -> Result<AdaptiveRun, String> {
-    if spec.cm == spec.source {
-        return Err("the CM node must differ from the data source".into());
-    }
     let base_graph = NetGraph::from_topology(&spec.topology);
     let (initial, _) = optimize_with(
         &spec.pipeline,
@@ -209,7 +207,10 @@ pub fn run_adaptive_loop(
             ),
             true,
         ),
-        AdaptPolicy::Oracle => Controller::oracle(&spec.topology, spec.adapt.options),
+        AdaptPolicy::Oracle => Controller::Oracle {
+            options: spec.adapt.options,
+            timing: (0.0, 0),
+        },
     };
     let session = SessionLoopSpec {
         id: spec.session,
@@ -443,5 +444,16 @@ mod tests {
         let mut s = spec(1, 1e9);
         s.cm = wan.source;
         assert!(run_adaptive_loop(&s, AdaptPolicy::Static).is_err());
+    }
+
+    /// A session id beyond the flow id's session bits would be shifted
+    /// out of every data flow id, and the session mux would drop the
+    /// loop's data: the run must refuse it up front.
+    #[test]
+    fn a_session_id_beyond_the_flow_id_bits_is_an_error() {
+        let mut s = spec(1, 1e9);
+        s.session = crate::stage::SESSION_ID_BOUND;
+        let error = run_adaptive_loop(&s, AdaptPolicy::Static).expect_err("no run");
+        assert!(error.contains("overflows the flow-id bits"), "{error}");
     }
 }

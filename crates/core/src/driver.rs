@@ -13,9 +13,9 @@
 use crate::adapt::MigrationRecord;
 use crate::message::{ControlMessage, CONTROL_REDUNDANCY};
 use crate::sessions::{SessionLoopSpec, SessionMux};
-use crate::stage::{stage_configs, LinkTelemetrySink, StageApp};
+use crate::stage::{stage_configs, LinkTelemetrySink, StageApp, SESSION_ID_BOUND};
 use ricsa_adapt::monitor::{AdaptMonitor, Decision};
-use ricsa_netsim::dynamics::{apply_event_to_topology, LinkChange, LinkEvent};
+use ricsa_netsim::dynamics::{LinkChange, LinkEvent};
 use ricsa_netsim::link::LinkId;
 use ricsa_netsim::node::NodeId;
 use ricsa_netsim::sim::Simulator;
@@ -25,7 +25,7 @@ use ricsa_netsim::trace::TraceKind;
 use ricsa_pipemap::dp::{optimize_with, DpOptions, OptimizedMapping};
 use ricsa_pipemap::network::NetGraph;
 use ricsa_pipemap::vrt::VisualizationRoutingTable;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Virtual seconds the simulator runs between looks at the trace.
 const STEP_S: f64 = 0.25;
@@ -49,7 +49,7 @@ pub(crate) struct FrameAudit {
     pos: usize,
     /// `(client node, frame)` → (completions, first completion time).
     completions: BTreeMap<(usize, u64), (u32, f64)>,
-    /// `(source node, frame)` → first `iteration-start` time.
+    /// `(source node, frame)` → first `IterationStarted` time.
     starts: BTreeMap<(usize, u64), f64>,
 }
 
@@ -78,11 +78,8 @@ impl FrameAudit {
                     let frame = self.completions.entry((node, *iteration));
                     frame.or_insert((0, at)).0 += 1;
                 }
-                TraceKind::Note { label, .. } => {
-                    let frame = label.strip_prefix("iteration-start:");
-                    if let Some(frame) = frame.and_then(|k| k.parse().ok()) {
-                        self.starts.entry((node, frame)).or_insert(at);
-                    }
+                TraceKind::IterationStarted { iteration } => {
+                    self.starts.entry((node, *iteration)).or_insert(at);
                 }
                 _ => {}
             }
@@ -130,12 +127,9 @@ pub(crate) enum Controller {
         pending: Option<Box<OptimizedMapping>>,
     },
     /// Re-solve from scratch before every frame against the true link
-    /// state: `live` is the topology with the first `cursor` schedule
-    /// events replayed onto it.  `timing` is the wall-clock microseconds
-    /// spent in re-solves and their count.
+    /// state, read from the simulator.  `timing` is the wall-clock
+    /// microseconds spent in re-solves and their count.
     Oracle {
-        live: Topology,
-        cursor: usize,
         options: DpOptions,
         timing: (f64, u64),
     },
@@ -147,16 +141,6 @@ impl Controller {
             monitor: Box::new(monitor),
             migrate,
             pending: None,
-        }
-    }
-
-    /// An oracle starting from the pristine `topology`.
-    pub(crate) fn oracle(topology: &Topology, options: DpOptions) -> Self {
-        Controller::Oracle {
-            live: topology.clone(),
-            cursor: 0,
-            options,
-            timing: (0.0, 0),
         }
     }
 
@@ -199,30 +183,28 @@ impl Controller {
         }
     }
 
-    /// The mapping the next frame of `lp`, requested at `now`, must run on,
-    /// when that is not `current`.
+    /// The mapping the next frame of `lp` must run on, when that is not
+    /// `current`.  `sim` is the running WAN and `pristine` the mapper's
+    /// view of it before any link changed.
     fn next_mapping(
         &mut self,
-        spec: &DriveSpec,
+        sim: &Simulator,
+        pristine: &NetGraph,
         lp: &SessionLoopSpec,
         current: &OptimizedMapping,
-        now: f64,
     ) -> Option<OptimizedMapping> {
         match self {
             Controller::Static => None,
             Controller::Monitored { pending, .. } => pending.take().map(|next| *next),
-            Controller::Oracle {
-                live,
-                cursor,
-                options,
-                timing,
-            } => {
-                let due = |event: &&LinkEvent| event.at.as_secs() <= now;
-                for event in spec.schedule[*cursor..].iter().take_while(due) {
-                    apply_event_to_topology(live, spec.topology, event);
-                    *cursor += 1;
+            Controller::Oracle { options, timing } => {
+                // `NetGraph::from_topology` numbers its links as the
+                // topology numbers its edges.
+                let mut graph = pristine.clone();
+                for edge in sim.topology().edges() {
+                    let spec = sim.link_spec(edge.id)?;
+                    let bandwidth = spec.mean_effective_bandwidth();
+                    graph.set_measured_at(edge.id.0, bandwidth, spec.min_delay);
                 }
-                let graph = NetGraph::from_topology(live);
                 let started = std::time::Instant::now();
                 let (solved, _) =
                     optimize_with(&lp.pipeline, &graph, lp.source.0, lp.client.0, options);
@@ -283,7 +265,7 @@ impl LoopState {
         controller: Controller,
     ) -> Self {
         LoopState {
-            done: spec.frames == 0,
+            done: false,
             spec,
             controller,
             paths: vec![initial.mapping.path.clone()],
@@ -408,9 +390,11 @@ impl Driver<'_> {
     /// Request `lp`'s current frame from its data source, on a new mapping
     /// when the controller says so.
     fn request_frame(&mut self, lp: &mut LoopState) -> Result<(), String> {
-        let now = self.sim.now().as_secs();
         let (spec, current) = (&lp.spec, &lp.current);
-        if let Some(next) = lp.controller.next_mapping(self.spec, spec, current, now) {
+        if let Some(next) = lp
+            .controller
+            .next_mapping(&self.sim, &self.graph, spec, current)
+        {
             self.migrate(lp, next)?;
         }
         lp.requested = lp.frame + 1;
@@ -440,18 +424,57 @@ impl Driver<'_> {
     }
 }
 
+/// Refuse loops one run cannot carry: the frame audit attributes frames
+/// by source and client node, the session mux routes datagrams by the
+/// session bits of their flow id, and the CM sends each source its
+/// `BeginIteration` across the WAN.
+fn check_loops(spec: &DriveSpec, loops: &[LoopState]) -> Result<(), String> {
+    let (mut ids, mut sources, mut clients) = (HashSet::new(), HashSet::new(), HashSet::new());
+    for s in loops.iter().map(|lp| &lp.spec) {
+        if s.id >= SESSION_ID_BOUND {
+            return Err(format!("session id {} overflows the flow-id bits", s.id));
+        }
+        if !ids.insert(s.id) {
+            return Err(format!("duplicate session id {}", s.id));
+        }
+        if !sources.insert(s.source) {
+            return Err(format!("session {}: duplicate source node", s.id));
+        }
+        if !clients.insert(s.client) {
+            return Err(format!("session {}: duplicate client node", s.id));
+        }
+        if s.source == spec.cm {
+            return Err(format!(
+                "session {}: the CM must not be a data source",
+                s.id
+            ));
+        }
+        if s.frames == 0 {
+            return Err(format!("session {}: zero frames requested", s.id));
+        }
+    }
+    Ok(())
+}
+
 /// Pull every loop's frames through one simulated WAN, concurrently.
 /// Returns the frame audit and the virtual time the run ended; each loop's
-/// progress is left in its [`LoopState`].  Errors when the topology is
-/// invalid or a mapping's data path revisits a node.
+/// progress is left in its [`LoopState`].  Errors when the loops cannot
+/// share the run (duplicate ids, sources or clients, the CM on a data
+/// source, an id overflowing the flow-id session bits, zero frames), the
+/// topology is invalid or a mapping's data path revisits a node.
 pub(crate) fn drive(
     spec: &DriveSpec,
     loops: &mut [LoopState],
 ) -> Result<(FrameAudit, f64), String> {
+    check_loops(spec, loops)?;
     let mut sim = Simulator::try_new(spec.topology.clone(), spec.seed)?;
     for event in spec.schedule {
         sim.schedule_link_change(event.at, event.link, event.change.clone());
     }
+    // Apply the link changes due at t = 0 before any loop spawns: a
+    // controller deciding a loop's first frame reads them off the
+    // simulator.  Nothing else is queued yet.
+    sim.run_until(SimTime::ZERO);
     // The simulator clock only advances while events are queued; if every
     // live loop retires while a later `start_at` is still pending, the WAN
     // goes idle and time would stand still.  A no-op link event

@@ -81,21 +81,30 @@ pub enum ControlMessage {
 }
 
 impl ControlMessage {
-    /// A deduplication key: control messages are sent redundantly, so
-    /// receivers drop copies whose key they have already seen.
-    pub fn dedup_key(&self) -> u64 {
+    /// The session a message belongs to, for the messages that carry one.
+    pub fn session(&self) -> Option<u64> {
         match self {
-            ControlMessage::SteeringRequest { request_id, .. } => 0x1000_0000_0000 | request_id,
-            ControlMessage::SteeringUpdate { request_id, .. } => 0x2000_0000_0000 | request_id,
-            ControlMessage::VrtDelivery { session, .. } => 0x3000_0000_0000 | session,
-            ControlMessage::BeginIteration { session, iteration } => {
-                0x4000_0000_0000 | (session << 20) | iteration
-            }
-            ControlMessage::ImageReady {
-                session, iteration, ..
-            } => 0x5000_0000_0000 | (session << 20) | iteration,
-            ControlMessage::Ack { request_id } => 0x6000_0000_0000 | request_id,
+            ControlMessage::VrtDelivery { session, .. }
+            | ControlMessage::BeginIteration { session, .. }
+            | ControlMessage::ImageReady { session, .. } => Some(*session),
+            _ => None,
         }
+    }
+
+    /// A deduplication key: control messages are sent redundantly, so
+    /// receivers drop copies whose key they have already seen.  A message
+    /// that carries a session has it at bit 20.
+    pub fn dedup_key(&self) -> u64 {
+        let session = self.session().map_or(0, |session| session << 20);
+        session
+            | match self {
+                ControlMessage::SteeringRequest { request_id, .. } => 0x1000_0000_0000 | request_id,
+                ControlMessage::SteeringUpdate { request_id, .. } => 0x2000_0000_0000 | request_id,
+                ControlMessage::VrtDelivery { .. } => 0x3000_0000_0000,
+                ControlMessage::BeginIteration { iteration, .. } => 0x4000_0000_0000 | iteration,
+                ControlMessage::ImageReady { iteration, .. } => 0x5000_0000_0000 | iteration,
+                ControlMessage::Ack { request_id } => 0x6000_0000_0000 | request_id,
+            }
     }
 
     /// Serialize into a datagram payload (kind [`KIND_CONTROL`]).

@@ -12,7 +12,6 @@ use crate::message::{ControlMessage, DedupFilter};
 use crate::stage::send_control;
 use ricsa_netsim::app::{Application, Context};
 use ricsa_netsim::node::NodeId;
-use ricsa_netsim::trace::{TraceEvent, TraceKind};
 use ricsa_pipemap::vrt::VisualizationRoutingTable;
 
 /// The central-management application (the paper's CM node at LSU).
@@ -52,11 +51,7 @@ impl Application for CentralManagerApp {
             return;
         }
         match msg {
-            ControlMessage::SteeringRequest { request_id, .. } => {
-                ctx.trace(TraceEvent::new(TraceKind::Note {
-                    label: format!("cm-request:{request_id}"),
-                    value: ctx.now().as_secs(),
-                }));
+            ControlMessage::SteeringRequest { .. } => {
                 // Distribute the routing table to every participant, then
                 // start the first iteration at the data source.
                 for &node in &self.participants {

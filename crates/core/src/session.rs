@@ -234,7 +234,7 @@ impl SteeringSession {
     /// Run an installed session until `iterations` images have been
     /// delivered (or `max_virtual_time` elapses) and return the measured
     /// end-to-end delay of each iteration: the time from the data source
-    /// starting to serve the dataset (its `iteration-start` trace note) to
+    /// starting to serve the dataset (its `IterationStarted` trace record) to
     /// the finished image arriving at the client — the quantity the paper's
     /// Fig. 9/10 report.
     pub fn run(sim: &mut Simulator, iterations: u64, max_virtual_time: SimTime) -> Vec<f64> {

@@ -36,7 +36,7 @@
 
 use crate::driver::{drive, Controller, DriveSpec, LoopState};
 use crate::message::{ControlMessage, KIND_CONTROL};
-use crate::stage::{armed_since, StageApp};
+use crate::stage::{armed_since, parse_flow_id, StageApp};
 use ricsa_adapt::monitor::{AdaptConfig, AdaptMonitor};
 use ricsa_netsim::app::{Application, Context};
 use ricsa_netsim::link::{LinkId, LinkSpec};
@@ -53,7 +53,7 @@ use ricsa_pipemap::sweep::client_server_on_route;
 use ricsa_transport::flow::{KIND_ACK, KIND_DATA};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 // ------------------------------------------------------------ session mux
@@ -90,22 +90,15 @@ fn deliver(
     timer_owner.extend(armed_since(ctx, before).map(|timer| (timer, session)));
 }
 
-/// The session a datagram belongs to: the session field of a control
-/// message when it has one, otherwise the high bits of the transport flow
-/// id ([`crate::stage::flow_id`] packs the session at bit 40).  `None`
-/// means "no session identity" and the datagram is offered to every
-/// resident stage (each filters by its own configuration).
+/// The session a datagram belongs to: the session of a control message
+/// when it has one, otherwise the session bits of the transport flow id
+/// ([`parse_flow_id`]).  `None` means "no session identity" and the
+/// datagram is offered to every resident stage (each filters by its own
+/// configuration).
 fn datagram_session(payload: &Payload) -> Option<u64> {
-    if payload.kind == KIND_CONTROL {
-        return match ControlMessage::from_payload(payload)? {
-            ControlMessage::VrtDelivery { session, .. }
-            | ControlMessage::BeginIteration { session, .. }
-            | ControlMessage::ImageReady { session, .. } => Some(session),
-            _ => None,
-        };
-    }
     match payload.kind {
-        KIND_DATA | KIND_ACK => Some(payload.flow >> 40),
+        KIND_CONTROL => ControlMessage::from_payload(payload)?.session(),
+        KIND_DATA | KIND_ACK => Some(parse_flow_id(payload.flow).0),
         _ => None,
     }
 }
@@ -490,34 +483,6 @@ fn solve_mappings(
 /// ids/sources/clients, the CM on a data source, an id overflowing the
 /// flow-id session bits, or a session with no feasible mapping.
 pub fn run_multi_session(spec: &MultiSessionSpec) -> Result<MultiSessionRun, String> {
-    // Structural validation: the audit attributes frames by node.
-    let mut ids = HashSet::new();
-    let mut sources = HashSet::new();
-    let mut clients = HashSet::new();
-    for s in &spec.sessions {
-        if s.id >= 1 << 24 {
-            return Err(format!("session id {} overflows the flow-id bits", s.id));
-        }
-        if !ids.insert(s.id) {
-            return Err(format!("duplicate session id {}", s.id));
-        }
-        if !sources.insert(s.source) {
-            return Err(format!("session {}: duplicate source node", s.id));
-        }
-        if !clients.insert(s.client) {
-            return Err(format!("session {}: duplicate client node", s.id));
-        }
-        if s.source == spec.cm {
-            return Err(format!(
-                "session {}: the CM must not be a data source",
-                s.id
-            ));
-        }
-        if s.frames == 0 {
-            return Err(format!("session {}: zero frames requested", s.id));
-        }
-    }
-
     let base_graph = NetGraph::from_topology(&spec.topology);
     let (solved, predicted_aggregate) = solve_mappings(spec, &base_graph)?;
 
@@ -855,7 +820,7 @@ mod tests {
             .outgoing()
             .iter()
             .filter(|s| s.payload.kind == KIND_DATA)
-            .map(|s| s.payload.flow >> 40)
+            .map(|s| parse_flow_id(s.payload.flow).0)
             .collect();
         assert!(!data.is_empty(), "session 9 should be sending");
         assert!(data.iter().all(|&s| s == 9), "flows: {data:?}");
@@ -896,7 +861,7 @@ mod tests {
         spec.sessions[0].frames = 0;
         assert!(run_multi_session(&spec).is_err());
         let mut spec = spec_for(&wan, &[2, 2], MappingPolicy::Independent);
-        spec.sessions[0].id = 1 << 24;
+        spec.sessions[0].id = crate::stage::SESSION_ID_BOUND;
         assert!(run_multi_session(&spec).is_err());
     }
 
@@ -906,8 +871,12 @@ mod tests {
         // the simulator, which does, must refuse it by value.
         let wan = contention_wan(1);
         let mut spec = spec_for(&wan, &[2], MappingPolicy::Independent);
-        let link = LinkId(0);
-        spec.topology.edge_spec_mut(link).expect("link 0").jitter = -1.0;
+        let invalid = LinkSpec {
+            jitter: -1.0,
+            ..LinkSpec::new(1e6, 0.01)
+        };
+        spec.topology
+            .connect_directed(wan.cm, wan.clients[0], invalid);
         let refused = std::panic::catch_unwind(|| run_multi_session(&spec));
         let error = refused.expect("no unwinding").expect_err("no run");
         assert!(error.contains("jitter"), "{error}");

@@ -183,16 +183,25 @@ pub(crate) fn stage_configs(
     Ok(configs)
 }
 
+/// Bit offsets of a flow id's fields: the session in the top 24 bits, the
+/// iteration in the next 32, the hop in the low 8.
+const SESSION_SHIFT: u32 = 40;
+const ITERATION_SHIFT: u32 = 8;
+
+/// Session ids must stay below this bound to fit a flow id's session bits.
+pub(crate) const SESSION_ID_BOUND: u64 = 1 << (u64::BITS - SESSION_SHIFT);
+
 /// Deterministic flow identifier for hop `hop` of `iteration` in `session`.
 pub fn flow_id(session: u64, iteration: u64, hop: usize) -> u64 {
-    (session << 40) | (iteration << 8) | hop as u64
+    (session << SESSION_SHIFT) | (iteration << ITERATION_SHIFT) | hop as u64
 }
 
-/// Decompose a flow id produced by [`flow_id`].
+/// Decompose a flow id produced by [`flow_id`] into its session, iteration
+/// and hop.
 pub fn parse_flow_id(flow: u64) -> (u64, u64, usize) {
     (
-        flow >> 40,
-        (flow >> 8) & 0xFFFF_FFFF,
+        flow >> SESSION_SHIFT,
+        (flow >> ITERATION_SHIFT) & 0xFFFF_FFFF,
         (flow & 0xFF) as usize,
     )
 }
@@ -303,10 +312,7 @@ impl StageApp {
         }));
         if self.config.is_client() {
             // End of the loop: report the finished image.
-            ctx.trace(TraceEvent::new(TraceKind::IterationCompleted {
-                iteration,
-                end_to_end_delay: (ctx.now() - self.iteration_started).as_secs(),
-            }));
+            ctx.trace(TraceEvent::new(TraceKind::IterationCompleted { iteration }));
             self.phase = Phase::Idle;
             // Request the next dataset only after this image arrived.
             if let Some(drive) = &self.config.drive {
@@ -394,10 +400,7 @@ impl StageApp {
                 return;
             }
             self.iteration_started = ctx.now();
-            ctx.trace(TraceEvent::new(TraceKind::Note {
-                label: format!("iteration-start:{iteration}"),
-                value: ctx.now().as_secs(),
-            }));
+            ctx.trace(TraceEvent::new(TraceKind::IterationStarted { iteration }));
             // The data source has no upstream transfer; go straight to
             // processing (reading/serving the cached dataset plus any
             // modules assigned to it) and then push downstream.

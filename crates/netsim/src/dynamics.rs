@@ -22,12 +22,17 @@
 //! recovery event on a link cancels any earlier ramp on that link too —
 //! each link's state is always "original spec, modified by its most
 //! recent event".
+//!
+//! What a change does is defined once, by the simulator's link
+//! ([`crate::link::Link::apply_change`]).  A controller that needs the true
+//! current network reads it from the running simulator
+//! ([`crate::sim::Simulator::link_spec`]) rather than replaying the
+//! schedule itself.
 
 use crate::crosstraffic::CrossTraffic;
 use crate::link::LinkId;
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// A mutation applied to one directed link.
@@ -231,30 +236,6 @@ pub fn generate_schedule_family(
         .collect()
 }
 
-/// Apply one event to a *topology* (rather than a running simulator):
-/// `base` supplies the original link specifications that relative changes
-/// refer to.  This is how an oracle controller maintains the true current
-/// network view alongside the simulation.
-pub fn apply_event_to_topology(topo: &mut Topology, base: &Topology, event: &LinkEvent) {
-    let Some(original) = base.edge(event.link).map(|e| e.spec.clone()) else {
-        return;
-    };
-    let Some(spec) = topo.edge_spec_mut(event.link) else {
-        return;
-    };
-    match &event.change {
-        LinkChange::ScaleBandwidth { factor } => {
-            spec.bandwidth_bps = (original.bandwidth_bps * factor.max(0.0)).max(1.0);
-        }
-        LinkChange::SetCrossTraffic { model } => {
-            spec.cross_traffic = model.clone();
-        }
-        LinkChange::Restore => {
-            *spec = original;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,43 +315,5 @@ mod tests {
         let scenario = generate_schedule(0, &ScheduleParams::default(), 1);
         assert!(scenario.events.is_empty());
         assert_eq!(DynamicScenario::empty().first_event_at(), None);
-    }
-
-    #[test]
-    fn topology_view_tracks_events_relative_to_base() {
-        use crate::link::LinkSpec;
-        use crate::node::NodeSpec;
-        let mut base = Topology::new();
-        let a = base.add_node(NodeSpec::workstation("a", 1.0));
-        let b = base.add_node(NodeSpec::workstation("b", 1.0));
-        let (ab, _) = base.connect(a, b, LinkSpec::new(1e6, 0.01));
-        let mut live = base.clone();
-        let degrade = LinkEvent {
-            at: SimTime::from_secs(1.0),
-            link: ab,
-            change: LinkChange::ScaleBandwidth { factor: 0.1 },
-        };
-        apply_event_to_topology(&mut live, &base, &degrade);
-        assert!((live.edge(ab).unwrap().spec.bandwidth_bps - 1e5).abs() < 1e-6);
-        // Relative semantics: applying the same scale twice is idempotent.
-        apply_event_to_topology(&mut live, &base, &degrade);
-        assert!((live.edge(ab).unwrap().spec.bandwidth_bps - 1e5).abs() < 1e-6);
-        let restore = LinkEvent {
-            at: SimTime::from_secs(2.0),
-            link: ab,
-            change: LinkChange::Restore,
-        };
-        apply_event_to_topology(&mut live, &base, &restore);
-        assert_eq!(live.edge(ab).unwrap().spec, base.edge(ab).unwrap().spec);
-        // Unknown links are ignored.
-        apply_event_to_topology(
-            &mut live,
-            &base,
-            &LinkEvent {
-                at: SimTime::ZERO,
-                link: LinkId(99),
-                change: LinkChange::Restore,
-            },
-        );
     }
 }

@@ -149,25 +149,13 @@ impl Simulator {
         }
     }
 
-    /// Apply a link mutation immediately, recording a trace note
-    /// (`link-change:lN` with the new bandwidth as value) so experiment
-    /// drivers can line decisions up against the schedule.
+    /// Apply a link mutation immediately; a change to an unknown link is
+    /// ignored.
     fn apply_link_change(&mut self, link: LinkId, change: &LinkChange) {
-        let Some(l) = self.links.get_mut(link.0) else {
-            return;
-        };
-        l.apply_change(change, &mut self.rng);
-        self.stats.link_changes += 1;
-        let from = l.from;
-        let bandwidth = l.spec.bandwidth_bps;
-        self.trace.push(crate::trace::TraceEvent {
-            at: self.now,
-            node: from,
-            kind: crate::trace::TraceKind::Note {
-                label: format!("link-change:{link}"),
-                value: bandwidth,
-            },
-        });
+        if let Some(l) = self.links.get_mut(link.0) {
+            l.apply_change(change, &mut self.rng);
+            self.stats.link_changes += 1;
+        }
     }
 
     /// Remove and return the application installed on a node.
@@ -366,9 +354,8 @@ mod tests {
     impl Application for Sink {
         fn on_datagram(&mut self, ctx: &mut Context, dg: Datagram) {
             self.seen.borrow_mut().push((dg.payload.seq, ctx.now()));
-            ctx.trace(TraceEvent::new(TraceKind::Note {
-                label: "rx".into(),
-                value: dg.payload.seq as f64,
+            ctx.trace(TraceEvent::new(TraceKind::IterationCompleted {
+                iteration: dg.payload.seq,
             }));
         }
     }
@@ -610,13 +597,20 @@ mod tests {
         assert!((before - 0.1).abs() < 1e-3, "pre-drop transfer {before}");
         assert!((after - 1.0).abs() < 1e-2, "post-drop transfer {after}");
         assert_eq!(sim.stats().link_changes, 1);
-        // The change left a trace note and restored specs stay queryable.
-        assert!(sim.trace().events.iter().any(
-            |e| matches!(&e.kind, TraceKind::Note { label, .. } if label == "link-change:l0")
-        ));
+        // Scales refer to the original bandwidth, so a repeat is
+        // idempotent; a change to an unknown link is ignored and not
+        // counted; a restore brings the original spec back.
+        let bandwidth = |sim: &Simulator| sim.link_spec(LinkId(0)).unwrap().bandwidth_bps;
+        let scale = LinkChange::ScaleBandwidth { factor: 0.1 };
+        sim.schedule_link_change(SimTime::from_secs(10.2), LinkId(0), scale);
+        sim.schedule_link_change(SimTime::from_secs(10.3), LinkId(99), LinkChange::Restore);
+        sim.run_until(SimTime::from_secs(10.4));
+        assert!((bandwidth(&sim) - 1e5).abs() < 1e-6);
+        assert_eq!(sim.stats().link_changes, 2);
         sim.schedule_link_change(SimTime::from_secs(10.5), LinkId(0), LinkChange::Restore);
         sim.run_until(SimTime::from_secs(11.0));
-        assert!((sim.link_spec(LinkId(0)).unwrap().bandwidth_bps - 1e6).abs() < 1e-6);
+        assert!((bandwidth(&sim) - 1e6).abs() < 1e-6);
+        assert_eq!(sim.stats().link_changes, 3);
     }
 
     #[test]

@@ -103,13 +103,6 @@ impl Topology {
         self.edges.iter()
     }
 
-    /// Mutable access to one link's specification, used by controllers
-    /// maintaining a live network view under a time-varying scenario (see
-    /// [`crate::dynamics::apply_event_to_topology`]).
-    pub fn edge_spec_mut(&mut self, id: LinkId) -> Option<&mut LinkSpec> {
-        self.edges.get_mut(id.0).map(|e| &mut e.spec)
-    }
-
     /// Outgoing links of a node.
     pub fn outgoing(&self, node: NodeId) -> &[LinkId] {
         self.adjacency.get(&node).map(Vec::as_slice).unwrap_or(&[])

@@ -1,9 +1,11 @@
 //! Trace records emitted by applications and collected by the engine.
 //!
-//! The experiment harness (Fig. 9 / Fig. 10 reproduction) reads these records
-//! to compute end-to-end delays, goodput time series, and convergence
-//! metrics without having to thread bespoke channels through every
-//! application.
+//! The trace holds only what a reader needs from the run and cannot get
+//! elsewhere: when the data source began serving each iteration, when the
+//! client finished it, and per-stage timings.  The frame audit of the loop
+//! drivers pairs the first two into exactly-once delivery counts and loop
+//! delays.  Per-flow numbers (goodput samples, completion time) stay in the
+//! transport's `FlowStats`, link changes in [`crate::sim::SimStats`].
 
 use crate::node::NodeId;
 use crate::time::SimTime;
@@ -23,22 +25,6 @@ pub struct TraceEvent {
 /// The payload of a trace record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceKind {
-    /// A transport flow reported an instantaneous goodput sample (bytes/s).
-    Goodput {
-        /// Flow identifier.
-        flow: u64,
-        /// Goodput sample in bytes per second.
-        bytes_per_sec: f64,
-    },
-    /// A complete application-level message finished arriving.
-    MessageDelivered {
-        /// Flow identifier.
-        flow: u64,
-        /// Message size in bytes.
-        bytes: usize,
-        /// End-to-end latency of the message, seconds.
-        latency: f64,
-    },
     /// A visualization stage finished on this node.
     StageCompleted {
         /// Human-readable stage name (e.g. "isosurface").
@@ -48,20 +34,16 @@ pub enum TraceKind {
         /// Output size in bytes handed to the next stage.
         output_bytes: usize,
     },
+    /// The data source began serving a steering iteration.
+    IterationStarted {
+        /// Iteration (simulation cycle) number.
+        iteration: u64,
+    },
     /// An end-to-end steering iteration completed (image delivered to the
     /// client).
     IterationCompleted {
         /// Iteration (simulation cycle) number.
         iteration: u64,
-        /// Total end-to-end delay for this iteration, seconds.
-        end_to_end_delay: f64,
-    },
-    /// Free-form annotation.
-    Note {
-        /// Arbitrary label.
-        label: String,
-        /// Arbitrary value.
-        value: f64,
     },
 }
 
@@ -77,7 +59,7 @@ impl TraceEvent {
     }
 }
 
-/// A collected trace with query helpers.
+/// A collected trace.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// All records in emission order.
@@ -99,48 +81,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// All goodput samples for a flow, as `(time_secs, bytes_per_sec)`.
-    pub fn goodput_series(&self, flow_id: u64) -> Vec<(f64, f64)> {
-        self.events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                TraceKind::Goodput {
-                    flow,
-                    bytes_per_sec,
-                } if *flow == flow_id => Some((e.at.as_secs(), *bytes_per_sec)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// All completed-iteration delays in order.
-    pub fn iteration_delays(&self) -> Vec<f64> {
-        self.events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                TraceKind::IterationCompleted {
-                    end_to_end_delay, ..
-                } => Some(*end_to_end_delay),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// All message deliveries for a flow, as `(bytes, latency_secs)`.
-    pub fn message_deliveries(&self, flow_id: u64) -> Vec<(usize, f64)> {
-        self.events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                TraceKind::MessageDelivered {
-                    flow,
-                    bytes,
-                    latency,
-                } if *flow == flow_id => Some((*bytes, *latency)),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -148,55 +88,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_queries_filter_by_kind_and_flow() {
-        let mut t = Trace::default();
-        assert!(t.is_empty());
-        t.push(TraceEvent {
-            at: SimTime::from_secs(1.0),
-            node: NodeId(0),
-            kind: TraceKind::Goodput {
-                flow: 7,
-                bytes_per_sec: 1000.0,
-            },
-        });
-        t.push(TraceEvent {
-            at: SimTime::from_secs(2.0),
-            node: NodeId(0),
-            kind: TraceKind::Goodput {
-                flow: 8,
-                bytes_per_sec: 2000.0,
-            },
-        });
-        t.push(TraceEvent {
-            at: SimTime::from_secs(3.0),
-            node: NodeId(1),
-            kind: TraceKind::IterationCompleted {
-                iteration: 0,
-                end_to_end_delay: 4.5,
-            },
-        });
-        t.push(TraceEvent {
-            at: SimTime::from_secs(3.5),
-            node: NodeId(1),
-            kind: TraceKind::MessageDelivered {
-                flow: 7,
-                bytes: 4096,
-                latency: 0.25,
-            },
-        });
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.goodput_series(7), vec![(1.0, 1000.0)]);
-        assert_eq!(t.goodput_series(9), vec![]);
-        assert_eq!(t.iteration_delays(), vec![4.5]);
-        assert_eq!(t.message_deliveries(7), vec![(4096, 0.25)]);
-    }
-
-    #[test]
     fn new_event_has_placeholder_origin() {
-        let e = TraceEvent::new(TraceKind::Note {
-            label: "x".into(),
-            value: 1.0,
-        });
+        let e = TraceEvent::new(TraceKind::IterationStarted { iteration: 1 });
         assert_eq!(e.at, SimTime::ZERO);
         assert_eq!(e.node, NodeId(0));
     }

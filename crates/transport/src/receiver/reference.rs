@@ -12,7 +12,6 @@ use ricsa_netsim::app::{Application, Context};
 use ricsa_netsim::node::NodeId;
 use ricsa_netsim::packet::{Datagram, Payload};
 use ricsa_netsim::time::SimTime;
-use ricsa_netsim::trace::{TraceEvent, TraceKind};
 use std::collections::{BTreeSet, VecDeque};
 
 pub(super) struct ReferenceReceiver {
@@ -215,14 +214,8 @@ impl ReferenceReceiver {
         let payload = Payload::with_data(KIND_ACK, self.config.flow_id, 0, ack.encode());
         ctx.send(self.sender, payload);
 
-        let mut stats = self.stats.borrow_mut();
-        stats
-            .goodput_samples
-            .push((now.as_secs(), self.goodput_estimate));
-        ctx.trace(TraceEvent::new(TraceKind::Goodput {
-            flow: self.config.flow_id,
-            bytes_per_sec: self.goodput_estimate,
-        }));
+        let sample = (now_s, self.goodput_estimate);
+        self.stats.borrow_mut().goodput_samples.push(sample);
     }
 
     fn check_completion(&mut self, ctx: &mut Context) {
@@ -236,18 +229,9 @@ impl ReferenceReceiver {
                 .unwrap_or(total == 0);
             if done {
                 self.finished = true;
-                let now = ctx.now();
                 let mut stats = self.stats.borrow_mut();
                 let start = stats.start_time.unwrap_or(0.0);
-                let latency = now.as_secs() - start;
-                stats.completion_time = Some(latency);
-                let bytes = self.config.message_bytes.unwrap_or(0);
-                drop(stats);
-                ctx.trace(TraceEvent::new(TraceKind::MessageDelivered {
-                    flow: self.config.flow_id,
-                    bytes,
-                    latency,
-                }));
+                stats.completion_time = Some(ctx.now().as_secs() - start);
             }
         }
     }
