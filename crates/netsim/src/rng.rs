@@ -159,4 +159,110 @@ mod tests {
             assert_eq!(fork_a.next_u64(), fork_b.next_u64());
         }
     }
+
+    /// The stream is part of the simulation's definition: every pinned
+    /// record (loop, sweep, plan, hub) rests on these exact draws.
+    #[test]
+    fn stream_is_pinned() {
+        struct Gold {
+            seed: u64,
+            next_u64: [u64; 8],
+            uniform_bits: [u64; 8],
+            index_1_3_1000: [usize; 3],
+            fork_7_then_next: [u64; 2],
+        }
+        let golds = [
+            Gold {
+                seed: 0,
+                next_u64: [
+                    5987356902031041503,
+                    7051070477665621255,
+                    6633766593972829180,
+                    211316841551650330,
+                    9136120204379184874,
+                    379361710973160858,
+                    15813423377499357806,
+                    15596884590815070553,
+                ],
+                uniform_bits: [
+                    4598983807939961468,
+                    4590013529041420872,
+                    4599337545279582310,
+                    4589425337114929736,
+                    4592174451281597960,
+                    4591424302423800544,
+                    4589405037653437456,
+                    4600883638806463780,
+                ],
+                index_1_3_1000: [0, 0, 96],
+                fork_7_then_next: [4550386660513937811, 5109650347567479772],
+            },
+            Gold {
+                seed: 1,
+                next_u64: [
+                    14971601782005023387,
+                    13781649495232077965,
+                    1847458086238483744,
+                    13765271635752736470,
+                    3406718355780431780,
+                    10892412867582108485,
+                    18204613561675945223,
+                    9655336933892813345,
+                ],
+                uniform_bits: [
+                    4591625315818484552,
+                    4594006463704732532,
+                    4606465270380993020,
+                    4599859584241752894,
+                    4589883677091657280,
+                    4600779750321656852,
+                    4591113353766980232,
+                    4594801013050446932,
+                ],
+                index_1_3_1000: [0, 0, 822],
+                fork_7_then_next: [9905059312051311118, 4869519043768407819],
+            },
+            Gold {
+                seed: 20080609,
+                next_u64: [
+                    9218126168365364664,
+                    17190283932187214995,
+                    17902007138948607081,
+                    17795353089887001740,
+                    4742633572265585019,
+                    9099989561253765005,
+                    8209057123345828454,
+                    17205056875585781207,
+                ],
+                uniform_bits: [
+                    4599618834011093632,
+                    4589427082012287080,
+                    4604056313875271596,
+                    4603192118964962542,
+                    4583460655059453792,
+                    4605598973953446024,
+                    4604906786559971362,
+                    4594086235684745424,
+                ],
+                index_1_3_1000: [0, 2, 67],
+                fork_7_then_next: [4509151793674024790, 16814282983693118041],
+            },
+        ];
+        for g in golds {
+            let mut r = SimRng::new(g.seed);
+            let next: Vec<u64> = (0..8).map(|_| r.next_u64()).collect();
+            assert_eq!(next, g.next_u64, "seed {}: next_u64", g.seed);
+            let uniform: Vec<u64> = (0..8).map(|_| r.uniform().to_bits()).collect();
+            assert_eq!(uniform, g.uniform_bits, "seed {}: uniform", g.seed);
+            let index = [1, 3, 1000].map(|n| r.index(n));
+            assert_eq!(index, g.index_1_3_1000, "seed {}: index", g.seed);
+            let forked = r.fork(7).next_u64();
+            assert_eq!(
+                [forked, r.next_u64()],
+                g.fork_7_then_next,
+                "seed {}: fork",
+                g.seed
+            );
+        }
+    }
 }
