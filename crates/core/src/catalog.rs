@@ -82,16 +82,6 @@ impl SimulationCatalog {
             snapshot_bytes: 16 << 20,
         })
     }
-
-    /// All source names a client can request.
-    pub fn source_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = DatasetKind::ALL
-            .iter()
-            .map(|d| d.name().to_string())
-            .collect();
-        names.extend(self.simulations.iter().map(|p| p.name().to_string()));
-        names
-    }
 }
 
 /// Build the standard RICSA isosurface pipeline (filter → isosurface →
@@ -131,7 +121,6 @@ mod tests {
             Some(SessionSpec::Simulation { .. })
         ));
         assert!(catalog.resolve("nonexistent").is_none());
-        assert!(catalog.source_names().len() >= 5);
     }
 
     #[test]

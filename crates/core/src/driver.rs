@@ -15,8 +15,7 @@ use crate::message::{ControlMessage, CONTROL_REDUNDANCY};
 use crate::sessions::{SessionLoopSpec, SessionMux};
 use crate::stage::{stage_configs, LinkTelemetrySink, StageApp, SESSION_ID_BOUND};
 use ricsa_adapt::monitor::{AdaptMonitor, Decision};
-use ricsa_netsim::dynamics::{LinkChange, LinkEvent};
-use ricsa_netsim::link::LinkId;
+use ricsa_netsim::dynamics::LinkEvent;
 use ricsa_netsim::node::NodeId;
 use ricsa_netsim::sim::Simulator;
 use ricsa_netsim::time::SimTime;
@@ -477,12 +476,10 @@ pub(crate) fn drive(
     sim.run_until(SimTime::ZERO);
     // The simulator clock only advances while events are queued; if every
     // live loop retires while a later `start_at` is still pending, the WAN
-    // goes idle and time would stand still.  A no-op link event
-    // (bandwidth × 1.0) at each future spawn keeps the queue alive up to
-    // that moment.
+    // goes idle and time would stand still.  A wake-up at each future spawn
+    // keeps the queue alive up to that moment.
     for lp in loops.iter().filter(|lp| lp.spec.start_at > 0.0) {
-        let wakeup = LinkChange::ScaleBandwidth { factor: 1.0 };
-        sim.schedule_link_change(SimTime::from_secs(lp.spec.start_at), LinkId(0), wakeup);
+        sim.wake_at(SimTime::from_secs(lp.spec.start_at));
     }
     let (graph, hosts) = (NetGraph::from_topology(spec.topology), BTreeMap::new());
     let mut driver = Driver {
@@ -544,4 +541,63 @@ pub(crate) fn drive(
     }
     audit.update(&driver.sim);
     Ok((audit, driver.sim.now().as_secs()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sessions::{contention_wan, demo_session_pipeline};
+    use ricsa_netsim::dynamics::LinkChange;
+    use ricsa_netsim::link::LinkId;
+
+    /// A late spawn's wake-up leaves the links alone: an oracle loop that
+    /// spawns at t = 1 still sees the trunk at the 1 % it was scaled to at
+    /// t = 0, and keeps every frame off it.
+    #[test]
+    fn a_late_spawn_leaves_a_scaled_link_scaled() {
+        let wan = contention_wan(1);
+        let spec = SessionLoopSpec {
+            id: 1,
+            pipeline: demo_session_pipeline(1.0),
+            source: wan.sources[0],
+            client: wan.clients[0],
+            frames: 2,
+            start_at: 1.0,
+        };
+        let options = DpOptions::relayed();
+        let graph = NetGraph::from_topology(&wan.topology);
+        let (source, client) = (spec.source.0, spec.client.0);
+        let initial = optimize_with(&spec.pipeline, &graph, source, client, &options)
+            .0
+            .expect("the contention WAN admits a mapping");
+        let crosses_trunk =
+            |path: &[usize]| path.windows(2).any(|w| (w[0], w[1]) == wan.trunk_nodes());
+        assert!(crosses_trunk(&initial.mapping.path));
+        assert_eq!(wan.trunk.0, LinkId(0));
+        let schedule = [LinkEvent {
+            at: SimTime::ZERO,
+            link: wan.trunk.0,
+            change: LinkChange::ScaleBandwidth { factor: 0.01 },
+        }];
+        let controller = Controller::Oracle {
+            options,
+            timing: (0.0, 0),
+        };
+        let mut loops = [LoopState::new(spec, initial, controller)];
+        let drive_spec = DriveSpec {
+            topology: &wan.topology,
+            schedule: &schedule,
+            cm: wan.cm,
+            seed: 17,
+            target_goodput: 200e6,
+            max_virtual_time: SimTime::from_secs(120.0),
+        };
+        drive(&drive_spec, &mut loops).expect("one loop on its own WAN runs");
+        let frame_paths = &loops[0].frame_paths;
+        assert_eq!(frame_paths.len(), 2);
+        assert!(
+            frame_paths.iter().all(|path| !crosses_trunk(path)),
+            "{frame_paths:?}"
+        );
+    }
 }

@@ -14,7 +14,8 @@
 //! serve the dataset until the finished image arrives at the client.
 
 use crate::catalog::{standard_pipeline, SessionSpec, SimulationCatalog};
-use crate::session::{PathChoice, SteeringSession};
+use crate::session::{PathChoice, SessionPlan, SteeringSession};
+use crate::stage::revisited_node;
 use ricsa_netsim::presets::{fig8_topology_with, Fig8Params, Fig8Site, Fig8Topology};
 use ricsa_netsim::sim::Simulator;
 use ricsa_netsim::time::SimTime;
@@ -198,14 +199,47 @@ impl ExperimentOptions {
     }
 }
 
-/// Run one loop × dataset combination and return the measured result.
+/// Run one loop × dataset combination and return the measured result.  A
+/// loop that cannot run (no mapping, an invalid deployment, a data path
+/// through the CM or revisiting a node) yields no delays, NaN for both
+/// delays, and the reason in `mapping`.
 pub fn run_loop_experiment(
     spec: &LoopSpec,
     dataset: DatasetKind,
     options: &ExperimentOptions,
 ) -> LoopResult {
-    let fig8 = fig8_topology_with(options.fig8.clone());
     let catalog = SimulationCatalog::default();
+    let (delays, predicted, mapping) = match simulate_loop(spec, dataset, options, &catalog) {
+        Ok((delays, plan)) => (delays, plan.predicted.total, plan.vrt.describe()),
+        Err(reason) => (Vec::new(), f64::NAN, reason),
+    };
+    let measured = if delays.is_empty() {
+        f64::NAN
+    } else {
+        delays.iter().sum::<f64>() / delays.len() as f64
+    };
+    LoopResult {
+        loop_name: spec.name.clone(),
+        dataset: dataset.name().to_string(),
+        dataset_mb: catalog.datasets.get(dataset).nominal_megabytes() * options.size_scale,
+        iteration_delays: delays,
+        measured_delay: measured,
+        predicted_delay: predicted,
+        mapping,
+    }
+}
+
+/// Plan, install and run one loop on the Fig. 8 deployment, with the CM at
+/// LSU; returns the measured delays and the plan, or why the loop cannot
+/// run.
+fn simulate_loop(
+    spec: &LoopSpec,
+    dataset: DatasetKind,
+    options: &ExperimentOptions,
+    catalog: &SimulationCatalog,
+) -> Result<(Vec<f64>, SessionPlan), String> {
+    let fig8 = fig8_topology_with(options.fig8.clone());
+    let mut sim = Simulator::try_new(fig8.topology.clone(), options.seed)?;
     // The size scale applies to the dataset's nominal size; the pipeline is
     // built from the scaled byte count.
     let nominal = catalog.datasets.get(dataset).nominal_bytes() as f64;
@@ -219,30 +253,21 @@ pub fn run_loop_experiment(
         fig8.node(Fig8Site::Ornl),
         &spec.path_choice(&fig8),
     )
-    .expect("every Fig. 9/10 loop admits a mapping on the Fig. 8 deployment");
-    let mut sim = Simulator::new(fig8.topology.clone(), options.seed);
-    SteeringSession::install(
-        &plan,
-        &mut sim,
-        fig8.node(Fig8Site::Lsu),
-        options.iterations,
-        DATA_TARGET_GOODPUT,
-    );
-    let delays = SteeringSession::run(&mut sim, options.iterations, options.max_virtual_time);
-    let measured = if delays.is_empty() {
-        f64::NAN
-    } else {
-        delays.iter().sum::<f64>() / delays.len() as f64
-    };
-    LoopResult {
-        loop_name: spec.name.clone(),
-        dataset: dataset.name().to_string(),
-        dataset_mb: catalog.datasets.get(dataset).nominal_megabytes() * options.size_scale,
-        iteration_delays: delays,
-        measured_delay: measured,
-        predicted_delay: plan.predicted.total,
-        mapping: plan.vrt.describe(),
+    .map_err(|e| e.to_string())?;
+    let cm = fig8.node(Fig8Site::Lsu);
+    let path = &plan.mapping.path;
+    if let Some(node) = revisited_node(path) {
+        return Err(format!("data path revisits node {node}: {path:?}"));
     }
+    if path.contains(&cm.0) {
+        return Err(format!(
+            "data path runs through the CM node {}: {path:?}",
+            cm.0
+        ));
+    }
+    SteeringSession::install(&plan, &mut sim, cm, options.iterations, DATA_TARGET_GOODPUT);
+    let delays = SteeringSession::run(&mut sim, options.iterations, options.max_virtual_time);
+    Ok((delays, plan))
 }
 
 /// Reproduce Fig. 9: the end-to-end delay of all six loops for the three
@@ -260,11 +285,7 @@ pub fn fig9_experiment(options: &ExperimentOptions) -> (Vec<Fig9Row>, Vec<LoopRe
         }
         rows.push(Fig9Row {
             dataset: dataset.name().to_string(),
-            dataset_mb: DatasetKind::ALL
-                .iter()
-                .find(|d| **d == dataset)
-                .map(|_| all.last().map(|r| r.dataset_mb).unwrap_or(0.0))
-                .unwrap_or(0.0),
+            dataset_mb: all.last().map_or(0.0, |r| r.dataset_mb),
             loop_delays: delays,
         });
     }
@@ -391,6 +412,75 @@ mod tests {
             optimal.measured_delay,
             pc_pc.measured_delay
         );
+    }
+
+    fn undelivered(result: &LoopResult) -> bool {
+        result.iteration_delays.is_empty()
+            && result.measured_delay.is_nan()
+            && result.predicted_delay.is_nan()
+    }
+
+    /// With every datagram lost the queue drains before the frame
+    /// completes; the run must return rather than spin at that instant.
+    #[test]
+    fn a_loop_that_stops_making_progress_returns() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let options = ExperimentOptions {
+                max_virtual_time: SimTime::from_secs(10.0),
+                fig8: Fig8Params {
+                    loss: 1.0,
+                    ..Fig8Params::default()
+                },
+                ..ExperimentOptions::quick()
+            };
+            let loops = LoopSpec::fig9_loops();
+            let _ = tx.send(run_loop_experiment(&loops[4], DatasetKind::Jet, &options));
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the loop experiment returns within 30 s");
+        assert!(result.iteration_delays.is_empty());
+        assert!(result.measured_delay.is_nan());
+        assert!(result.predicted_delay.is_finite());
+    }
+
+    #[test]
+    fn an_invalid_deployment_is_an_undelivered_record() {
+        let options = ExperimentOptions {
+            fig8: Fig8Params {
+                far_delay: -1.0,
+                ..Fig8Params::default()
+            },
+            ..ExperimentOptions::quick()
+        };
+        let result = run_loop_experiment(&LoopSpec::fig9_loops()[0], DatasetKind::Jet, &options);
+        assert!(undelivered(&result), "{result:?}");
+        assert!(result.mapping.contains("edge"), "{}", result.mapping);
+    }
+
+    #[test]
+    fn a_forced_path_through_the_cm_or_revisiting_a_node_is_an_undelivered_record() {
+        use Fig8Site::*;
+        let options = ExperimentOptions::quick();
+        let cases = [
+            (vec![GaTech, Lsu, Ornl], "CM"),
+            (
+                vec![GaTech, NcStateCluster, GaTech, UtCluster, Ornl],
+                "revisits",
+            ),
+        ];
+        for (path, reason) in cases {
+            let spec = LoopSpec {
+                name: format!("forced {path:?}"),
+                data_source: GaTech,
+                forced_path: Some(path),
+                paraview: None,
+            };
+            let result = run_loop_experiment(&spec, DatasetKind::Jet, &options);
+            assert!(undelivered(&result), "{result:?}");
+            assert!(result.mapping.contains(reason), "{}", result.mapping);
+        }
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //!
 //! Control messages are "typically on the order of bytes or kilobytes"
 //! (Section 4.2) and travel over the stabilized control channel: steering
-//! requests from the client/front end to the CM and simulator, visualization
-//! parameters to the data source, and the visualization routing table that
-//! establishes the loop.  They are serialized as JSON (standing in for the
+//! requests from the client to the CM, iteration starts to the data source,
+//! and the visualization routing table that establishes the loop.  They are serialized as JSON (standing in for the
 //! XML/JSON payloads of the paper's Ajax `XMLHttpRequest` exchanges) and
 //! carried in datagram payloads.
 
-use ricsa_hydro::steering::SteerableParams;
 use ricsa_netsim::packet::Payload;
 use ricsa_pipemap::vrt::VisualizationRoutingTable;
 use serde::{Deserialize, Serialize};
@@ -40,13 +38,6 @@ pub enum ControlMessage {
         /// Optional octree subset selection (0..8).
         octant: Option<usize>,
     },
-    /// Client → simulator: new computational steering parameters.
-    SteeringUpdate {
-        /// Monotone request identifier.
-        request_id: u64,
-        /// The new simulation parameters.
-        params: SteerableParams,
-    },
     /// CM → loop participants: the computed routing table.
     VrtDelivery {
         /// Session this table belongs to.
@@ -62,22 +53,6 @@ pub enum ControlMessage {
         /// Iteration number.
         iteration: u64,
     },
-    /// Client ← stage: the finished image for an iteration has arrived
-    /// (sent loopback by the client stage to the client application).
-    ImageReady {
-        /// Session identifier.
-        session: u64,
-        /// Iteration number.
-        iteration: u64,
-        /// Image size in bytes.
-        image_bytes: usize,
-    },
-    /// Acknowledgement of a control message (used by tests and the web
-    /// front end; the wide-area control plane relies on redundancy).
-    Ack {
-        /// The request being acknowledged.
-        request_id: u64,
-    },
 }
 
 impl ControlMessage {
@@ -85,8 +60,7 @@ impl ControlMessage {
     pub fn session(&self) -> Option<u64> {
         match self {
             ControlMessage::VrtDelivery { session, .. }
-            | ControlMessage::BeginIteration { session, .. }
-            | ControlMessage::ImageReady { session, .. } => Some(*session),
+            | ControlMessage::BeginIteration { session, .. } => Some(*session),
             _ => None,
         }
     }
@@ -99,11 +73,8 @@ impl ControlMessage {
         session
             | match self {
                 ControlMessage::SteeringRequest { request_id, .. } => 0x1000_0000_0000 | request_id,
-                ControlMessage::SteeringUpdate { request_id, .. } => 0x2000_0000_0000 | request_id,
                 ControlMessage::VrtDelivery { .. } => 0x3000_0000_0000,
                 ControlMessage::BeginIteration { iteration, .. } => 0x4000_0000_0000 | iteration,
-                ControlMessage::ImageReady { iteration, .. } => 0x5000_0000_0000 | iteration,
-                ControlMessage::Ack { request_id } => 0x6000_0000_0000 | request_id,
             }
     }
 
@@ -188,10 +159,9 @@ mod tests {
             session: 1,
             iteration: 2,
         };
-        let c = ControlMessage::ImageReady {
-            session: 1,
+        let c = ControlMessage::BeginIteration {
+            session: 2,
             iteration: 1,
-            image_bytes: 100,
         };
         assert_ne!(a.dedup_key(), b.dedup_key());
         assert_ne!(a.dedup_key(), c.dedup_key());
@@ -205,20 +175,10 @@ mod tests {
     fn all_variants_serialize() {
         let msgs = vec![
             sample(),
-            ControlMessage::SteeringUpdate {
-                request_id: 2,
-                params: SteerableParams::default(),
-            },
             ControlMessage::BeginIteration {
                 session: 3,
                 iteration: 0,
             },
-            ControlMessage::ImageReady {
-                session: 3,
-                iteration: 0,
-                image_bytes: 1 << 20,
-            },
-            ControlMessage::Ack { request_id: 9 },
         ];
         for m in msgs {
             let back = ControlMessage::from_payload(&m.to_payload()).unwrap();

@@ -83,11 +83,6 @@ impl Application for CentralManagerApp {
                         &ControlMessage::BeginIteration { session, iteration },
                     );
                 }
-            ControlMessage::SteeringUpdate { request_id, .. } => {
-                // Steering parameter updates are forwarded to the simulator
-                // (data source) over the same control channel.
-                send_control(ctx, self.data_source, &ControlMessage::Ack { request_id });
-            }
             _ => {}
         }
     }

@@ -242,12 +242,12 @@ impl SteeringSession {
         let mut now = SimTime::ZERO;
         let mut audit = FrameAudit::default();
         while now < max_virtual_time {
-            now = sim.run_until(now + step);
+            let deadline = now + step;
+            now = sim.run_until(deadline);
             audit.update(sim);
-            if audit.sole_loop().completed >= iterations {
-                break;
-            }
-            if sim.stats().events_processed > 0 && now == max_virtual_time {
+            // Stopping short of the deadline means the queue drained:
+            // nothing is left that could complete another iteration.
+            if audit.sole_loop().completed >= iterations || now < deadline {
                 break;
             }
         }

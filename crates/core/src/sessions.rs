@@ -743,7 +743,6 @@ mod tests {
         StageApp::new(StageConfig {
             session,
             hop_index: 0,
-            hop_count: 2,
             previous: None,
             next: Some(NodeId(1)),
             incoming_bytes: 0,

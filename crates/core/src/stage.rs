@@ -67,8 +67,6 @@ pub struct StageConfig {
     pub session: u64,
     /// Position of this stage along the data path (0 = data source).
     pub hop_index: usize,
-    /// Total number of hops on the data path.
-    pub hop_count: usize,
     /// Node of the upstream stage, if any.
     pub previous: Option<NodeId>,
     /// Node of the downstream stage, if any.
@@ -150,7 +148,6 @@ pub(crate) fn stage_configs(
             "session {session}: data path revisits node {node}: {path:?}"
         ));
     }
-    let hop_count = path.len();
     let configs = path
         .iter()
         .enumerate()
@@ -160,7 +157,6 @@ pub(crate) fn stage_configs(
             StageConfig {
                 session,
                 hop_index: i,
-                hop_count,
                 previous: entry.previous_hop.map(NodeId),
                 next: entry.next_hop.map(NodeId),
                 incoming_bytes: match i {
@@ -260,10 +256,10 @@ impl StageApp {
     }
 
     fn begin_receiving(&mut self, ctx: &mut Context, iteration: u64) {
-        let prev = self
-            .config
-            .previous
-            .expect("non-source stages have an upstream node");
+        // Only a stage with an upstream node can receive.
+        let Some(prev) = self.config.previous else {
+            return;
+        };
         let mut receiver = FlowReceiver::new(
             FlowConfig {
                 flow_id: self.config.incoming_flow(iteration),
@@ -333,10 +329,9 @@ impl StageApp {
     }
 
     fn begin_sending(&mut self, ctx: &mut Context, iteration: u64) {
-        let next = self
-            .config
-            .next
-            .expect("non-client stages have a downstream node");
+        let Some(next) = self.config.next else {
+            return;
+        };
         let flow_config = FlowConfig {
             flow_id: self.config.outgoing_flow(iteration),
             ..self.flow_config(self.config.outgoing_bytes)
@@ -570,7 +565,6 @@ mod tests {
         StageConfig {
             session: 1,
             hop_index: hop,
-            hop_count: hops,
             previous: if hop > 0 { Some(NodeId(hop - 1)) } else { None },
             next: if hop + 1 < hops {
                 Some(NodeId(hop + 1))
@@ -681,9 +675,33 @@ mod tests {
     }
 
     #[test]
+    fn data_for_a_stage_without_an_upstream_node_is_ignored() {
+        let mut app = StageApp::new(StageConfig {
+            previous: None,
+            ..config(1, 3)
+        });
+        let mut ctx = Context::new(NodeId(1), SimTime::ZERO, 0, vec![0.5]);
+        app.on_datagram(
+            &mut ctx,
+            Datagram {
+                src: NodeId(0),
+                dst: NodeId(1),
+                sent_at: SimTime::ZERO,
+                payload: Payload::with_data(KIND_DATA, flow_id(1, 0, 1), 0, vec![0; 100]),
+            },
+        );
+        assert!(matches!(app.phase, Phase::Idle));
+        assert!(ctx.outgoing().is_empty());
+    }
+
+    #[test]
     fn send_control_is_redundant() {
         let mut ctx = Context::new(NodeId(0), SimTime::ZERO, 0, vec![0.5]);
-        send_control(&mut ctx, NodeId(3), &ControlMessage::Ack { request_id: 1 });
+        let begin = ControlMessage::BeginIteration {
+            session: 1,
+            iteration: 0,
+        };
+        send_control(&mut ctx, NodeId(3), &begin);
         assert_eq!(ctx.outgoing().len(), CONTROL_REDUNDANCY);
         assert!(ctx.outgoing().iter().all(|s| s.dst == NodeId(3)));
     }

@@ -7,7 +7,7 @@
 //! one, folds the results into a report, renders the report and audits it.
 //! Everything the sweeps share lives here exactly once: the seeded
 //! enumeration of generated WANs (`generated_wan`, `scenario_seed`,
-//! `off_path_node`), the `rayon` fan-out ([`run`]), the distribution
+//! `off_path_node`), the scoped-thread fan-out ([`run`]), the distribution
 //! summary ([`Distribution`], [`mean`]) and the table formatting (`table`,
 //! `opt`).  Three sweeps implement it:
 //!
@@ -27,7 +27,6 @@
 use crate::catalog::{standard_pipeline, SessionSpec, SimulationCatalog};
 use crate::session::{SessionPlan, SteeringSession};
 use crate::stage::revisited_node;
-use rayon::prelude::*;
 use ricsa_netsim::generators::{generate, GeneratedWan, WanKind};
 use ricsa_netsim::node::NodeId;
 use ricsa_netsim::sim::Simulator;
@@ -65,12 +64,25 @@ pub trait Sweep: Serialize + Sync {
     fn audit(&self, report: &Self::Report) -> Result<(), String>;
 }
 
-/// Run a sweep: fan its cells out over worker threads, aggregate in order.
+/// Run a sweep: one scoped worker per available core, each over a
+/// contiguous range of cells, aggregated in cell order.
 pub fn run<S: Sweep>(config: &S) -> S::Report {
-    let cells = (0..config.cells())
-        .into_par_iter()
-        .map(|index| config.run_cell(index))
-        .collect();
+    let len = config.cells();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let chunk = len.div_ceil(cores).max(1);
+    let cells = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..len)
+            .step_by(chunk)
+            .map(|lo| {
+                let cells = lo..(lo + chunk).min(len);
+                scope.spawn(move || cells.map(|i| config.run_cell(i)).collect::<Vec<_>>())
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("sweep worker panicked"))
+            .collect()
+    });
     config.aggregate(cells)
 }
 
@@ -507,6 +519,59 @@ fn simulate_mapping(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sweep whose cell `i` is `i * i + offset`: enough to check what
+    /// [`run`] promises, whatever the core count.
+    #[derive(Serialize)]
+    struct Squares {
+        cells: usize,
+        offset: usize,
+        seed: u64,
+    }
+
+    impl Sweep for Squares {
+        type Cell = usize;
+        type Report = Vec<usize>;
+
+        fn preset(_quick: bool) -> Self {
+            Squares {
+                cells: 0,
+                offset: 0,
+                seed: 0,
+            }
+        }
+        fn seed_mut(&mut self) -> &mut u64 {
+            &mut self.seed
+        }
+        fn cells(&self) -> usize {
+            self.cells
+        }
+        fn run_cell(&self, index: usize) -> usize {
+            index * index + self.offset
+        }
+        fn aggregate(&self, cells: Vec<usize>) -> Vec<usize> {
+            cells
+        }
+        fn format(report: &Vec<usize>) -> String {
+            format!("{report:?}")
+        }
+        fn audit(&self, _report: &Vec<usize>) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn run_aggregates_every_cell_in_cell_order() {
+        for cells in [0, 1, 7, 1000] {
+            let squares = Squares {
+                cells,
+                offset: 3,
+                ..Squares::preset(true)
+            };
+            let expected: Vec<usize> = (0..cells).map(|i| i * i + 3).collect();
+            assert_eq!(run(&squares), expected, "{cells} cells");
+        }
+    }
 
     #[test]
     fn sweep_is_deterministic_and_optimal_dominates_analytically() {

@@ -137,31 +137,6 @@ impl HydroSolver {
     pub fn snapshot(&self) -> VolumeContainer {
         self.state.to_container()
     }
-
-    /// Restart from a previously produced snapshot ("restart from old dump
-    /// file to save time" in the VH1 pseudo-code).  Only the standard
-    /// variables are recovered; velocity direction information is not stored
-    /// in snapshots, so momentum is reset along x.
-    pub fn restart_from(&mut self, snapshot: &VolumeContainer) -> bool {
-        let density = match snapshot.variable("density") {
-            Some(f) if f.dims == self.state.dims => f,
-            _ => return false,
-        };
-        let pressure = match snapshot.variable("pressure") {
-            Some(f) if f.dims == self.state.dims => f,
-            _ => return false,
-        };
-        let velocity = snapshot.variable("velocity");
-        for i in 0..self.state.rho.len() {
-            let rho = density.data[i].max(1e-6) as f64;
-            let p = pressure.data[i].max(1e-9) as f64;
-            let u = velocity.map(|v| v.data[i] as f64).unwrap_or(0.0);
-            self.state.set_primitive(i, rho, [u, 0.0, 0.0], p);
-        }
-        self.state.cycle = snapshot.cycle;
-        self.state.time = snapshot.time;
-        true
-    }
 }
 
 #[cfg(test)]
@@ -280,26 +255,5 @@ mod tests {
             upstream > ambient * 1.3,
             "upstream {upstream} vs ambient {ambient}"
         );
-    }
-
-    #[test]
-    fn snapshot_and_restart_round_trip() {
-        let mut solver = HydroSolver::new(SolverConfig::sod_small());
-        solver.run(5);
-        let snap = solver.snapshot();
-        assert_eq!(snap.cycle, 5);
-        let mut fresh = HydroSolver::new(SolverConfig::sod_small());
-        assert!(fresh.restart_from(&snap));
-        assert_eq!(fresh.cycle(), 5);
-        let (rho_a, _, _) = solver.state().primitive(10);
-        let (rho_b, _, _) = fresh.state().primitive(10);
-        assert!((rho_a - rho_b).abs() < 1e-4);
-        // Mismatched dims are rejected.
-        let mut other = HydroSolver::new(SolverConfig {
-            problem: Problem::SodShockTube,
-            dims: Dims::new(16, 1, 1),
-            params: SteerableParams::default(),
-        });
-        assert!(!other.restart_from(&snap));
     }
 }

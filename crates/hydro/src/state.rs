@@ -257,12 +257,11 @@ mod tests {
     }
 
     fn field_bits(c: &VolumeContainer) -> Vec<(String, Vec<u32>, [u32; 3])> {
-        c.variable_names()
-            .into_iter()
-            .map(|name| {
-                let f = c.variable(name).unwrap();
-                let data = f.data.iter().map(|v| v.to_bits()).collect();
-                (name.to_string(), data, f.spacing.map(f32::to_bits))
+        c.variables
+            .iter()
+            .map(|v| {
+                let data = v.field.data.iter().map(|x| x.to_bits()).collect();
+                (v.name.clone(), data, v.field.spacing.map(f32::to_bits))
             })
             .collect()
     }
@@ -342,7 +341,8 @@ mod tests {
     fn container_packaging_includes_standard_variables() {
         let s = HydroState::uniform(Dims::cube(4), IdealGas::default());
         let c = s.to_container();
-        assert_eq!(c.variable_names(), vec!["density", "pressure", "velocity"]);
+        let names: Vec<&str> = c.variables.iter().map(|v| v.name.as_str()).collect();
+        assert_eq!(names, ["density", "pressure", "velocity"]);
         assert_eq!(c.cycle, 0);
         assert!(c.nbytes() > 0);
     }

@@ -6,7 +6,8 @@
 //! deterministic schedule of [`LinkEvent`]s — bandwidth ramps,
 //! cross-traffic bursts, and deep degradation/recovery episodes — that the
 //! simulator applies to link parameters at their scheduled virtual
-//! timestamps (see [`crate::sim::Simulator::apply_scenario`]).
+//! timestamps (one [`crate::sim::Simulator::schedule_link_change`] per
+//! event).
 //!
 //! Determinism contract: the same `(parameters, link count, seed)` always
 //! produce a byte-identical event schedule (the tests compare serialized

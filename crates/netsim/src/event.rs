@@ -47,6 +47,9 @@ pub enum EventKind {
         /// The mutation.
         change: LinkChange,
     },
+    /// Nothing happens; the event only keeps the clock running up to its
+    /// time (see [`crate::sim::Simulator::wake_at`]).
+    Wake,
 }
 
 /// A scheduled event, as [`EventQueue::pop`] hands it out.

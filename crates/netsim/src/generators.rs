@@ -258,11 +258,6 @@ impl TransitStubParams {
         p.transit_nodes = (transit_total / p.transit_domains).max(1);
         p
     }
-
-    /// Total node count this parameterization produces.
-    pub fn total_nodes(&self) -> usize {
-        self.transit_domains * self.transit_nodes * (1 + self.stub_domains * self.stub_nodes)
-    }
 }
 
 /// A generated topology together with the designated experiment roles.
@@ -640,7 +635,6 @@ mod tests {
             stub_nodes: 4,
             ..TransitStubParams::default()
         };
-        assert!(p.total_nodes() >= 500);
         let wan = transit_stub(&p, 3);
         assert!(wan.topology.node_count() >= 500);
         check_wan(&wan);

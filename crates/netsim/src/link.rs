@@ -118,11 +118,6 @@ impl LinkSpec {
     pub fn mean_effective_bandwidth(&self) -> f64 {
         self.bandwidth_bps * (1.0 - self.cross_traffic.mean_load())
     }
-
-    /// Ideal (no-loss, no-queue) transfer time for a message of `bytes`.
-    pub fn ideal_transfer_time(&self, bytes: f64) -> f64 {
-        bytes / self.mean_effective_bandwidth() + self.min_delay
-    }
 }
 
 /// The outcome of offering a datagram to a link.
@@ -182,16 +177,6 @@ impl LinkStats {
             0.0
         } else {
             (self.random_losses + self.queue_drops) as f64 / self.offered as f64
-        }
-    }
-
-    /// Mean delivered throughput over the given horizon, bytes/second.
-    pub fn mean_throughput(&self, horizon: SimTime) -> f64 {
-        let secs = horizon.as_secs();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.bytes_delivered as f64 / secs
         }
     }
 }
@@ -304,7 +289,7 @@ mod tests {
         assert!(LinkSpec::new(0.0, 0.01).validate().is_err());
         assert!(LinkSpec::new(1e6, -1.0).validate().is_err());
         assert!(LinkSpec::new(1e6, 0.0).with_jitter(-1.0).validate().is_ok());
-        assert!((s.ideal_transfer_time(12.5e6) - 1.01).abs() < 1e-9);
+        assert!((s.mean_effective_bandwidth() - 12.5e6).abs() < 1e-6);
     }
 
     #[test]
@@ -399,8 +384,5 @@ mod tests {
             link.offer(SimTime::ZERO, 1000, &mut rng);
         }
         assert_eq!(link.stats().bytes_delivered, 10_000);
-        let tput = link.stats().mean_throughput(SimTime::from_secs(0.01));
-        assert!((tput - 1e6).abs() < 1e-3);
-        assert_eq!(link.stats().mean_throughput(SimTime::ZERO), 0.0);
     }
 }

@@ -87,13 +87,6 @@ pub struct Datagram {
     pub payload: Payload,
 }
 
-impl Datagram {
-    /// One-way delay experienced by this datagram if delivered at `now`.
-    pub fn delay_at(&self, now: SimTime) -> SimTime {
-        now.saturating_sub(self.sent_at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,17 +106,5 @@ mod tests {
         assert_eq!(p.kind, 3);
         assert_eq!(p.flow, 9);
         assert_eq!(p.seq, 42);
-    }
-
-    #[test]
-    fn datagram_delay() {
-        let d = Datagram {
-            src: NodeId(0),
-            dst: NodeId(1),
-            sent_at: SimTime::from_secs(1.0),
-            payload: Payload::opaque(100),
-        };
-        assert_eq!(d.delay_at(SimTime::from_secs(1.25)).as_millis(), 250.0);
-        assert_eq!(d.delay_at(SimTime::from_secs(0.5)), SimTime::ZERO);
     }
 }

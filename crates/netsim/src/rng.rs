@@ -2,35 +2,44 @@
 //!
 //! All stochastic behaviour in the network simulator (loss sampling, cross
 //! traffic, jitter) is driven by a single seedable generator so that a run is
-//! exactly reproducible from `(topology, seed)`.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! exactly reproducible from `(topology, seed)`.  The generator is
+//! xoshiro256++ seeded through SplitMix64; its stream is part of the
+//! simulation's definition, so every pinned record rests on it (the
+//! `stream_is_pinned` test below).  It is not cryptographically secure.
 
 /// A seedable simulator RNG with convenience sampling methods.
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: StdRng,
+    s: [u64; 4],
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl SimRng {
     /// Create a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
+        let mut sm = seed;
         SimRng {
-            inner: StdRng::seed_from_u64(seed),
+            s: std::array::from_fn(|_| splitmix64(&mut sm)),
         }
     }
 
     /// Derive an independent stream for a sub-component, so that adding a new
     /// consumer does not perturb the draws of existing ones.
     pub fn fork(&mut self, stream: u64) -> SimRng {
-        let base: u64 = self.inner.gen();
+        let base = self.next_u64();
         SimRng::new(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// A uniform sample in `[0, 1)`.
+    /// A uniform sample in `[0, 1)` with 53 bits of precision.
     pub fn uniform(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform sample in `[lo, hi)`.
@@ -64,18 +73,34 @@ impl SimRng {
         mean + std_dev * z
     }
 
-    /// A uniform integer in `[0, n)`, or 0 if `n == 0`.
+    /// A uniform integer in `[0, n)`, or 0 if `n == 0`.  Unbiased: draws
+    /// at or above the widest multiple of `n` below 2^64 are rejected.
     pub fn index(&mut self, n: usize) -> usize {
         if n == 0 {
-            0
-        } else {
-            self.inner.gen_range(0..n)
+            return 0;
+        }
+        let span = n as u64;
+        let zone = u64::MAX - (u64::MAX % span);
+        loop {
+            let draw = self.next_u64();
+            if draw < zone {
+                return (draw % span) as usize;
+            }
         }
     }
 
-    /// A raw 64-bit draw.
+    /// A raw 64-bit draw (one xoshiro256++ step).
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.gen()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 }
 
@@ -144,9 +169,25 @@ mod tests {
     fn index_bounds() {
         let mut r = SimRng::new(17);
         assert_eq!(r.index(0), 0);
+        let mut seen = [false; 5];
         for _ in 0..100 {
-            assert!(r.index(5) < 5);
+            seen[r.index(5)] = true;
         }
+        assert!(seen.iter().all(|&s| s), "every value of 0..5 appears");
+    }
+
+    #[test]
+    fn uniform_is_in_the_unit_interval_with_mean_one_half() {
+        let mut r = SimRng::new(3);
+        let n = 50_000;
+        let mut sum = 0.0;
+        for _ in 0..n {
+            let x = r.uniform();
+            assert!((0.0..1.0).contains(&x));
+            sum += x;
+        }
+        let mean = sum / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
     }
 
     #[test]

@@ -18,7 +18,6 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     next_hop: Vec<Vec<Option<LinkId>>>,
-    distance: Vec<Vec<f64>>,
 }
 
 #[derive(PartialEq)]
@@ -52,7 +51,6 @@ impl RoutingTable {
     pub fn build(topo: &Topology) -> Self {
         let n = topo.node_count();
         let mut next_hop = vec![vec![None; n]; n];
-        let mut distance = vec![vec![f64::INFINITY; n]; n];
 
         for src in 0..n {
             // Dijkstra from src.
@@ -87,10 +85,9 @@ impl RoutingTable {
                 }
             }
             next_hop[src] = first_link;
-            distance[src] = dist;
         }
 
-        RoutingTable { next_hop, distance }
+        RoutingTable { next_hop }
     }
 
     /// The link a datagram at `at` should take to eventually reach `dst`.
@@ -107,15 +104,6 @@ impl RoutingTable {
             return true;
         }
         self.next_hop(src, dst).is_some()
-    }
-
-    /// The shortest-path latency estimate (seconds) used as routing metric.
-    pub fn path_metric(&self, src: NodeId, dst: NodeId) -> f64 {
-        self.distance
-            .get(src.0)
-            .and_then(|row| row.get(dst.0))
-            .copied()
-            .unwrap_or(f64::INFINITY)
     }
 
     /// The full node sequence from `src` to `dst`, inclusive, if reachable.
@@ -172,7 +160,6 @@ mod tests {
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
         );
         assert!(rt.reachable(NodeId(0), NodeId(4)));
-        assert!(rt.path_metric(NodeId(0), NodeId(4)) > rt.path_metric(NodeId(0), NodeId(1)));
     }
 
     #[test]
@@ -183,7 +170,6 @@ mod tests {
         assert!(!rt.reachable(NodeId(0), isolated));
         assert!(rt.next_hop(NodeId(0), isolated).is_none());
         assert!(rt.path(&topo, NodeId(0), isolated).is_none());
-        assert!(rt.path_metric(NodeId(0), isolated).is_infinite());
     }
 
     #[test]

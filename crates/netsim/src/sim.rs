@@ -7,7 +7,7 @@
 //! (sends, timers, traces) are applied when the callback returns.
 
 use crate::app::{Application, Context, Effects};
-use crate::dynamics::{DynamicScenario, LinkChange};
+use crate::dynamics::LinkChange;
 use crate::event::{EventKind, EventQueue};
 use crate::link::{Link, LinkId, LinkOutcome};
 use crate::node::NodeId;
@@ -141,12 +141,10 @@ impl Simulator {
         self.queue.push(at, EventKind::LinkChange { link, change });
     }
 
-    /// Schedule every event of a time-varying scenario (see
-    /// [`crate::dynamics`]).
-    pub fn apply_scenario(&mut self, scenario: &DynamicScenario) {
-        for event in &scenario.events {
-            self.schedule_link_change(event.at, event.link, event.change.clone());
-        }
+    /// Keep the clock running up to `at`: the queue holds a no-op event
+    /// there, so a run does not stop early for want of events.
+    pub fn wake_at(&mut self, at: SimTime) {
+        self.queue.push(at, EventKind::Wake);
     }
 
     /// Apply a link mutation immediately; a change to an unknown link is
@@ -190,6 +188,7 @@ impl Simulator {
                     self.handle_arrival(node, datagram)
                 }
                 EventKind::LinkChange { link, change } => self.apply_link_change(link, &change),
+                EventKind::Wake => {}
             }
         }
         // If events remain beyond the deadline, the clock advances to the

@@ -27,11 +27,6 @@ impl SimTime {
         Self::from_secs(ms / 1_000.0)
     }
 
-    /// Construct from microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us / 1_000_000.0)
-    }
-
     /// The raw number of seconds.
     pub fn as_secs(self) -> f64 {
         self.0
@@ -132,8 +127,6 @@ mod tests {
         let t = SimTime::from_millis(1500.0);
         assert!((t.as_secs() - 1.5).abs() < 1e-12);
         assert!((t.as_millis() - 1500.0).abs() < 1e-9);
-        let u = SimTime::from_micros(250.0);
-        assert!((u.as_secs() - 0.00025).abs() < 1e-12);
     }
 
     #[test]

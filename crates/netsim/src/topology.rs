@@ -60,19 +60,6 @@ impl Topology {
         (ab, ba)
     }
 
-    /// Add an asymmetric pair of directed links between `a` and `b`.
-    pub fn connect_asymmetric(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        a_to_b: LinkSpec,
-        b_to_a: LinkSpec,
-    ) -> (LinkId, LinkId) {
-        let ab = self.connect_directed(a, b, a_to_b);
-        let ba = self.connect_directed(b, a, b_to_a);
-        (ab, ba)
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -151,12 +138,8 @@ mod tests {
         let b = t.add_node(NodeSpec::workstation("b", 2.0));
         let c = t.add_node(NodeSpec::cluster("c", 8.0, 4));
         t.connect(a, b, LinkSpec::from_mbps(100.0, 0.01));
-        t.connect_asymmetric(
-            b,
-            c,
-            LinkSpec::from_mbps(1000.0, 0.002),
-            LinkSpec::from_mbps(100.0, 0.002),
-        );
+        t.connect_directed(b, c, LinkSpec::from_mbps(1000.0, 0.002));
+        t.connect_directed(c, b, LinkSpec::from_mbps(100.0, 0.002));
         (t, a, b, c)
     }
 

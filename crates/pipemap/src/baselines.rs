@@ -118,76 +118,6 @@ pub fn paraview_crs_mapping(
     ))
 }
 
-/// A greedy one-step-lookahead heuristic: each module is placed on whichever
-/// of the current node or its out-neighbours minimizes that module's
-/// processing time plus the transfer it incurs, with the final module forced
-/// onto the client.  Returns `None` if the walk cannot reach the client.
-pub fn greedy_mapping(
-    pipeline: &Pipeline,
-    graph: &NetGraph,
-    source: usize,
-    client: usize,
-) -> Option<(Mapping, DelayBreakdown)> {
-    let n = pipeline.message_count();
-    let mut hosts = Vec::with_capacity(n);
-    let mut at = source;
-    for module in 0..n {
-        let message = pipeline.input_bytes(module);
-        let feasible =
-            |node: usize| !pipeline.modules[module].needs_graphics || graph.node(node).has_graphics;
-        if module == n - 1 {
-            // Final module must land on the client.
-            if at != client && graph.link_between(at, client).is_none() {
-                return None;
-            }
-            if !feasible(client) {
-                return None;
-            }
-            hosts.push(client);
-            at = client;
-            continue;
-        }
-        let mut best_node = None;
-        let mut best_cost = f64::INFINITY;
-        let mut consider = |node: usize, transfer: f64| {
-            if !feasible(node) {
-                return;
-            }
-            let cost = transfer + pipeline.processing_time(module, graph.node(node).power);
-            if cost < best_cost {
-                best_cost = cost;
-                best_node = Some(node);
-            }
-        };
-        consider(at, 0.0);
-        for &lid in graph.outgoing_links(at) {
-            let link = graph.link(lid);
-            consider(link.to, link.transfer_time(message));
-        }
-        let chosen = best_node?;
-        hosts.push(chosen);
-        at = chosen;
-    }
-    // Convert hosts into a mapping.
-    let mut path = Vec::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    if hosts.first() != Some(&source) {
-        path.push(source);
-        groups.push(Vec::new());
-    }
-    for (module, &host) in hosts.iter().enumerate() {
-        if path.last() != Some(&host) {
-            path.push(host);
-            groups.push(Vec::new());
-        }
-        groups.last_mut().expect("non-empty").push(module);
-    }
-    let mapping = Mapping { path, groups };
-    validate_mapping(pipeline, graph, &mapping).ok()?;
-    let delay = evaluate_mapping(pipeline, graph, &mapping);
-    Some((mapping, delay))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,9 +168,6 @@ mod tests {
         if let Some((_, cs)) = client_server_mapping(&p, &g, 0, 2) {
             assert!(dp.delay.total <= cs.total + 1e-9);
         }
-        if let Some((_, greedy)) = greedy_mapping(&p, &g, 0, 2) {
-            assert!(dp.delay.total <= greedy.total + 1e-9);
-        }
         if let Some((_, pv)) = paraview_crs_mapping(&p, &g, 0, 1, 2, 1.0) {
             assert!(dp.delay.total <= pv.total + 1e-9);
         }
@@ -256,14 +183,6 @@ mod tests {
         // faster than the bare pipeline).
         let (_, clamped) = paraview_crs_mapping(&p, &g, 0, 1, 2, 0.5).unwrap();
         assert!((clamped.total - base.total).abs() < 1e-12);
-    }
-
-    #[test]
-    fn greedy_reaches_the_client_and_is_feasible() {
-        let (p, g) = setup();
-        let (mapping, delay) = greedy_mapping(&p, &g, 0, 2).unwrap();
-        assert_eq!(*mapping.path.last().unwrap(), 2);
-        assert!(delay.total.is_finite());
     }
 
     #[test]

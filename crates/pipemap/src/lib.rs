@@ -35,7 +35,7 @@ pub mod sweep;
 pub(crate) mod testutil;
 pub mod vrt;
 
-pub use baselines::{client_server_mapping, greedy_mapping, paraview_crs_mapping};
+pub use baselines::{client_server_mapping, paraview_crs_mapping};
 pub use delay::{evaluate_mapping, DelayBreakdown};
 pub use dp::{optimize, optimize_warm, optimize_with, DpOptions, DpStats, OptimizedMapping};
 pub use exhaustive::exhaustive_optimal;

@@ -82,21 +82,6 @@ impl VisualizationRoutingTable {
         }
     }
 
-    /// The entry for a given node, if it participates.
-    pub fn entry_for(&self, node: usize) -> Option<&RoutingEntry> {
-        self.entries.iter().find(|e| e.node == node)
-    }
-
-    /// The client (terminal) node of the loop.
-    pub fn client_node(&self) -> Option<usize> {
-        self.entries.last().map(|e| e.node)
-    }
-
-    /// The data-source node of the loop.
-    pub fn source_node(&self) -> Option<usize> {
-        self.entries.first().map(|e| e.node)
-    }
-
     /// A compact human-readable description, e.g.
     /// `"GaTech[filter] -> UT[isosurface,render] -> ORNL[]"`.
     pub fn describe(&self) -> String {
@@ -140,8 +125,8 @@ mod tests {
         let opt = optimize(&p, &g, 0, 2).unwrap();
         let vrt = VisualizationRoutingTable::from_mapping(&p, &g, &opt.mapping, opt.delay.total);
         assert_eq!(vrt.pipeline, "iso");
-        assert_eq!(vrt.source_node(), Some(0));
-        assert_eq!(vrt.client_node(), Some(2));
+        assert_eq!(vrt.entries.first().map(|e| e.node), Some(0));
+        assert_eq!(vrt.entries.last().map(|e| e.node), Some(2));
         assert_eq!(vrt.entries.len(), opt.mapping.path.len());
         // The hops chain together.
         for pair in vrt.entries.windows(2) {
@@ -155,8 +140,6 @@ mod tests {
         assert_eq!(vrt.entries.last().unwrap().forward_bytes, 0.0);
         // Intermediate forward sizes are positive.
         assert!(vrt.entries[0].forward_bytes > 0.0);
-        assert!(vrt.entry_for(0).is_some());
-        assert!(vrt.entry_for(99).is_none());
     }
 
     #[test]

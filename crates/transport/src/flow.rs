@@ -237,54 +237,6 @@ pub struct FlowStats {
     pub start_time: Option<f64>,
 }
 
-impl FlowStats {
-    /// Mean goodput over all receiver samples, bytes/second.
-    pub fn mean_goodput(&self) -> f64 {
-        if self.goodput_samples.is_empty() {
-            return 0.0;
-        }
-        self.goodput_samples.iter().map(|(_, g)| g).sum::<f64>() / self.goodput_samples.len() as f64
-    }
-
-    /// Mean goodput restricted to samples at or after `from_secs`.
-    pub fn mean_goodput_after(&self, from_secs: f64) -> f64 {
-        let tail: Vec<f64> = self
-            .goodput_samples
-            .iter()
-            .filter(|(t, _)| *t >= from_secs)
-            .map(|(_, g)| *g)
-            .collect();
-        if tail.is_empty() {
-            return 0.0;
-        }
-        tail.iter().sum::<f64>() / tail.len() as f64
-    }
-
-    /// Standard deviation of goodput samples at or after `from_secs`.
-    pub fn goodput_std_after(&self, from_secs: f64) -> f64 {
-        let tail: Vec<f64> = self
-            .goodput_samples
-            .iter()
-            .filter(|(t, _)| *t >= from_secs)
-            .map(|(_, g)| *g)
-            .collect();
-        if tail.len() < 2 {
-            return 0.0;
-        }
-        let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-        (tail.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / tail.len() as f64).sqrt()
-    }
-
-    /// Fraction of transmitted datagrams that were retransmissions.
-    pub fn retransmission_rate(&self) -> f64 {
-        if self.datagrams_sent == 0 {
-            0.0
-        } else {
-            self.retransmissions as f64 / self.datagrams_sent as f64
-        }
-    }
-}
-
 /// Shared handle to the statistics of a flow.
 pub type SharedFlowStats = Rc<RefCell<FlowStats>>;
 
@@ -362,20 +314,5 @@ mod tests {
         .encode();
         bytes[32] = 200; // missing count = 200 but no entries follow
         assert!(AckInfo::decode(&bytes).is_none());
-    }
-
-    #[test]
-    fn stats_summaries() {
-        let mut s = FlowStats::default();
-        assert_eq!(s.mean_goodput(), 0.0);
-        s.goodput_samples = vec![(0.0, 100.0), (1.0, 200.0), (2.0, 300.0)];
-        assert!((s.mean_goodput() - 200.0).abs() < 1e-12);
-        assert!((s.mean_goodput_after(1.0) - 250.0).abs() < 1e-12);
-        assert_eq!(s.mean_goodput_after(5.0), 0.0);
-        assert!(s.goodput_std_after(0.0) > 0.0);
-        assert_eq!(s.goodput_std_after(2.0), 0.0);
-        s.datagrams_sent = 100;
-        s.retransmissions = 10;
-        assert!((s.retransmission_rate() - 0.1).abs() < 1e-12);
     }
 }

@@ -73,70 +73,6 @@ impl TimeSeries {
                 .collect(),
         )
     }
-
-    /// Mean absolute successive difference — a jitter measure that, unlike
-    /// the standard deviation, is insensitive to slow drift.
-    pub fn mean_abs_successive_diff(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let diffs: Vec<f64> = self
-            .samples
-            .windows(2)
-            .map(|w| (w[1].1 - w[0].1).abs())
-            .collect();
-        diffs.iter().sum::<f64>() / diffs.len() as f64
-    }
-
-    /// Earliest time from which the series stays within `band` (relative,
-    /// e.g. 0.2 = ±20 %) of `target` for the rest of the trace, or `None` if
-    /// it never settles.
-    pub fn convergence_time(&self, target: f64, band: f64) -> Option<f64> {
-        if self.samples.is_empty() || target <= 0.0 {
-            return None;
-        }
-        let within = |v: f64| (v - target).abs() <= band * target;
-        // Scan from the end to find the last excursion outside the band.
-        let mut last_violation: Option<usize> = None;
-        for (i, (_, v)) in self.samples.iter().enumerate() {
-            if !within(*v) {
-                last_violation = Some(i);
-            }
-        }
-        match last_violation {
-            None => Some(self.samples[0].0),
-            Some(i) if i + 1 < self.samples.len() => Some(self.samples[i + 1].0),
-            Some(_) => None,
-        }
-    }
-
-    /// Stability index: the ratio of the coefficient of variation in the
-    /// first `split` fraction of the trace to that in the remainder.  Values
-    /// well above 1 indicate the trajectory settled down.
-    pub fn stability_index(&self, split: f64) -> f64 {
-        if self.samples.len() < 4 {
-            return 1.0;
-        }
-        let split = split.clamp(0.05, 0.95);
-        let t_split = {
-            let t0 = self.samples.first().map(|(t, _)| *t).unwrap_or(0.0);
-            let t1 = self.samples.last().map(|(t, _)| *t).unwrap_or(0.0);
-            t0 + split * (t1 - t0)
-        };
-        let early = TimeSeries::new(
-            self.samples
-                .iter()
-                .copied()
-                .filter(|(t, _)| *t < t_split)
-                .collect(),
-        );
-        let late = self.after(t_split);
-        let late_cv = late.coefficient_of_variation();
-        if late_cv < 1e-12 {
-            return f64::INFINITY;
-        }
-        early.coefficient_of_variation() / late_cv
-    }
 }
 
 #[cfg(test)]
@@ -160,8 +96,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.coefficient_of_variation(), 0.0);
-        assert_eq!(s.mean_abs_successive_diff(), 0.0);
-        assert_eq!(s.convergence_time(1.0, 0.1), None);
     }
 
     #[test]
@@ -178,39 +112,5 @@ mod tests {
         let s = series(&[1.0, 2.0, 3.0, 4.0]);
         let tail = s.after(2.0);
         assert_eq!(tail.samples, vec![(2.0, 3.0), (3.0, 4.0)]);
-    }
-
-    #[test]
-    fn jitter_measures_successive_change() {
-        let smooth = series(&[1.0, 1.0, 1.0, 1.0]);
-        let bumpy = series(&[1.0, 2.0, 1.0, 2.0]);
-        assert_eq!(smooth.mean_abs_successive_diff(), 0.0);
-        assert!((bumpy.mean_abs_successive_diff() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn convergence_time_detection() {
-        // Starts far from target 10, settles to within 10 % at t = 3.
-        let s = series(&[1.0, 20.0, 5.0, 9.8, 10.1, 9.9, 10.0]);
-        let t = s.convergence_time(10.0, 0.1).unwrap();
-        assert_eq!(t, 3.0);
-        // Never converges.
-        let bad = series(&[1.0, 2.0, 3.0, 50.0]);
-        assert_eq!(bad.convergence_time(10.0, 0.1), None);
-        // Converged from the start.
-        let good = series(&[10.0, 10.0]);
-        assert_eq!(good.convergence_time(10.0, 0.1), Some(0.0));
-    }
-
-    #[test]
-    fn stability_index_detects_settling() {
-        let mut vals: Vec<f64> = vec![1.0, 9.0, 2.0, 8.0, 3.0, 7.0];
-        vals.extend(std::iter::repeat_n(5.0, 6));
-        let s = series(&vals);
-        assert!(s.stability_index(0.5) > 5.0);
-        let constant = series(&[5.0; 10]);
-        assert!(constant.stability_index(0.5).is_infinite());
-        let tiny = series(&[1.0, 2.0]);
-        assert_eq!(tiny.stability_index(0.5), 1.0);
     }
 }

@@ -52,17 +52,6 @@ impl FlowTelemetry {
     pub fn has_signal(&self) -> bool {
         self.goodput_samples > 0
     }
-
-    /// Loss events per second over the observed span (0 before the span
-    /// is meaningfully long).
-    pub fn loss_event_rate(&self) -> f64 {
-        let span = self.last_update_s - self.first_update_s;
-        if span <= 1e-9 {
-            0.0
-        } else {
-            self.loss_events as f64 / span
-        }
-    }
 }
 
 /// Accumulates [`FlowTelemetry`] from the sender's existing signals.
@@ -208,10 +197,12 @@ mod tests {
     fn loss_rate_needs_a_span() {
         let mut c = TelemetryCollector::new(1);
         c.on_loss(2, 1.0);
-        assert_eq!(c.telemetry().loss_event_rate(), 0.0);
+        let t = c.telemetry();
+        assert_eq!(t.last_update_s - t.first_update_s, 0.0);
         c.on_loss(2, 5.0);
-        assert!((c.telemetry().loss_event_rate() - 1.0).abs() < 1e-9);
-        assert_eq!(c.telemetry().loss_events, 4);
+        let t = c.telemetry();
+        assert_eq!(t.last_update_s - t.first_update_s, 4.0);
+        assert_eq!(t.loss_events, 4);
     }
 
     #[test]

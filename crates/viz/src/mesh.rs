@@ -29,11 +29,6 @@ impl TriangleMesh {
         self.indices.len() / 3
     }
 
-    /// Number of vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.positions.len()
-    }
-
     /// Whether the mesh has no triangles.
     pub fn is_empty(&self) -> bool {
         self.indices.is_empty()
@@ -129,7 +124,7 @@ mod tests {
     fn counts_and_bytes() {
         let m = unit_triangle();
         assert_eq!(m.triangle_count(), 1);
-        assert_eq!(m.vertex_count(), 3);
+        assert_eq!(m.positions.len(), 3);
         assert!(!m.is_empty());
         assert_eq!(m.nbytes(), 3 * 12 + 3 * 12 + 3 * 4);
         assert!(TriangleMesh::new().is_empty());

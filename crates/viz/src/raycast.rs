@@ -10,7 +10,6 @@
 use crate::camera::Camera;
 use crate::image::Image;
 use crate::transfer::TransferFunction;
-use rayon::prelude::*;
 use ricsa_vizdata::field::ScalarField;
 use serde::{Deserialize, Serialize};
 
@@ -75,28 +74,15 @@ pub fn raycast(
     let step = config.step.max(0.05);
     let projector = camera.projector(center, half_extent);
 
-    let rows: Vec<(Vec<u8>, u64)> = (0..camera.height)
-        .into_par_iter()
-        .map(|py| {
-            let mut row = Vec::with_capacity(camera.width * 4);
-            let mut samples = 0u64;
-            for px in 0..camera.width {
-                let (origin, dir) = projector.pixel_ray(px, py);
-                let (rgba, n) = march_ray(field, transfer, config, origin, dir, max_march, step);
-                samples += n;
-                row.extend_from_slice(&rgba);
-            }
-            (row, samples)
-        })
-        .collect();
-
     let mut image = Image::new(camera.width, camera.height);
     let mut total_samples = 0u64;
-    let mut offset = 0usize;
-    for (row, samples) in rows {
-        image.pixels[offset..offset + row.len()].copy_from_slice(&row);
-        offset += row.len();
-        total_samples += samples;
+    for py in 0..camera.height {
+        for px in 0..camera.width {
+            let (origin, dir) = projector.pixel_ray(px, py);
+            let (rgba, n) = march_ray(field, transfer, config, origin, dir, max_march, step);
+            total_samples += n;
+            image.set(px, py, rgba);
+        }
     }
     let stats = RaycastStats {
         rays: camera.width * camera.height,

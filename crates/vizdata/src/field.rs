@@ -49,16 +49,6 @@ impl Dims {
     pub fn contains(&self, x: usize, y: usize, z: usize) -> bool {
         x < self.nx && y < self.ny && z < self.nz
     }
-
-    /// Number of cells (cubes between samples) along each axis; zero along
-    /// axes with fewer than two samples.
-    pub fn cell_dims(&self) -> Dims {
-        Dims::new(
-            self.nx.saturating_sub(1),
-            self.ny.saturating_sub(1),
-            self.nz.saturating_sub(1),
-        )
-    }
 }
 
 /// A scalar field sampled on a regular grid.
@@ -293,8 +283,6 @@ mod tests {
         assert_eq!(d.index(0, 0, 1), 12);
         assert!(d.contains(3, 2, 1));
         assert!(!d.contains(4, 0, 0));
-        assert_eq!(d.cell_dims(), Dims::new(3, 2, 1));
-        assert_eq!(Dims::new(1, 1, 1).cell_dims(), Dims::new(0, 0, 0));
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl VolumeContainer {
             .map(|v| &v.field)
     }
 
-    /// Names of all stored variables.
-    pub fn variable_names(&self) -> Vec<&str> {
-        self.variables.iter().map(|v| v.name.as_str()).collect()
-    }
-
     /// Total payload size in bytes (used by the delay model as the dataset
     /// size `m_0`).
     pub fn nbytes(&self) -> usize {
@@ -255,7 +250,8 @@ mod tests {
         assert_eq!(back, c);
         assert_eq!(back.cycle, 42);
         assert_eq!(back.time, 1.25);
-        assert_eq!(back.variable_names(), vec!["pressure", "density"]);
+        let names: Vec<&str> = back.variables.iter().map(|v| v.name.as_str()).collect();
+        assert_eq!(names, ["pressure", "density"]);
         assert!(back.variable("pressure").is_some());
         assert!(back.variable("missing").is_none());
     }

@@ -41,16 +41,6 @@ impl OctreeBlock {
         (self.max[0] - self.min[0]) * (self.max[1] - self.min[1]) * (self.max[2] - self.min[2])
     }
 
-    /// Number of cells (cubes spanning 8 samples) the block contributes to
-    /// marching cubes.  Blocks share a one-sample overlap with their +x/+y/+z
-    /// neighbours conceptually; cell counts are computed within the block.
-    pub fn cell_count(&self) -> usize {
-        let span = |lo: usize, hi: usize| (hi - lo).saturating_sub(1);
-        span(self.min[0], self.max[0])
-            * span(self.min[1], self.max[1])
-            * span(self.min[2], self.max[2])
-    }
-
     /// Whether an isosurface at `isovalue` can pass through this block.
     pub fn intersects_isovalue(&self, isovalue: f32) -> bool {
         self.value_min <= isovalue && isovalue <= self.value_max
@@ -247,8 +237,6 @@ mod tests {
         assert!(sizes.contains(&64)); // full 4x4x4 block
         assert!(sizes.contains(&32)); // 2x4x4 boundary block
         assert!(sizes.contains(&8)); // 2x2x2 corner block
-        let b = &tree.blocks[0];
-        assert_eq!(b.cell_count(), 27);
     }
 
     #[test]

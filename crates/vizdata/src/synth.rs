@@ -9,7 +9,6 @@
 //! shells of distinct value bands.
 
 use crate::field::{Dims, ScalarField, VectorField};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Which synthetic volume to generate.
@@ -46,26 +45,16 @@ impl SyntheticVolume {
         SyntheticVolume { kind, dims, seed }
     }
 
-    /// Generate the scalar field (parallelized over z-slabs).
+    /// Generate the scalar field.
     pub fn generate(&self) -> ScalarField {
         let dims = self.dims;
-        let kind = self.kind;
-        let seed = self.seed;
-        let slab: Vec<Vec<f32>> = (0..dims.nz.max(1))
-            .into_par_iter()
-            .map(|z| {
-                let mut slice = Vec::with_capacity(dims.nx * dims.ny);
-                for y in 0..dims.ny {
-                    for x in 0..dims.nx {
-                        slice.push(sample(kind, dims, seed, x, y, z));
-                    }
-                }
-                slice
-            })
-            .collect();
         let mut data = Vec::with_capacity(dims.count());
-        for s in slab {
-            data.extend_from_slice(&s);
+        for z in 0..dims.nz.max(1) {
+            for y in 0..dims.ny {
+                for x in 0..dims.nx {
+                    data.push(sample(self.kind, dims, self.seed, x, y, z));
+                }
+            }
         }
         data.truncate(dims.count());
         ScalarField {

@@ -924,7 +924,7 @@ impl SteeringInbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use ricsa_netsim::rng::SimRng;
     use std::time::{Duration, Instant};
 
     fn frame(cycle: u64) -> Frame {
@@ -953,10 +953,10 @@ mod tests {
 
     /// An image of seeded random pixels — incompressible, so wire-size
     /// assertions measure the delta machinery rather than the RLE codec.
-    fn noisy_image(rng: &mut StdRng, w: usize, h: usize) -> Image {
+    fn noisy_image(rng: &mut SimRng, w: usize, h: usize) -> Image {
         let mut img = Image::new(w, h);
         for p in img.pixels.iter_mut() {
-            *p = rng.gen_range(0..256) as u8;
+            *p = rng.index(256) as u8;
         }
         img
     }
@@ -1041,7 +1041,7 @@ mod tests {
 
     #[test]
     fn direct_writers_are_byte_identical_to_the_value_tree_encoders() {
-        let mut rng = StdRng::seed_from_u64(0x1D);
+        let mut rng = SimRng::new(0x1D);
         let monitor_sets: Vec<Vec<(String, f64)>> = vec![
             vec![],
             vec![("max_pressure".into(), 1.5), ("step".into(), 12.0)],
@@ -1200,7 +1200,7 @@ mod tests {
 
     #[test]
     fn delta_is_smaller_on_wire_and_skipped_when_not() {
-        let mut rng = StdRng::seed_from_u64(0xBEEF);
+        let mut rng = SimRng::new(0xBEEF);
         let hub = SessionHub::new(8);
         let base = noisy_image(&mut rng, 64, 64);
         hub.publish(Frame {
@@ -1254,7 +1254,7 @@ mod tests {
         );
 
         // Incompressible frames ship raw — no codec field, never larger.
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = SimRng::new(11);
         let noisy = Frame {
             image: noisy_image(&mut rng, 32, 32).encode_raw(),
             ..flat
@@ -1326,20 +1326,20 @@ mod tests {
         // Property test: for seeded random frame pairs, shipping the delta
         // and applying it client-side reproduces the full frame exactly —
         // including the JSON/base64 wire round trip.
-        let mut rng = StdRng::seed_from_u64(0xD31A);
+        let mut rng = SimRng::new(0xD31A);
         for case in 0..40 {
-            let (w, h) = (1 + rng.gen_range(0..70), 1 + rng.gen_range(0..50));
+            let (w, h) = (1 + rng.index(70), 1 + rng.index(50));
             let mut prev = Image::new(w, h);
             for p in prev.pixels.iter_mut() {
-                *p = rng.gen_range(0..256) as u8;
+                *p = rng.index(256) as u8;
             }
             let mut cur = prev.clone();
             // Sparse random edits (possibly none).
-            let edits = rng.gen_range(0..40);
+            let edits = rng.index(40);
             for _ in 0..edits {
-                let x = rng.gen_range(0..w);
-                let y = rng.gen_range(0..h);
-                cur.set(x, y, [rng.gen_range(0..256) as u8, 0, 255, 1]);
+                let x = rng.index(w);
+                let y = rng.index(h);
+                cur.set(x, y, [rng.index(256) as u8, 0, 255, 1]);
             }
             let delta = diff_images(&prev, &cur, DELTA_TILE).unwrap();
             assert_eq!(apply_delta(&prev, &delta), cur, "case {case}: direct");
@@ -1366,7 +1366,7 @@ mod tests {
 
     /// Publish a run of frames with sparse edits confined to the first two
     /// tiles, returning the image history indexed by `sequence - 1`.
-    fn publish_chain(hub: &SessionHub, rng: &mut StdRng, steps: u64) -> Vec<Image> {
+    fn publish_chain(hub: &SessionHub, rng: &mut SimRng, steps: u64) -> Vec<Image> {
         let (w, h) = (96, 64);
         let mut img = noisy_image(rng, w, h);
         let mut history = Vec::new();
@@ -1381,9 +1381,9 @@ mod tests {
             // incompressible) full frame, so deltas and compositions pass
             // the profitability filter.
             for _ in 0..6 {
-                let x = rng.gen_range(0..2 * DELTA_TILE);
-                let y = rng.gen_range(0..DELTA_TILE);
-                img.set(x, y, [rng.gen_range(0..256) as u8, 1, 2, 255]);
+                let x = rng.index(2 * DELTA_TILE);
+                let y = rng.index(DELTA_TILE);
+                img.set(x, y, [rng.index(256) as u8, 1, 2, 255]);
             }
             hub.publish(Frame {
                 image: img.encode_raw(),
@@ -1401,7 +1401,7 @@ mod tests {
         // its retained pixels must reproduce the head frame bit-for-bit,
         // for every lag in 2..=MAX_DELTA_CHAIN — i.e. composing k per-step
         // deltas is exactly equivalent to applying them one by one.
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let mut rng = SimRng::new(0xC0FFEE);
         let hub = SessionHub::new(32);
         let history = publish_chain(&hub, &mut rng, MAX_DELTA_CHAIN + 2);
         let head = hub.latest_sequence();
@@ -1428,7 +1428,7 @@ mod tests {
 
     #[test]
     fn composed_deltas_are_encoded_once_and_shared_across_pollers() {
-        let mut rng = StdRng::seed_from_u64(0xFACE);
+        let mut rng = SimRng::new(0xFACE);
         let hub = SessionHub::new(32);
         publish_chain(&hub, &mut rng, 5);
         let head = hub.latest_sequence();
@@ -1450,7 +1450,7 @@ mod tests {
     #[test]
     fn encodes_follow_demand_one_per_frame_and_mode_polled() {
         const FRAMES: u64 = 12;
-        let mut rng = StdRng::seed_from_u64(0xDE3A);
+        let mut rng = SimRng::new(0xDE3A);
         // A delta-only client in step with the publisher, as the embedded
         // page is: frame 1 has no predecessor and ships full, every later
         // frame ships its delta, and no full payload is ever made for them.
@@ -1485,7 +1485,7 @@ mod tests {
 
     #[test]
     fn an_unprofitable_delta_costs_its_encode_and_the_full_one() {
-        let mut rng = StdRng::seed_from_u64(0x0FF);
+        let mut rng = SimRng::new(0x0FF);
         let hub = SessionHub::new(4);
         for c in 1..=2 {
             hub.publish(Frame {
@@ -1504,7 +1504,7 @@ mod tests {
     #[test]
     fn pollers_racing_for_a_first_payload_share_one_encode() {
         const POLLERS: usize = 8;
-        let mut rng = StdRng::seed_from_u64(0x8ACE);
+        let mut rng = SimRng::new(0x8ACE);
         let hub = SessionHub::new(4);
         let mut img = noisy_image(&mut rng, 128, 128);
         for c in 1..=2 {
@@ -1541,7 +1541,7 @@ mod tests {
     fn payload_lengths_do_not_depend_on_the_hub_instance() {
         // The epoch always prints 16 digits, so two incarnations serving
         // the same frames put the same number of bytes on the wire.
-        let mut rng = StdRng::seed_from_u64(0xE90C);
+        let mut rng = SimRng::new(0xE90C);
         let hubs = [SessionHub::new(16), SessionHub::new(16)];
         for hub in &hubs {
             let epoch = hub.epoch();
@@ -1624,9 +1624,9 @@ mod tests {
             assert!(base64_decode(interior).is_none(), "{interior}");
         }
         assert!(base64_decode("Zm9vZ\u{e9}v").is_none(), "non-ASCII");
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SimRng::new(7);
         for n in 0..=1000 {
-            let data: Vec<u8> = (0..n).map(|_| rng.gen_range(0..256) as u8).collect();
+            let data: Vec<u8> = (0..n).map(|_| rng.index(256) as u8).collect();
             let text = base64_encode(&data);
             assert_eq!(text.len(), base64_len(n));
             assert_eq!(base64_decode(&text).unwrap(), data);
@@ -1787,7 +1787,7 @@ mod tests {
         // chain, and at the end a 4-step chain through frames of both
         // publishers reconstructs the head exactly.
         const ROUNDS: u64 = 20;
-        let mut rng = StdRng::seed_from_u64(0x2ACE);
+        let mut rng = SimRng::new(0x2ACE);
         let base = noisy_image(&mut rng, 96, 64);
         let hub = SessionHub::new(2 * ROUNDS as usize);
         let barrier = Arc::new(std::sync::Barrier::new(2));

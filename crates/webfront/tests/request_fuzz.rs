@@ -9,8 +9,7 @@
 //! parser owes them; then it damages one and checks what the parser owes
 //! arbitrary bytes.
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use ricsa_netsim::rng::SimRng;
 use ricsa_webfront::http::{HttpRequest, Parse, PoolMetrics};
 use ricsa_webfront::hub::Frame;
 use ricsa_webfront::multi::route_session;
@@ -29,8 +28,8 @@ const CASES_PER_SEED: usize = 2_000;
 const MAX_HEADER_BYTES: usize = 16 << 10;
 const MAX_BODY_BYTES: usize = 16 << 20;
 
-fn pick<'a>(rng: &mut StdRng, from: &[&'a str]) -> &'a str {
-    from[rng.gen_range(0..from.len())]
+fn pick<'a>(rng: &mut SimRng, from: &[&'a str]) -> &'a str {
+    from[rng.index(from.len())]
 }
 
 /// A request the parser must accept, with what it must read out of it.
@@ -59,10 +58,19 @@ const NUMBERS: [&str; 14] = [
     "%zz%ff%fe%",
 ];
 
+/// `len` random bytes, eight to a draw.
+fn random_bytes(rng: &mut SimRng, len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
+    for chunk in out.chunks_mut(8) {
+        chunk.copy_from_slice(&rng.next_u64().to_le_bytes()[..chunk.len()]);
+    }
+    out
+}
+
 /// `head` is the newest sequence the hubs hold, so that cursors land on
 /// both sides of it.
-fn valid_request(rng: &mut StdRng, head: u64) -> Valid {
-    let path = match rng.gen_range(0..12u32) {
+fn valid_request(rng: &mut SimRng, head: u64) -> Valid {
+    let path = match rng.index(12) {
         0 => "/".to_string(),
         1 => "/index.html".to_string(),
         2 => "/api/state".to_string(),
@@ -79,7 +87,7 @@ fn valid_request(rng: &mut StdRng, head: u64) -> Valid {
         10 => format!("/s/{}", pick(rng, &NUMBERS)),
         _ => {
             // Junk that is still one whitespace-free token of valid UTF-8.
-            let len = rng.gen_range(1..40usize);
+            let len = 1 + rng.index(39);
             let junk: String = (0..len)
                 .map(|_| {
                     pick(
@@ -91,17 +99,17 @@ fn valid_request(rng: &mut StdRng, head: u64) -> Valid {
             format!("/{junk}")
         }
     };
-    let method = match rng.gen_range(0..10u32) {
-        0 => ["GET", "POST", "HEAD", "PUT"][rng.gen_range(0..4usize)],
+    let method = match rng.index(10) {
+        0 => ["GET", "POST", "HEAD", "PUT"][rng.index(4)],
         _ if path.ends_with("/steer") => "POST",
         _ => "GET",
     };
     let mut target = path.clone();
-    if rng.gen_bool(0.7) {
-        let params: Vec<String> = (0..rng.gen_range(0..5u32))
-            .map(|_| match rng.gen_range(0..5u32) {
+    if rng.coin(0.7) {
+        let params: Vec<String> = (0..rng.index(5))
+            .map(|_| match rng.index(5) {
                 0 => format!("since={}", pick(rng, &NUMBERS)),
-                1 => format!("since={}", head + rng.gen_range(0..3u64) - 1),
+                1 => format!("since={}", head + rng.index(3) as u64 - 1),
                 2 => format!(
                     "timeout_ms={}",
                     pick(
@@ -116,7 +124,7 @@ fn valid_request(rng: &mut StdRng, head: u64) -> Valid {
         target.push('?');
         target.push_str(&params.join("&"));
     }
-    let body: Vec<u8> = match (method, rng.gen_range(0..4u32)) {
+    let body: Vec<u8> = match (method, rng.index(4)) {
         ("GET" | "HEAD", _) | (_, 0) => Vec::new(),
         (_, 1) => {
             br#"{"gamma":1.4,"cfl":0.3,"drive_strength":1.0,"inflow_velocity":2.0,"end_cycle":200}"#
@@ -124,17 +132,16 @@ fn valid_request(rng: &mut StdRng, head: u64) -> Valid {
         }
         (_, 2) => b"garbage\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n".to_vec(),
         _ => {
-            let mut raw = vec![0u8; rng.gen_range(1..300usize)];
-            rng.fill_bytes(&mut raw);
-            raw
+            let len = 1 + rng.index(299);
+            random_bytes(rng, len)
         }
     };
-    let eol = if rng.gen_bool(0.25) { "\n" } else { "\r\n" };
+    let eol = if rng.coin(0.25) { "\n" } else { "\r\n" };
     let version = pick(rng, &["HTTP/1.1", "HTTP/1.1", "HTTP/1.0"]);
     let mut head = format!("{method} {target} {version}{eol}");
-    for i in 0..rng.gen_range(0..6u32) {
-        let value = match rng.gen_range(0..16u32) {
-            0 => "x".repeat(rng.gen_range(0..2500usize)),
+    for i in 0..rng.index(6) {
+        let value = match rng.index(16) {
+            0 => "x".repeat(rng.index(2500)),
             1..=3 => "a: b: c".to_string(),
             4..=6 => "keep-alive".to_string(),
             _ => format!("v{i}"),
@@ -142,9 +149,9 @@ fn valid_request(rng: &mut StdRng, head: u64) -> Valid {
         let name = pick(rng, &["Host", "X-Odd", "x-odd", "Connection", "Accept"]);
         head.push_str(&format!("{name}: {value}{eol}"));
     }
-    if !body.is_empty() || rng.gen_bool(0.2) {
+    if !body.is_empty() || rng.coin(0.2) {
         // Sometimes twice: a duplicate that agrees is still one length.
-        for _ in 0..rng.gen_range(1..3u32) {
+        for _ in 0..1 + rng.index(2) {
             head.push_str(&format!("Content-Length: {}{eol}", body.len()));
         }
     }
@@ -160,19 +167,16 @@ fn valid_request(rng: &mut StdRng, head: u64) -> Valid {
 }
 
 /// Damage `bytes` the way a hostile or broken client would.
-fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>) {
-    for _ in 0..rng.gen_range(1..4u32) {
-        let at = rng.gen_range(0..bytes.len().max(1));
-        match rng.gen_range(0..8u32) {
+fn mutate(rng: &mut SimRng, bytes: &mut Vec<u8>) {
+    for _ in 0..1 + rng.index(3) {
+        let at = rng.index(bytes.len().max(1));
+        match rng.index(8) {
             0 => bytes.truncate(at),
-            1 if !bytes.is_empty() => bytes[at] = rng.gen(),
-            2 => bytes.insert(
-                at,
-                [0x00, 0xff, b'\n', b'\r', b' ', b':'][rng.gen_range(0..6usize)],
-            ),
-            3 if rng.gen_bool(0.25) => {
+            1 if !bytes.is_empty() => bytes[at] = (rng.next_u64() >> 56) as u8,
+            2 => bytes.insert(at, [0x00, 0xff, b'\n', b'\r', b' ', b':'][rng.index(6)]),
+            3 if rng.coin(0.25) => {
                 // A header block that never ends, or ends past the cap.
-                let filler = vec![b'a'; rng.gen_range(1..3usize) * MAX_HEADER_BYTES];
+                let filler = vec![b'a'; (1 + rng.index(2)) * MAX_HEADER_BYTES];
                 bytes.splice(at..at, filler);
             }
             4 => {
@@ -193,9 +197,8 @@ fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>) {
                 bytes.splice(line_start..line_start, absurd.bytes());
             }
             5 => {
-                let mut junk = vec![0u8; rng.gen_range(1..64usize)];
-                rng.fill_bytes(&mut junk);
-                bytes.splice(at..at, junk);
+                let len = 1 + rng.index(63);
+                bytes.splice(at..at, random_bytes(rng, len));
             }
             6 => bytes.extend_from_slice(b"\r\n\r\n"),
             _ => bytes.reverse(),
@@ -332,8 +335,8 @@ impl Routers {
     }
 }
 
-fn run_case(rng: &mut StdRng, routers: &mut Routers) -> Result<(), String> {
-    let requests: Vec<Valid> = (0..rng.gen_range(1..5u32))
+fn run_case(rng: &mut SimRng, routers: &mut Routers) -> Result<(), String> {
+    let requests: Vec<Valid> = (0..1 + rng.index(4))
         .map(|_| valid_request(rng, routers.published))
         .collect();
 
@@ -357,7 +360,7 @@ fn run_case(rng: &mut StdRng, routers: &mut Routers) -> Result<(), String> {
     let head_len = len - first.body.len();
     let cuts = [0, 1, head_len - 1, head_len.min(len - 1), len - 1]
         .into_iter()
-        .chain((0..3).map(|_| rng.gen_range(0..len)));
+        .chain((0..3).map(|_| rng.index(len)));
     for cut in cuts {
         if !matches!(HttpRequest::parse_buf(&first.bytes[..cut]), Parse::Partial) {
             return Err(format!("prefix {cut} of {len} is not Partial"));
@@ -373,7 +376,7 @@ fn run_case(rng: &mut StdRng, routers: &mut Routers) -> Result<(), String> {
     let (mut buf, mut parsed) = (Vec::new(), Vec::new());
     let mut at = 0;
     while at < wire.len() {
-        let step = rng.gen_range(1..(wire.len() - at).min(700) + 1);
+        let step = 1 + rng.index((wire.len() - at).min(700));
         feed(&mut buf, &wire[at..at + step], &mut parsed)
             .map_err(|e| format!("pipelined valid requests, at byte {at}: {e}"))?;
         at += step;
@@ -430,7 +433,7 @@ fn run_case(rng: &mut StdRng, routers: &mut Routers) -> Result<(), String> {
 fn the_request_path_survives_twenty_thousand_seeded_requests() {
     let mut routers = Routers::new();
     for seed in SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SimRng::new(seed);
         for case in 0..CASES_PER_SEED {
             if let Err(what) = run_case(&mut rng, &mut routers) {
                 panic!("seed {seed}, case {case}: {what}");

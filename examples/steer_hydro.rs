@@ -21,14 +21,15 @@ fn main() {
     let mut server = SimulationServer::startup();
     let (commands, datasets) = server.wait_accept_connection();
 
-    // The client requests a bow-shock run with a deliberately weak wind.
+    // The client requests a bow-shock run with a deliberately weak wind and
+    // a slow ambient flow: too little ram pressure for a shock to form.
     commands
         .send(SimulationCommand::Start {
             problem: Problem::BowShock,
-            dims: Dims::new(96, 64, 1),
+            dims: Dims::new(48, 32, 8),
             params: SteerableParams {
                 drive_strength: 0.2,
-                inflow_velocity: 3.0,
+                inflow_velocity: 1.0,
                 end_cycle: 120,
                 ..SteerableParams::default()
             },
@@ -52,10 +53,11 @@ fn main() {
                 );
             }
             // Steering decision: the weak wind never builds a shock, so at
-            // cycle 40 the scientist cranks the wind up instead of letting
-            // the allocation run out — the "saving a stray simulation" case.
+            // cycle 40 the scientist cranks the wind and the flow up instead
+            // of letting the allocation run out — the "saving a stray
+            // simulation" case.
             if !steered && snapshot.cycle >= 40 && max_p < 3.0 {
-                println!(">>> steering: raising drive strength 0.2 -> 2.5");
+                println!(">>> steering: drive strength 0.2 -> 2.5, inflow 1.0 -> 3.0");
                 commands
                     .send(SimulationCommand::UpdateParameters(SteerableParams {
                         drive_strength: 2.5,
@@ -69,15 +71,12 @@ fn main() {
         }
     }
 
-    // Render the final pressure field the way the CS node would.
-    let final_snapshot = datasets.try_iter().last();
-    let fallback = server.push_data_to_viz_node();
+    // Render the final pressure field the way the CS node would; the
+    // finishing cycle pushed it.
     let snapshot = datasets
         .try_iter()
         .last()
-        .or(final_snapshot)
-        .expect("at least one snapshot was produced");
-    let _ = fallback;
+        .expect("the final cycle pushed a snapshot");
     let pressure = snapshot.variable("pressure").unwrap();
     let (lo, hi) = pressure.value_range();
     let iso = lo + 0.6 * (hi - lo);

@@ -110,7 +110,11 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
+    use ricsa_netsim::rng::SimRng;
+
+    fn byte(rng: &mut SimRng) -> u8 {
+        (rng.next_u64() >> 56) as u8
+    }
 
     fn round_trip(data: &[u8]) {
         let packed = compress(data);
@@ -153,8 +157,8 @@ mod tests {
 
     #[test]
     fn incompressible_data_grows_only_marginally() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let data: Vec<u8> = (0..4096).map(|_| rng.gen::<u8>()).collect();
+        let mut rng = SimRng::new(7);
+        let data: Vec<u8> = (0..4096).map(|_| byte(&mut rng)).collect();
         let packed = compress(&data);
         assert!(packed.len() <= 4 + data.len() + data.len() / 512 + 1);
         round_trip(&data);
@@ -162,20 +166,20 @@ mod tests {
 
     #[test]
     fn seeded_random_pixel_images_round_trip() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        let mut rng = SimRng::new(42);
         for case in 0..50 {
-            let len = rng.gen_range(0..2000);
+            let len = rng.index(2000);
             // Mix runs and noise: pick from a tiny palette so runs form.
             let palette: Vec<[u8; 4]> = (0..3)
-                .map(|_| [rng.gen(), rng.gen(), rng.gen(), 255])
+                .map(|_| [byte(&mut rng), byte(&mut rng), byte(&mut rng), 255])
                 .collect();
             let mut data = Vec::with_capacity(len);
             while data.len() + 4 <= len {
-                let px = palette[rng.gen_range(0..palette.len())];
+                let px = palette[rng.index(palette.len())];
                 data.extend_from_slice(&px);
             }
             while data.len() < len {
-                data.push(rng.gen());
+                data.push(byte(&mut rng));
             }
             let packed = compress(&data);
             assert_eq!(

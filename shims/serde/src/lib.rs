@@ -350,21 +350,6 @@ impl Serialize for str {
     }
 }
 
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v.as_str() {
-            Some(s) if s.chars().count() == 1 => Ok(s.chars().next().expect("one char")),
-            _ => Err(Error::expected("single-character string")),
-        }
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
@@ -517,40 +502,6 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     }
 }
 
-impl<T: Serialize> Serialize for std::collections::HashSet<T> {
-    fn to_value(&self) -> Value {
-        let mut items: Vec<Value> = self.iter().map(Serialize::to_value).collect();
-        items.sort_by_key(|a| a.to_string());
-        Value::Array(items)
-    }
-}
-
-impl<T: Deserialize + Eq + std::hash::Hash> Deserialize for std::collections::HashSet<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::expected("array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::expected("array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
@@ -560,36 +511,6 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
-impl Serialize for std::time::Duration {
-    fn to_value(&self) -> Value {
-        Value::Number(self.as_secs_f64())
-    }
-}
-
-impl Deserialize for std::time::Duration {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let secs = v
-            .as_f64()
-            .ok_or_else(|| Error::expected("number of seconds"))?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(Error::expected("non-negative finite seconds"));
-        }
-        Ok(std::time::Duration::from_secs_f64(secs))
     }
 }
 
