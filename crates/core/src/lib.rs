@@ -76,3 +76,72 @@ pub use sessions::{
     MultiSessionSpec, SessionLoopSpec, SessionMux, SessionRun,
 };
 pub use sweep::{ScenarioOutcome, Sweep, SweepConfig, SweepReport, SweepSummary};
+
+#[cfg(test)]
+mod tests {
+    use crate::sweep::{run, Sweep};
+    use serde::Serialize;
+
+    /// A sweep whose cell `i` is the sum of `weights[..=i]`: every cell
+    /// reads the one shared configuration, and the report is the cells in
+    /// order, so [`run`]'s fan-out is checked whatever the core count.
+    #[derive(Serialize)]
+    struct PrefixSums {
+        weights: Vec<f64>,
+        seed: u64,
+    }
+
+    impl Sweep for PrefixSums {
+        type Cell = f64;
+        type Report = Vec<f64>;
+
+        fn preset(_quick: bool) -> Self {
+            PrefixSums {
+                weights: Vec::new(),
+                seed: 0,
+            }
+        }
+        fn seed_mut(&mut self) -> &mut u64 {
+            &mut self.seed
+        }
+        fn cells(&self) -> usize {
+            self.weights.len()
+        }
+        fn run_cell(&self, index: usize) -> f64 {
+            self.weights[..=index].iter().sum()
+        }
+        fn aggregate(&self, cells: Vec<f64>) -> Vec<f64> {
+            cells
+        }
+        fn format(report: &Vec<f64>) -> String {
+            format!("{report:?}")
+        }
+        fn audit(&self, _report: &Vec<f64>) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    fn prefix_sums(weights: Vec<f64>) -> Vec<f64> {
+        run(&PrefixSums { weights, seed: 0 })
+    }
+
+    #[test]
+    fn range_map_collect_preserves_order() {
+        for cells in [1, 7, 1000] {
+            let out = prefix_sums((0..cells).map(|i| i as f64).collect());
+            let expected: Vec<f64> = (0..cells).map(|i| (i * (i + 1) / 2) as f64).collect();
+            assert_eq!(out, expected, "{cells} cells");
+        }
+    }
+
+    #[test]
+    fn empty_range_collects_empty() {
+        assert!(prefix_sums(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn closures_capture_shared_state() {
+        let sums = prefix_sums(vec![1.0; 64]);
+        assert_eq!(sums, (1..=64).map(f64::from).collect::<Vec<_>>());
+    }
+}

@@ -520,59 +520,6 @@ fn simulate_mapping(
 mod tests {
     use super::*;
 
-    /// A sweep whose cell `i` is `i * i + offset`: enough to check what
-    /// [`run`] promises, whatever the core count.
-    #[derive(Serialize)]
-    struct Squares {
-        cells: usize,
-        offset: usize,
-        seed: u64,
-    }
-
-    impl Sweep for Squares {
-        type Cell = usize;
-        type Report = Vec<usize>;
-
-        fn preset(_quick: bool) -> Self {
-            Squares {
-                cells: 0,
-                offset: 0,
-                seed: 0,
-            }
-        }
-        fn seed_mut(&mut self) -> &mut u64 {
-            &mut self.seed
-        }
-        fn cells(&self) -> usize {
-            self.cells
-        }
-        fn run_cell(&self, index: usize) -> usize {
-            index * index + self.offset
-        }
-        fn aggregate(&self, cells: Vec<usize>) -> Vec<usize> {
-            cells
-        }
-        fn format(report: &Vec<usize>) -> String {
-            format!("{report:?}")
-        }
-        fn audit(&self, _report: &Vec<usize>) -> Result<(), String> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn run_aggregates_every_cell_in_cell_order() {
-        for cells in [0, 1, 7, 1000] {
-            let squares = Squares {
-                cells,
-                offset: 3,
-                ..Squares::preset(true)
-            };
-            let expected: Vec<usize> = (0..cells).map(|i| i * i + 3).collect();
-            assert_eq!(run(&squares), expected, "{cells} cells");
-        }
-    }
-
     #[test]
     fn sweep_is_deterministic_and_optimal_dominates_analytically() {
         let config = SweepConfig {

@@ -90,3 +90,48 @@ pub use packet::{Datagram, Payload};
 pub use sim::Simulator;
 pub use time::SimTime;
 pub use topology::Topology;
+
+#[cfg(test)]
+mod tests {
+    use crate::rng::SimRng;
+
+    #[test]
+    fn deterministic_per_seed() {
+        let mut a = SimRng::new(9);
+        let mut b = SimRng::new(9);
+        for _ in 0..64 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        let mut c = SimRng::new(10);
+        assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn f64_in_unit_interval() {
+        let mut r = SimRng::new(3);
+        for _ in 0..10_000 {
+            assert!((0.0..1.0).contains(&r.uniform()));
+        }
+    }
+
+    #[test]
+    fn gen_range_respects_bounds() {
+        let mut r = SimRng::new(4);
+        let mut seen = [false; 5];
+        for _ in 0..200 {
+            seen[r.index(5)] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "all values of 0..5 should appear");
+        for n in [1, 2, 3, 1000, usize::MAX] {
+            assert!(r.index(n) < n);
+        }
+    }
+
+    #[test]
+    fn mean_of_uniform_is_half() {
+        let mut r = SimRng::new(5);
+        let n = 50_000;
+        let mean: f64 = (0..n).map(|_| r.uniform()).sum::<f64>() / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+}
