@@ -546,9 +546,12 @@ pub(crate) fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapt::{demo_wan, run_adaptive_loop, AdaptPolicy, AdaptiveLoopSpec};
     use crate::sessions::{contention_wan, demo_session_pipeline};
-    use ricsa_netsim::dynamics::LinkChange;
+    use ricsa_adapt::monitor::AdaptConfig;
+    use ricsa_netsim::dynamics::{DynamicScenario, LinkChange};
     use ricsa_netsim::link::LinkId;
+    use ricsa_netsim::loss::LossModel;
 
     /// A late spawn's wake-up leaves the links alone: an oracle loop that
     /// spawns at t = 1 still sees the trunk at the 1 % it was scaled to at
@@ -598,6 +601,88 @@ mod tests {
         assert!(
             frame_paths.iter().all(|path| !crosses_trunk(path)),
             "{frame_paths:?}"
+        );
+    }
+
+    /// A control channel that loses everything: every `BeginIteration`
+    /// copy dies on the CM's links, so each step ends with the queue
+    /// drained and the frame unstarted.  The driver re-injects the request
+    /// `MAX_RETRIES` times, then gives the frame up: the run is an `Ok`
+    /// record with the frame lost, not a hang.  A drained step does not
+    /// move the clock, so the exit is the only thing that ends the run
+    /// before its 600 s budget.
+    #[test]
+    fn a_loop_whose_every_begin_is_lost_gives_its_frame_up() {
+        let wan = demo_wan();
+        let mut topology = Topology::new();
+        for (_, node) in wan.topology.nodes() {
+            topology.add_node(node.clone());
+        }
+        for edge in wan.topology.edges() {
+            let mut link = edge.spec.clone();
+            if edge.from == wan.cm || edge.to == wan.cm {
+                link = link.with_loss(LossModel::Bernoulli { p: 1.0 });
+            }
+            topology.connect_directed(edge.from, edge.to, link);
+        }
+        let spec = AdaptiveLoopSpec {
+            topology,
+            schedule: DynamicScenario::empty(),
+            pipeline: demo_session_pipeline(1.0),
+            source: wan.source,
+            client: wan.client,
+            cm: wan.cm,
+            iterations: 1,
+            seed: 11,
+            target_goodput: 200e6,
+            adapt: AdaptConfig::default(),
+            session: 1,
+            max_virtual_time: SimTime::from_secs(600.0),
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let lossy = spec.clone();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(run_adaptive_loop(&lossy, AdaptPolicy::Static));
+        });
+        let run = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the run returns within 30 s")
+            .expect("a lost frame is a record, not an error");
+        worker.join().expect("the run's thread exits cleanly");
+        assert_eq!(run.frames_requested, 1);
+        assert_eq!((run.frames_completed, run.frames_lost), (0, 1));
+        assert!(run.delays.is_empty() && run.migrations.is_empty());
+        // The same loop through the driver: it stopped after exactly
+        // `MAX_RETRIES` re-injections, inside `MAX_RETRIES + 2` steps of
+        // virtual time.
+        let graph = NetGraph::from_topology(&spec.topology);
+        let (source, client) = (spec.source.0, spec.client.0);
+        let options = &spec.adapt.options;
+        let initial = optimize_with(&spec.pipeline, &graph, source, client, options).0;
+        let initial = initial.expect("the demo WAN admits a mapping");
+        let session = SessionLoopSpec {
+            id: spec.session,
+            pipeline: spec.pipeline.clone(),
+            source: spec.source,
+            client: spec.client,
+            frames: 1,
+            start_at: 0.0,
+        };
+        let mut loops = [LoopState::new(session, initial, Controller::Static)];
+        let drive_spec = DriveSpec {
+            topology: &spec.topology,
+            schedule: &[],
+            cm: spec.cm,
+            seed: spec.seed,
+            target_goodput: spec.target_goodput,
+            max_virtual_time: spec.max_virtual_time,
+        };
+        let (_, ended) = drive(&drive_spec, &mut loops).expect("the loop runs");
+        assert!(loops[0].done);
+        assert_eq!(loops[0].retries, MAX_RETRIES + 1);
+        assert!(
+            ended < (MAX_RETRIES + 2) as f64 * STEP_S,
+            "ended at {ended}"
         );
     }
 }

@@ -7,6 +7,7 @@
 //! XML/JSON payloads of the paper's Ajax `XMLHttpRequest` exchanges) and
 //! carried in datagram payloads.
 
+use crate::stage::flow_id;
 use ricsa_netsim::packet::Payload;
 use ricsa_pipemap::vrt::VisualizationRoutingTable;
 use serde::{Deserialize, Serialize};
@@ -78,10 +79,14 @@ impl ControlMessage {
             }
     }
 
-    /// Serialize into a datagram payload (kind [`KIND_CONTROL`]).
+    /// Serialize into a datagram payload (kind [`KIND_CONTROL`]).  A
+    /// message with a session carries it in the flow id's session bits
+    /// ([`flow_id`]), the way transport datagrams do; one without keeps
+    /// flow 0.
     pub fn to_payload(&self) -> Payload {
         let data = serde_json::to_vec(self).expect("control messages always serialize");
-        Payload::with_data(KIND_CONTROL, 0, self.dedup_key(), data)
+        let flow = self.session().map_or(0, |session| flow_id(session, 0, 0));
+        Payload::with_data(KIND_CONTROL, flow, self.dedup_key(), data)
     }
 
     /// Deserialize from a datagram payload; `None` if the payload is not a

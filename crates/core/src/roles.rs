@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn steering_request_triggers_vrt_delivery_and_begin() {
         let mut cm = CentralManagerApp::new(7, NodeId(3), vec![NodeId(3), NodeId(4)], sample_vrt());
-        let mut ctx = Context::new(NodeId(1), SimTime::from_secs(2.0), 0, vec![0.5]);
+        let mut ctx = Context::new(NodeId(1), SimTime::from_secs(2.0), vec![0.5]);
         cm.on_datagram(&mut ctx, datagram(&request()));
         let begins = ctx
             .outgoing()
@@ -162,7 +162,7 @@ mod tests {
             "one delivery per participant (redundant copies allowed)"
         );
         // Duplicate request copies are ignored.
-        let mut ctx2 = Context::new(NodeId(1), SimTime::from_secs(2.0), 50, vec![0.5]);
+        let mut ctx2 = Context::new(NodeId(1), SimTime::from_secs(2.0), vec![0.5]);
         cm.on_datagram(&mut ctx2, datagram(&request()));
         assert!(ctx2.outgoing().is_empty());
     }
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn begin_iteration_is_relayed_to_the_source_for_matching_sessions() {
         let mut cm = CentralManagerApp::new(7, NodeId(3), vec![], sample_vrt());
-        let mut ctx = Context::new(NodeId(1), SimTime::ZERO, 0, vec![0.5]);
+        let mut ctx = Context::new(NodeId(1), SimTime::ZERO, vec![0.5]);
         cm.on_datagram(
             &mut ctx,
             datagram(&ControlMessage::BeginIteration {
@@ -181,7 +181,7 @@ mod tests {
         assert!(ctx.outgoing().iter().all(|s| s.dst == NodeId(3)));
         assert!(!ctx.outgoing().is_empty());
         // Wrong session: nothing forwarded.
-        let mut ctx2 = Context::new(NodeId(1), SimTime::ZERO, 10, vec![0.5]);
+        let mut ctx2 = Context::new(NodeId(1), SimTime::ZERO, vec![0.5]);
         cm.on_datagram(
             &mut ctx2,
             datagram(&ControlMessage::BeginIteration {
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn non_control_datagrams_are_ignored() {
         let mut cm = CentralManagerApp::new(1, NodeId(0), vec![], sample_vrt());
-        let mut ctx = Context::new(NodeId(1), SimTime::ZERO, 0, vec![0.5]);
+        let mut ctx = Context::new(NodeId(1), SimTime::ZERO, vec![0.5]);
         cm.on_datagram(
             &mut ctx,
             Datagram {

@@ -6,9 +6,8 @@
 //! session's cross-traffic.  This module is the session manager:
 //!
 //! * [`SessionMux`] — the per-node application that lets several sessions'
-//!   [`StageApp`]s share a node: datagrams are routed by the session
-//!   encoded in their flow id (or control-message session field), and
-//!   timers are routed to the stage that armed them.  Sessions can be
+//!   [`StageApp`]s share a node: datagrams and timers alike are routed by
+//!   the session encoded in their flow id or timer key.  Sessions can be
 //!   inserted and removed while the simulation runs, which is how loops
 //!   spawn, retire and migrate live.
 //! * [`run_multi_session`] — validates the spec, maps the N loops under a
@@ -35,13 +34,12 @@
 //! joint-vs-independent-vs-client/server across session counts.
 
 use crate::driver::{drive, Controller, DriveSpec, LoopState};
-use crate::message::{ControlMessage, KIND_CONTROL};
-use crate::stage::{armed_since, parse_flow_id, StageApp};
+use crate::stage::{parse_flow_id, StageApp};
 use ricsa_adapt::monitor::{AdaptConfig, AdaptMonitor};
 use ricsa_netsim::app::{Application, Context};
 use ricsa_netsim::link::{LinkId, LinkSpec};
 use ricsa_netsim::node::{NodeId, NodeSpec};
-use ricsa_netsim::packet::{Datagram, Payload};
+use ricsa_netsim::packet::Datagram;
 use ricsa_netsim::time::SimTime;
 use ricsa_netsim::topology::Topology;
 use ricsa_pipemap::delay::{evaluate_mapping, Mapping};
@@ -50,70 +48,32 @@ use ricsa_pipemap::joint::{contended_delays, solve_joint, JointOptions, JointSes
 use ricsa_pipemap::network::NetGraph;
 use ricsa_pipemap::pipeline::Pipeline;
 use ricsa_pipemap::sweep::client_server_on_route;
-use ricsa_transport::flow::{KIND_ACK, KIND_DATA};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 // ------------------------------------------------------------ session mux
 
-/// Mutable state shared between a node's installed mux shell and the
-/// session manager's handle to it.
-#[derive(Default)]
-struct MuxState {
-    /// Session id → that session's stage on this node.
-    inners: BTreeMap<u64, StageApp>,
-    /// Timer id → the session whose stage armed it.  Ids are per-node
-    /// monotonic and fire at most once, so entries are removed on fire;
-    /// a timer whose owner has since been removed is dropped.
-    timer_owner: HashMap<u64, u64>,
-}
-
-/// Route one callback into a session's inner stage, recording any timers
-/// the stage arms during the callback as owned by that session.
-fn deliver(
-    state: &mut MuxState,
-    session: u64,
-    ctx: &mut Context,
-    f: impl FnOnce(&mut StageApp, &mut Context),
-) {
-    let MuxState {
-        inners,
-        timer_owner,
-    } = state;
-    let Some(app) = inners.get_mut(&session) else {
-        return;
-    };
-    let before = ctx.scheduled_timers().len();
-    f(app, ctx);
-    timer_owner.extend(armed_since(ctx, before).map(|timer| (timer, session)));
-}
-
-/// The session a datagram belongs to: the session of a control message
-/// when it has one, otherwise the session bits of the transport flow id
-/// ([`parse_flow_id`]).  `None` means "no session identity" and the
-/// datagram is offered to every resident stage (each filters by its own
-/// configuration).
-fn datagram_session(payload: &Payload) -> Option<u64> {
-    match payload.kind {
-        KIND_CONTROL => ControlMessage::from_payload(payload)?.session(),
-        KIND_DATA | KIND_ACK => Some(parse_flow_id(payload.flow).0),
-        _ => None,
-    }
-}
-
 /// A node application multiplexing the pipeline stages of many sessions.
 ///
+/// A datagram's flow id and a timer's key both carry their session in the
+/// top bits ([`parse_flow_id`]): transport flows and stage timers are keyed
+/// with a flow id, control messages with their session's.  One rule routes
+/// both to the session's resident stage; a datagram or timer of a session
+/// with no stage here is dropped.  A session-less control message (flow 0)
+/// reaches session 0's stage, which ignores it as every stage does.
+///
 /// The shell installed into the simulator and the handles the session
-/// manager keeps share one [`Rc`]'d state, so stages can be inserted and
+/// manager keeps share one [`Rc`]'d map, so stages can be inserted and
 /// removed while the simulation runs — that is how sessions spawn, retire
 /// and migrate live.  Resident stages never receive `on_start`: this
 /// manager configures no client drive, whose initial request is the only
 /// thing `StageApp::on_start` does.
 #[derive(Clone, Default)]
 pub struct SessionMux {
-    state: Rc<RefCell<MuxState>>,
+    /// Session id → that session's stage on this node.
+    inners: Rc<RefCell<BTreeMap<u64, StageApp>>>,
 }
 
 impl SessionMux {
@@ -124,18 +84,26 @@ impl SessionMux {
 
     /// Insert (or replace) `session`'s stage on this node.
     pub fn insert(&self, session: u64, app: StageApp) {
-        self.state.borrow_mut().inners.insert(session, app);
+        self.inners.borrow_mut().insert(session, app);
     }
 
     /// Remove `session`'s stage; its not-yet-fired timers will be dropped
     /// when they fire.  Returns whether a stage was resident.
     pub fn remove(&self, session: u64) -> bool {
-        self.state.borrow_mut().inners.remove(&session).is_some()
+        self.inners.borrow_mut().remove(&session).is_some()
     }
 
     /// Session ids with a resident stage, ascending.
     pub fn sessions(&self) -> Vec<u64> {
-        self.state.borrow().inners.keys().copied().collect()
+        self.inners.borrow().keys().copied().collect()
+    }
+
+    /// The stage of the session whose bits `key` (a flow id or timer key)
+    /// carries, if it is resident, handed to `f`.
+    fn route(&self, key: u64, f: impl FnOnce(&mut StageApp)) {
+        if let Some(app) = self.inners.borrow_mut().get_mut(&parse_flow_id(key).0) {
+            f(app);
+        }
     }
 
     /// A shell sharing this mux's state, boxed for
@@ -147,25 +115,11 @@ impl SessionMux {
 
 impl Application for SessionMux {
     fn on_datagram(&mut self, ctx: &mut Context, dg: Datagram) {
-        let state = &mut *self.state.borrow_mut();
-        match datagram_session(&dg.payload) {
-            Some(session) => deliver(state, session, ctx, |app, ctx| app.on_datagram(ctx, dg)),
-            None => {
-                let ids: Vec<u64> = state.inners.keys().copied().collect();
-                for session in ids {
-                    let copy = dg.clone();
-                    deliver(state, session, ctx, |app, ctx| app.on_datagram(ctx, copy));
-                }
-            }
-        }
+        self.route(dg.payload.flow, |app| app.on_datagram(ctx, dg));
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, timer_id: u64) {
-        let state = &mut *self.state.borrow_mut();
-        let Some(session) = state.timer_owner.remove(&timer_id) else {
-            return;
-        };
-        deliver(state, session, ctx, |app, ctx| app.on_timer(ctx, timer_id));
+    fn on_timer(&mut self, ctx: &mut Context, key: u64) {
+        self.route(key, |app| app.on_timer(ctx, key));
     }
 }
 
@@ -564,7 +518,10 @@ pub fn run_multi_session(spec: &MultiSessionSpec) -> Result<MultiSessionRun, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::StageConfig;
+    use crate::message::ControlMessage;
+    use crate::stage::{flow_id, StageConfig};
+    use ricsa_netsim::packet::Payload;
+    use ricsa_transport::flow::KIND_DATA;
 
     fn spec_scaled(
         wan: &ContentionWan,
@@ -738,113 +695,139 @@ mod tests {
         assert_eq!(run.sessions[1].completed, 4);
     }
 
-    /// The data-source stage of a two-hop loop of `session`.
-    fn source_stage(session: u64) -> StageApp {
+    /// Stage `hop` (0 = the data source) of a three-hop loop of
+    /// `session`, refusing iterations before `first_iteration`.
+    fn stage(session: u64, hop: usize, first_iteration: u64) -> StageApp {
         StageApp::new(StageConfig {
             session,
-            hop_index: 0,
-            previous: None,
-            next: Some(NodeId(1)),
-            incoming_bytes: 0,
+            hop_index: hop,
+            previous: hop.checked_sub(1).map(NodeId),
+            next: Some(NodeId(hop + 1)),
+            incoming_bytes: if hop > 0 { 10_000 } else { 0 },
             outgoing_bytes: 10_000,
             processing_seconds: 0.5,
             target_goodput: 1e6,
-            stage_label: format!("src-{session}"),
+            stage_label: format!("stage-{session}-{hop}"),
             drive: None,
-            first_iteration: 0,
+            first_iteration,
             telemetry: None,
         })
     }
 
-    #[test]
-    fn deliver_credits_each_stage_with_exactly_the_timers_it_armed() {
-        // What a broadcast dispatch does: one context, one `deliver` per
-        // resident stage.  The context already holds a timer nobody in the
-        // mux armed; session 7 arms two in its callback, session 9 one.
-        let mux = SessionMux::new();
-        mux.insert(7, source_stage(7));
-        mux.insert(9, source_stage(9));
-        let state = &mut *mux.state.borrow_mut();
-        let mut ctx = Context::new(NodeId(0), SimTime::from_secs(1.0), 40, vec![0.5; 4]);
-        let foreign = ctx.set_timer(SimTime::from_secs(0.1));
-        let mut armed = Vec::new();
-        deliver(state, 7, &mut ctx, |_, ctx| {
-            armed.push((ctx.set_timer(SimTime::from_secs(0.2)), 7));
-            armed.push((ctx.set_timer(SimTime::from_secs(0.3)), 7));
-        });
-        deliver(state, 9, &mut ctx, |_, ctx| {
-            armed.push((ctx.set_timer(SimTime::from_secs(0.4)), 9));
-        });
-        // A session without a resident stage gets no callback at all.
-        deliver(state, 8, &mut ctx, |_, _| panic!("no stage for session 8"));
-        assert_eq!(ctx.scheduled_timers().len(), 4);
-        assert!(!state.timer_owner.contains_key(&foreign));
-        let owners: BTreeMap<u64, u64> = state.timer_owner.iter().map(|(t, s)| (*t, *s)).collect();
-        assert_eq!(owners, armed.into_iter().collect());
+    /// A datagram from node 2 to node 0 carrying `payload`.
+    fn datagram(payload: Payload) -> Datagram {
+        Datagram {
+            src: NodeId(2),
+            dst: NodeId(0),
+            sent_at: SimTime::from_secs(1.0),
+            payload,
+        }
+    }
+
+    fn begin(session: u64, iteration: u64) -> Datagram {
+        datagram(ControlMessage::BeginIteration { session, iteration }.to_payload())
+    }
+
+    fn ctx_at(secs: f64) -> Context {
+        Context::new(NodeId(0), SimTime::from_secs(secs), vec![0.5; 4])
     }
 
     #[test]
     fn session_mux_routes_datagrams_and_timers_by_session() {
         // Two source stages (sessions 7 and 9) on one node, exercised
         // through a raw Context: a BeginIteration for session 9 must only
-        // start session 9's processing, and the processing timer must be
-        // routed back to the stage that armed it.
+        // start session 9's processing, and a timer must reach the stage
+        // of the session its key's bits name.
         let mut mux = SessionMux::new();
-        mux.insert(7, source_stage(7));
-        mux.insert(9, source_stage(9));
+        mux.insert(7, stage(7, 0, 0));
+        mux.insert(9, stage(9, 0, 0));
         assert_eq!(mux.sessions(), vec![7, 9]);
-        let begin = ControlMessage::BeginIteration {
-            session: 9,
-            iteration: 0,
+        let mut ctx = ctx_at(1.0);
+        mux.on_datagram(&mut ctx, begin(9, 0));
+        // Only session 9 started processing: exactly one timer armed,
+        // keyed with its outgoing flow.
+        let keys = |ctx: &Context| -> Vec<u64> {
+            ctx.scheduled_timers().iter().map(|t| t.timer_id).collect()
         };
-        let mut ctx = Context::new(NodeId(0), SimTime::from_secs(1.0), 0, vec![0.5; 4]);
-        mux.on_datagram(
-            &mut ctx,
-            Datagram {
-                src: NodeId(2),
-                dst: NodeId(0),
-                sent_at: SimTime::from_secs(1.0),
-                payload: begin.to_payload(),
-            },
-        );
-        // Only session 9 started processing: exactly one timer armed.
-        assert_eq!(ctx.scheduled_timers().len(), 1);
-        let timer = ctx.scheduled_timers()[0].timer_id;
-        // The timer fires: session 9 finishes processing and starts
-        // sending — every outgoing data datagram carries session 9's
-        // flow-id bits, none session 7's.
-        let mut ctx2 = Context::new(NodeId(0), SimTime::from_secs(1.5), 100, vec![0.5; 4]);
-        mux.on_timer(&mut ctx2, timer);
-        let data: Vec<u64> = ctx2
-            .outgoing()
-            .iter()
-            .filter(|s| s.payload.kind == KIND_DATA)
-            .map(|s| parse_flow_id(s.payload.flow).0)
-            .collect();
-        assert!(!data.is_empty(), "session 9 should be sending");
-        assert!(data.iter().all(|&s| s == 9), "flows: {data:?}");
-        // A stale timer nobody owns is dropped silently.
-        let mut ctx3 = Context::new(NodeId(0), SimTime::from_secs(2.0), 200, vec![0.5; 4]);
-        mux.on_timer(&mut ctx3, 12345);
-        assert!(ctx3.outgoing().is_empty());
+        assert_eq!(keys(&ctx), vec![flow_id(9, 0, 1)]);
+        mux.on_datagram(&mut ctx, begin(7, 0));
+        assert_eq!(keys(&ctx), vec![flow_id(9, 0, 1), flow_id(7, 0, 1)]);
+        // Each key fires into its own session's stage: that stage finishes
+        // processing and starts sending, and every outgoing data datagram
+        // carries its session's flow-id bits.
+        for session in [9, 7] {
+            let mut fired = ctx_at(1.5);
+            mux.on_timer(&mut fired, flow_id(session, 0, 1));
+            let data: Vec<u64> = fired
+                .outgoing()
+                .iter()
+                .filter(|s| s.payload.kind == KIND_DATA)
+                .map(|s| parse_flow_id(s.payload.flow).0)
+                .collect();
+            assert!(!data.is_empty(), "session {session} should be sending");
+            assert!(data.iter().all(|&s| s == session), "flows: {data:?}");
+        }
+        // A key whose session has no stage here is dropped silently.
+        let mut ctx3 = ctx_at(2.0);
+        mux.on_timer(&mut ctx3, flow_id(8, 0, 1));
+        assert!(ctx3.outgoing().is_empty() && ctx3.scheduled_timers().is_empty());
         // Removing a session drops its datagrams from then on.
         assert!(mux.remove(9));
         assert!(!mux.remove(9));
-        let mut ctx4 = Context::new(NodeId(0), SimTime::from_secs(2.5), 300, vec![0.5; 4]);
-        mux.on_datagram(
-            &mut ctx4,
-            Datagram {
-                src: NodeId(2),
-                dst: NodeId(0),
-                sent_at: SimTime::from_secs(2.5),
-                payload: ControlMessage::BeginIteration {
-                    session: 9,
-                    iteration: 1,
-                }
-                .to_payload(),
-            },
-        );
+        let mut ctx4 = ctx_at(2.5);
+        mux.on_datagram(&mut ctx4, begin(9, 1));
         assert!(ctx4.scheduled_timers().is_empty());
+    }
+
+    /// Fire the timer keyed `key` into `mux`; the context shows what came
+    /// out.
+    fn fire(mux: &mut SessionMux, key: u64) -> Context {
+        let mut ctx = ctx_at(2.0);
+        mux.on_timer(&mut ctx, key);
+        ctx
+    }
+
+    fn quiet(ctx: &Context) -> bool {
+        ctx.outgoing().is_empty() && ctx.scheduled_timers().is_empty()
+    }
+
+    #[test]
+    fn a_rehosted_stage_drops_the_timers_of_the_incarnation_it_replaced() {
+        // Session 7's stage is torn down and re-hosted on the same node at
+        // iteration k.  The keys the old incarnation armed for iteration
+        // k - 1 (its receiver's incoming flow, its processing timer's and
+        // sender's outgoing flow) carry session 7's bits, so the mux hands
+        // them to the new stage: they must reach none of its phases, while
+        // the phase's own key does.
+        let k = 3;
+        let assert_stale_misses = |mux: &mut SessionMux, hop: usize, phase: &str| {
+            for key in [flow_id(7, k - 1, hop), flow_id(7, k - 1, hop + 1)] {
+                let ctx = fire(mux, key);
+                assert!(
+                    quiet(&ctx),
+                    "hop {hop}, {phase}: stale key {key:#x} got through"
+                );
+            }
+        };
+        // The source: idle, processing iteration k, then sending it.
+        let mut mux = SessionMux::new();
+        mux.insert(7, stage(7, 0, 0));
+        mux.insert(7, stage(7, 0, k));
+        assert_stale_misses(&mut mux, 0, "idle");
+        mux.on_datagram(&mut ctx_at(1.0), begin(7, k));
+        assert_stale_misses(&mut mux, 0, "processing");
+        assert!(!quiet(&fire(&mut mux, flow_id(7, k, 1))));
+        assert_stale_misses(&mut mux, 0, "sending");
+        assert!(!quiet(&fire(&mut mux, flow_id(7, k, 1))));
+        // The next stage: idle, then receiving iteration k.
+        let mut mux = SessionMux::new();
+        mux.insert(7, stage(7, 1, 0));
+        mux.insert(7, stage(7, 1, k));
+        assert_stale_misses(&mut mux, 1, "idle");
+        let data = Payload::with_data(KIND_DATA, flow_id(7, k, 1), 0, vec![0; 100]);
+        mux.on_datagram(&mut ctx_at(1.0), datagram(data));
+        assert_stale_misses(&mut mux, 1, "receiving");
+        assert!(!quiet(&fire(&mut mux, flow_id(7, k, 1))));
     }
 
     #[test]

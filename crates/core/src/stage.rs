@@ -31,7 +31,7 @@ use ricsa_transport::rm::{RmController, RmParams};
 use ricsa_transport::sender::WindowSender;
 use ricsa_transport::telemetry::FlowTelemetry;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Shared handle collecting per-link passive telemetry from stage
@@ -202,6 +202,9 @@ pub fn parse_flow_id(flow: u64) -> (u64, u64, usize) {
     )
 }
 
+/// What a stage is doing.  Every timer a phase arms is keyed with the
+/// phase's flow: the incoming flow while receiving, the outgoing flow while
+/// processing and sending.
 enum Phase {
     /// Waiting for an upstream message (or a BeginIteration, for the source).
     Idle,
@@ -209,14 +212,13 @@ enum Phase {
     Receiving {
         iteration: u64,
         receiver: Box<FlowReceiver>,
-        receiver_timers: HashSet<u64>,
     },
-    /// Simulating module execution; the timer id marks completion.
-    Processing { iteration: u64, timer: u64 },
+    /// Simulating module execution; the timer marks completion.
+    Processing { iteration: u64 },
     /// Pushing the output downstream.
     Sending {
+        iteration: u64,
         sender: Box<WindowSender<RmController>>,
-        sender_timers: HashSet<u64>,
     },
 }
 
@@ -272,17 +274,11 @@ impl StageApp {
         // fallback ACKs the sender can deadlock mid-message: once it fills
         // its outstanding window with datagrams that were lost, the receiver
         // sees no new arrivals (so no every-Nth-datagram ACK and no NACKs)
-        // and the transfer never finishes.  Track the timers it arms so
-        // stale timers from a previous phase are not misrouted into it
-        // (each forwarded firing would re-arm and spawn an extra periodic
-        // chain, distorting the receiver's quiet detection).
-        let before = ctx.scheduled_timers().len();
+        // and the transfer never finishes.
         receiver.on_start(ctx);
-        let receiver_timers = armed_since(ctx, before).collect();
         self.phase = Phase::Receiving {
             iteration,
             receiver: Box::new(receiver),
-            receiver_timers,
         };
     }
 
@@ -296,8 +292,9 @@ impl StageApp {
             self.finish_processing(ctx, iteration);
             return;
         }
-        let timer = ctx.set_timer(SimTime::from_secs(self.config.processing_seconds));
-        self.phase = Phase::Processing { iteration, timer };
+        let delay = SimTime::from_secs(self.config.processing_seconds);
+        ctx.set_timer(delay, self.config.outgoing_flow(iteration));
+        self.phase = Phase::Processing { iteration };
     }
 
     fn finish_processing(&mut self, ctx: &mut Context, iteration: u64) {
@@ -346,14 +343,11 @@ impl StageApp {
             ..RmParams::for_target(self.config.target_goodput)
         });
         let mut sender = WindowSender::new(flow_config, next, controller, shared_stats());
-        // Kick off the first burst immediately, tracking the timers the
-        // sender registers so later firings can be routed back to it.
-        let before = ctx.scheduled_timers().len();
+        // Kick off the first burst immediately.
         sender.on_start(ctx);
-        let sender_timers = armed_since(ctx, before).collect();
         self.phase = Phase::Sending {
+            iteration,
             sender: Box::new(sender),
-            sender_timers,
         };
     }
 
@@ -496,49 +490,31 @@ impl Application for StageApp {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, timer_id: u64) {
+    /// A timer reaches the current phase only if its key is that phase's
+    /// flow.  A timer left over from an earlier phase, or from a stage
+    /// this one replaced, carries an older flow and is dropped: forwarded
+    /// to a receiver it would re-arm and spawn an extra periodic-ACK
+    /// chain, distorting the receiver's quiet detection.
+    fn on_timer(&mut self, ctx: &mut Context, key: u64) {
+        let config = &self.config;
         match &mut self.phase {
-            Phase::Processing { iteration, timer } if *timer == timer_id => {
+            Phase::Processing { iteration } if key == config.outgoing_flow(*iteration) => {
                 let iteration = *iteration;
                 self.finish_processing(ctx, iteration);
             }
-            Phase::Sending {
-                sender,
-                sender_timers,
-                ..
-            } if sender_timers.contains(&timer_id) => {
-                // An id fires at most once: forget it, keep what it re-arms.
-                sender_timers.remove(&timer_id);
-                let before = ctx.scheduled_timers().len();
-                sender.on_timer(ctx, timer_id);
-                sender_timers.extend(armed_since(ctx, before));
+            Phase::Sending { iteration, sender } if key == config.outgoing_flow(*iteration) => {
+                sender.on_timer(ctx, key);
                 if sender.is_finished() {
                     self.phase = Phase::Idle;
                 }
             }
-            // Route only the receiver's own periodic-ACK timers to it; stale
-            // timers left over from a previous sender phase must not spawn
-            // extra ACK chains.
             Phase::Receiving {
+                iteration,
                 receiver,
-                receiver_timers,
-                ..
-            } if receiver_timers.contains(&timer_id) => {
-                receiver_timers.remove(&timer_id);
-                let before = ctx.scheduled_timers().len();
-                receiver.on_timer(ctx, timer_id);
-                receiver_timers.extend(armed_since(ctx, before));
-            }
+            } if key == config.incoming_flow(*iteration) => receiver.on_timer(ctx, key),
             _ => {}
         }
     }
-}
-
-/// The timers armed since `ctx` listed `before` of them.  A context lists
-/// only the timers armed during its own dispatch, in arming order, so
-/// whatever a callback armed is the tail of the list.
-pub(crate) fn armed_since(ctx: &Context, before: usize) -> impl Iterator<Item = u64> + '_ {
-    ctx.scheduled_timers()[before..].iter().map(|t| t.timer_id)
 }
 
 /// Send a control message with redundancy to a destination node.
@@ -597,7 +573,7 @@ mod tests {
     #[test]
     fn source_stage_reacts_to_begin_iteration_and_starts_sending() {
         let mut app = StageApp::new(config(0, 2));
-        let mut ctx = Context::new(NodeId(0), SimTime::from_secs(1.0), 0, vec![0.5]);
+        let mut ctx = Context::new(NodeId(0), SimTime::from_secs(1.0), vec![0.5]);
         let begin = ControlMessage::BeginIteration {
             session: 1,
             iteration: 0,
@@ -615,7 +591,7 @@ mod tests {
         assert_eq!(ctx.scheduled_timers().len(), 1);
         assert!(matches!(app.phase, Phase::Processing { .. }));
         // Duplicate Begin is ignored.
-        let mut ctx2 = Context::new(NodeId(0), SimTime::from_secs(1.0), 10, vec![0.5]);
+        let mut ctx2 = Context::new(NodeId(0), SimTime::from_secs(1.0), vec![0.5]);
         app.on_datagram(
             &mut ctx2,
             Datagram {
@@ -626,11 +602,13 @@ mod tests {
             },
         );
         assert!(ctx2.scheduled_timers().is_empty());
-        // Firing the processing timer moves the source into the sending
-        // phase and emits the first burst of data datagrams.
-        let timer_id = ctx.scheduled_timers()[0].timer_id;
-        let mut ctx3 = Context::new(NodeId(0), SimTime::from_secs(1.02), 20, vec![0.5]);
-        app.on_timer(&mut ctx3, timer_id);
+        // The processing timer is keyed with the outgoing flow.  Firing it
+        // moves the source into the sending phase and emits the first burst
+        // of data datagrams.
+        let key = ctx.scheduled_timers()[0].timer_id;
+        assert_eq!(key, app.config.outgoing_flow(0));
+        let mut ctx3 = Context::new(NodeId(0), SimTime::from_secs(1.02), vec![0.5]);
+        app.on_timer(&mut ctx3, key);
         assert!(matches!(app.phase, Phase::Sending { .. }));
         assert!(ctx3
             .outgoing()
@@ -641,7 +619,7 @@ mod tests {
     #[test]
     fn begin_for_wrong_session_or_non_source_is_ignored() {
         let mut app = StageApp::new(config(1, 3));
-        let mut ctx = Context::new(NodeId(1), SimTime::ZERO, 0, vec![0.5]);
+        let mut ctx = Context::new(NodeId(1), SimTime::ZERO, vec![0.5]);
         let begin = ControlMessage::BeginIteration {
             session: 1,
             iteration: 0,
@@ -680,7 +658,7 @@ mod tests {
             previous: None,
             ..config(1, 3)
         });
-        let mut ctx = Context::new(NodeId(1), SimTime::ZERO, 0, vec![0.5]);
+        let mut ctx = Context::new(NodeId(1), SimTime::ZERO, vec![0.5]);
         app.on_datagram(
             &mut ctx,
             Datagram {
@@ -696,7 +674,7 @@ mod tests {
 
     #[test]
     fn send_control_is_redundant() {
-        let mut ctx = Context::new(NodeId(0), SimTime::ZERO, 0, vec![0.5]);
+        let mut ctx = Context::new(NodeId(0), SimTime::ZERO, vec![0.5]);
         let begin = ControlMessage::BeginIteration {
             session: 1,
             iteration: 0,

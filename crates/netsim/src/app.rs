@@ -26,8 +26,8 @@ pub trait Application {
     fn on_datagram(&mut self, _ctx: &mut Context, _dg: Datagram) {}
 
     /// Called when a timer previously set through [`Context::set_timer`]
-    /// fires.
-    fn on_timer(&mut self, _ctx: &mut Context, _timer_id: u64) {}
+    /// fires, with the key it was set with.
+    fn on_timer(&mut self, _ctx: &mut Context, _key: u64) {}
 }
 
 /// Side-effect request: send a datagram to `dst`.
@@ -44,7 +44,8 @@ pub struct SendRequest {
 pub struct TimerRequest {
     /// Delay after which the timer fires.
     pub delay: SimTime,
-    /// Identifier that will be passed to `Application::on_timer`.
+    /// The key the application set the timer with; it is passed back to
+    /// `Application::on_timer`.
     pub timer_id: u64,
 }
 
@@ -70,7 +71,6 @@ pub(crate) struct Effects {
 pub struct Context {
     node: NodeId,
     now: SimTime,
-    next_timer_id: u64,
     pub(crate) effects: Effects,
     random_draws: [f64; RANDOMS_PER_CALLBACK],
     random_cursor: usize,
@@ -84,10 +84,10 @@ impl Context {
     /// be unit-tested in isolation without spinning up a full simulator.
     /// As in the engine, [`RANDOMS_PER_CALLBACK`] draws are kept: a shorter
     /// list is padded with its last value (0.5 when empty).
-    pub fn new(node: NodeId, now: SimTime, next_timer_id: u64, randoms: Vec<f64>) -> Self {
+    pub fn new(node: NodeId, now: SimTime, randoms: Vec<f64>) -> Self {
         let draw = |i| randoms.get(i).or(randoms.last()).copied().unwrap_or(0.5);
         let random_draws = std::array::from_fn(draw);
-        Context::lent(node, now, next_timer_id, random_draws, Effects::default())
+        Context::lent(node, now, random_draws, Effects::default())
     }
 
     /// The engine's constructor: a full set of draws and the (empty)
@@ -95,14 +95,12 @@ impl Context {
     pub(crate) fn lent(
         node: NodeId,
         now: SimTime,
-        next_timer_id: u64,
         random_draws: [f64; RANDOMS_PER_CALLBACK],
         effects: Effects,
     ) -> Self {
         Context {
             node,
             now,
-            next_timer_id,
             effects,
             random_draws,
             random_cursor: 0,
@@ -125,16 +123,15 @@ impl Context {
         self.effects.sends.push(SendRequest { dst, payload });
     }
 
-    /// Schedule a timer `delay` in the future; returns the timer identifier
-    /// that will be passed back to [`Application::on_timer`].
-    pub fn set_timer(&mut self, delay: SimTime) -> u64 {
-        let id = self.next_timer_id;
-        self.next_timer_id += 1;
+    /// Schedule a timer `delay` in the future.  `key` is passed back to
+    /// [`Application::on_timer`] when it fires; the caller chooses it, the
+    /// way a datagram carries its flow id, so an application that hosts
+    /// others can hand each firing to its owner by the key alone.
+    pub fn set_timer(&mut self, delay: SimTime, key: u64) {
         self.effects.timers.push(TimerRequest {
             delay,
-            timer_id: id,
+            timer_id: key,
         });
-        id
     }
 
     /// A deterministic uniform draw in `[0, 1)` tied to the simulation seed.
@@ -155,10 +152,6 @@ impl Context {
         self.effects.traces.push(event);
     }
 
-    pub(crate) fn next_timer_id(&self) -> u64 {
-        self.next_timer_id
-    }
-
     /// The datagram sends requested so far in this callback (test helper).
     pub fn outgoing(&self) -> &[SendRequest] {
         &self.effects.sends
@@ -176,27 +169,25 @@ mod tests {
 
     #[test]
     fn context_collects_side_effects() {
-        let mut ctx = Context::new(NodeId(2), SimTime::from_secs(1.0), 10, vec![0.25, 0.75]);
+        let mut ctx = Context::new(NodeId(2), SimTime::from_secs(1.0), vec![0.25, 0.75]);
         assert_eq!(ctx.node_id(), NodeId(2));
         assert_eq!(ctx.now(), SimTime::from_secs(1.0));
         ctx.send(NodeId(3), Payload::opaque(100));
-        let t1 = ctx.set_timer(SimTime::from_millis(5.0));
-        let t2 = ctx.set_timer(SimTime::from_millis(10.0));
-        assert_eq!(t1, 10);
-        assert_eq!(t2, 11);
+        ctx.set_timer(SimTime::from_millis(5.0), 10);
+        ctx.set_timer(SimTime::from_millis(10.0), 10);
         assert_eq!(ctx.outgoing().len(), 1);
-        assert_eq!(ctx.scheduled_timers().len(), 2);
-        assert_eq!(ctx.next_timer_id(), 12);
+        let keys: Vec<u64> = ctx.scheduled_timers().iter().map(|t| t.timer_id).collect();
+        assert_eq!(keys, vec![10, 10]);
     }
 
     #[test]
     fn random_draws_are_bounded_and_stable() {
-        let mut ctx = Context::new(NodeId(0), SimTime::ZERO, 0, vec![0.1, 0.2]);
+        let mut ctx = Context::new(NodeId(0), SimTime::ZERO, vec![0.1, 0.2]);
         assert_eq!(ctx.random(), 0.1);
         assert_eq!(ctx.random(), 0.2);
         // Exhausted: repeats the last value instead of panicking.
         assert_eq!(ctx.random(), 0.2);
-        let mut empty = Context::new(NodeId(0), SimTime::ZERO, 0, vec![]);
+        let mut empty = Context::new(NodeId(0), SimTime::ZERO, vec![]);
         assert_eq!(empty.random(), 0.5);
     }
 
@@ -205,7 +196,7 @@ mod tests {
         struct Nothing;
         impl Application for Nothing {}
         let mut app = Nothing;
-        let mut ctx = Context::new(NodeId(0), SimTime::ZERO, 0, vec![]);
+        let mut ctx = Context::new(NodeId(0), SimTime::ZERO, vec![]);
         app.on_start(&mut ctx);
         app.on_timer(&mut ctx, 0);
         app.on_datagram(

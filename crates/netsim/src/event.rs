@@ -31,7 +31,7 @@ pub enum EventKind {
     Timer {
         /// The node whose application owns the timer.
         node: NodeId,
-        /// The identifier returned by `Context::set_timer`.
+        /// The key the application passed to `Context::set_timer`.
         timer_id: u64,
     },
     /// The application on a node should be started.

@@ -29,9 +29,6 @@ pub struct Simulator {
     now: SimTime,
     rng: SimRng,
     trace: Trace,
-    /// Each node's next timer id, indexed by `NodeId`; it outlives the
-    /// applications installed on the node, so ids never repeat.
-    next_timer_ids: Vec<u64>,
     /// The effect buffers lent to the context of each dispatch.
     effects: Effects,
     started: bool,
@@ -85,7 +82,6 @@ impl Simulator {
             now: SimTime::ZERO,
             rng,
             trace: Trace::default(),
-            next_timer_ids: vec![0; nodes],
             effects: Effects::default(),
             started: false,
             stats: SimStats::default(),
@@ -247,19 +243,12 @@ impl Simulator {
         };
         let randoms = std::array::from_fn(|_| self.rng.uniform());
         let effects = std::mem::take(&mut self.effects);
-        let mut ctx = Context::lent(
-            node,
-            self.now,
-            self.next_timer_ids[node.0],
-            randoms,
-            effects,
-        );
+        let mut ctx = Context::lent(node, self.now, randoms, effects);
         match what {
             Dispatch::Start => app.on_start(&mut ctx),
-            Dispatch::Timer(id) => app.on_timer(&mut ctx, id),
+            Dispatch::Timer(key) => app.on_timer(&mut ctx, key),
             Dispatch::Datagram(dg) => app.on_datagram(&mut ctx, dg),
         }
-        self.next_timer_ids[node.0] = ctx.next_timer_id();
         // Apply side effects, draining the buffers for the next dispatch.
         let mut effects = ctx.effects;
         for mut tr in effects.traces.drain(..) {
@@ -479,12 +468,12 @@ mod tests {
         }
         impl Application for TimerApp {
             fn on_start(&mut self, ctx: &mut Context) {
-                ctx.set_timer(SimTime::from_millis(20.0));
-                ctx.set_timer(SimTime::from_millis(10.0));
-                ctx.set_timer(SimTime::from_millis(30.0));
+                ctx.set_timer(SimTime::from_millis(20.0), 0);
+                ctx.set_timer(SimTime::from_millis(10.0), 1);
+                ctx.set_timer(SimTime::from_millis(30.0), 2);
             }
-            fn on_timer(&mut self, _ctx: &mut Context, timer_id: u64) {
-                self.fired.borrow_mut().push(timer_id);
+            fn on_timer(&mut self, _ctx: &mut Context, key: u64) {
+                self.fired.borrow_mut().push(key);
             }
         }
         let (topo, a, _) = two_node_topo(10.0, 0.01);
@@ -497,7 +486,8 @@ mod tests {
             }),
         );
         sim.run_until(SimTime::from_secs(1.0));
-        // Timer 1 was set with the shortest delay, so it fires first.
+        // The timer keyed 1 was set with the shortest delay, so it fires
+        // first.
         assert_eq!(*fired.borrow(), vec![1, 0, 2]);
     }
 

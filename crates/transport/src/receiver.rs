@@ -272,7 +272,10 @@ impl FlowReceiver {
 impl Application for FlowReceiver {
     fn on_start(&mut self, ctx: &mut Context) {
         self.ack_timer_pending = true;
-        ctx.set_timer(SimTime::from_secs(self.config.ack_interval));
+        ctx.set_timer(
+            SimTime::from_secs(self.config.ack_interval),
+            self.config.flow_id,
+        );
     }
 
     fn on_datagram(&mut self, ctx: &mut Context, dg: Datagram) {
@@ -320,7 +323,7 @@ impl Application for FlowReceiver {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, _timer_id: u64) {
+    fn on_timer(&mut self, ctx: &mut Context, _key: u64) {
         // Periodic ACK so the sender keeps getting goodput feedback (and
         // NACKs) even when data arrival stalls.  A tick with no arrivals at
         // all strongly suggests everything in flight has landed or died, so
@@ -332,7 +335,10 @@ impl Application for FlowReceiver {
             self.send_ack_inner(ctx, quiet);
         }
         self.received_at_last_tick = self.received_count;
-        ctx.set_timer(SimTime::from_secs(self.config.ack_interval));
+        ctx.set_timer(
+            SimTime::from_secs(self.config.ack_interval),
+            self.config.flow_id,
+        );
     }
 }
 
@@ -364,7 +370,7 @@ mod tests {
     }
 
     fn ctx_at(secs: f64) -> Context {
-        Context::new(NodeId(1), SimTime::from_secs(secs), 0, vec![0.5])
+        Context::new(NodeId(1), SimTime::from_secs(secs), vec![0.5])
     }
 
     #[test]
@@ -461,7 +467,6 @@ mod tests {
         new: FlowReceiver,
         old: ReferenceReceiver,
         stats: [SharedFlowStats; 2],
-        next_timer: u64,
     }
 
     impl Pair {
@@ -471,7 +476,6 @@ mod tests {
                 new: FlowReceiver::new(config.clone(), NodeId(0), stats[0].clone()),
                 old: ReferenceReceiver::new(config, NodeId(0), stats[1].clone()),
                 stats,
-                next_timer: 0,
             }
         }
 
@@ -482,10 +486,8 @@ mod tests {
             now: f64,
             f: impl Fn(&mut dyn Application, &mut Context),
         ) -> Vec<AckInfo> {
-            let mut ctx_new =
-                Context::new(NodeId(1), SimTime::from_secs(now), self.next_timer, vec![]);
-            let mut ctx_old =
-                Context::new(NodeId(1), SimTime::from_secs(now), self.next_timer, vec![]);
+            let mut ctx_new = Context::new(NodeId(1), SimTime::from_secs(now), vec![]);
+            let mut ctx_old = Context::new(NodeId(1), SimTime::from_secs(now), vec![]);
             f(&mut self.new, &mut ctx_new);
             f(&mut self.old, &mut ctx_old);
             let (sent_new, sent_old) = (ctx_new.outgoing(), ctx_old.outgoing());
@@ -499,7 +501,6 @@ mod tests {
                 armed.map(|t| (t.timer_id, t.delay.as_secs())).collect()
             };
             assert_eq!(timers(&ctx_new), timers(&ctx_old));
-            self.next_timer += ctx_new.scheduled_timers().len() as u64;
             assert_eq!(self.new.is_finished(), self.old.is_finished());
             assert_eq!(self.new.goodput_estimate, self.old.goodput_estimate);
             let acks = sent_new.iter().map(|s| AckInfo::decode(&s.payload.data));

@@ -240,7 +240,10 @@ impl ReferenceReceiver {
 impl Application for ReferenceReceiver {
     fn on_start(&mut self, ctx: &mut Context) {
         self.ack_timer_pending = true;
-        ctx.set_timer(SimTime::from_secs(self.config.ack_interval));
+        ctx.set_timer(
+            SimTime::from_secs(self.config.ack_interval),
+            self.config.flow_id,
+        );
     }
 
     fn on_datagram(&mut self, ctx: &mut Context, dg: Datagram) {
@@ -290,7 +293,7 @@ impl Application for ReferenceReceiver {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, _timer_id: u64) {
+    fn on_timer(&mut self, ctx: &mut Context, _key: u64) {
         // Periodic ACK so the sender keeps getting goodput feedback (and
         // NACKs) even when data arrival stalls.  A tick with no arrivals at
         // all strongly suggests everything in flight has landed or died, so
@@ -302,6 +305,9 @@ impl Application for ReferenceReceiver {
             self.send_ack_inner(ctx, quiet);
         }
         self.received_at_last_tick = self.received_count;
-        ctx.set_timer(SimTime::from_secs(self.config.ack_interval));
+        ctx.set_timer(
+            SimTime::from_secs(self.config.ack_interval),
+            self.config.flow_id,
+        );
     }
 }

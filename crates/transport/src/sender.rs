@@ -225,7 +225,7 @@ impl<C: RateController> WindowSender<C> {
         if !self.last_burst_progressed {
             delay = delay.max(self.config.ack_interval * 0.5).max(1e-3);
         }
-        ctx.set_timer(SimTime::from_secs(delay));
+        ctx.set_timer(SimTime::from_secs(delay), self.config.flow_id);
     }
 
     fn handle_ack(&mut self, ctx: &mut Context, ack: AckInfo) {
@@ -321,7 +321,7 @@ impl<C: RateController> Application for WindowSender<C> {
         self.arm_burst_timer(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, _timer_id: u64) {
+    fn on_timer(&mut self, ctx: &mut Context, _key: u64) {
         if self.finished {
             self.burst_timer_armed = false;
             return;
@@ -368,7 +368,7 @@ mod tests {
     }
 
     fn ctx_at(secs: f64) -> Context {
-        Context::new(NodeId(0), SimTime::from_secs(secs), 0, vec![0.5])
+        Context::new(NodeId(0), SimTime::from_secs(secs), vec![0.5])
     }
 
     fn ack_payload(ack: &AckInfo) -> Datagram {
