@@ -38,7 +38,7 @@
 
 use crate::detector::{ChangePointDetector, DetectorConfig};
 use ricsa_pipemap::delay::{evaluate_mapping, validate_mapping, Mapping};
-use ricsa_pipemap::dp::{optimize_warm, optimize_with, DpOptions, OptimizedMapping};
+use ricsa_pipemap::dp::{optimize_warm, DpOptions, OptimizedMapping};
 use ricsa_pipemap::network::NetGraph;
 use ricsa_pipemap::pipeline::Pipeline;
 use ricsa_transport::telemetry::FlowTelemetry;
@@ -203,27 +203,6 @@ impl LinkWatch {
 }
 
 impl AdaptMonitor {
-    /// Plan the initial mapping on `graph` and build a monitor around it.
-    /// Returns `None` when no feasible mapping exists at all.
-    pub fn new(
-        pipeline: Pipeline,
-        graph: NetGraph,
-        source: usize,
-        destination: usize,
-        config: AdaptConfig,
-    ) -> Option<AdaptMonitor> {
-        let (initial, _) = optimize_with(&pipeline, &graph, source, destination, &config.options);
-        let initial = initial?;
-        Some(AdaptMonitor::with_initial(
-            pipeline,
-            graph,
-            source,
-            destination,
-            config,
-            initial,
-        ))
-    }
-
     /// Build a monitor around an already-planned mapping (the session
     /// planner has usually just solved this exact instance; re-solving it
     /// would be pure waste).  `initial` must be the optimum of
@@ -514,6 +493,7 @@ impl AdaptMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ricsa_pipemap::dp::optimize_with;
 
     /// Two-route graph: src → midA → dst (fast) and src → midB → dst
     /// (slower), plus a thin direct link.
@@ -551,10 +531,17 @@ mod tests {
         }
     }
 
-    fn monitor() -> AdaptMonitor {
+    /// A monitor on `two_route_graph` around the optimum under `config`.
+    fn monitor_with(config: AdaptConfig) -> AdaptMonitor {
         let (pipeline, graph) = two_route_graph();
-        AdaptMonitor::new(pipeline, graph, 0, 3, AdaptConfig::default())
-            .expect("two-route graph admits a mapping")
+        let initial = optimize_with(&pipeline, &graph, 0, 3, &config.options)
+            .0
+            .expect("two-route graph admits a mapping");
+        AdaptMonitor::with_initial(pipeline, graph, 0, 3, config, initial)
+    }
+
+    fn monitor() -> AdaptMonitor {
+        monitor_with(AdaptConfig::default())
     }
 
     #[test]
@@ -664,12 +651,10 @@ mod tests {
         assert!(est.delay_scale > 2.0, "delay_scale {}", est.delay_scale);
         assert_eq!(est.scale, 1.0);
         // Same stream with the RTT signal disabled: no detection at all.
-        let (pipeline, graph) = two_route_graph();
-        let config = AdaptConfig {
+        let mut off = monitor_with(AdaptConfig {
             rtt_signal: false,
             ..AdaptConfig::default()
-        };
-        let mut off = AdaptMonitor::new(pipeline, graph, 0, 3, config).unwrap();
+        });
         for (t, rtt) in [0.02, 0.02, 0.02, 0.2, 0.2].iter().enumerate() {
             off.ingest(0, 1, &sample(*rtt));
             assert_eq!(off.evaluate(t as f64), Decision::Keep);
@@ -695,12 +680,10 @@ mod tests {
             ..FlowTelemetry::default()
         };
         let remapped_monitor = || {
-            let (pipeline, graph) = two_route_graph();
-            let config = AdaptConfig {
+            let mut m = monitor_with(AdaptConfig {
                 cooldown_s: 5.0,
                 ..AdaptConfig::default()
-            };
-            let mut m = AdaptMonitor::new(pipeline, graph, 0, 3, config).unwrap();
+            });
             for t in 0..3 {
                 m.ingest(0, 1, &telemetry(35e6));
                 m.ingest(1, 3, &telemetry(35e6));
@@ -782,12 +765,10 @@ mod tests {
 
     #[test]
     fn cooldown_blocks_back_to_back_remaps() {
-        let (pipeline, graph) = two_route_graph();
-        let config = AdaptConfig {
+        let mut m = monitor_with(AdaptConfig {
             cooldown_s: 100.0,
             ..AdaptConfig::default()
-        };
-        let mut m = AdaptMonitor::new(pipeline, graph, 0, 3, config).unwrap();
+        });
         for _ in 0..3 {
             m.ingest(0, 1, &telemetry(35e6));
         }

@@ -36,7 +36,9 @@ pub enum ControlMessage {
         variable: String,
         /// Isovalue for isosurface extraction.
         isovalue: f32,
-        /// Optional octree subset selection (0..8).
+        /// Optional octree subset selection (0..8), as the paper's GUI
+        /// offers.  It is part of the request's wire size; no stage acts on
+        /// it (the filter stage is data serving).
         octant: Option<usize>,
     },
     /// CM → loop participants: the computed routing table.

@@ -35,8 +35,8 @@ pub enum PathChoice {
     /// how the paper configures its comparison loops.
     ForcedPath(Vec<NodeId>),
     /// A ParaView-style `-crs` deployment: data server → render server →
-    /// client, with a protocol overhead factor applied to the predicted and
-    /// simulated processing times.
+    /// client, on a pipeline whose message sizes and module complexities
+    /// carry a protocol overhead factor (see `paraview_crs_mapping`).
     ParaViewCrs {
         /// The render-server node.
         render_server: NodeId,
@@ -52,7 +52,7 @@ pub struct SessionPlan {
     pub session: u64,
     /// What is being visualized.
     pub spec: SessionSpec,
-    /// The pipeline handed to the optimizer.
+    /// The pipeline the mapping was evaluated on and the stages host.
     pub pipeline: Pipeline,
     /// The chosen mapping.
     pub mapping: Mapping,
@@ -60,9 +60,6 @@ pub struct SessionPlan {
     pub vrt: VisualizationRoutingTable,
     /// The analytical delay prediction for one iteration.
     pub predicted: DelayBreakdown,
-    /// Processing-time multiplier applied on every stage (1.0 except for the
-    /// ParaView baseline).
-    pub processing_overhead: f64,
 }
 
 /// Errors produced while planning a session.
@@ -132,35 +129,28 @@ impl SteeringSession {
         let src = graph.index_of(data_source);
         let dst = graph.index_of(client);
 
-        let (mapping, predicted, overhead) = match choice {
+        let (mapping, predicted) = match choice {
             PathChoice::Optimal => {
                 let opt = optimize(&pipeline, &graph, src, dst)
                     .ok_or_else(|| PlanError::Infeasible("optimizer found no placement".into()))?;
-                (opt.mapping, opt.delay, 1.0)
+                (opt.mapping, opt.delay)
             }
             PathChoice::ForcedPath(path) => {
                 let indices: Vec<usize> = path.iter().map(|n| graph.index_of(*n)).collect();
-                let (mapping, delay) = best_split_on_path(&pipeline, &graph, &indices)
-                    .ok_or_else(|| PlanError::Infeasible(format!("no split on path {path:?}")))?;
-                (mapping, delay, 1.0)
+                best_split_on_path(&pipeline, &graph, &indices)
+                    .ok_or_else(|| PlanError::Infeasible(format!("no split on path {path:?}")))?
             }
             PathChoice::ParaViewCrs {
                 render_server,
                 overhead,
             } => {
                 let rs = graph.index_of(*render_server);
-                // ParaView's heavier general-purpose stack costs both extra
-                // processing and extra bytes on the wire (serialization,
-                // protocol framing); inflate the pipeline accordingly.
-                pipeline.source_bytes *= overhead.max(1.0);
-                for module in &mut pipeline.modules {
-                    module.output_bytes *= overhead.max(1.0);
-                }
-                let (mapping, delay) =
+                let (inflated, mapping, delay) =
                     paraview_crs_mapping(&pipeline, &graph, src, rs, dst, *overhead).ok_or_else(
                         || PlanError::Infeasible("ParaView crs deployment infeasible".into()),
                     )?;
-                (mapping, delay, overhead.max(1.0))
+                pipeline = inflated;
+                (mapping, delay)
             }
         };
         let vrt =
@@ -172,7 +162,6 @@ impl SteeringSession {
             mapping,
             vrt,
             predicted,
-            processing_overhead: overhead,
         })
     }
 
@@ -206,9 +195,6 @@ impl SteeringSession {
             target_goodput,
         )
         .expect("a planned data path visits no node twice");
-        for config in &mut configs {
-            config.processing_seconds *= plan.processing_overhead;
-        }
         if let Some(client) = configs.last_mut() {
             client.drive = Some(ClientDrive {
                 cm: cm_node,
@@ -259,6 +245,7 @@ impl SteeringSession {
 mod tests {
     use super::*;
     use ricsa_netsim::presets::{fig8_topology, Fig8Site};
+    use ricsa_pipemap::delay::evaluate_mapping;
 
     fn plan_optimal(source: &str) -> (SessionPlan, ricsa_netsim::presets::Fig8Topology) {
         let fig8 = fig8_topology();
@@ -288,7 +275,6 @@ mod tests {
             Some(fig8.node(Fig8Site::Ornl).0)
         );
         assert!(plan.predicted.total > 0.0);
-        assert_eq!(plan.processing_overhead, 1.0);
         assert_eq!(plan.vrt.entries.len(), plan.mapping.path.len());
     }
 
@@ -326,7 +312,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(paraview.mapping.path, vec![gatech.0, ut.0, ornl.0]);
-        assert!((paraview.processing_overhead - 1.3).abs() < 1e-12);
         // ParaView's predicted delay on the same route is at least the
         // optimizer's.
         let optimal = SteeringSession::plan(
@@ -340,6 +325,34 @@ mod tests {
         )
         .unwrap();
         assert!(paraview.predicted.total >= optimal.predicted.total);
+    }
+
+    #[test]
+    fn every_plan_predicts_the_model_on_the_pipeline_it_hosts() {
+        let fig8 = fig8_topology();
+        let graph = NetGraph::from_topology(&fig8.topology);
+        let catalog = SimulationCatalog::default();
+        let gatech = fig8.node(Fig8Site::GaTech);
+        let ncstate = fig8.node(Fig8Site::NcStateCluster);
+        let ornl = fig8.node(Fig8Site::Ornl);
+        let choices = [
+            PathChoice::Optimal,
+            PathChoice::ForcedPath(vec![gatech, ncstate, ornl]),
+            PathChoice::ParaViewCrs {
+                render_server: fig8.node(Fig8Site::UtCluster),
+                overhead: 1.35,
+            },
+        ];
+        for choice in &choices {
+            let plan =
+                SteeringSession::plan(1, &fig8.topology, &catalog, "Jet", gatech, ornl, choice)
+                    .unwrap();
+            assert_eq!(
+                plan.predicted,
+                evaluate_mapping(&plan.pipeline, &graph, &plan.mapping),
+                "{choice:?}"
+            );
+        }
     }
 
     #[test]

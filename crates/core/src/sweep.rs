@@ -505,7 +505,6 @@ fn simulate_mapping(
         mapping: mapping.clone(),
         vrt,
         predicted: *predicted,
-        processing_overhead: 1.0,
     };
     let mut sim = Simulator::try_new(wan.topology.clone(), scenario.seed).ok()?;
     SteeringSession::install(&plan, &mut sim, cm, 1, config.target_goodput);

@@ -24,8 +24,6 @@ pub enum EventKind {
         node: NodeId,
         /// The datagram itself.
         datagram: Datagram,
-        /// The link it arrived on (None for loopback deliveries).
-        via: Option<LinkId>,
     },
     /// A timer set by an application fires.
     Timer {

@@ -180,7 +180,7 @@ impl Simulator {
                 EventKind::Timer { node, timer_id } => {
                     self.dispatch(node, Dispatch::Timer(timer_id))
                 }
-                EventKind::DatagramArrival { node, datagram, .. } => {
+                EventKind::DatagramArrival { node, datagram } => {
                     self.handle_arrival(node, datagram)
                 }
                 EventKind::LinkChange { link, change } => self.apply_link_change(link, &change),
@@ -225,7 +225,6 @@ impl Simulator {
                     EventKind::DatagramArrival {
                         node: next_node,
                         datagram,
-                        via: Some(link_id),
                     },
                 );
             }
@@ -275,14 +274,8 @@ impl Simulator {
             };
             if s.dst == node {
                 // Loopback: deliver immediately without touching any link.
-                self.queue.push(
-                    self.now,
-                    EventKind::DatagramArrival {
-                        node,
-                        datagram: dg,
-                        via: None,
-                    },
-                );
+                self.queue
+                    .push(self.now, EventKind::DatagramArrival { node, datagram: dg });
             } else {
                 self.forward(node, dg);
             }

@@ -1,11 +1,9 @@
-//! Fixed-mapping baselines and a greedy heuristic.
+//! Fixed-mapping baselines.
 //!
 //! The paper compares its optimizer against (i) conventional client/server
 //! ("PC–PC") deployments where a predetermined split of the pipeline is used
 //! over the direct data-source → client link, and (ii) ParaView's manual
-//! client / render-server / data-server (`-crs`) deployment (Fig. 10).  A
-//! greedy one-step-lookahead heuristic is included as an additional ablation
-//! for the benchmark harness.
+//! client / render-server / data-server (`-crs`) deployment (Fig. 10).
 
 use crate::delay::{evaluate_mapping, validate_mapping, DelayBreakdown, Mapping};
 use crate::network::NetGraph;
@@ -83,12 +81,18 @@ pub fn best_split_on_path(
     }
 }
 
-/// The ParaView `-crs` deployment of Fig. 10: the first module (filtering /
-/// data serving) on the data server, all remaining modules on the render
-/// server, and the finished image delivered to the client.  `overhead`
-/// multiplies both computing and transport time to model the heavier
-/// general-purpose protocol stack; the paper's measurements showed ParaView
-/// moderately slower than RICSA on the identical mapping.
+/// The ParaView `-crs` deployment of Fig. 10: the first module (data
+/// serving) on the data server, all remaining modules on the render server,
+/// and the finished image delivered to the client.
+///
+/// ParaView's heavier general-purpose stack costs both extra processing and
+/// extra bytes on the wire (serialization, protocol framing), which the
+/// paper measured as ParaView running moderately slower than RICSA on the
+/// identical mapping.  The model multiplies every message size and every
+/// module complexity by `overhead` (clamped to at least 1) and evaluates the
+/// mapping on that pipeline.  The inflated pipeline is returned with the
+/// mapping and its delay, so a simulation of the deployment hosts exactly
+/// what was predicted.
 pub fn paraview_crs_mapping(
     pipeline: &Pipeline,
     graph: &NetGraph,
@@ -96,26 +100,25 @@ pub fn paraview_crs_mapping(
     render_server: usize,
     client: usize,
     overhead: f64,
-) -> Option<(Mapping, DelayBreakdown)> {
+) -> Option<(Pipeline, Mapping, DelayBreakdown)> {
     let n = pipeline.message_count();
     if n < 2 {
         return None;
+    }
+    let overhead = overhead.max(1.0);
+    let mut pipeline = pipeline.clone();
+    pipeline.source_bytes *= overhead;
+    for module in &mut pipeline.modules {
+        module.complexity *= overhead;
+        module.output_bytes *= overhead;
     }
     let mapping = Mapping {
         path: vec![data_server, render_server, client],
         groups: vec![vec![0], (1..n).collect(), Vec::new()],
     };
-    validate_mapping(pipeline, graph, &mapping).ok()?;
-    let base = evaluate_mapping(pipeline, graph, &mapping);
-    let overhead = overhead.max(1.0);
-    Some((
-        mapping,
-        DelayBreakdown {
-            total: base.total * overhead,
-            computing: base.computing * overhead,
-            transport: base.transport * overhead,
-        },
-    ))
+    validate_mapping(&pipeline, graph, &mapping).ok()?;
+    let delay = evaluate_mapping(&pipeline, graph, &mapping);
+    Some((pipeline, mapping, delay))
 }
 
 #[cfg(test)]
@@ -168,7 +171,7 @@ mod tests {
         if let Some((_, cs)) = client_server_mapping(&p, &g, 0, 2) {
             assert!(dp.delay.total <= cs.total + 1e-9);
         }
-        if let Some((_, pv)) = paraview_crs_mapping(&p, &g, 0, 1, 2, 1.0) {
+        if let Some((_, _, pv)) = paraview_crs_mapping(&p, &g, 0, 1, 2, 1.0) {
             assert!(dp.delay.total <= pv.total + 1e-9);
         }
     }
@@ -176,13 +179,24 @@ mod tests {
     #[test]
     fn paraview_overhead_scales_the_delay() {
         let (p, g) = setup();
-        let (_, base) = paraview_crs_mapping(&p, &g, 0, 1, 2, 1.0).unwrap();
-        let (_, heavy) = paraview_crs_mapping(&p, &g, 0, 1, 2, 1.4).unwrap();
-        assert!((heavy.total / base.total - 1.4).abs() < 1e-9);
+        let (plain, mapping, base) = paraview_crs_mapping(&p, &g, 0, 1, 2, 1.0).unwrap();
+        assert_eq!(plain, p);
+        let (heavy_pipeline, heavy_mapping, heavy) =
+            paraview_crs_mapping(&p, &g, 0, 1, 2, 1.4).unwrap();
+        assert_eq!(heavy_mapping, mapping);
+        // The delay is the plain model evaluated on the inflated pipeline:
+        // every module reads 1.4x the bytes at 1.4x the cost per byte, and
+        // every message carries 1.4x the bytes over links whose latency
+        // does not grow.
+        assert_eq!(heavy, evaluate_mapping(&heavy_pipeline, &g, &mapping));
+        assert!((heavy.computing / base.computing - 1.4 * 1.4).abs() < 1e-9);
+        assert!(heavy.transport > base.transport);
+        assert!(heavy.transport < 1.4 * base.transport);
         // Overhead below 1 is clamped to 1 (ParaView is never modelled as
         // faster than the bare pipeline).
-        let (_, clamped) = paraview_crs_mapping(&p, &g, 0, 1, 2, 0.5).unwrap();
-        assert!((clamped.total - base.total).abs() < 1e-12);
+        let (clamped_pipeline, _, clamped) = paraview_crs_mapping(&p, &g, 0, 1, 2, 0.5).unwrap();
+        assert_eq!(clamped_pipeline, p);
+        assert_eq!(clamped, base);
     }
 
     #[test]

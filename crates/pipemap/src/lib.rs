@@ -16,7 +16,7 @@
 //! the dynamic program of Eqs. 9–10 ([`dp`]), validated against an
 //! exhaustive search ([`exhaustive`]) and compared against fixed mappings
 //! (client/server and a ParaView-style data-server / render-server / client
-//! deployment) and a greedy heuristic ([`baselines`]).  The chosen mapping
+//! deployment, [`baselines`]).  The chosen mapping
 //! is turned into the visualization routing table circulated around the
 //! RICSA loop ([`vrt`]).
 

@@ -262,7 +262,8 @@ impl ModuleCost {
 /// models.  These are the `c_j` / `m_j` inputs handed to `ricsa-pipemap`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineCostDb {
-    /// Filtering/preprocessing module.
+    /// Filter module.  The filter stage is data serving: it reads the
+    /// dataset once and hands it on unchanged (output ratio 1.0).
     pub filter: ModuleCost,
     /// Isosurface extraction module.
     pub isosurface: ModuleCost,
@@ -316,8 +317,8 @@ impl PipelineCostDb {
 
         PipelineCostDb {
             filter: ModuleCost {
-                // Filtering touches every byte once; calibrated as a simple
-                // pass over memory (order 1 ns/byte on the reference node).
+                // Data serving touches every byte once: a simple pass over
+                // memory (order 1 ns/byte on the reference node).
                 seconds_per_byte: 2.0e-9,
                 output_ratio: 1.0,
             },

@@ -100,30 +100,17 @@ pub fn extract_isosurface(
     block_size: usize,
 ) -> IsosurfaceResult {
     let octree = Octree::build(field, block_size);
-    extract_from_octree(field, &octree, isovalue, None)
+    extract_from_octree(field, &octree, isovalue)
 }
 
-/// Extract an isosurface over a precomputed octree, optionally restricted to
-/// a subset of blocks (e.g. one of the eight octants selected in the GUI).
+/// Extract an isosurface over a precomputed octree.
 pub fn extract_from_octree(
     field: &ScalarField,
     octree: &Octree,
     isovalue: f32,
-    subset: Option<&[ricsa_vizdata::octree::BlockId]>,
 ) -> IsosurfaceResult {
-    let selected: Vec<&OctreeBlock> = match subset {
-        Some(ids) => octree
-            .blocks
-            .iter()
-            .filter(|b| ids.contains(&b.id))
-            .collect(),
-        None => octree.blocks.iter().collect(),
-    };
-    let total_blocks = selected.len();
-    let active: Vec<&OctreeBlock> = selected
-        .into_iter()
-        .filter(|b| b.intersects_isovalue(isovalue))
-        .collect();
+    let total_blocks = octree.len();
+    let active = octree.active_blocks(isovalue);
     let active_blocks = active.len();
 
     let mut mesh = TriangleMesh::new();
@@ -371,23 +358,12 @@ mod tests {
     fn block_culling_reduces_processed_cells() {
         let field = sphere_field(32);
         let octree = Octree::build(&field, 8);
-        let result = extract_from_octree(&field, &octree, 0.0, None);
+        let result = extract_from_octree(&field, &octree, 0.0);
         assert!(result.active_blocks < result.total_blocks);
         // Cells are only counted in active blocks; each block owns at most
         // block_size^3 cells (those whose lower corner lies inside it).
         let max_cells = result.active_blocks * octree.block_size.pow(3);
         assert!(result.histogram.total_cells() as usize <= max_cells);
-    }
-
-    #[test]
-    fn octant_subset_extracts_fewer_triangles() {
-        let field = sphere_field(24);
-        let octree = Octree::build(&field, 8);
-        let full = extract_from_octree(&field, &octree, 0.0, None);
-        let subset_ids: Vec<_> = octree.octant_blocks(0).iter().map(|b| b.id).collect();
-        let subset = extract_from_octree(&field, &octree, 0.0, Some(&subset_ids));
-        assert!(subset.mesh.triangle_count() < full.mesh.triangle_count());
-        assert!(subset.mesh.triangle_count() > 0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! transformation (isosurface extraction), and rendering modules, and its
 //! central-management node needs *cost models* for those modules
 //! (Section 4.4) to drive the dynamic-programming pipeline mapping.  This
-//! crate implements both halves:
+//! crate implements both halves.  The filter stage is data serving (the
+//! dataset passes on unchanged), so it has a cost model but no algorithm:
 //!
 //! **Algorithms**
 //! * [`isosurface`] — block-level isosurface extraction over an octree with
@@ -16,8 +17,7 @@
 //! * [`streamline`] — fourth-order Runge–Kutta streamline advection,
 //! * [`render`] — a software z-buffer rasterizer turning triangle meshes
 //!   into shaded RGBA framebuffers ([`image`]), viewed through an
-//!   orthographic [`camera`],
-//! * [`filtering`] — the pipeline's filtering/preprocessing stage.
+//!   orthographic [`camera`].
 //!
 //! **Cost models** ([`cost`])
 //! * isosurface extraction (paper Eqs. 4–6), ray casting (Eq. 7) and
@@ -31,7 +31,6 @@
 pub mod camera;
 pub mod cell;
 pub mod cost;
-pub mod filtering;
 pub mod image;
 pub mod isosurface;
 pub mod mesh;

@@ -100,13 +100,6 @@ impl ScalarField {
         self.data[self.dims.index(x, y, z)]
     }
 
-    /// Set the value at voxel `(x, y, z)`.
-    #[inline]
-    pub fn set(&mut self, x: usize, y: usize, z: usize, v: f32) {
-        let i = self.dims.index(x, y, z);
-        self.data[i] = v;
-    }
-
     /// Number of bytes of sample data.
     pub fn nbytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
@@ -295,7 +288,7 @@ mod tests {
         assert_eq!(lo, 0.0);
         assert_eq!(hi, 222.0);
         let mut g = f.clone();
-        g.set(0, 0, 0, -5.0);
+        g.data[g.dims.index(0, 0, 0)] = -5.0;
         assert_eq!(g.value_range().0, -5.0);
     }
 

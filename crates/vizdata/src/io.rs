@@ -3,9 +3,9 @@
 //! The paper's raw data "usually takes a multivariate format and is organized
 //! in structures such as CDF, HDF, and NetCDF".  For the reproduction we need
 //! a self-describing on-disk/in-memory format so that the data-source node
-//! can cache simulation output and the filtering module can read it back;
-//! this module provides a small header + little-endian `f32` payload format
-//! with support for multiple named variables.
+//! can cache simulation output and serve it back; this module provides a
+//! small header + little-endian `f32` payload format with support for
+//! multiple named variables.
 
 use crate::field::{Dims, ScalarField};
 use serde::{Deserialize, Serialize};

@@ -13,15 +13,12 @@
 //! * the named dataset registry used by the Fig. 9 / Fig. 10 experiments
 //!   ([`dataset`]),
 //! * simple (de)serialization of fields to a tagged binary container
-//!   ([`io`]), standing in for the CDF/HDF/NetCDF formats the paper cites,
-//! * down-sampling utilities ([`downsample`]), mirroring the paper's 8×
-//!   down-sampling of the Visible Woman volume.
+//!   ([`io`]), standing in for the CDF/HDF/NetCDF formats the paper cites.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod dataset;
-pub mod downsample;
 pub mod field;
 pub mod io;
 pub mod octree;

@@ -5,13 +5,11 @@
 //! typically traverses an octree to identify data blocks containing
 //! isosurfaces".  The model parameters are the number of blocks containing
 //! isosurfaces (`n_blocks`), the number of cells per block (`S_block`), and
-//! the per-block extraction time.  The GUI also lets a user select "one of
-//! the eight octree subsets or entire dataset".
+//! the per-block extraction time.
 //!
 //! [`Octree`] partitions a field into cubic blocks of a configurable edge
-//! length, records each block's value range (min/max) so that blocks not
-//! intersecting the isovalue can be culled, and exposes the eight top-level
-//! octants for the subset-selection feature.
+//! length and records each block's value range (min/max) so that blocks not
+//! intersecting the isovalue can be culled.
 
 use crate::field::{Dims, ScalarField};
 use serde::{Deserialize, Serialize};
@@ -44,15 +42,6 @@ impl OctreeBlock {
     /// Whether an isosurface at `isovalue` can pass through this block.
     pub fn intersects_isovalue(&self, isovalue: f32) -> bool {
         self.value_min <= isovalue && isovalue <= self.value_max
-    }
-
-    /// Which of the eight top-level octants of `dims` this block's lower
-    /// corner falls in (0..8, x-lowest bit).
-    pub fn octant(&self, dims: Dims) -> usize {
-        let half = |v: usize, n: usize| usize::from(v >= n / 2);
-        half(self.min[0], dims.nx)
-            | (half(self.min[1], dims.ny) << 1)
-            | (half(self.min[2], dims.nz) << 2)
     }
 }
 
@@ -150,14 +139,6 @@ impl Octree {
             .count()
     }
 
-    /// The blocks making up one of the eight top-level octants (0..8).
-    pub fn octant_blocks(&self, octant: usize) -> Vec<&OctreeBlock> {
-        self.blocks
-            .iter()
-            .filter(|b| b.octant(self.dims) == octant % 8)
-            .collect()
-    }
-
     /// Nominal cells per (full-size) block — the paper's `S_block`.
     pub fn cells_per_block(&self) -> usize {
         let edge = self.block_size.saturating_sub(1).max(1);
@@ -214,19 +195,6 @@ mod tests {
         assert_eq!(tree.active_block_count(100.0), 0);
         // isovalue 6.0 only in blocks covering x in [4,8).
         assert!(tree.active_blocks(6.0).iter().all(|b| b.min[0] == 4));
-    }
-
-    #[test]
-    fn octants_partition_the_blocks() {
-        let f = ramp_field(8);
-        let tree = Octree::build(&f, 4);
-        let total: usize = (0..8).map(|o| tree.octant_blocks(o).len()).sum();
-        assert_eq!(total, tree.len());
-        for o in 0..8 {
-            assert_eq!(tree.octant_blocks(o).len(), 1);
-        }
-        // Octant index 9 wraps around modulo 8.
-        assert_eq!(tree.octant_blocks(9).len(), tree.octant_blocks(1).len());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! example plans the optimal loop for each of the three archival datasets,
 //! compares it against the PC–PC baseline and ParaView-style deployment
 //! using the analytical delay model, and then actually runs the local
-//! visualization pipeline (filter → isosurface → render) on a reduced-
-//! resolution preview of each dataset to produce an image.
+//! visualization pipeline (isosurface → render) on a reduced-resolution
+//! preview of each dataset to produce an image.
 //!
 //! Run with: `cargo run --release --example archival_viz`
 
@@ -17,11 +17,9 @@ use ricsa::pipemap::dp::optimize;
 use ricsa::pipemap::network::NetGraph;
 use ricsa::pipemap::vrt::VisualizationRoutingTable;
 use ricsa::viz::camera::Camera;
-use ricsa::viz::filtering::{apply_filter, FilterParams};
 use ricsa::viz::isosurface::extract_isosurface;
 use ricsa::viz::render::render_mesh;
 use ricsa::vizdata::dataset::DatasetKind;
-use ricsa::vizdata::io::VolumeContainer;
 
 fn main() {
     let fig8 = fig8_topology();
@@ -44,7 +42,7 @@ fn main() {
             .map(|(_, d)| d.total)
             .unwrap_or(f64::NAN);
         let paraview = paraview_crs_mapping(&pipeline, &graph, gatech, ut, ornl, 1.3)
-            .map(|(_, d)| d.total)
+            .map(|(_, _, d)| d.total)
             .unwrap_or(f64::NAN);
         let vrt = VisualizationRoutingTable::from_mapping(
             &pipeline,
@@ -67,12 +65,9 @@ fn main() {
     for kind in DatasetKind::ALL {
         let dataset = catalog.datasets.get(kind);
         let field = dataset.generate_preview(400_000);
-        let mut container = VolumeContainer::new(0, 0.0);
-        container.push("pressure", field);
-        let filtered = apply_filter(&container, &FilterParams::default()).expect("filtering");
-        let (lo, hi) = filtered.value_range();
+        let (lo, hi) = field.value_range();
         let iso = lo + 0.5 * (hi - lo);
-        let surface = extract_isosurface(&filtered, iso, 16);
+        let surface = extract_isosurface(&field, iso, 16);
         let image = render_mesh(
             &surface.mesh,
             &Camera::with_viewport(256, 256),
@@ -83,7 +78,7 @@ fn main() {
         println!(
             "  {:<10} preview {:>3}^3 voxels  active blocks {:>4}/{:<4}  {:>7} triangles  -> {}",
             kind.name(),
-            filtered.dims.nx,
+            field.dims.nx,
             surface.active_blocks,
             surface.total_blocks,
             surface.mesh.triangle_count(),

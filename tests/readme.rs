@@ -258,6 +258,7 @@ fn readme_adaptation_sweep_section_matches_the_code() {
     );
     // The RTT signal confirms a degradation flat goodput never shows.
     use ricsa::adapt::{AdaptConfig, AdaptMonitor};
+    use ricsa::pipemap::dp::optimize_with;
     use ricsa::pipemap::network::NetGraph;
     use ricsa::pipemap::pipeline::{ModuleSpec, Pipeline};
     use ricsa::transport::telemetry::FlowTelemetry;
@@ -276,8 +277,11 @@ fn readme_adaptation_sweep_section_matches_the_code() {
     graph.add_bidirectional(src, mid, 30e6, 0.01);
     graph.add_bidirectional(mid, dst, 30e6, 0.01);
     graph.add_bidirectional(src, dst, 8e6, 0.02);
-    let mut monitor = AdaptMonitor::new(pipeline, graph, src, dst, AdaptConfig::default())
+    let config = AdaptConfig::default();
+    let initial = optimize_with(&pipeline, &graph, src, dst, &config.options)
+        .0
         .expect("the three-node graph admits a mapping");
+    let mut monitor = AdaptMonitor::with_initial(pipeline, graph, src, dst, config, initial);
     let sample = |rtt: f64| FlowTelemetry {
         flow_id: 1,
         goodput_bps: 10e6, // flat: the flow never saturated the link
