@@ -237,6 +237,20 @@ fn multi_session_records_on_the_contention_wan_are_pinned() {
     }
 }
 
+/// The benchmark's heaviest run: 32 jointly mapped sessions share the
+/// trunk, so each sender keeps thousands of sequence numbers outstanding.
+/// Slow in a debug build; CI runs it in release.
+#[test]
+#[ignore = "32 sessions; run in release with --include-ignored"]
+fn thirty_two_joint_sessions_on_the_contention_wan_are_pinned() {
+    let run = run_multi_session(&contention_spec(32, MappingPolicy::Joint))
+        .expect("the joint policy maps");
+    for s in &run.sessions {
+        assert_eq!(s.lost + s.duplicated, 0, "session {}", s.id);
+    }
+    assert_eq!(multi_digest(&run), "10d7c0048372b21f");
+}
+
 /// Live migration, late spawns and an early retirement in one run: six
 /// heavy sessions ride the trunk, two of them joining two virtual seconds
 /// in; a monitor that watched the trunk collapse under the newcomers moves
