@@ -131,9 +131,7 @@ mod tests {
 
     fn datagram(msg: &ControlMessage) -> Datagram {
         Datagram {
-            src: NodeId(5),
             dst: NodeId(1),
-            sent_at: SimTime::ZERO,
             payload: msg.to_payload(),
         }
     }
@@ -199,9 +197,7 @@ mod tests {
         cm.on_datagram(
             &mut ctx,
             Datagram {
-                src: NodeId(0),
                 dst: NodeId(1),
-                sent_at: SimTime::ZERO,
                 payload: Payload::opaque(100),
             },
         );

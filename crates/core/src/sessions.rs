@@ -717,9 +717,7 @@ mod tests {
     /// A datagram from node 2 to node 0 carrying `payload`.
     fn datagram(payload: Payload) -> Datagram {
         Datagram {
-            src: NodeId(2),
             dst: NodeId(0),
-            sent_at: SimTime::from_secs(1.0),
             payload,
         }
     }

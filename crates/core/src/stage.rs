@@ -581,9 +581,7 @@ mod tests {
         app.on_datagram(
             &mut ctx,
             Datagram {
-                src: NodeId(9),
                 dst: NodeId(0),
-                sent_at: SimTime::ZERO,
                 payload: begin.to_payload(),
             },
         );
@@ -595,9 +593,7 @@ mod tests {
         app.on_datagram(
             &mut ctx2,
             Datagram {
-                src: NodeId(9),
                 dst: NodeId(0),
-                sent_at: SimTime::ZERO,
                 payload: begin.to_payload(),
             },
         );
@@ -627,9 +623,7 @@ mod tests {
         app.on_datagram(
             &mut ctx,
             Datagram {
-                src: NodeId(0),
                 dst: NodeId(1),
-                sent_at: SimTime::ZERO,
                 payload: begin.to_payload(),
             },
         );
@@ -643,9 +637,7 @@ mod tests {
         src_app.on_datagram(
             &mut ctx,
             Datagram {
-                src: NodeId(0),
                 dst: NodeId(1),
-                sent_at: SimTime::ZERO,
                 payload: wrong_session.to_payload(),
             },
         );
@@ -662,9 +654,7 @@ mod tests {
         app.on_datagram(
             &mut ctx,
             Datagram {
-                src: NodeId(0),
                 dst: NodeId(1),
-                sent_at: SimTime::ZERO,
                 payload: Payload::with_data(KIND_DATA, flow_id(1, 0, 1), 0, vec![0; 100]),
             },
         );

@@ -202,9 +202,7 @@ mod tests {
         app.on_datagram(
             &mut ctx,
             Datagram {
-                src: NodeId(1),
                 dst: NodeId(0),
-                sent_at: SimTime::ZERO,
                 payload: Payload::opaque(1),
             },
         );

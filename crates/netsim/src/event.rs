@@ -112,7 +112,7 @@ struct Slot {
     kind: Option<EventKind>,
 }
 
-/// Slots per chunk of the [`Slab`] (64 KiB).
+/// Slots per chunk of the [`Slab`] (48 KiB).
 const CHUNK: usize = 512;
 
 /// The parked events.  Free slots are reused, most recently freed first,
@@ -299,6 +299,15 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_parked_event_takes_96_bytes() {
+        // The `Datagram` body inline: destination and payload, no source or
+        // send time (nothing reads them).
+        assert_eq!(std::mem::size_of::<Slot>(), 96);
+        assert_eq!(CHUNK * std::mem::size_of::<Slot>(), 48 << 10);
+    }
 
     #[test]
     fn events_pop_in_time_order() {

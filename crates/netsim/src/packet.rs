@@ -8,7 +8,6 @@
 //! dataset transfers do not require materializing hundreds of megabytes.
 
 use crate::node::NodeId;
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// UDP-like maximum datagram payload used by the transport layer, in bytes.
@@ -77,12 +76,8 @@ pub const HEADER_OVERHEAD: usize = 42;
 /// A datagram in flight or delivered to an application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Datagram {
-    /// Originating node.
-    pub src: NodeId,
     /// Destination node.
     pub dst: NodeId,
-    /// Time the datagram was handed to the network by the sender.
-    pub sent_at: SimTime,
     /// Payload.
     pub payload: Payload,
 }

@@ -267,9 +267,7 @@ impl Simulator {
         for s in effects.sends.drain(..) {
             self.stats.datagrams_sent += 1;
             let dg = Datagram {
-                src: node,
                 dst: s.dst,
-                sent_at: self.now,
                 payload: s.payload,
             };
             if s.dst == node {
@@ -288,12 +286,7 @@ impl Simulator {
     /// application callback), e.g. to kick off a scenario.
     pub fn inject(&mut self, src: NodeId, dst: NodeId, payload: Payload) {
         self.stats.datagrams_sent += 1;
-        let dg = Datagram {
-            src,
-            dst,
-            sent_at: self.now,
-            payload,
-        };
+        let dg = Datagram { dst, payload };
         self.forward(src, dg);
     }
 }

@@ -362,9 +362,7 @@ mod tests {
 
     fn data(seq: u64, size: usize) -> Datagram {
         Datagram {
-            src: NodeId(0),
             dst: NodeId(1),
-            sent_at: SimTime::ZERO,
             payload: Payload::sized(KIND_DATA, 1, seq, size),
         }
     }

@@ -15,11 +15,16 @@ use ricsa_netsim::app::{Application, Context};
 use ricsa_netsim::node::NodeId;
 use ricsa_netsim::packet::{Datagram, Payload};
 use ricsa_netsim::time::SimTime;
-use std::collections::BTreeSet;
+use seq_set::SeqSet;
+
+mod seq_set;
 
 /// Sender half of a transport flow.
 pub struct WindowSender<C: RateController> {
     config: FlowConfig,
+    /// Datagrams in the message (`config.total_datagrams()`), `None` for a
+    /// stream.
+    total_datagrams: Option<u64>,
     receiver: NodeId,
     controller: C,
     stats: SharedFlowStats,
@@ -29,11 +34,11 @@ pub struct WindowSender<C: RateController> {
     cumulative_acked: Option<u64>,
     /// Sequence numbers above the cumulative point the receiver explicitly
     /// confirmed via SACK ranges.
-    sacked: BTreeSet<u64>,
+    sacked: SeqSet,
     /// Datagrams the receiver reported missing, pending retransmission.
-    nacked: BTreeSet<u64>,
+    nacked: SeqSet,
     /// Datagrams sent but not yet acknowledged.
-    outstanding: BTreeSet<u64>,
+    outstanding: SeqSet,
     finished: bool,
     /// Whether the periodic burst timer is running.
     burst_timer_armed: bool,
@@ -66,15 +71,16 @@ impl<C: RateController> WindowSender<C> {
         config.validate().expect("invalid flow configuration");
         let telemetry = TelemetryCollector::new(config.flow_id);
         WindowSender {
+            total_datagrams: config.total_datagrams(),
             config,
             receiver,
             controller,
             stats,
             next_new_seq: 0,
             cumulative_acked: None,
-            sacked: BTreeSet::new(),
-            nacked: BTreeSet::new(),
-            outstanding: BTreeSet::new(),
+            sacked: SeqSet::default(),
+            nacked: SeqSet::default(),
+            outstanding: SeqSet::default(),
             finished: false,
             burst_timer_armed: false,
             last_burst_progressed: true,
@@ -100,21 +106,17 @@ impl<C: RateController> WindowSender<C> {
         self.telemetry.telemetry()
     }
 
-    fn total_datagrams(&self) -> Option<u64> {
-        self.config.total_datagrams()
-    }
-
     fn is_acked(&self, seq: u64) -> bool {
         // Only the cumulative point and explicit SACK ranges confirm
         // receipt.  The receiver's NACK lists are deliberately partial
         // (reorder-delayed, throttled, bounded), so "below highest and not
         // NACKed" must NOT be treated as received — inferring selective
         // acknowledgements from absence permanently loses real holes.
-        self.cumulative_acked.map(|c| seq <= c).unwrap_or(false) || self.sacked.contains(&seq)
+        self.cumulative_acked.map(|c| seq <= c).unwrap_or(false) || self.sacked.contains(seq)
     }
 
     fn datagram_size(&self, seq: u64) -> usize {
-        match (self.config.message_bytes, self.total_datagrams()) {
+        match (self.config.message_bytes, self.total_datagrams) {
             (Some(bytes), Some(total)) if seq + 1 == total => {
                 let rem = bytes % self.config.mtu;
                 if rem == 0 {
@@ -157,7 +159,7 @@ impl<C: RateController> WindowSender<C> {
         // oldest outstanding datagrams.  Only finite messages time out;
         // monitoring streams rely on NACKs alone.
         let now = ctx.now().as_secs();
-        let finite = self.total_datagrams().is_some();
+        let finite = self.total_datagrams.is_some();
         let rto = (self.config.ack_interval * 4.0).max(0.2);
         if finite
             && self.nacked.is_empty()
@@ -165,25 +167,25 @@ impl<C: RateController> WindowSender<C> {
             && now - self.last_ack_progress > rto
         {
             let window = self.controller.window().max(1) as usize;
-            self.nacked
-                .extend(self.outstanding.iter().copied().take(window));
+            for seq in self.outstanding.iter().take(window) {
+                self.nacked.insert(seq);
+            }
             self.last_ack_progress = now;
         }
         let window = self.controller.window().max(1) as usize;
         let mut sent = 0usize;
 
-        // Retransmissions take priority over new data.
-        let retrans: Vec<u64> = self.nacked.iter().copied().take(window).collect();
-        for seq in retrans {
-            self.nacked.remove(&seq);
+        // Retransmissions take priority over new data: the lowest `window`
+        // pending NACKs leave the queue, and the unconfirmed ones are resent.
+        for _ in 0..window {
+            let Some(seq) = self.nacked.pop_first() else {
+                break;
+            };
             if self.is_acked(seq) {
                 continue;
             }
             self.send_seq(ctx, seq, true);
             sent += 1;
-            if sent >= window {
-                break;
-            }
         }
 
         // New datagrams, subject to the outstanding cap and message bound.
@@ -191,7 +193,7 @@ impl<C: RateController> WindowSender<C> {
             if self.outstanding.len() >= self.config.max_outstanding {
                 break;
             }
-            if let Some(total) = self.total_datagrams() {
+            if let Some(total) = self.total_datagrams {
                 if self.next_new_seq >= total {
                     break;
                 }
@@ -241,8 +243,8 @@ impl<C: RateController> WindowSender<C> {
             // Everything at or below the acknowledged point retires; what
             // stays is the part of each set above it.
             if let Some(above) = newly_cumulative.checked_add(1) {
-                self.outstanding = self.outstanding.split_off(&above);
-                self.sacked = self.sacked.split_off(&above);
+                self.outstanding.drop_below(above);
+                self.sacked.drop_below(above);
             }
         }
         // Later feedback supersedes stale NACK state: anything now covered
@@ -251,15 +253,19 @@ impl<C: RateController> WindowSender<C> {
         // this ACK confirms is all there is to drop from it: the stretch up
         // to the cumulative point here, each newly SACKed datagram below.
         if let Some(above) = self.cumulative_acked.and_then(|c| c.checked_add(1)) {
-            self.nacked = self.nacked.split_off(&above);
+            self.nacked.drop_below(above);
         }
         // Explicit selective acknowledgements: the receiver vouches for
         // these exact ranges, so the sender may retire them.
         for &(lo, hi) in &ack.sack {
-            while let Some(&seq) = self.outstanding.range(lo..=hi).next() {
-                self.outstanding.remove(&seq);
+            let mut from = lo;
+            while let Some(seq) = self.outstanding.first_in(from..=hi) {
+                self.outstanding.remove(seq);
                 self.sacked.insert(seq);
-                self.nacked.remove(&seq);
+                self.nacked.remove(seq);
+                // `seq` just left `outstanding`, so saturating at the top of
+                // the sequence space cannot find it again.
+                from = seq.saturating_add(1);
             }
         }
         // NACK-driven retransmission + loss signal to the controller.  Only
@@ -289,7 +295,7 @@ impl<C: RateController> WindowSender<C> {
             let cum = self.cumulative_acked;
             let sacked = &self.sacked;
             self.telemetry.note_acked(now, |s| {
-                cum.map(|c| s <= c).unwrap_or(false) || sacked.contains(&s)
+                cum.map(|c| s <= c).unwrap_or(false) || sacked.contains(s)
             });
         }
         // Progress = the receiver confirmed something new: the cumulative
@@ -303,7 +309,7 @@ impl<C: RateController> WindowSender<C> {
         self.last_received_count = self.last_received_count.max(ack.received_count);
         // Completion check for finite messages: the cumulative point covers
         // the whole message exactly when every datagram arrived.
-        if let Some(total) = self.total_datagrams() {
+        if let Some(total) = self.total_datagrams {
             if self
                 .cumulative_acked
                 .map(|c| c + 1 >= total)
@@ -345,6 +351,7 @@ mod tests {
     use super::*;
     use crate::fixed::FixedController;
     use crate::flow::shared_stats;
+    use std::collections::BTreeSet;
 
     fn mk_sender(
         message_bytes: Option<usize>,
@@ -373,9 +380,7 @@ mod tests {
 
     fn ack_payload(ack: &AckInfo) -> Datagram {
         Datagram {
-            src: NodeId(1),
             dst: NodeId(0),
-            sent_at: SimTime::ZERO,
             payload: Payload::with_data(KIND_ACK, 1, 0, ack.encode()),
         }
     }
@@ -470,8 +475,8 @@ mod tests {
         tx.on_datagram(&mut ctx, ack_payload(&ack));
         // 1,2,3 are explicitly sacked; only 0 should be pending
         // retransmission.
-        assert_eq!(tx.nacked.iter().copied().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(tx.outstanding.iter().copied().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(tx.nacked.iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(tx.outstanding.iter().collect::<Vec<_>>(), vec![0]);
         // A NACK without SACK coverage leaves unconfirmed datagrams alone.
         let ack2 = AckInfo {
             cumulative: NO_CUMULATIVE,
@@ -482,7 +487,7 @@ mod tests {
             received_count: 3,
         };
         tx.on_datagram(&mut ctx, ack_payload(&ack2));
-        assert_eq!(tx.outstanding.iter().copied().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(tx.outstanding.iter().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -604,9 +609,9 @@ mod tests {
         fn of<C: RateController>(tx: &WindowSender<C>) -> Self {
             ReferenceAckState {
                 cumulative_acked: tx.cumulative_acked,
-                sacked: tx.sacked.clone(),
-                nacked: tx.nacked.clone(),
-                outstanding: tx.outstanding.clone(),
+                sacked: tx.sacked.iter().collect(),
+                nacked: tx.nacked.iter().collect(),
+                outstanding: tx.outstanding.iter().collect(),
                 finished: tx.finished,
             }
         }
