@@ -303,8 +303,8 @@ mod tests {
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn a_parked_event_takes_96_bytes() {
-        // The `Datagram` body inline: destination and payload, no source or
-        // send time (nothing reads them).
+        // The largest body is a `Datagram` inline: its destination and
+        // payload.
         assert_eq!(std::mem::size_of::<Slot>(), 96);
         assert_eq!(CHUNK * std::mem::size_of::<Slot>(), 48 << 10);
     }
