@@ -387,7 +387,9 @@ mod tests {
 
     #[test]
     fn adaptive_loop_migrates_after_the_event_and_beats_static() {
-        let event_at = 1.0;
+        // Frame-paced, the 14 frames end near 0.54 s: the event lands
+        // inside the run.
+        let event_at = 0.2;
         let s = spec(14, event_at);
         let run_static = run_adaptive_loop(&s, AdaptPolicy::Static).unwrap();
         let adaptive = run_adaptive_loop(&s, AdaptPolicy::Adaptive).unwrap();

@@ -652,7 +652,9 @@ mod tests {
         AdaptSweepConfig {
             wans: 2,
             schedules_per_wan: 2,
-            frames: 4,
+            // The quick preset's frame count: fewer frames end before any
+            // event, and leave nothing to compare.
+            frames: 16,
             dataset_bytes: 128 << 10,
             max_nodes: 8,
             ..AdaptSweepConfig::default()

@@ -26,15 +26,13 @@ use ricsa_pipemap::network::NetGraph;
 use ricsa_pipemap::vrt::VisualizationRoutingTable;
 use std::collections::{BTreeMap, HashSet};
 
-/// Virtual seconds the simulator runs between looks at the trace.
-const STEP_S: f64 = 0.25;
 /// Drain window before a migration tears the old stages down: long enough
 /// for the completed frame's final-ACK handshakes to settle, short against
 /// any frame time.
 const QUIESCE_S: f64 = 0.25;
-/// Wait after a migration injects the VRT handoff, so the control datagrams
-/// cross the WAN before the new loop is declared live.  Must exceed the
-/// one-way control latency of any supported topology.
+/// Wait after a migration injects the VRT handoff before the new loop is
+/// declared live.  A fixed guess, not a bound: one generated link reaches
+/// about 48 ms and CM routes are multi-hop (an acknowledged handoff is due).
 const HANDOFF_SETTLE_S: f64 = 0.05;
 /// `BeginIteration` re-injections per frame before a loop counts as stalled.
 const MAX_RETRIES: u32 = 16;
@@ -237,13 +235,13 @@ pub(crate) struct LoopState {
     pub controller: Controller,
     /// The mapping in force.
     current: OptimizedMapping,
-    /// The frame being pulled through, and the `BeginIteration`
-    /// re-injections spent on it.
+    /// The frame being pulled through, the `BeginIteration` re-injections
+    /// spent on it, and when to look unprompted: spawn, then request deadline.
     frame: u64,
     retries: u32,
-    spawned: bool,
+    wake: Option<SimTime>,
     done: bool,
-    /// Frames requested from the data source.
+    /// Frames requested from the data source (0 until the loop spawns).
     pub requested: u64,
     pub spawned_at: f64,
     /// When the loop delivered its last frame and retired.
@@ -265,13 +263,13 @@ impl LoopState {
     ) -> Self {
         LoopState {
             done: false,
+            wake: Some(SimTime::from_secs(spec.start_at)),
             spec,
             controller,
             paths: vec![initial.mapping.path.clone()],
             current: initial,
             frame: 0,
             retries: 0,
-            spawned: false,
             requested: 0,
             spawned_at: 0.0,
             retired_at: None,
@@ -402,8 +400,8 @@ impl Driver<'_> {
     }
 
     /// CM-relayed semantics: the redundant `BeginIteration` crosses the WAN
-    /// from the CM node.
-    fn inject_begin(&mut self, lp: &LoopState) {
+    /// from the CM node, and is overdue after [`request_timeout`].
+    fn inject_begin(&mut self, lp: &mut LoopState) {
         let begin = ControlMessage::BeginIteration {
             session: lp.spec.id,
             iteration: lp.frame,
@@ -412,15 +410,27 @@ impl Driver<'_> {
             self.sim
                 .inject(self.spec.cm, lp.spec.source, begin.to_payload());
         }
+        let timeout = request_timeout(&self.sim, self.spec.cm, lp);
+        lp.wake = Some(self.sim.now() + SimTime::from_secs(timeout));
     }
 
     /// Host `lp`'s initial mapping at `now` and request its first frame.
     fn spawn(&mut self, lp: &mut LoopState, now: f64) -> Result<(), String> {
-        (lp.spawned, lp.spawned_at) = (true, now);
+        lp.spawned_at = now;
         let (_, stages) = self.stages(lp, &lp.current, 0)?;
         self.host(lp.spec.id, &lp.current.mapping.path, stages);
         self.request_frame(lp)
     }
+}
+
+/// How long a request from `cm` may go unserved: the propagation time of
+/// the route to `lp`'s source on the running WAN plus the frame's predicted delay.
+fn request_timeout(sim: &Simulator, cm: NodeId, lp: &LoopState) -> f64 {
+    let (routing, source) = (sim.routing(), lp.spec.source);
+    let route = routing.path(sim.topology(), cm, source).unwrap_or_default();
+    let hops = route.iter().filter_map(|&n| routing.next_hop(n, source));
+    let delays = hops.filter_map(|l| sim.link_spec(l)).map(|l| l.min_delay);
+    delays.sum::<f64>() + lp.current.delay.total
 }
 
 /// Refuse loops one run cannot carry: the frame audit attributes frames
@@ -474,13 +484,11 @@ pub(crate) fn drive(
     // controller deciding a loop's first frame reads them off the
     // simulator.  Nothing else is queued yet.
     sim.run_until(SimTime::ZERO);
-    // The simulator clock only advances while events are queued; if every
-    // live loop retires while a later `start_at` is still pending, the WAN
-    // goes idle and time would stand still.  A wake-up at each future spawn
-    // keeps the queue alive up to that moment.
-    for lp in loops.iter().filter(|lp| lp.spec.start_at > 0.0) {
-        sim.wake_at(SimTime::from_secs(lp.spec.start_at));
-    }
+    // The simulator clock only advances while events are queued.  A wake-up
+    // at the end of the budget keeps the queue alive until then, so every
+    // wait of the run — a spawn, a request deadline, a migration window —
+    // ends on time however idle the WAN is.
+    sim.wake_at(spec.max_virtual_time);
     let (graph, hosts) = (NetGraph::from_topology(spec.topology), BTreeMap::new());
     let mut driver = Driver {
         spec,
@@ -497,18 +505,16 @@ pub(crate) fn drive(
         }
     }
     while loops.iter().any(|lp| !lp.done) && driver.sim.now() < spec.max_virtual_time {
-        let step = SimTime::from_secs(driver.sim.now().as_secs() + STEP_S);
-        let target = step.min(spec.max_virtual_time);
-        let reached = driver.sim.run_until(target);
-        audit.update(&driver.sim);
-        // The event queue drained before the step ended: a loop still
-        // waiting for its frame lost every redundant `BeginIteration` copy
-        // on the way to the source (nothing else leaves a loop idle).
-        let drained = reached.as_secs() + 1e-9 < target.as_secs();
-        let now = driver.sim.now().as_secs();
+        // Run to the next completion or wake-up (a migration may have passed one).
+        let wakes = loops.iter().filter(|lp| !lp.done).filter_map(|lp| lp.wake);
+        let until = wakes.fold(spec.max_virtual_time, SimTime::min);
+        driver.sim.run_until_completion(until.max(driver.sim.now()));
 
         for lp in loops.iter_mut().filter(live) {
-            if !lp.spawned {
+            // Another loop's migration may have moved the clock.
+            audit.update(&driver.sim);
+            let now = driver.sim.now().as_secs();
+            if lp.requested == 0 {
                 // Late spawns join the contention when their time comes.
                 if now >= lp.spec.start_at {
                     driver.spawn(lp, now)?;
@@ -529,12 +535,16 @@ pub(crate) fn drive(
                     (lp.done, lp.retired_at) = (true, Some(now));
                     driver.unhost(lp.spec.id, &lp.current.mapping.path);
                 }
-            } else if drained {
-                // Ask again, a bounded number of times.
-                lp.retries += 1;
-                lp.done = lp.retries > MAX_RETRIES;
-                if !lp.done {
-                    driver.inject_begin(lp);
+            } else if lp.wake.is_some_and(|at| driver.sim.now() >= at) {
+                // Overdue: a served frame is the transport's to finish, a
+                // request lost in every copy is asked again, boundedly.
+                lp.wake = None;
+                if !audit.starts.contains_key(&(lp.spec.source.0, lp.frame)) {
+                    lp.retries += 1;
+                    lp.done = lp.retries > MAX_RETRIES;
+                    if !lp.done {
+                        driver.inject_begin(lp);
+                    }
                 }
             }
         }
@@ -546,8 +556,10 @@ pub(crate) fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapt::{demo_wan, run_adaptive_loop, AdaptPolicy, AdaptiveLoopSpec};
-    use crate::sessions::{contention_wan, demo_session_pipeline};
+    use crate::adapt::{demo_wan, run_adaptive_loop, AdaptPolicy, AdaptiveLoopSpec, AdaptiveRun};
+    use crate::sessions::{
+        contention_wan, demo_session_pipeline, run_multi_session, MappingPolicy, MultiSessionSpec,
+    };
     use ricsa_adapt::monitor::AdaptConfig;
     use ricsa_netsim::dynamics::{DynamicScenario, LinkChange};
     use ricsa_netsim::link::LinkId;
@@ -604,13 +616,121 @@ mod tests {
         );
     }
 
+    /// A loop of `iterations` frames between the demo WAN's endpoints, on
+    /// `topology` (the demo WAN's, or a variant of it).
+    fn demo_loop(
+        topology: Topology,
+        schedule: DynamicScenario,
+        iterations: u64,
+    ) -> AdaptiveLoopSpec {
+        let wan = demo_wan();
+        AdaptiveLoopSpec {
+            topology,
+            schedule,
+            pipeline: demo_session_pipeline(1.0),
+            source: wan.source,
+            client: wan.client,
+            cm: wan.cm,
+            iterations,
+            seed: 11,
+            target_goodput: 200e6,
+            adapt: AdaptConfig::default(),
+            session: 1,
+            max_virtual_time: SimTime::from_secs(600.0),
+        }
+    }
+
+    /// When each delivered frame of a loop without lost frames reached its
+    /// client.
+    fn completions(run: &AdaptiveRun) -> Vec<f64> {
+        run.starts
+            .iter()
+            .zip(&run.delays)
+            .map(|(s, d)| s + d)
+            .collect()
+    }
+
+    /// The next request leaves the CM at the instant the last image lands,
+    /// whatever else is queued: with a link change pending far in the
+    /// future, every frame starts one and the same CM → source transit
+    /// after the previous frame completed.
+    #[test]
+    fn each_request_leaves_at_the_completion_instant() {
+        let wan = demo_wan();
+        let spec = demo_loop(wan.topology.clone(), wan.degradation(1e3, 0.5), 8);
+        let run = run_adaptive_loop(&spec, AdaptPolicy::Static).expect("the demo WAN maps");
+        assert_eq!(run.frames_completed, 8);
+        let done = completions(&run);
+        let gaps: Vec<f64> = run.starts[1..]
+            .iter()
+            .zip(&done)
+            .map(|(s, c)| s - c)
+            .collect();
+        // One 10 ms hop plus the request's serialization.
+        assert!(gaps[0] > 0.010 && gaps[0] < 0.011, "{gaps:?}");
+        assert!(gaps.iter().all(|g| (g - gaps[0]).abs() < 1e-9), "{gaps:?}");
+    }
+
+    /// A late spawn joins at its `start_at`, not at whatever time the run
+    /// next looks, while another loop is pulling frames.
+    #[test]
+    fn a_late_spawn_joins_at_its_start_time() {
+        let wan = contention_wan(2);
+        let sessions = (0..2)
+            .map(|i| SessionLoopSpec {
+                id: i as u64 + 1,
+                pipeline: demo_session_pipeline(1.0),
+                source: wan.sources[i],
+                client: wan.clients[i],
+                frames: [30, 2][i],
+                start_at: [0.0, 1.1][i],
+            })
+            .collect();
+        let spec = MultiSessionSpec {
+            topology: wan.topology.clone(),
+            cm: wan.cm,
+            sessions,
+            policy: MappingPolicy::Independent,
+            seed: 20080609,
+            target_goodput: 200e6,
+            adaptive: false,
+            adapt: AdaptConfig::default(),
+            joint_rounds: 6,
+            max_virtual_time: SimTime::from_secs(900.0),
+        };
+        let run = run_multi_session(&spec).expect("both sessions map");
+        let first = &run.sessions[0];
+        assert!(first.starts[0] < 1.1 && first.retired_at > Some(1.1));
+        assert_eq!(run.sessions[1].spawned_at, 1.1);
+        assert_eq!(run.sessions[1].completed, 2);
+    }
+
+    /// A migration costs the two documented windows, whether or not other
+    /// events are queued: the oracle's move off the collapsed route
+    /// commits `QUIESCE_S + HANDOFF_SETTLE_S` after the last frame on the
+    /// old route completed.
+    #[test]
+    fn a_migration_commits_after_its_two_windows() {
+        let wan = demo_wan();
+        let spec = demo_loop(wan.topology.clone(), wan.degradation(0.2, 0.08), 8);
+        let run = run_adaptive_loop(&spec, AdaptPolicy::Oracle).expect("the demo WAN maps");
+        assert_eq!((run.frames_completed, run.migrations.len()), (8, 1));
+        let migration = &run.migrations[0];
+        let last_on_old_route = completions(&run)[migration.first_iteration as usize - 1];
+        let window = migration.at - last_on_old_route;
+        assert!(
+            (window - (QUIESCE_S + HANDOFF_SETTLE_S)).abs() < 1e-9,
+            "committed {window} s after the completion"
+        );
+    }
+
     /// A control channel that loses everything: every `BeginIteration`
-    /// copy dies on the CM's links, so each step ends with the queue
-    /// drained and the frame unstarted.  The driver re-injects the request
+    /// copy dies on the CM's links, so each request reaches its deadline
+    /// with the frame unstarted.  The driver re-injects the request
     /// `MAX_RETRIES` times, then gives the frame up: the run is an `Ok`
-    /// record with the frame lost, not a hang.  A drained step does not
-    /// move the clock, so the exit is the only thing that ends the run
-    /// before its 600 s budget.
+    /// record with the frame lost, not a hang.  Only the deadlines move the
+    /// clock, so the exit is the only thing that ends the run before its
+    /// 600 s budget.
     #[test]
     fn a_loop_whose_every_begin_is_lost_gives_its_frame_up() {
         let wan = demo_wan();
@@ -625,20 +745,7 @@ mod tests {
             }
             topology.connect_directed(edge.from, edge.to, link);
         }
-        let spec = AdaptiveLoopSpec {
-            topology,
-            schedule: DynamicScenario::empty(),
-            pipeline: demo_session_pipeline(1.0),
-            source: wan.source,
-            client: wan.client,
-            cm: wan.cm,
-            iterations: 1,
-            seed: 11,
-            target_goodput: 200e6,
-            adapt: AdaptConfig::default(),
-            session: 1,
-            max_virtual_time: SimTime::from_secs(600.0),
-        };
+        let spec = demo_loop(topology, DynamicScenario::empty(), 1);
         let (tx, rx) = std::sync::mpsc::channel();
         let lossy = spec.clone();
         let worker = std::thread::spawn(move || {
@@ -653,8 +760,7 @@ mod tests {
         assert_eq!((run.frames_completed, run.frames_lost), (0, 1));
         assert!(run.delays.is_empty() && run.migrations.is_empty());
         // The same loop through the driver: it stopped after exactly
-        // `MAX_RETRIES` re-injections, inside `MAX_RETRIES + 2` steps of
-        // virtual time.
+        // `MAX_RETRIES` re-injections, at the `MAX_RETRIES + 1`-th deadline.
         let graph = NetGraph::from_topology(&spec.topology);
         let (source, client) = (spec.source.0, spec.client.0);
         let options = &spec.adapt.options;
@@ -680,9 +786,62 @@ mod tests {
         let (_, ended) = drive(&drive_spec, &mut loops).expect("the loop runs");
         assert!(loops[0].done);
         assert_eq!(loops[0].retries, MAX_RETRIES + 1);
+        let sim = Simulator::new(spec.topology.clone(), spec.seed);
+        let timeout = request_timeout(&sim, spec.cm, &loops[0]);
         assert!(
-            ended < (MAX_RETRIES + 2) as f64 * STEP_S,
-            "ended at {ended}"
+            ended <= (MAX_RETRIES + 1) as f64 * timeout + 1e-9,
+            "ended at {ended}, timeout {timeout}"
         );
+    }
+
+    /// A loop whose requests all die gives its frame up on its own
+    /// deadlines, while a second loop on the same WAN keeps the simulator
+    /// busy and keeps delivering.
+    #[test]
+    fn a_lost_request_is_retried_on_its_own_deadline_beside_a_busy_loop() {
+        let wan = contention_wan(2);
+        let mut topology = Topology::new();
+        for (_, node) in wan.topology.nodes() {
+            topology.add_node(node.clone());
+        }
+        for edge in wan.topology.edges() {
+            let mut link = edge.spec.clone();
+            if edge.to == wan.sources[0] {
+                link = link.with_loss(LossModel::Bernoulli { p: 1.0 });
+            }
+            topology.connect_directed(edge.from, edge.to, link);
+        }
+        let (options, graph) = (DpOptions::relayed(), NetGraph::from_topology(&topology));
+        let mut loops: Vec<LoopState> = (0..2)
+            .map(|i| {
+                let session = SessionLoopSpec {
+                    id: i as u64 + 1,
+                    pipeline: demo_session_pipeline(1.0),
+                    source: wan.sources[i],
+                    client: wan.clients[i],
+                    frames: [1, 1000][i],
+                    start_at: 0.0,
+                };
+                let (source, client) = (session.source.0, session.client.0);
+                let initial = optimize_with(&session.pipeline, &graph, source, client, &options);
+                let initial = initial.0.expect("the contention WAN admits a mapping");
+                LoopState::new(session, initial, Controller::Static)
+            })
+            .collect();
+        let sim = Simulator::new(topology.clone(), 5);
+        let give_up = (MAX_RETRIES + 1) as f64 * request_timeout(&sim, wan.cm, &loops[0]);
+        let drive_spec = DriveSpec {
+            topology: &topology,
+            schedule: &[],
+            cm: wan.cm,
+            seed: 5,
+            target_goodput: 200e6,
+            max_virtual_time: SimTime::from_secs(give_up + 1e-6),
+        };
+        let (audit, _) = drive(&drive_spec, &mut loops).expect("both loops run");
+        assert!(loops[0].done);
+        assert_eq!(loops[0].retries, MAX_RETRIES + 1);
+        let (source, client) = (wan.sources[1].0, wan.clients[1].0);
+        assert!(!loops[1].done && audit.tally(source, client, u64::MAX).completed > 0);
     }
 }

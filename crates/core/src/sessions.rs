@@ -599,12 +599,15 @@ mod tests {
 
     #[test]
     fn joint_policy_spreads_sessions_and_beats_independent_delays() {
-        let wan = contention_wan(3);
-        let independent =
-            run_multi_session(&spec_for(&wan, &[4, 4, 4], MappingPolicy::Independent)).unwrap();
-        let joint = run_multi_session(&spec_for(&wan, &[4, 4, 4], MappingPolicy::Joint)).unwrap();
-        healthy(&independent);
-        healthy(&joint);
+        let runs = |n: usize| {
+            let (wan, frames) = (contention_wan(n), vec![4; n]);
+            let run = |policy| run_multi_session(&spec_for(&wan, &frames, policy)).unwrap();
+            let runs = (run(MappingPolicy::Independent), run(MappingPolicy::Joint));
+            healthy(&runs.0);
+            healthy(&runs.1);
+            (wan, runs)
+        };
+        let (wan, (independent, joint)) = runs(3);
         // The joint solve moved someone onto a private relay route.
         assert!(
             joint
@@ -614,20 +617,23 @@ mod tests {
             "joint should use a private route: {:?}",
             joint.sessions.iter().map(|s| &s.paths).collect::<Vec<_>>()
         );
+        // The solver predicts the spread pays.
+        assert!(joint.predicted_aggregate <= independent.predicted_aggregate + 1e-9);
         // The *measured* per-frame delays under the contended simulation
-        // are better in aggregate for the joint mapping.
+        // are better in aggregate for the joint mapping once the trunk is
+        // crowded.  At N = 3 they are not: frame-paced, independent's
+        // three trunk sessions rarely collide (ROADMAP 4(c)).
         let mean = |run: &MultiSessionRun| {
             let all: Vec<f64> = run.sessions.iter().flat_map(|s| s.delays.clone()).collect();
             all.iter().sum::<f64>() / all.len() as f64
         };
+        let (_, (independent, joint)) = runs(8);
         assert!(
             mean(&joint) < mean(&independent),
             "joint {} not better than independent {}",
             mean(&joint),
             mean(&independent)
         );
-        // And the solver's own prediction agrees.
-        assert!(joint.predicted_aggregate <= independent.predicted_aggregate + 1e-9);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::rng::SimRng;
 use crate::routing::RoutingTable;
 use crate::time::SimTime;
 use crate::topology::Topology;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceEvent, TraceKind};
 
 /// The discrete-event simulator.
 pub struct Simulator {
@@ -171,8 +171,19 @@ impl Simulator {
     /// Run until the queue drains or `deadline` is reached, whichever comes
     /// first.  Returns the time at which execution stopped.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
+        self.run(deadline, false)
+    }
+
+    /// [`Simulator::run_until`] that also stops right after the dispatch
+    /// that traces an `IterationCompleted`, at its image's arrival instant.
+    pub fn run_until_completion(&mut self, deadline: SimTime) -> SimTime {
+        self.run(deadline, true)
+    }
+
+    fn run(&mut self, deadline: SimTime, stop_at_completion: bool) -> SimTime {
         self.schedule_starts();
         while let Some(event) = self.queue.pop_due(deadline) {
+            let traced = self.trace.len();
             self.now = event.at;
             self.stats.events_processed += 1;
             match event.kind {
@@ -185,6 +196,10 @@ impl Simulator {
                 }
                 EventKind::LinkChange { link, change } => self.apply_link_change(link, &change),
                 EventKind::Wake => {}
+            }
+            let completed = |e: &TraceEvent| matches!(e.kind, TraceKind::IterationCompleted { .. });
+            if stop_at_completion && self.trace.events[traced..].iter().any(completed) {
+                return self.now;
             }
         }
         // If events remain beyond the deadline, the clock advances to the
@@ -303,7 +318,6 @@ mod tests {
     use crate::link::LinkSpec;
     use crate::loss::LossModel;
     use crate::node::NodeSpec;
-    use crate::trace::{TraceEvent, TraceKind};
     use std::cell::RefCell;
     use std::rc::Rc;
 
