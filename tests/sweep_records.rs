@@ -55,7 +55,7 @@ fn quick_scenario_sweep_plans_are_pinned() {
 fn quick_adapt_sweep_report_is_pinned() {
     assert_eq!(
         quick_report_digest::<AdaptSweepConfig>(),
-        "4dc83a7db704d794"
+        "dbb9cba22ac5a438"
     );
 }
 
@@ -63,7 +63,7 @@ fn quick_adapt_sweep_report_is_pinned() {
 fn quick_session_sweep_report_is_pinned() {
     assert_eq!(
         quick_report_digest::<SessionSweepConfig>(),
-        "dd688a9a222c452d"
+        "493f23cd4657b27c"
     );
 }
 
