@@ -93,9 +93,10 @@ impl Default for AdaptSweepConfig {
             target_goodput: 200e6,
             max_virtual_time: SimTime::from_secs(240.0),
             adapt: AdaptConfig::default(),
-            // Frames on these WANs are a few hundred virtual milliseconds,
-            // so events must come much denser than the default WAN drift
-            // model or every schedule would land after the run ended:
+            // Frames on these WANs take 60–320 virtual milliseconds
+            // (median ~110 ms in the quick preset), so events must come
+            // much denser than the default WAN drift model or every
+            // schedule would land after the run ended:
             // one event every ~0.8 virtual seconds, episodes recovering
             // after ~3 (so recoveries — the cases where a migration can
             // turn out to have been wasted — also land in-window).

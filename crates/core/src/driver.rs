@@ -40,7 +40,7 @@ const MAX_RETRIES: u32 = 16;
 /// Incremental audit of the frames on a simulator's trace.  Completions are
 /// attributed to loops by client node and frame starts by source node
 /// (which is why concurrent loops need distinct endpoints); the cursor
-/// keeps every trace event read once however often the audit is polled.
+/// keeps every trace event read once however often the audit is updated.
 #[derive(Default)]
 pub(crate) struct FrameAudit {
     pos: usize,
