@@ -535,7 +535,7 @@ pub(crate) fn drive(
                     (lp.done, lp.retired_at) = (true, Some(now));
                     driver.unhost(lp.spec.id, &lp.current.mapping.path);
                 }
-            } else if lp.wake.is_some_and(|at| driver.sim.now() >= at) {
+            } else if lp.wake.is_some_and(|at| now >= at.as_secs()) {
                 // Overdue: a served frame is the transport's to finish, a
                 // request lost in every copy is asked again, boundedly.
                 lp.wake = None;

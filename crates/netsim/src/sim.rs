@@ -385,6 +385,29 @@ mod tests {
     }
 
     #[test]
+    fn run_until_completion_stops_after_each_completing_dispatch() {
+        let (topo, a, b) = two_node_topo(8.0, 0.05);
+        let mut sim = Simulator::new(topo, 1);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let blaster = Blaster {
+            dst: b,
+            count: 3,
+            size: 958,
+        };
+        sim.install(a, Box::new(blaster));
+        sim.install(b, Box::new(Sink { seen: seen.clone() }));
+        let deadline = SimTime::from_secs(10.0);
+        // Each `Sink` delivery traces a completion: the clock stops there.
+        for (k, at) in [0.051, 0.052].into_iter().enumerate() {
+            let stopped = sim.run_until_completion(deadline).as_secs();
+            assert!((stopped - at).abs() < 1e-9, "stopped at {stopped}");
+            assert_eq!(seen.borrow().len(), k + 1);
+        }
+        sim.run_until(deadline);
+        assert_eq!(seen.borrow().len(), 3);
+    }
+
+    #[test]
     fn multi_hop_forwarding_works() {
         let mut t = Topology::new();
         let a = t.add_node(NodeSpec::workstation("a", 1.0));
