@@ -326,6 +326,35 @@ mod tests {
         assert!(outcome.stats.bytes_delivered >= 500_000);
     }
 
+    /// The last-resort timeout measures silence from the flow's first
+    /// burst, not from t = 0: a flow created five virtual seconds into a
+    /// run on a lossless link retransmits nothing, like one created at 0.
+    #[test]
+    fn a_flow_created_late_on_a_lossless_link_sends_no_retransmission() {
+        for start in [0.0, 5.0] {
+            let (topo, a, b) = wan_pair(80.0, 0.01, 0.0);
+            let config = FlowConfig {
+                message_bytes: Some(2_000_000),
+                ..FlowConfig::default()
+            };
+            let stats = shared_stats();
+            let mut sim = Simulator::new(topo, 3);
+            sim.wake_at(SimTime::from_secs(start));
+            sim.run_until(SimTime::from_secs(start));
+            let controller = FixedController::for_rate(5e6, config.window, config.mtu);
+            let sender = WindowSender::new(config.clone(), b, controller, stats.clone());
+            sim.install(a, Box::new(sender));
+            sim.install(b, Box::new(FlowReceiver::new(config, a, stats.clone())));
+            sim.run_until(SimTime::from_secs(start + 60.0));
+            let stats = stats.borrow();
+            assert!(
+                stats.completion_time.is_some(),
+                "flow created at t = {start} s"
+            );
+            assert_eq!(stats.retransmissions, 0, "flow created at t = {start} s");
+        }
+    }
+
     #[test]
     fn fixed_rate_overdriving_a_slow_link_loses_datagrams() {
         let (topo, a, b) = wan_pair(1.0, 0.01, 0.0); // 125 KB/s link

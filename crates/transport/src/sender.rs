@@ -45,8 +45,8 @@ pub struct WindowSender<C: RateController> {
     /// Whether the most recent burst managed to send anything; used to back
     /// off the burst timer while the flow is blocked on acknowledgements.
     last_burst_progressed: bool,
-    /// Virtual time of the last acknowledgement progress, for the
-    /// retransmission timeout of last resort.
+    /// Virtual time of the last acknowledgement progress (or of the first
+    /// burst, before any), for the retransmission timeout of last resort.
     last_ack_progress: f64,
     /// Highest receiver-reported distinct-datagram count, the progress
     /// signal that holds the retransmission timeout back while data is
@@ -159,6 +159,11 @@ impl<C: RateController> WindowSender<C> {
         // oldest outstanding datagrams.  Only finite messages time out;
         // monitoring streams rely on NACKs alone.
         let now = ctx.now().as_secs();
+        // The silence is measured from the flow's first burst, not from
+        // t = 0: a flow created late has waited for nothing yet.
+        if self.next_new_seq == 0 {
+            self.last_ack_progress = now;
+        }
         let finite = self.total_datagrams.is_some();
         let rto = (self.config.ack_interval * 4.0).max(0.2);
         if finite
