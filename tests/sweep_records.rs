@@ -31,7 +31,7 @@ fn quick_report_digest<S: Sweep>() -> String {
 
 #[test]
 fn quick_scenario_sweep_report_is_pinned() {
-    assert_eq!(quick_report_digest::<SweepConfig>(), "43e80f9dfa774637");
+    assert_eq!(quick_report_digest::<SweepConfig>(), "31df947cfb2e891c");
 }
 
 /// The scenario sweep's plans alone: the same report with every record's
@@ -47,7 +47,7 @@ fn quick_scenario_sweep_plans_are_pinned() {
     }
     assert_eq!(
         fnv1a_hex(&serde_json::to_string(&report).expect("reports serialize")),
-        "b9fae256586ad179"
+        "1bf4c8e12c772586"
     );
 }
 
@@ -55,7 +55,7 @@ fn quick_scenario_sweep_plans_are_pinned() {
 fn quick_adapt_sweep_report_is_pinned() {
     assert_eq!(
         quick_report_digest::<AdaptSweepConfig>(),
-        "dbb9cba22ac5a438"
+        "1537ed6512a659ab"
     );
 }
 
@@ -63,7 +63,7 @@ fn quick_adapt_sweep_report_is_pinned() {
 fn quick_session_sweep_report_is_pinned() {
     assert_eq!(
         quick_report_digest::<SessionSweepConfig>(),
-        "493f23cd4657b27c"
+        "43de45dfb3dc9f2c"
     );
 }
 
