@@ -117,6 +117,17 @@ impl Image {
 
     /// Decode the format produced by [`Image::encode_raw`].
     pub fn decode_raw(buf: &[u8]) -> Option<Image> {
+        Image::raw_parts(buf).map(|(width, height, pixels)| Image {
+            width,
+            height,
+            pixels: pixels.to_vec(),
+        })
+    }
+
+    /// The width, height and pixel bytes of a buffer in
+    /// [`Image::encode_raw`]'s format, borrowed where they lie; `None`
+    /// exactly when [`Image::decode_raw`] fails.
+    pub fn raw_parts(buf: &[u8]) -> Option<(usize, usize, &[u8])> {
         if buf.len() < 16 || &buf[..8] != b"RICSAIMG" {
             return None;
         }
@@ -126,11 +137,7 @@ impl Image {
         if buf.len() != 16 + expected {
             return None;
         }
-        Some(Image {
-            width,
-            height,
-            pixels: buf[16..].to_vec(),
-        })
+        Some((width, height, &buf[16..]))
     }
 }
 

@@ -3,8 +3,9 @@
 //! The hub is the piece that makes the front end both "Ajax" and scalable:
 //!
 //! * **Publish → diff; encode once, on first demand.**  Publishing a frame
-//!   costs what needs its predecessor — decoding the image and cutting the
-//!   tile difference — and no encoding.  The first poller that asks for an
+//!   costs what needs its predecessor — cutting the tile difference,
+//!   which reads both encoded images' pixels where they lie — and no
+//!   encoding.  The first poller that asks for an
 //!   encoding (full, or delta) base64/JSON-encodes it *once* into a shared
 //!   `Arc<str>` payload ([`FramePayload`]); every later poller — one
 //!   browser or a thousand — receives a clone of the same `Arc`, and an
@@ -22,8 +23,8 @@
 //!   tiles are merged on their common grid, the newest version of each
 //!   winning, which is exactly applying them one by one; one step is a
 //!   chain of one.  A delta ships only when it is at least 10% smaller
-//!   than the full payload (whose length is computed, not encoded, for the
-//!   comparison).  When the chain to the newest frame does not ship, the
+//!   than the full payload, whose length is computed, not encoded, for the
+//!   comparison ([`rle::packed_len`] sizes the packed image in one pass).  When the chain to the newest frame does not ship, the
 //!   poller steps one frame (`since + 1`'s delta, else the full payload of
 //!   the oldest frame after `since`); a poller further behind gets the
 //!   newest full frame.  So delta mode is
@@ -243,40 +244,62 @@ pub struct FrameDelta {
 /// bytes differ.  `None` when the images are not the same size (a resize
 /// must ship a full frame).
 pub fn diff_images(prev: &Image, cur: &Image, tile: usize) -> Option<FrameDelta> {
-    if prev.width != cur.width || prev.height != cur.height || tile == 0 {
+    diff_pixels(
+        (prev.width, prev.height, &prev.pixels),
+        (cur.width, cur.height, &cur.pixels),
+        tile,
+    )
+}
+
+/// [`diff_images`] on two RICSAIMG buffers, read where they lie: `None`
+/// also when either does not decode.
+fn diff_raw(prev: &[u8], cur: &[u8], tile: usize) -> Option<FrameDelta> {
+    diff_pixels(Image::raw_parts(prev)?, Image::raw_parts(cur)?, tile)
+}
+
+/// The one tile diff, over `(width, height, RGBA bytes)` views.  Each band
+/// of `tile` rows compares whole rows first, and only the rows that differ
+/// are cut into tiles: a band the frame left alone costs one row compare
+/// per row.
+fn diff_pixels(
+    (prev_w, prev_h, prev): (usize, usize, &[u8]),
+    (width, height, cur): (usize, usize, &[u8]),
+    tile: usize,
+) -> Option<FrameDelta> {
+    if (prev_w, prev_h) != (width, height) || tile == 0 {
         return None;
     }
+    let stride = width * 4;
     let mut tiles = Vec::new();
-    let mut y = 0;
-    while y < cur.height {
-        let h = tile.min(cur.height - y);
-        let mut x = 0;
-        while x < cur.width {
-            let w = tile.min(cur.width - x);
-            let mut changed = false;
-            for row in y..y + h {
-                let start = (row * cur.width + x) * 4;
-                let end = start + w * 4;
-                if prev.pixels[start..end] != cur.pixels[start..end] {
-                    changed = true;
-                    break;
-                }
-            }
-            if changed {
+    let mut changed_rows = Vec::with_capacity(tile.min(height));
+    for y in (0..height).step_by(tile) {
+        let h = tile.min(height - y);
+        changed_rows.clear();
+        changed_rows.extend((y..y + h).filter(|&row| {
+            let bytes = row * stride..(row + 1) * stride;
+            prev[bytes.clone()] != cur[bytes]
+        }));
+        if changed_rows.is_empty() {
+            continue;
+        }
+        for x in (0..width).step_by(tile) {
+            let w = tile.min(width - x);
+            let span = |row: usize| (row * width + x) * 4..(row * width + x + w) * 4;
+            if changed_rows
+                .iter()
+                .any(|&row| prev[span(row)] != cur[span(row)])
+            {
                 let mut data = Vec::with_capacity(w * h * 4);
                 for row in y..y + h {
-                    let start = (row * cur.width + x) * 4;
-                    data.extend_from_slice(&cur.pixels[start..start + w * 4]);
+                    data.extend_from_slice(&cur[span(row)]);
                 }
                 tiles.push(TilePatch { x, y, w, h, data });
             }
-            x += tile;
         }
-        y += tile;
     }
     Some(FrameDelta {
-        width: cur.width,
-        height: cur.height,
+        width,
+        height,
         tile,
         tiles,
     })
@@ -430,11 +453,12 @@ pub fn encode_frame_full(frame: &Frame, epoch: u64) -> String {
 
 /// The length of [`encode_frame_full`]'s output, computed without
 /// producing it: the envelope around an empty body plus the base64 length
-/// of the bytes that would ship.  The profitability rule weighs a delta
+/// of the bytes that would ship ([`rle::packed_len`] sizes the packed
+/// image without packing it).  The profitability rule weighs a delta
 /// against this, so a frame polled only in delta mode never pays for its
 /// full payload.
 fn full_payload_len(frame: &Frame, epoch: u64) -> usize {
-    let packed_len = rle::compress(&frame.image).len();
+    let packed_len = rle::packed_len(&frame.image);
     let mut envelope = Vec::with_capacity(monitors_room(frame) + ENVELOPE_ROOM);
     write_full(
         &mut envelope,
@@ -589,11 +613,9 @@ struct HubInner {
     ring: RwLock<Arc<FrameRing>>,
     /// The publish path; pollers never take this.  Held for a whole
     /// publish, it makes "next sequence number, diff against the head,
-    /// append to the ring" one step.  The value is the head frame's
-    /// decoded image, kept so the next publish can diff against it
-    /// without re-decoding (`None` before the first frame and after one
-    /// whose image did not decode).
-    publisher: Mutex<Option<Image>>,
+    /// append to the ring" one step.  It guards no data: the diff reads
+    /// the head's encoded image where the ring retains it.
+    publisher: Mutex<()>,
     /// Frames retained in the ring.
     capacity: usize,
     /// Total encode passes (full + delta).
@@ -730,7 +752,7 @@ impl SessionHub {
         SessionHub {
             inner: Arc::new(HubInner {
                 ring: RwLock::default(),
-                publisher: Mutex::new(None),
+                publisher: Mutex::new(()),
                 capacity: capacity.max(1),
                 encodes: AtomicU64::new(0),
                 epoch: fresh_epoch(),
@@ -749,9 +771,10 @@ impl SessionHub {
     }
 
     /// Publish a frame; it is assigned the next sequence number, which is
-    /// returned.  Publish does the work that needs the predecessor — decode
-    /// the image and cut the tile difference against the previous frame —
-    /// and no encoding: each wire payload is made by the first poller that
+    /// returned.  Publish does the work that needs the predecessor — cut
+    /// the tile difference against the previous frame, comparing the two
+    /// encoded images' pixels where they lie, with no decoded copy — and
+    /// no encoding: each wire payload is made by the first poller that
     /// asks for it, once, no matter how many clients poll it, and a payload
     /// nobody asks for is never made.  The wake hooks run once the frame
     /// is readable.
@@ -759,21 +782,18 @@ impl SessionHub {
     /// The whole publish is one critical section on the publisher lock.
     /// Pollers never take that lock (they read the previous ring snapshot
     /// while a frame is diffed), and concurrent publishers serialise, so
-    /// every frame diffs against its true predecessor.
+    /// every frame diffs against its true predecessor: the ring's head.
     pub fn publish(&self, mut frame: Frame) -> u64 {
         let inner = &*self.inner;
         let seq = {
-            let mut last_image = recover(inner.publisher.lock());
+            let _publishing = recover(inner.publisher.lock());
             let ring = inner.ring();
             let seq = ring.head() + 1;
             frame.sequence = seq;
 
-            let cur_image = Image::decode_raw(&frame.image);
-            let delta_raw = last_image
-                .as_ref()
-                .zip(cur_image.as_ref())
-                .and_then(|(prev_img, cur_img)| diff_images(prev_img, cur_img, DELTA_TILE));
-            *last_image = cur_image;
+            let delta_raw = ring
+                .newest()
+                .and_then(|head| diff_raw(&head.frame.image, &frame.image, DELTA_TILE));
 
             let mut frames = ring.frames.clone();
             frames.push(Arc::new(CachedFrame {
@@ -1592,6 +1612,149 @@ mod tests {
         hub.publish(frame(1));
         hub.publish(frame(2));
         assert_eq!(hits.load(Ordering::SeqCst), 2);
+    }
+
+    /// The tile diff as it was before it read encoded images in place:
+    /// every tile, row by row, on decoded copies.  Kept as the reference
+    /// the raw diff must match.
+    fn reference_diff_images(prev: &Image, cur: &Image, tile: usize) -> Option<FrameDelta> {
+        if prev.width != cur.width || prev.height != cur.height || tile == 0 {
+            return None;
+        }
+        let mut tiles = Vec::new();
+        let mut y = 0;
+        while y < cur.height {
+            let h = tile.min(cur.height - y);
+            let mut x = 0;
+            while x < cur.width {
+                let w = tile.min(cur.width - x);
+                let mut changed = false;
+                for row in y..y + h {
+                    let start = (row * cur.width + x) * 4;
+                    let end = start + w * 4;
+                    if prev.pixels[start..end] != cur.pixels[start..end] {
+                        changed = true;
+                        break;
+                    }
+                }
+                if changed {
+                    let mut data = Vec::with_capacity(w * h * 4);
+                    for row in y..y + h {
+                        let start = (row * cur.width + x) * 4;
+                        data.extend_from_slice(&cur.pixels[start..start + w * 4]);
+                    }
+                    tiles.push(TilePatch { x, y, w, h, data });
+                }
+                x += tile;
+            }
+            y += tile;
+        }
+        Some(FrameDelta {
+            width: cur.width,
+            height: cur.height,
+            tile,
+            tiles,
+        })
+    }
+
+    /// The in-place diff of two encoded images, and the delta a publish
+    /// keeps, equal the reference diff of their decoded copies: over
+    /// seeded pairs with a few changed rectangles, identical pairs,
+    /// resizes, undecodable predecessors and successors, and grids whose
+    /// edge tiles are cut short.
+    #[test]
+    fn the_raw_diff_equals_the_reference_on_decoded_copies() {
+        #[derive(Debug, Default)]
+        struct Seen {
+            identical: u32,
+            resized: u32,
+            undecodable: u32,
+            some_tiles: u32,
+            every_tile: u32,
+            short_edge: u32,
+        }
+        let mut seen = Seen::default();
+        let mut rng = SimRng::new(0xD1FF);
+        let hub = SessionHub::new(2);
+        for case in 0..400 {
+            let (w, h) = (1 + rng.index(90), 1 + rng.index(90));
+            let prev = if rng.coin(0.5) {
+                noisy_image(&mut rng, w, h)
+            } else {
+                Image::filled(w, h, [9, 9, 9, 255])
+            };
+            let mut cur = prev.clone();
+            match rng.index(6) {
+                0 => seen.identical += 1,
+                1 => {
+                    seen.resized += 1;
+                    cur = Image::filled(w + 1 + rng.index(3), h, [9, 9, 9, 255]);
+                }
+                _ => {
+                    for _ in 0..1 + rng.index(4) {
+                        let (x0, y0) = (rng.index(w), rng.index(h));
+                        let (x1, y1) = (x0 + 1 + rng.index(w - x0), y0 + 1 + rng.index(h - y0));
+                        let colour = [rng.index(256) as u8, 1, 2, 255];
+                        for y in y0..y1 {
+                            for x in x0..x1 {
+                                cur.set(x, y, colour);
+                            }
+                        }
+                    }
+                }
+            }
+            let (mut prev_raw, mut cur_raw) = (prev.encode_raw(), cur.encode_raw());
+            match rng.index(12) {
+                0 => prev_raw.truncate(rng.index(prev_raw.len())),
+                1 => cur_raw[rng.index(8)] ^= 0x20, // not RICSAIMG
+                _ => {}
+            }
+            let decoded = Image::decode_raw(&prev_raw).zip(Image::decode_raw(&cur_raw));
+            seen.undecodable += u32::from(decoded.is_none());
+            for tile in [1, 3, 7, DELTA_TILE, 128] {
+                let expected = decoded
+                    .as_ref()
+                    .and_then(|(p, c)| reference_diff_images(p, c, tile));
+                assert_eq!(
+                    diff_raw(&prev_raw, &cur_raw, tile),
+                    expected,
+                    "case {case}, tile {tile}"
+                );
+                assert_eq!(
+                    decoded.as_ref().and_then(|(p, c)| diff_images(p, c, tile)),
+                    expected,
+                    "case {case}, tile {tile}"
+                );
+                if let Some(delta) = expected.filter(|_| tile == DELTA_TILE) {
+                    let grid = w.div_ceil(tile) * h.div_ceil(tile);
+                    seen.some_tiles += u32::from((1..grid).contains(&delta.tiles.len()));
+                    seen.every_tile += u32::from(grid > 1 && delta.tiles.len() == grid);
+                    seen.short_edge += u32::from(w % tile != 0 && !delta.tiles.is_empty());
+                }
+            }
+            for image in [prev_raw, cur_raw.clone()] {
+                hub.publish(Frame {
+                    image,
+                    ..frame(case)
+                });
+            }
+            let expected = decoded.and_then(|(p, c)| reference_diff_images(&p, &c, DELTA_TILE));
+            let ring = hub.inner.ring();
+            assert_eq!(
+                ring.newest().unwrap().delta_raw,
+                expected,
+                "case {case}: publish"
+            );
+        }
+        let floors = [
+            (seen.identical, 40),
+            (seen.resized, 45),
+            (seen.undecodable, 45),
+            (seen.some_tiles, 80),
+            (seen.every_tile, 50),
+            (seen.short_edge, 140),
+        ];
+        assert!(floors.iter().all(|&(n, floor)| n >= floor), "{seen:?}");
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! ```
 //!
 //! Run records cover 2..=129 repeats in 5 bytes, so any run of two or more
-//! equal pixels already shrinks.  [`decompress`] validates every length and
-//! returns `None` on any truncation or trailing garbage, making it safe on
-//! wire input.
+//! equal pixels already shrinks.  [`packed_len`] gives the length
+//! [`compress`] would produce without producing it, for callers that only
+//! weigh sizes.  [`decompress`] validates every length and returns `None`
+//! on any truncation or trailing garbage, making it safe on wire input.
 
 #![forbid(unsafe_code)]
 
@@ -65,6 +66,102 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     flush_literals(&mut out, literal_start, pixels);
     out.extend_from_slice(&data[pixels * 4..]);
     out
+}
+
+/// The length of [`compress`]`(data)`, computed without producing it: one
+/// pass, no allocation.
+///
+/// [`compress`]'s greedy parse depends only on where the maximal runs of
+/// equal pixels lie.  A run of `n >= 2` pixels costs `n / 129` full run
+/// records, one more when the remainder is two or more, and a remainder
+/// of one joins the following literal stretch; every other pixel is a
+/// literal, and a stretch of `m` literals costs `4m + ceil(m / 128)`.  So
+/// the scan only needs, for each pixel, whether it equals its successor:
+/// it reads those 64 pixels at a time into a bit word, branch-free, and
+/// walks the word's stretches of ones (runs) and zeros (literals) with
+/// `trailing_zeros`.  Inside a run it skips 64 equal pixels with one slice
+/// compare.  The tests hold it equal to `compress(data).len()`.
+pub fn packed_len(data: &[u8]) -> usize {
+    let (pixels, tail) = data.as_chunks::<4>();
+    let mut sizer = Sizer::default();
+    let mut at = 0;
+    while at + 64 < pixels.len() {
+        let window: &[[u8; 4]; 65] = pixels[at..=at + 64].try_into().expect("65 pixels");
+        if sizer.run.is_some() && window[..64] == window[1..] {
+            sizer.run = sizer.run.map(|pairs| pairs + 64);
+        } else {
+            let lanes = window.map(u32::from_ne_bytes);
+            let equal = |j: usize| lanes[j] == lanes[j + 1];
+            // A stretch of noise holds no repeat at all, which an OR over
+            // the compares finds without packing them into bits.
+            let word = if (0..64).fold(false, |any, j| any | equal(j)) {
+                (0..64).fold(0u64, |word, j| word | u64::from(equal(j)) << j)
+            } else {
+                0
+            };
+            sizer.take(word, 64);
+        }
+        at += 64;
+    }
+    // The last pixel has no successor: its bit is 0, which closes a run.
+    let rest = &pixels[at..];
+    let word = rest.windows(2).enumerate().fold(0u64, |word, (j, pair)| {
+        word | u64::from(pair[0] == pair[1]) << j
+    });
+    sizer.take(word, rest.len());
+    4 + tail.len() + sizer.bytes + literal_bytes(sizer.literals)
+}
+
+/// The bytes [`compress`] spends on a stretch of `m` literal pixels.
+fn literal_bytes(m: usize) -> usize {
+    4 * m + m.div_ceil(128)
+}
+
+/// [`packed_len`]'s state between bit words.
+#[derive(Default)]
+struct Sizer {
+    /// Bytes of the records closed so far.
+    bytes: usize,
+    /// Pixels of the open literal stretch.
+    literals: usize,
+    /// The open run's equal adjacent pairs (its pixels less one).
+    run: Option<usize>,
+}
+
+impl Sizer {
+    /// Take the next `n` pixels, whose bit `j` in `word` says pixel `j`
+    /// equals its successor.
+    fn take(&mut self, word: u64, n: usize) {
+        let mut pos = 0;
+        while pos < n {
+            let rest = word >> pos;
+            match self.run {
+                Some(pairs) => {
+                    let ones = ((!rest).trailing_zeros() as usize).min(n - pos);
+                    pos += ones;
+                    if pos < n {
+                        // A 0 bit: this pixel is the run's last.
+                        let run = pairs + ones + 1;
+                        self.bytes += literal_bytes(self.literals)
+                            + 5 * (run / 129 + usize::from(run % 129 >= 2));
+                        self.literals = usize::from(run % 129 == 1);
+                        self.run = None;
+                        pos += 1;
+                    } else {
+                        self.run = Some(pairs + ones);
+                    }
+                }
+                None => {
+                    let zeros = (rest.trailing_zeros() as usize).min(n - pos);
+                    self.literals += zeros;
+                    pos += zeros;
+                    if pos < n {
+                        self.run = Some(0);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Decompress a [`compress`] output; `None` on any malformed input
@@ -188,6 +285,86 @@ mod tests {
                 "case {case} (len {len}) must round-trip"
             );
         }
+    }
+
+    /// `packed_len` against `compress` over seeded streams built from
+    /// segments whose edges fall where the greedy parse turns: runs of 2,
+    /// 129, 130 and 258 pixels (and others), literal stretches of 127, 128
+    /// and 129 pixels (each bounded by runs, so the stretch is exactly that
+    /// long), two-colour noise with short runs, and 0–3-byte tails.
+    #[test]
+    fn packed_len_is_the_length_compress_produces() {
+        #[derive(Debug, Default)]
+        struct Seen {
+            runs: [u32; 4],     // maximal runs of 2, 129, 130, 258 pixels
+            literals: [u32; 3], // bounded literal stretches of 127, 128, 129
+            tails: [u32; 4],    // inputs with a 0..=3-byte tail
+            noise: u32,         // two-colour segments
+            long: u32,          // inputs over 4 KiB
+        }
+        const RUNS: [usize; 4] = [2, 129, 130, 258];
+        const LITERALS: [usize; 3] = [127, 128, 129];
+        assert_eq!(packed_len(b""), compress(b"").len());
+        let mut seen = Seen::default();
+        let mut rng = SimRng::new(0x0005_ac4e);
+        for case in 0..800 {
+            let mut data: Vec<u8> = Vec::new();
+            // A pixel that differs from the one before it.
+            let fresh = |rng: &mut SimRng, data: &[u8]| loop {
+                let px = rng.next_u64().to_le_bytes()[..4].to_vec();
+                if data.len() < 4 || data[data.len() - 4..] != px[..] {
+                    return px;
+                }
+            };
+            for _ in 0..rng.index(9) {
+                match rng.index(3) {
+                    0 => {
+                        let pick = rng.index(RUNS.len() + 1);
+                        let n = RUNS.get(pick).copied().unwrap_or(2 + rng.index(400));
+                        if let Some(slot) = seen.runs.get_mut(pick) {
+                            *slot += 1;
+                        }
+                        data.extend(fresh(&mut rng, &data).repeat(n));
+                    }
+                    1 => {
+                        let pick = rng.index(LITERALS.len() + 1);
+                        let n = LITERALS.get(pick).copied().unwrap_or(1 + rng.index(300));
+                        if let Some(slot) = seen.literals.get_mut(pick) {
+                            *slot += 1;
+                        }
+                        for _ in 0..n {
+                            data.extend(fresh(&mut rng, &data));
+                        }
+                        data.extend(fresh(&mut rng, &data).repeat(2));
+                    }
+                    _ => {
+                        seen.noise += 1;
+                        let palette = [fresh(&mut rng, &data), fresh(&mut rng, &data)];
+                        for _ in 0..rng.index(600) {
+                            data.extend(&palette[rng.index(2)]);
+                        }
+                    }
+                }
+            }
+            let tail = rng.index(4);
+            seen.tails[tail] += 1;
+            data.extend((0..tail).map(|_| byte(&mut rng)));
+            seen.long += u32::from(data.len() > 4096);
+            assert_eq!(packed_len(&data), compress(&data).len(), "case {case}");
+        }
+        let floors = [
+            (seen.runs.iter().min(), 140),
+            (seen.literals.iter().min(), 160),
+            (seen.tails.iter().min(), 110),
+            (Some(&seen.noise), 700),
+            (Some(&seen.long), 170),
+        ];
+        assert!(
+            floors
+                .iter()
+                .all(|&(n, floor)| n.is_some_and(|&n| n >= floor)),
+            "{seen:?}"
+        );
     }
 
     #[test]
