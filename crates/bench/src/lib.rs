@@ -5,7 +5,8 @@
 //! the two questions the repository benchmark (`benchmark/`,
 //! `BENCHMARK.json`) declares out of scope: poller fan-out
 //! (`webfront_load`) and "does the optimizer / controller / joint mapper
-//! win" across generated scenarios (`sweep`).  DESIGN.md §4 lists them.
+//! win" across generated scenarios (`sweep`).  `webfront_bench` times the
+//! hub's payload sizing per frame shape.  DESIGN.md §4 lists them.
 //! Anything a benchmark workload already runs and verifies has no binary
 //! here.
 
