@@ -93,8 +93,8 @@ impl Default for AdaptSweepConfig {
             target_goodput: 200e6,
             max_virtual_time: SimTime::from_secs(240.0),
             adapt: AdaptConfig::default(),
-            // Frames on these WANs take 60–320 virtual milliseconds
-            // (median ~110 ms in the quick preset), so events must come
+            // Frames on these WANs take 50–190 virtual milliseconds
+            // (median ~80 ms in the quick preset), so events must come
             // much denser than the default WAN drift model or every
             // schedule would land after the run ended:
             // one event every ~0.8 virtual seconds, episodes recovering

@@ -685,7 +685,7 @@ impl HubInner {
         };
         memo.get_or_init(|| {
             // Two consecutive present deltas share one geometry: each was
-            // cut against its predecessor's decoded image.
+            // cut against its predecessor's pixels.
             let grid = steps[0].delta_raw.as_ref()?;
             let cols = grid.width.div_ceil(grid.tile);
             let mut slots = vec![None; cols * grid.height.div_ceil(grid.tile)];
