@@ -24,12 +24,12 @@
 //!   winning, which is exactly applying them one by one; one step is a
 //!   chain of one.  A delta ships only when it is at least 10% smaller
 //!   than the full payload, whose length is computed, not encoded, for the
-//!   comparison ([`rle::packed_len`] sizes the packed image in one pass).  When the chain to the newest frame does not ship, the
-//!   poller steps one frame (`since + 1`'s delta, else the full payload of
-//!   the oldest frame after `since`); a poller further behind gets the
-//!   newest full frame.  So delta mode is
-//!   never worse and always exact: [`apply_delta`] reconstructs the frame
-//!   bit-for-bit.  Every delta is encoded once, like a full payload.
+//!   comparison ([`rle::packed_len`] sizes the packed image in one pass).
+//!   When the chain to the newest frame does not ship, the poller steps
+//!   one frame (`since + 1`'s delta, else the full payload of the oldest
+//!   frame after `since`); a poller further behind gets the newest full
+//!   frame.  So delta mode is never worse and always exact:
+//!   [`apply_delta`] reconstructs the frame bit-for-bit.  Every delta is encoded once, like a full payload.
 //! * **Snapshot reads, one publish critical section.**  The published
 //!   frame ring is an immutable snapshot behind a `std::sync::RwLock`: a
 //!   reader holds the read guard only to clone the snapshot's `Arc`, and

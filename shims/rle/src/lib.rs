@@ -87,19 +87,20 @@ pub fn packed_len(data: &[u8]) -> usize {
     let mut at = 0;
     while at + 64 < pixels.len() {
         let window: &[[u8; 4]; 65] = pixels[at..=at + 64].try_into().expect("65 pixels");
-        if sizer.run.is_some() && window[..64] == window[1..] {
-            sizer.run = sizer.run.map(|pairs| pairs + 64);
-        } else {
-            let lanes = window.map(u32::from_ne_bytes);
-            let equal = |j: usize| lanes[j] == lanes[j + 1];
-            // A stretch of noise holds no repeat at all, which an OR over
-            // the compares finds without packing them into bits.
-            let word = if (0..64).fold(false, |any, j| any | equal(j)) {
-                (0..64).fold(0u64, |word, j| word | u64::from(equal(j)) << j)
-            } else {
-                0
-            };
-            sizer.take(word, 64);
+        match sizer.run {
+            Some(pairs) if window[..64] == window[1..] => sizer.run = Some(pairs + 64),
+            _ => {
+                let lanes = window.map(u32::from_ne_bytes);
+                let equal = |j: usize| lanes[j] == lanes[j + 1];
+                // A stretch of noise holds no repeat at all, which an OR
+                // over the compares finds without packing them into bits.
+                let word = if (0..64).fold(false, |any, j| any | equal(j)) {
+                    (0..64).fold(0u64, |word, j| word | u64::from(equal(j)) << j)
+                } else {
+                    0
+                };
+                sizer.take(word, 64);
+            }
         }
         at += 64;
     }
