@@ -436,43 +436,77 @@ mod tests {
             _ => unreachable!(),
         };
         let (mut via_lane, mut reordered) = (0u64, 0u64);
-        for seed in 0..50 {
+        // The same counts over the Fig. 8-shaped schedules alone, and how
+        // many of their pops tie in time with the previous pop from another
+        // lane (or from outside the lanes).
+        let (mut fig8_via_lane, mut fig8_reordered, mut fig8_ties) = (0u64, 0u64, 0u64);
+        for seed in 0..80 {
             let mut rng = crate::rng::SimRng::new(seed);
             let (mut q, mut reference) = (EventQueue::new(), ReferenceQueue::default());
             let (mut pushed, mut peak_slots) = (0u64, 0);
-            // Each lane's clock: mostly it moves forward in coarse steps (so
-            // lanes tie with each other and with the slab), sometimes an
-            // event is pushed behind it (a jittered link reorders).
-            let mut lane_clock = [0u32; 3];
+            // Schedules 50 and up are shaped like the Fig. 8 links: each of
+            // eight lanes sends one datagram per transmit time (its clock
+            // steps by one) and delivers it after a uniform jitter of up to
+            // 15 transmit times, so most arrivals land behind the lane's
+            // last one; every lane starts at 0 on the same grid, so lanes
+            // tie exactly.  The others: each lane's clock mostly moves
+            // forward in coarse steps (so lanes tie with each other and
+            // with the slab), and sometimes an event is pushed behind it.
+            let fig8 = seed >= 50;
+            let mut lane_clock = vec![0u32; if fig8 { 8 } else { 3 }];
+            // The lane (or `lane_clock.len()`, none) each event went to.
+            let mut lane_of = Vec::new();
+            let mut last_pop: Option<(SimTime, usize)> = None;
             // Every tenth schedule starts with a long climb, so its slab
             // spans several chunks.
             let climb = if seed % 10 == 0 { 4 * CHUNK as u64 } else { 0 };
             for _ in 0..2000 + 2 * climb {
                 // Phases of net growth and net drain, so freed slots are
                 // reused while others stay occupied; few distinct times, so
-                // most pushes tie with a pending event.
+                // most pushes tie with a pending event.  A Fig. 8-shaped
+                // schedule drains more slowly: its links stay busy.
                 let grow = pushed < climb || (pushed / 200) % 2 == 0;
-                if rng.coin(if grow { 0.7 } else { 0.3 }) {
+                let drain = if fig8 { 0.45 } else { 0.3 };
+                if rng.coin(if grow { 0.7 } else { drain }) {
                     let kind = EventKind::Timer {
                         node: NodeId(0),
                         timer_id: pushed,
                     };
                     let lane = rng.index(lane_clock.len() + 1);
+                    // One transmit time is 1/1024 s, exact in binary.
+                    let tick = |ticks: u32| SimTime::from_secs(f64::from(ticks) / 1024.0);
                     let at = if let Some(clock) = lane_clock.get_mut(lane) {
-                        *clock += rng.index(2) as u32;
-                        let behind = rng.index(4) as u32 * u32::from(rng.coin(0.2));
-                        let at = SimTime::from_secs(f64::from(clock.saturating_sub(behind)));
+                        let at = if fig8 {
+                            *clock += 1;
+                            tick(*clock + rng.index(16) as u32)
+                        } else {
+                            *clock += rng.index(2) as u32;
+                            let behind = rng.index(4) as u32 * u32::from(rng.coin(0.2));
+                            SimTime::from_secs(f64::from(clock.saturating_sub(behind)))
+                        };
                         let last = q.lanes.get(lane).filter(|last| **last != NONE);
                         let last_at = last.map(|last| q.slots[*last].at);
-                        reordered += u64::from(last_at.is_some_and(|last_at| at < last_at));
+                        let behind = u64::from(last_at.is_some_and(|last_at| at < last_at));
+                        reordered += behind;
                         via_lane += 1;
+                        if fig8 {
+                            fig8_reordered += behind;
+                            fig8_via_lane += 1;
+                        }
                         q.push_fifo(lane, at, kind.clone());
+                        at
+                    } else if fig8 {
+                        // A timer armed near the lanes' current time.
+                        let now = lane_clock.iter().min().copied().unwrap_or(0);
+                        let at = tick(now + rng.index(40) as u32);
+                        q.push(at, kind.clone());
                         at
                     } else {
                         let at = SimTime::from_secs(rng.index(40) as f64);
                         q.push(at, kind.clone());
                         at
                     };
+                    lane_of.push(lane);
                     reference.push(at, kind);
                     pushed += 1;
                 } else {
@@ -481,6 +515,10 @@ mod tests {
                     if let (Some(got), Some(expected)) = (got, expected) {
                         assert_eq!((got.at, got.seq), (expected.at, expected.seq));
                         assert_eq!(timer_id(&got), timer_id(&expected));
+                        let lane = lane_of[timer_id(&got) as usize];
+                        let tie = last_pop.is_some_and(|(at, from)| at == got.at && from != lane);
+                        fig8_ties += u64::from(fig8 && tie);
+                        last_pop = Some((got.at, lane));
                     }
                 }
                 assert_eq!(q.len(), reference.heap.len());
@@ -509,6 +547,14 @@ mod tests {
         assert!(
             via_lane > 20_000 && reordered > 1_000,
             "{via_lane} {reordered}"
+        );
+        // Most Fig. 8-shaped arrivals land behind their lane's last one,
+        // and lanes tie exactly.
+        assert!(
+            fig8_via_lane > 30_000
+                && fig8_reordered * 100 > 55 * fig8_via_lane
+                && fig8_ties > 10_000,
+            "{fig8_via_lane} {fig8_reordered} {fig8_ties}"
         );
     }
 }
