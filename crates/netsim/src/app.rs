@@ -30,15 +30,6 @@ pub trait Application {
     fn on_timer(&mut self, _ctx: &mut Context, _key: u64) {}
 }
 
-/// Side-effect request: send a datagram to `dst`.
-#[derive(Debug, Clone)]
-pub struct SendRequest {
-    /// Destination node of the requested send.
-    pub dst: NodeId,
-    /// Payload of the requested send.
-    pub payload: Payload,
-}
-
 /// Side-effect request: fire a timer after `delay`.
 #[derive(Debug, Clone)]
 pub struct TimerRequest {
@@ -58,11 +49,11 @@ pub struct TimerRequest {
 pub const RANDOMS_PER_CALLBACK: usize = 4;
 
 /// The side effects an application requests during one callback.  The
-/// engine lends these buffers to each [`Context`] and takes them back
-/// drained, so a dispatch allocates nothing once they have grown.
+/// engine drains them from its one [`Context`] after each callback.
 #[derive(Default)]
 pub(crate) struct Effects {
-    pub(crate) sends: Vec<SendRequest>,
+    /// The datagrams to send, each as it will travel and be delivered.
+    pub(crate) sends: Vec<Datagram>,
     pub(crate) timers: Vec<TimerRequest>,
     pub(crate) traces: Vec<TraceEvent>,
 }
@@ -86,47 +77,56 @@ impl Context {
     /// list is padded with its last value (0.5 when empty).
     pub fn new(node: NodeId, now: SimTime, randoms: Vec<f64>) -> Self {
         let draw = |i| randoms.get(i).or(randoms.last()).copied().unwrap_or(0.5);
-        let random_draws = std::array::from_fn(draw);
-        Context::lent(node, now, random_draws, Effects::default())
-    }
-
-    /// The engine's constructor: a full set of draws and the (empty)
-    /// effect buffers the callback fills.
-    pub(crate) fn lent(
-        node: NodeId,
-        now: SimTime,
-        random_draws: [f64; RANDOMS_PER_CALLBACK],
-        effects: Effects,
-    ) -> Self {
         Context {
             node,
             now,
-            effects,
-            random_draws,
+            effects: Effects::default(),
+            random_draws: std::array::from_fn(draw),
             random_cursor: 0,
         }
     }
 
+    /// Ready the engine's one context for the next callback: on `node` at
+    /// `now`, with a full set of draws.  Its effect buffers are the
+    /// (drained) ones of the previous callback, so a dispatch allocates
+    /// nothing once they have grown.
+    #[inline]
+    pub(crate) fn lend(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        random_draws: [f64; RANDOMS_PER_CALLBACK],
+    ) {
+        self.node = node;
+        self.now = now;
+        self.random_draws = random_draws;
+        self.random_cursor = 0;
+    }
+
     /// The node this application is installed on.
+    #[inline]
     pub fn node_id(&self) -> NodeId {
         self.node
     }
 
     /// The current virtual time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// Send a datagram to another node.  Delivery (or loss) is decided by the
     /// links along the routed path.
+    #[inline]
     pub fn send(&mut self, dst: NodeId, payload: Payload) {
-        self.effects.sends.push(SendRequest { dst, payload });
+        self.effects.sends.push(Datagram { dst, payload });
     }
 
     /// Schedule a timer `delay` in the future.  `key` is passed back to
     /// [`Application::on_timer`] when it fires; the caller chooses it, the
     /// way a datagram carries its flow id, so an application that hosts
     /// others can hand each firing to its owner by the key alone.
+    #[inline]
     pub fn set_timer(&mut self, delay: SimTime, key: u64) {
         self.effects.timers.push(TimerRequest {
             delay,
@@ -139,6 +139,7 @@ impl Context {
     /// A bounded number of draws ([`RANDOMS_PER_CALLBACK`]) is available
     /// per callback; further calls repeat the last value, which keeps the
     /// engine deterministic without unbounded pre-generation.
+    #[inline]
     pub fn random(&mut self) -> f64 {
         let v = self.random_draws[self.random_cursor];
         if self.random_cursor + 1 < RANDOMS_PER_CALLBACK {
@@ -148,12 +149,13 @@ impl Context {
     }
 
     /// Record a trace event visible to the experiment harness.
+    #[inline]
     pub fn trace(&mut self, event: TraceEvent) {
         self.effects.traces.push(event);
     }
 
     /// The datagram sends requested so far in this callback (test helper).
-    pub fn outgoing(&self) -> &[SendRequest] {
+    pub fn outgoing(&self) -> &[Datagram] {
         &self.effects.sends
     }
 

@@ -109,6 +109,7 @@ impl CrossTrafficState {
     /// For the Markov on/off process the state machine is advanced lazily up
     /// to `now`; queries must therefore be made with non-decreasing times
     /// (which the simulator guarantees).
+    #[inline]
     pub fn load_at(&mut self, now: f64) -> f64 {
         match self.model {
             CrossTraffic::None => 0.0,

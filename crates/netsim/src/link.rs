@@ -203,6 +203,7 @@ impl Link {
     /// Offer a datagram of `wire_bytes` to the link at time `now`.
     ///
     /// Returns when (and whether) the datagram reaches the remote node.
+    #[inline]
     pub fn offer(&mut self, now: SimTime, wire_bytes: usize, rng: &mut SimRng) -> LinkOutcome {
         self.stats.offered += 1;
 

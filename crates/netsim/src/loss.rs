@@ -81,6 +81,7 @@ pub struct LossState {
 
 impl LossState {
     /// Sample whether the next datagram is dropped.
+    #[inline]
     pub fn should_drop(&mut self, rng: &mut SimRng) -> bool {
         self.offered += 1;
         let drop = match self.model {

@@ -53,6 +53,7 @@ impl Payload {
     }
 
     /// A sized payload with header fields but no inline data (bulk transfer).
+    #[inline]
     pub fn sized(kind: u16, flow: u64, seq: u64, size: usize) -> Self {
         Payload {
             kind,
@@ -64,6 +65,7 @@ impl Payload {
     }
 
     /// Total bytes charged on the wire: nominal size plus a small header.
+    #[inline]
     pub fn wire_size(&self) -> usize {
         self.size + HEADER_OVERHEAD
     }

@@ -38,11 +38,13 @@ impl SimRng {
     }
 
     /// A uniform sample in `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform sample in `[lo, hi)`.
+    #[inline]
     pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
         if hi <= lo {
             return lo;
@@ -51,6 +53,7 @@ impl SimRng {
     }
 
     /// A Bernoulli trial with success probability `p` (clamped to `[0,1]`).
+    #[inline]
     pub fn coin(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         self.uniform() < p
@@ -90,6 +93,7 @@ impl SimRng {
     }
 
     /// A raw 64-bit draw (one xoshiro256++ step).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);

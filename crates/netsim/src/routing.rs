@@ -91,6 +91,7 @@ impl RoutingTable {
     }
 
     /// The link a datagram at `at` should take to eventually reach `dst`.
+    #[inline]
     pub fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<LinkId> {
         if at == dst {
             return None;

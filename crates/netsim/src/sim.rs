@@ -6,7 +6,7 @@
 //! dispatching them to applications; side effects requested by applications
 //! (sends, timers, traces) are applied when the callback returns.
 
-use crate::app::{Application, Context, Effects};
+use crate::app::{Application, Context};
 use crate::dynamics::LinkChange;
 use crate::event::{EventKind, EventQueue};
 use crate::link::{Link, LinkId, LinkOutcome};
@@ -29,8 +29,8 @@ pub struct Simulator {
     now: SimTime,
     rng: SimRng,
     trace: Trace,
-    /// The effect buffers lent to the context of each dispatch.
-    effects: Effects,
+    /// The context every dispatch lends its application, reset for each.
+    ctx: Context,
     started: bool,
     stats: SimStats,
 }
@@ -82,7 +82,7 @@ impl Simulator {
             now: SimTime::ZERO,
             rng,
             trace: Trace::default(),
-            effects: Effects::default(),
+            ctx: Context::new(NodeId(0), SimTime::ZERO, Vec::new()),
             started: false,
             stats: SimStats::default(),
         })
@@ -187,13 +187,16 @@ impl Simulator {
             self.now = event.at;
             self.stats.events_processed += 1;
             match event.kind {
-                EventKind::Start { node } => self.dispatch(node, Dispatch::Start),
+                EventKind::DatagramArrival { node, datagram } if datagram.dst == node => {
+                    self.stats.datagrams_delivered += 1;
+                    self.dispatch(node, Dispatch::Datagram(datagram));
+                }
+                // A forwarding hop: on to the next link toward the destination.
+                EventKind::DatagramArrival { node, datagram } => self.forward(node, datagram),
                 EventKind::Timer { node, timer_id } => {
                     self.dispatch(node, Dispatch::Timer(timer_id))
                 }
-                EventKind::DatagramArrival { node, datagram } => {
-                    self.handle_arrival(node, datagram)
-                }
+                EventKind::Start { node } => self.dispatch(node, Dispatch::Start),
                 EventKind::LinkChange { link, change } => self.apply_link_change(link, &change),
                 EventKind::Wake => {}
             }
@@ -210,16 +213,7 @@ impl Simulator {
         self.now
     }
 
-    fn handle_arrival(&mut self, node: NodeId, datagram: Datagram) {
-        if datagram.dst == node {
-            self.stats.datagrams_delivered += 1;
-            self.dispatch(node, Dispatch::Datagram(datagram));
-        } else {
-            // Forwarding hop: push onto the next link toward the destination.
-            self.forward(node, datagram);
-        }
-    }
-
+    #[inline]
     fn forward(&mut self, at: NodeId, datagram: Datagram) {
         let dst = datagram.dst;
         let link_id = match self.routing.next_hop(at, dst) {
@@ -249,6 +243,7 @@ impl Simulator {
         }
     }
 
+    #[inline]
     fn dispatch(&mut self, node: NodeId, what: Dispatch) {
         // Take the application out for the callback and put it back after;
         // a node that hosts none consumes no draws.
@@ -256,45 +251,38 @@ impl Simulator {
             return;
         };
         let randoms = std::array::from_fn(|_| self.rng.uniform());
-        let effects = std::mem::take(&mut self.effects);
-        let mut ctx = Context::lent(node, self.now, randoms, effects);
+        let ctx = &mut self.ctx;
+        ctx.lend(node, self.now, randoms);
         match what {
-            Dispatch::Start => app.on_start(&mut ctx),
-            Dispatch::Timer(key) => app.on_timer(&mut ctx, key),
-            Dispatch::Datagram(dg) => app.on_datagram(&mut ctx, dg),
+            Dispatch::Start => app.on_start(ctx),
+            Dispatch::Timer(key) => app.on_timer(ctx, key),
+            Dispatch::Datagram(dg) => app.on_datagram(ctx, dg),
         }
+        self.apps[node.0] = Some(app);
         // Apply side effects, draining the buffers for the next dispatch.
-        let mut effects = ctx.effects;
+        let effects = &mut self.ctx.effects;
         for mut tr in effects.traces.drain(..) {
             tr.at = self.now;
             tr.node = node;
             self.trace.push(tr);
         }
         for t in effects.timers.drain(..) {
-            self.queue.push(
-                self.now + t.delay,
-                EventKind::Timer {
-                    node,
-                    timer_id: t.timer_id,
-                },
-            );
+            let timer_id = t.timer_id;
+            let fire = EventKind::Timer { node, timer_id };
+            self.queue.push(self.now + t.delay, fire);
         }
-        for s in effects.sends.drain(..) {
+        let mut sends = std::mem::take(&mut effects.sends);
+        for datagram in sends.drain(..) {
             self.stats.datagrams_sent += 1;
-            let dg = Datagram {
-                dst: s.dst,
-                payload: s.payload,
-            };
-            if s.dst == node {
+            if datagram.dst == node {
                 // Loopback: deliver immediately without touching any link.
-                self.queue
-                    .push(self.now, EventKind::DatagramArrival { node, datagram: dg });
+                let arrival = EventKind::DatagramArrival { node, datagram };
+                self.queue.push(self.now, arrival);
             } else {
-                self.forward(node, dg);
+                self.forward(node, datagram);
             }
         }
-        self.effects = effects;
-        self.apps[node.0] = Some(app);
+        self.ctx.effects.sends = sends;
     }
 
     /// Convenience: send a datagram "from the outside" (not from an

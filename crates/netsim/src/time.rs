@@ -60,6 +60,12 @@ impl SimTime {
         self.0.to_bits()
     }
 
+    /// The time whose bits [`SimTime::to_bits`] returned.
+    #[inline]
+    pub(crate) fn from_bits(bits: u64) -> Self {
+        SimTime(f64::from_bits(bits))
+    }
+
     /// Saturating difference `self - other`, never negative.
     #[inline]
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
@@ -236,6 +242,7 @@ mod tests {
         assert!(secs.windows(2).all(|w| w[0] <= w[1]), "{secs:?}");
         assert_eq!(secs[0].to_bits(), 0);
         assert_eq!(secs[8], f64::INFINITY);
+        assert_eq!(SimTime::from_bits(sorted[4].to_bits()), sorted[4]);
     }
 
     #[test]
