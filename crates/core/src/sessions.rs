@@ -50,7 +50,6 @@ use ricsa_pipemap::pipeline::Pipeline;
 use ricsa_pipemap::sweep::client_server_on_route;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 // ------------------------------------------------------------ session mux
@@ -65,15 +64,17 @@ use std::rc::Rc;
 /// reaches session 0's stage, which ignores it as every stage does.
 ///
 /// The shell installed into the simulator and the handles the session
-/// manager keeps share one [`Rc`]'d map, so stages can be inserted and
+/// manager keeps share one [`Rc`]'d list, so stages can be inserted and
 /// removed while the simulation runs — that is how sessions spawn, retire
 /// and migrate live.  Resident stages never receive `on_start`: this
 /// manager configures no client drive, whose initial request is the only
 /// thing `StageApp::on_start` does.
 #[derive(Clone, Default)]
 pub struct SessionMux {
-    /// Session id → that session's stage on this node.
-    inners: Rc<RefCell<BTreeMap<u64, StageApp>>>,
+    /// Each resident session's id and its stage on this node, by id: a node
+    /// hosts one or a few sessions, so finding a datagram's stage is a
+    /// compare or two.
+    inners: Rc<RefCell<Vec<(u64, StageApp)>>>,
 }
 
 impl SessionMux {
@@ -84,25 +85,34 @@ impl SessionMux {
 
     /// Insert (or replace) `session`'s stage on this node.
     pub fn insert(&self, session: u64, app: StageApp) {
-        self.inners.borrow_mut().insert(session, app);
+        let mut inners = self.inners.borrow_mut();
+        match inners.binary_search_by_key(&session, |(id, _)| *id) {
+            Ok(at) => inners[at].1 = app,
+            Err(at) => inners.insert(at, (session, app)),
+        }
     }
 
     /// Remove `session`'s stage; its not-yet-fired timers will be dropped
     /// when they fire.  Returns whether a stage was resident.
     pub fn remove(&self, session: u64) -> bool {
-        self.inners.borrow_mut().remove(&session).is_some()
+        let mut inners = self.inners.borrow_mut();
+        let at = inners.binary_search_by_key(&session, |(id, _)| *id);
+        at.map(|at| inners.remove(at)).is_ok()
     }
 
     /// Session ids with a resident stage, ascending.
     pub fn sessions(&self) -> Vec<u64> {
-        self.inners.borrow().keys().copied().collect()
+        self.inners.borrow().iter().map(|(id, _)| *id).collect()
     }
 
     /// The stage of the session whose bits `key` (a flow id or timer key)
     /// carries, if it is resident, handed to `f`.
+    #[inline]
     fn route(&self, key: u64, f: impl FnOnce(&mut StageApp)) {
-        if let Some(app) = self.inners.borrow_mut().get_mut(&parse_flow_id(key).0) {
-            f(app);
+        let session = parse_flow_id(key).0;
+        let mut inners = self.inners.borrow_mut();
+        if let Ok(at) = inners.binary_search_by_key(&session, |(id, _)| *id) {
+            f(&mut inners[at].1);
         }
     }
 

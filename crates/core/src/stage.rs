@@ -194,6 +194,7 @@ pub fn flow_id(session: u64, iteration: u64, hop: usize) -> u64 {
 
 /// Decompose a flow id produced by [`flow_id`] into its session, iteration
 /// and hop.
+#[inline]
 pub fn parse_flow_id(flow: u64) -> (u64, u64, usize) {
     (
         flow >> SESSION_SHIFT,
