@@ -5,11 +5,12 @@ use crate::flow::{
     AckInfo, FlowConfig, SharedFlowStats, KIND_ACK, KIND_DATA, MAX_NACKS_PER_ACK,
     MAX_SACK_RANGES_PER_ACK, NO_CUMULATIVE,
 };
+use crate::sender::seq_set::SeqSet;
 use ricsa_netsim::app::{Application, Context};
 use ricsa_netsim::node::NodeId;
 use ricsa_netsim::packet::{Datagram, Payload};
 use ricsa_netsim::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 #[cfg(test)]
 mod reference;
@@ -26,11 +27,11 @@ pub struct FlowReceiver {
     stats: SharedFlowStats,
     /// Highest sequence number such that all `<= cumulative` are received.
     cumulative: Option<u64>,
-    /// Out-of-order datagrams above the cumulative point, as maximal runs
-    /// `lo -> hi` (inclusive, merged on insert): the set costs one entry per
-    /// hole, not one per buffered datagram, and so does every ACK built
-    /// from it.  The first run starts above `cumulative + 1`.
-    runs: BTreeMap<u64, u64>,
+    /// Out-of-order datagrams above the cumulative point, one bit each in
+    /// a window that slides with it: recording an arrival is a word
+    /// operation, and the holes and runs an ACK reports are scanned a word
+    /// at a time.  Its lowest member lies above `cumulative + 1`.
+    above: SeqSet,
     highest_seen: Option<u64>,
     received_count: u64,
     /// Recent arrivals `(time_secs, bytes)` kept for the sliding-window
@@ -44,14 +45,17 @@ pub struct FlowReceiver {
     /// Distinct datagram count at the previous periodic-ACK tick, used to
     /// detect a quiet flow (no arrivals for a full ACK interval).
     received_at_last_tick: u64,
-    /// Per-hole NACK schedule: `(earliest re-report time, current backoff)`.
+    /// Per-hole NACK schedule, `(hole, earliest re-report time, current
+    /// backoff)` ascending by hole, for the holes the last ACK scanned.
     /// A hole is only reported once it has stayed missing for the reorder
     /// window (jittered links reorder heavily, and NACKing a datagram that
     /// is merely late triggers a useless retransmission).  After each
     /// report the backoff doubles: the receiver does not know the path
     /// round-trip time, and on a bufferbloated path re-asking faster than
     /// the queue drains turns every hole into a duplicate storm.
-    nack_schedule: BTreeMap<u64, (f64, f64)>,
+    nack_schedule: Vec<(u64, f64, f64)>,
+    /// The schedule the next ACK builds, kept to reuse its allocation.
+    next_schedule: Vec<(u64, f64, f64)>,
     goodput_estimate: f64,
     finished: bool,
 }
@@ -64,7 +68,7 @@ impl FlowReceiver {
             sender,
             stats,
             cumulative: None,
-            runs: BTreeMap::new(),
+            above: SeqSet::default(),
             highest_seen: None,
             received_count: 0,
             recent_arrivals: VecDeque::new(),
@@ -73,7 +77,8 @@ impl FlowReceiver {
             ack_timer_pending: false,
             since_last_ack: 0,
             received_at_last_tick: 0,
-            nack_schedule: BTreeMap::new(),
+            nack_schedule: Vec::new(),
+            next_schedule: Vec::new(),
             goodput_estimate: 0.0,
             finished: false,
         }
@@ -107,26 +112,14 @@ impl FlowReceiver {
         }
         if seq == next {
             // In order: the cumulative point moves, over the run that
-            // started right behind the filled hole if there is one.
-            let absorbed = match self.runs.first_entry() {
-                Some(run) if *run.key() == seq + 1 => run.remove(),
-                _ => seq,
-            };
+            // starts right behind the filled hole if there is one.
+            let absent = self.above.first_absent_from(seq + 1);
+            let absorbed = absent.map_or(u64::MAX, |absent| absent - 1);
             self.cumulative = Some(absorbed);
+            self.above.drop_below(absorbed.saturating_add(1));
             return true;
         }
-        let below = self.runs.range(..=seq).next_back();
-        let below = below.map(|(&lo, &hi)| (lo, hi));
-        if below.is_some_and(|(_, hi)| hi >= seq) {
-            return false;
-        }
-        let lo = match below {
-            Some((lo, hi)) if hi + 1 == seq => lo,
-            _ => seq,
-        };
-        let hi = self.runs.remove(&(seq + 1)).unwrap_or(seq);
-        self.runs.insert(lo, hi);
-        true
+        self.above.insert(seq)
     }
 
     #[cfg(test)]
@@ -142,14 +135,14 @@ impl FlowReceiver {
             return missing;
         }
         let mut cursor = self.next_expected();
-        for (&lo, &hi) in &self.runs {
-            if lo >= end || missing.len() >= cap {
-                break;
+        while cursor < end && missing.len() < cap {
+            let run = self.above.first_in(cursor..=end - 1).unwrap_or(end);
+            missing.extend((cursor..run).take(cap - missing.len()));
+            match self.above.first_absent_from(run) {
+                Some(after) if run < end => cursor = after,
+                _ => break,
             }
-            missing.extend((cursor..lo).take(cap - missing.len()));
-            cursor = hi + 1;
         }
-        missing.extend((cursor..end).take(cap - missing.len()));
         missing
     }
 
@@ -175,28 +168,33 @@ impl FlowReceiver {
         // Scan past the per-ACK cap so throttled low holes cannot starve
         // eligible higher ones.
         let holes = self.missing_up_to(end, 4 * MAX_NACKS_PER_ACK);
-        // Forget tracked holes that have been filled in the meantime
-        // (`holes` is ascending).
-        self.nack_schedule
-            .retain(|seq, _| holes.binary_search(seq).is_ok());
         let nack_delay = self.config.nack_delay.max(0.0);
         let first_backoff = (2.0 * self.config.ack_interval).max(nack_delay);
         const MAX_BACKOFF: f64 = 2.0;
+        // One merge of two ascending lists: the schedule keeps the holes
+        // scanned now and forgets the rest (filled in the meantime, or
+        // beyond this scan).  Holes are visited until the NACK list is
+        // full; a hole past that keeps its entry, if it had one.
         let mut missing = Vec::new();
+        let (old, mut next) = (&self.nack_schedule, std::mem::take(&mut self.next_schedule));
+        let mut tracked = old.iter().peekable();
         for seq in holes {
-            let (eligible_at, backoff) = *self
-                .nack_schedule
-                .entry(seq)
-                .or_insert((now + nack_delay, first_backoff));
-            if now >= eligible_at {
+            while tracked.next_if(|entry| entry.0 < seq).is_some() {}
+            let known = tracked.next_if(|entry| entry.0 == seq);
+            let (eligible_at, backoff) = match known {
+                Some(&(_, eligible_at, backoff)) => (eligible_at, backoff),
+                None if missing.len() < MAX_NACKS_PER_ACK => (now + nack_delay, first_backoff),
+                None => continue,
+            };
+            if missing.len() < MAX_NACKS_PER_ACK && now >= eligible_at {
                 missing.push(seq);
-                self.nack_schedule
-                    .insert(seq, (now + backoff, (backoff * 2.0).min(MAX_BACKOFF)));
-                if missing.len() >= MAX_NACKS_PER_ACK {
-                    break;
-                }
+                next.push((seq, now + backoff, (backoff * 2.0).min(MAX_BACKOFF)));
+            } else {
+                next.push((seq, eligible_at, backoff));
             }
         }
+        self.next_schedule = std::mem::replace(&mut self.nack_schedule, next);
+        self.next_schedule.clear();
         missing
     }
 
@@ -204,8 +202,21 @@ impl FlowReceiver {
     /// [`MAX_SACK_RANGES_PER_ACK`] (lowest ranges first — they are the ones
     /// that let the sender clear its oldest outstanding state).
     fn sack_ranges(&self) -> Vec<(u64, u64)> {
-        let lowest = self.runs.iter().take(MAX_SACK_RANGES_PER_ACK);
-        lowest.map(|(&lo, &hi)| (lo, hi)).collect()
+        let mut ranges = Vec::new();
+        let mut cursor = self.next_expected();
+        while ranges.len() < MAX_SACK_RANGES_PER_ACK {
+            let Some(lo) = self.above.first_in(cursor..=u64::MAX) else {
+                break;
+            };
+            let after = self.above.first_absent_from(lo);
+            let hi = after.map_or(u64::MAX, |after| after - 1);
+            ranges.push((lo, hi));
+            match after {
+                Some(after) => cursor = after,
+                None => break,
+            }
+        }
+        ranges
     }
 
     fn send_ack(&mut self, ctx: &mut Context) {
@@ -635,6 +646,41 @@ mod tests {
         );
     }
 
+    /// A hole that opens while more holes are eligible than one ACK
+    /// reports is not tracked until an ACK reaches it: its reorder window
+    /// starts then, not when the capped ACK passed it by.
+    #[test]
+    fn a_hole_past_a_full_nack_list_starts_its_wait_when_an_ack_reaches_it() {
+        let config = FlowConfig {
+            mtu: 100,
+            ack_every: 1_000,
+            nack_delay: 0.01,
+            ..FlowConfig::default()
+        };
+        let mut pair = Pair::new(config);
+        let arrive = |pair: &mut Pair, now, seqs: std::ops::Range<u64>| {
+            for seq in seqs.filter(|seq| seq % 2 == 1) {
+                assert!(pair
+                    .both(now, |rx, ctx| rx.on_datagram(ctx, data(seq, 100)))
+                    .is_empty());
+            }
+        };
+        let tick = |pair: &mut Pair, now| pair.both(now, |rx, ctx| rx.on_timer(ctx, 0));
+        // 101 holes, tracked by the first ACK, eligible from t = 1.01.
+        arrive(&mut pair, 0.5, 0..202);
+        assert!(tick(&mut pair, 1.0)[0].missing.is_empty());
+        // 20 more, untracked, behind them.
+        arrive(&mut pair, 1.0, 202..242);
+        let ack = tick(&mut pair, 1.02).remove(0);
+        assert_eq!(ack.missing, (0..128).step_by(2).collect::<Vec<_>>());
+        let ack = tick(&mut pair, 1.025).remove(0);
+        assert_eq!(ack.missing, (128..202).step_by(2).collect::<Vec<_>>());
+        // The 20 were first tracked at t = 1.025: not eligible before 1.035.
+        assert!(tick(&mut pair, 1.032)[0].missing.is_empty());
+        let ack = tick(&mut pair, 1.036).remove(0);
+        assert_eq!(ack.missing, (202..242).step_by(2).collect::<Vec<_>>());
+    }
+
     #[test]
     fn fifty_thousand_datagrams_behind_one_hole_are_one_run() {
         let (mut rx, _stats) = mk_receiver(None);
@@ -642,11 +688,12 @@ mod tests {
         for seq in (1..=50_000).filter(|seq| *seq != 30_000) {
             rx.on_datagram(&mut ctx, data(seq, 10));
         }
-        // Two holes, two runs: the ACK below is built from these two
-        // entries, whatever the number of datagrams they stand for.
-        assert_eq!(rx.runs.len(), 2);
+        // Two holes, two runs, held one bit a datagram: the ACK below
+        // scans 782 words, not 50 000 entries.
+        assert_eq!(rx.sack_ranges(), [(1, 29_999), (30_001, 50_000)]);
         rx.on_datagram(&mut ctx, data(30_000, 10));
-        assert_eq!(rx.runs.iter().collect::<Vec<_>>(), [(&1, &50_000)]);
+        assert_eq!(rx.sack_ranges(), [(1, 50_000)]);
+        assert_eq!(rx.above.len(), 50_000);
         let mut later = ctx_at(1.0);
         rx.send_ack(&mut later);
         let ack = AckInfo::decode(&later.outgoing()[0].payload.data).unwrap();
@@ -654,6 +701,6 @@ mod tests {
         assert_eq!((ack.missing, ack.sack), (vec![0], vec![(1, 50_000)]));
         rx.on_datagram(&mut later, data(0, 10));
         assert_eq!(rx.cumulative, Some(50_000));
-        assert!(rx.runs.is_empty());
+        assert!(rx.above.is_empty());
     }
 }

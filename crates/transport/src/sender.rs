@@ -17,7 +17,7 @@ use ricsa_netsim::packet::{Datagram, Payload};
 use ricsa_netsim::time::SimTime;
 use seq_set::SeqSet;
 
-mod seq_set;
+pub(crate) mod seq_set;
 
 /// Sender half of a transport flow.
 pub struct WindowSender<C: RateController> {

@@ -6,7 +6,9 @@
 //! sequence number, so a bitmap over that stretch is dense.  Insert, remove
 //! and membership are one word operation; dropping everything below the
 //! cumulative point pops whole words off the front; the first member of a
-//! range and ascending iteration scan words, not nodes.
+//! range, the first non-member and ascending iteration scan words, not
+//! nodes.  `FlowReceiver` keeps the datagrams it holds above its
+//! cumulative point in one too.
 
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
@@ -140,6 +142,25 @@ impl SeqSet {
         None
     }
 
+    /// The lowest sequence number at or above `seq` that is not a member;
+    /// `None` only when every one up to `u64::MAX` is.
+    pub(crate) fn first_absent_from(&self, seq: u64) -> Option<u64> {
+        let (word, bit) = split(seq);
+        let Some(mut i) = self.slot(word) else {
+            return Some(seq);
+        };
+        let mut absent = !self.words[i] & (u64::MAX << bit);
+        while absent == 0 {
+            i += 1;
+            let word = self.base + i as u64;
+            let Some(&w) = self.words.get(i) else {
+                return word.checked_mul(64);
+            };
+            absent = !w;
+        }
+        Some(((self.base + i as u64) << 6) | absent.trailing_zeros() as u64)
+    }
+
     /// The lowest member, removed.
     pub(crate) fn pop_first(&mut self) -> Option<u64> {
         let front = *self.words.front()?;
@@ -179,6 +200,7 @@ mod tests {
         rebased: u32,
         range_hits: u32,
         range_misses: u32,
+        absent_past_members: u32,
         removed: u32,
         contained: u32,
         peak_len: usize,
@@ -257,6 +279,9 @@ mod tests {
                         seen.range_hits += expected.is_some() as u32;
                         seen.range_misses += expected.is_none() as u32;
                         assert_eq!(set.first_in(seq..=hi), expected, "first in {seq}..={hi}");
+                        let absent = (seq..).find(|s| !reference.contains(s));
+                        seen.absent_past_members += absent.is_some_and(|a| a > seq) as u32;
+                        assert_eq!(set.first_absent_from(seq), absent, "absent from {seq}");
                     }
                     6 => {
                         let expected = reference.pop_first();
@@ -290,6 +315,7 @@ mod tests {
             (seen.rebased, 2500),
             (seen.range_hits, 2500),
             (seen.range_misses, 4000),
+            (seen.absent_past_members, 500),
             (seen.removed, 2000),
             (seen.contained, 20000),
             (seen.peak_len as u32, 500),
@@ -306,6 +332,8 @@ mod tests {
         assert_eq!(set.first_in(0..=u64::MAX), Some(u64::MAX - 64));
         assert_eq!(set.first_in(u64::MAX - 63..=u64::MAX), Some(u64::MAX));
         assert_eq!(set.iter().collect::<Vec<_>>(), [u64::MAX - 64, u64::MAX]);
+        assert_eq!(set.first_absent_from(u64::MAX - 64), Some(u64::MAX - 63));
+        assert_eq!(set.first_absent_from(u64::MAX), None);
         set.drop_below(u64::MAX);
         assert_eq!(set.iter().collect::<Vec<_>>(), [u64::MAX]);
         assert_eq!(set.pop_first(), Some(u64::MAX));
