@@ -23,6 +23,9 @@ mod reference;
 /// every ACK, together with cumulative and selective (NACK) feedback.
 pub struct FlowReceiver {
     config: FlowConfig,
+    /// Datagrams in the message (`config.total_datagrams()`), `None` for
+    /// an unbounded flow.
+    total_datagrams: Option<u64>,
     sender: NodeId,
     stats: SharedFlowStats,
     /// Highest sequence number such that all `<= cumulative` are received.
@@ -64,6 +67,7 @@ impl FlowReceiver {
     /// Create a receiver for `config`, acknowledging back to `sender`.
     pub fn new(config: FlowConfig, sender: NodeId, stats: SharedFlowStats) -> Self {
         FlowReceiver {
+            total_datagrams: config.total_datagrams(),
             config,
             sender,
             stats,
@@ -161,7 +165,7 @@ impl FlowReceiver {
     /// outlast an ACK interval), and a reported hole is not re-reported
     /// until the retransmission had time to arrive.
     fn missing_for_ack(&mut self, now: f64, quiet: bool) -> Vec<u64> {
-        let end = match (quiet, self.config.total_datagrams()) {
+        let end = match (quiet, self.total_datagrams) {
             (true, Some(total)) => total,
             _ => self.highest_seen.unwrap_or(0),
         };
@@ -265,7 +269,7 @@ impl FlowReceiver {
         if self.finished {
             return;
         }
-        if let Some(total) = self.config.total_datagrams() {
+        if let Some(total) = self.total_datagrams {
             let done = self
                 .cumulative
                 .map(|c| c + 1 >= total)
