@@ -254,12 +254,11 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
         let at = at.to_bits();
         let (seq, slot) = self.park(at, NONE, NONE, kind);
-        let lane = NONE;
         self.heap.push(Key {
             at,
             seq,
             slot,
-            lane,
+            lane: NONE,
         });
     }
 
@@ -277,9 +276,9 @@ impl EventQueue {
             // The lane was idle: its front is a candidate.
             let (seq, slot) = self.park(at_bits, NONE, NONE, kind);
             self.lanes[lane] = slot;
-            let lane = lane as u32;
+            let (at, lane) = (at_bits, lane as u32);
             return self.heap.push(Key {
-                at: at_bits,
+                at,
                 seq,
                 slot,
                 lane,

@@ -267,9 +267,13 @@ impl Simulator {
             self.trace.push(tr);
         }
         for t in effects.timers.drain(..) {
-            let timer_id = t.timer_id;
-            let fire = EventKind::Timer { node, timer_id };
-            self.queue.push(self.now + t.delay, fire);
+            self.queue.push(
+                self.now + t.delay,
+                EventKind::Timer {
+                    node,
+                    timer_id: t.timer_id,
+                },
+            );
         }
         let mut sends = std::mem::take(&mut effects.sends);
         for datagram in sends.drain(..) {
