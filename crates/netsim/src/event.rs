@@ -125,19 +125,23 @@ struct Slot {
     kind: Option<EventKind>,
 }
 
-/// The slots the slab reserves when it is created: the deepest the
-/// benchmark's 32-session run gets is about 46 000 pending events.  A slot
-/// is only resident once it has been used, so the reservation costs
-/// address space, not memory, and the slab moves (doubling, copying its
-/// slots) only beyond it.
-const RESERVED: usize = 1 << 16;
+/// Slots per chunk of the [`Slab`] (48 KiB).
+const CHUNK: usize = 512;
 
-/// The parked events, in one `Vec`: finding a slot is one index.  Free
-/// slots are reused, most recently freed first, so the resident footprint
-/// is the deepest the queue has been.
+/// The parked events.  Free slots are reused, most recently freed first,
+/// and the slab grows a chunk at a time: a parked event never moves, and
+/// the footprint is the deepest the queue has been.  A chunk is a
+/// fixed-size array, so finding a slot is one load of its chunk's address
+/// and an index that needs no bounds check.  (One `Vec` of slots indexes
+/// faster, but doubles and copies itself on the way up; reserving its
+/// capacity up front instead leaves a multi-megabyte block to the
+/// allocator, and the benchmark's `wan_loop` peak RSS then read 1–1.4 MB
+/// higher in two of nine runs.)
 #[derive(Debug)]
 struct Slab {
-    slots: Vec<Slot>,
+    chunks: Vec<Box<[Slot; CHUNK]>>,
+    /// Slots handed out so far: each one below is parked or free.
+    used: u32,
     /// The most recently freed slot, [`NONE`] when every slot is in use.
     free: u32,
 }
@@ -145,7 +149,8 @@ struct Slab {
 impl Default for Slab {
     fn default() -> Self {
         Slab {
-            slots: Vec::with_capacity(RESERVED),
+            chunks: Vec::new(),
+            used: 0,
             free: NONE,
         }
     }
@@ -160,8 +165,27 @@ impl Slab {
             self.free = std::mem::replace(&mut self[slot], parked).next;
             return slot;
         }
-        let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
-        self.slots.push(parked);
+        self.grow(parked)
+    }
+
+    /// Park an event in a slot never used before, adding a chunk when
+    /// every one is.
+    fn grow(&mut self, parked: Slot) -> u32 {
+        let slot = self.used;
+        if slot as usize == self.chunks.len() * CHUNK {
+            let vacant = || Slot {
+                at: 0,
+                seq: 0,
+                next: NONE,
+                prev: NONE,
+                kind: None,
+            };
+            let chunk: Box<[Slot]> = (0..CHUNK).map(|_| vacant()).collect();
+            self.chunks
+                .push(chunk.try_into().expect("a chunk has CHUNK slots"));
+        }
+        self.used = slot.checked_add(1).expect("fewer than 2^32 pending events");
+        self[slot] = parked;
         slot
     }
 
@@ -181,14 +205,14 @@ impl Index<u32> for Slab {
     type Output = Slot;
     #[inline]
     fn index(&self, slot: u32) -> &Slot {
-        &self.slots[slot as usize]
+        &self.chunks[slot as usize / CHUNK][slot as usize % CHUNK]
     }
 }
 
 impl IndexMut<u32> for Slab {
     #[inline]
     fn index_mut(&mut self, slot: u32) -> &mut Slot {
-        &mut self.slots[slot as usize]
+        &mut self.chunks[slot as usize / CHUNK][slot as usize % CHUNK]
     }
 }
 
@@ -373,30 +397,7 @@ mod tests {
         // The largest body is a `Datagram` inline: its destination and
         // payload.
         assert_eq!(std::mem::size_of::<Slot>(), 96);
-        assert_eq!(RESERVED * std::mem::size_of::<Slot>(), 6 << 20);
-    }
-
-    #[test]
-    fn the_slab_grows_past_its_reservation_and_keeps_every_event() {
-        let mut q = EventQueue::new();
-        let n = RESERVED as u64 + 1000;
-        for i in 0..n {
-            let at = SimTime::from_secs((i / 3) as f64);
-            let kind = EventKind::Timer {
-                node: NodeId(0),
-                timer_id: i,
-            };
-            match i % 3 {
-                0 => q.push(at, kind),
-                lane => q.push_fifo(lane as usize, at, kind),
-            }
-        }
-        assert!(q.slots.slots.capacity() > RESERVED);
-        for i in 0..n {
-            let event = q.pop().expect("every event pops");
-            assert_eq!((event.seq, event.at.as_secs()), (i, (i / 3) as f64));
-        }
-        assert!(q.is_empty());
+        assert_eq!(CHUNK * std::mem::size_of::<Slot>(), 48 << 10);
     }
 
     #[test]
@@ -548,9 +549,9 @@ mod tests {
             // The lane (or `lane_clock.len()`, none) each event went to.
             let mut lane_of = Vec::new();
             let mut last_pop: Option<(SimTime, usize)> = None;
-            // Every tenth schedule starts with a long climb, so thousands
-            // of slots are in use at once.
-            let climb = if seed % 10 == 0 { 2048 } else { 0 };
+            // Every tenth schedule starts with a long climb, so its slab
+            // spans several chunks.
+            let climb = if seed % 10 == 0 { 4 * CHUNK as u64 } else { 0 };
             for _ in 0..2000 + 2 * climb {
                 // Phases of net growth and net drain, so freed slots are
                 // reused while others stay occupied; few distinct times, so
@@ -621,8 +622,8 @@ mod tests {
                 let some = |slot: u32| Some(slot).filter(|slot| *slot != NONE);
                 let free =
                     std::iter::successors(some(q.slots.free), |slot| some(q.slots[*slot].next));
-                assert_eq!(q.slots.slots.len(), q.len() + free.count());
-                let slots = q.slots.slots.iter();
+                assert_eq!(q.slots.used as usize, q.len() + free.count());
+                let slots = (0..q.slots.used).map(|slot| &q.slots[slot]);
                 assert_eq!(slots.filter(|slot| slot.kind.is_some()).count(), q.len());
                 // One candidate per event outside the lanes and per busy
                 // lane: every parked event is a key's or waits behind a
@@ -651,8 +652,9 @@ mod tests {
                 peak_slots = peak_slots.max(q.len());
             }
             // Slots were recycled: the slab never outgrew its deepest use.
-            assert_eq!(q.slots.slots.len(), peak_slots);
-            assert!(climb == 0 || peak_slots > 1024, "{peak_slots}");
+            assert_eq!(q.slots.used as usize, peak_slots);
+            assert_eq!(q.slots.chunks.len(), peak_slots.div_ceil(CHUNK));
+            assert!(climb == 0 || peak_slots > 2 * CHUNK, "{peak_slots}");
             while let Some(expected) = reference.pop() {
                 assert_eq!(q.pop().map(|e| timer_id(&e)), Some(timer_id(&expected)));
             }
